@@ -4,20 +4,19 @@ concrete instances, plus the campaign driver.
 Every comparison is power-normalized: a claimed bound X <= Y^(p/q) is checked
 as X^q <= Y^p between exact integers or rationals, so no verdict ever touches
 floating point.  Campaign reports are JSON lines ordered by (proposition,
-trial index) and are byte-identical across runs and thread counts.
+trial index) and are byte-identical across runs.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
 from . import closedform
-from .constructions import blowup, double
+from .constructions import blowup, blowup_size, double
 from .errors import BudgetExceededError, GraphFormatError, SubsetLimitError
 from .eta import eta_two_sided, eta_unweighted
 from .graphs import (
@@ -58,7 +57,6 @@ PROPOSITION_IDS = (
     "nonbipartite-lower-bound-failure",
 )
 
-_WEIGHTED_PROPS = {"weighted-ub", "eta-sandwich", "bireg-ub", "lift-identity"}
 _SEED_RULE = "master_seed+index"
 
 
@@ -134,34 +132,136 @@ class CertReport:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
 
-def _instance_desc(g: BipartiteGraph, h: Graph, acts=None, extra=None) -> dict:
-    desc: dict = {
-        "g": serialize_bipartite(g),
-        "h": serialize_graph(h),
-        "N": g.vertex_count,
-    }
-    if acts is not None:
-        desc["activities"] = acts.describe()
-    if extra:
-        desc.update(extra)
-    return desc
+# The propositions.  A row gives the hypothesis on g (it returns the extra
+# instance fields or raises GraphFormatError), whether activities apply, and
+# the evaluation (it returns the bounds and the report details).  Evaluations
+# look the layer functions up at call time, never through the table.
 
 
-def _finish(check, instance, bounds, *, expected=False, details=None, note=None) -> CertReport:
-    verdict = VIOLATED if any(b.verdict == VIOLATED for b in bounds) else HOLDS
-    return CertReport(check, instance, tuple(bounds), verdict,
-                      expected_violation=expected, details=details or {}, note=note)
-
-
-def _skipped(check, instance, exc) -> CertReport:
-    return CertReport(check, instance, (), SKIPPED_BUDGET, note=str(exc))
-
-
-def _require_regular(g: BipartiteGraph) -> int:
+def _regular(g: BipartiteGraph) -> dict:
     n = g.regular_degree()
     if n is None or n < 1:
         raise GraphFormatError("instance must be n-regular bipartite with n >= 1")
-    return n
+    return {"n": n}
+
+
+def _biregular(g: BipartiteGraph) -> dict:
+    degrees = g.biregular_degrees()
+    if degrees is None or min(degrees) < 1:
+        raise GraphFormatError("instance must be biregular with positive degrees")
+    return {"a": degrees[0], "b": degrees[1]}
+
+
+def _hom_ub(g, h, acts, budget, n):
+    lhs = count_homs(g.graph, h, budget)
+    rhs = closedform.knn_restricted_count(n, double(h))
+    bound = BoundCheck("upper", "<=", "count(g,h)^(2n)", "count(Knn,h)^N",
+                       Fraction(lhs ** (2 * n)), Fraction(rhs**g.vertex_count))
+    return [bound], {"count_g": str(lhs), "count_knn": str(rhs)}
+
+
+def _weighted_ub(g, h, acts, budget, n):
+    z_g = partition_fn(g, h, acts, budget)
+    z_knn = closedform.knn_partition(n, h, acts)
+    bound = BoundCheck("upper", "<=", "Z(g)^(2n)", "Z(Knn)^N",
+                       z_g ** (2 * n), z_knn**g.vertex_count)
+    return [bound], {"Z_g": str(z_g), "Z_knn": str(z_knn)}
+
+
+def _bireg_ub(g, h, acts, budget, a, b):
+    z_g = partition_fn(g, h, acts, budget)
+    z_kab = closedform.kab_partition(b, a, h, acts)
+    bound = BoundCheck("upper", "<=", "Z(g)^(a+b)", "Z(Kab)^N",
+                       z_g ** (a + b), z_kab**g.vertex_count)
+    return [bound], {"Z_g": str(z_g), "Z_kab": str(z_kab)}
+
+
+def _sandwich_bounds(z: Fraction, eta: Fraction, n: int, big_n: int, m: int) -> list:
+    """lower: eta^N <= Z^2; upper: Z^(2n) <= eta^(nN) * 2^(mN) for an m-vertex
+    target.  With eta = 0 both degenerate: no bound when Z = 0 (the report is
+    vacuous), else the failed assertion Z == 0."""
+    if eta == 0:
+        return [BoundCheck("degenerate", "==", "Z(g)", "0", z, Fraction(0))] if z else []
+    return [
+        BoundCheck("lower", "<=", "eta^N", "Z(g)^2", eta**big_n, z**2),
+        BoundCheck("upper", "<=", "Z(g)^(2n)", "eta^(nN)*2^(|V(h)|N)",
+                   z ** (2 * n), eta ** (n * big_n) * Fraction(2) ** (m * big_n)),
+    ]
+
+
+def _eta_sandwich(g, h, acts, budget, n):
+    witness = eta_two_sided(h, acts)
+    z_g = partition_fn(g, h, acts, budget)
+    details = {
+        "eta": str(witness.value),
+        "eta_A": list(witness.set_a),
+        "eta_B": list(witness.set_b),
+        "Z_g": str(z_g),
+    }
+    return _sandwich_bounds(z_g, witness.value, n, g.vertex_count, h.vertex_count), details
+
+
+def _lift_identity(g, h, acts, budget):
+    vertices, edges = blowup_size(h, acts)
+    if vertices + edges > budget:
+        raise BudgetExceededError(
+            f"blowup of {vertices} vertices and {edges} edges exceeds budget {budget}")
+    target, meta = blowup(h, acts)
+    z_g = partition_fn(g, h, acts, budget)
+    lifted = count_homs_restricted(g, target, budget)
+    bound = BoundCheck("identity", "==", "Z(g)*C^N", "restricted-count(blowup)",
+                       z_g * meta.scale**g.vertex_count, Fraction(lifted))
+    details = {
+        "scale": str(meta.scale),
+        "blowup_vertices": target.graph.vertex_count,
+        "Z_g": str(z_g),
+        "lift_count": str(lifted),
+    }
+    return [bound], details
+
+
+def _double_identity(g, h, acts, budget):
+    plain = count_homs(g.graph, h, budget)
+    restricted = count_homs_restricted(g, double(h), budget)
+    bound = BoundCheck("identity", "==", "count(g,h)", "restricted-count(double)",
+                       Fraction(plain), Fraction(restricted))
+    return [bound], {"count": str(plain), "restricted_count": str(restricted)}
+
+
+_PROPOSITIONS = {
+    "hom-ub": (_regular, False, _hom_ub),
+    "weighted-ub": (_regular, True, _weighted_ub),
+    "eta-sandwich": (_regular, True, _eta_sandwich),
+    "bireg-ub": (_biregular, True, _bireg_ub),
+    "lift-identity": (lambda g: {}, True, _lift_identity),
+    "double-identity": (lambda g: {}, False, _double_identity),
+}
+
+
+def _judge(check, instance, evaluate, expected=False) -> CertReport:
+    """Run one evaluation: a spent budget makes the report skipped-budget; no
+    bound makes it vacuous; otherwise it holds unless a bound is violated."""
+    try:
+        bounds, details = evaluate()
+    except (BudgetExceededError, SubsetLimitError) as exc:
+        return CertReport(check, instance, (), SKIPPED_BUDGET, note=str(exc))
+    if not bounds:
+        note = "eta = 0: both bounds degenerate; asserting Z = 0"
+        return CertReport(check, instance, (), VACUOUS, details=details, note=note)
+    verdict = VIOLATED if any(b.verdict == VIOLATED for b in bounds) else HOLDS
+    return CertReport(check, instance, tuple(bounds), verdict,
+                      expected_violation=expected, details=details)
+
+
+def _certify(pid, g, h, acts, budget, instance_info) -> CertReport:
+    hypothesis, weighted, evaluate = _PROPOSITIONS[pid]
+    fields = hypothesis(g)
+    inst = {"g": serialize_bipartite(g), "h": serialize_graph(h), "N": g.vertex_count}
+    if weighted:
+        inst["activities"] = acts.describe()
+    inst.update(instance_info or {})
+    inst.update(fields)
+    return _judge(pid, inst, lambda: evaluate(g, h, acts, budget, **fields))
 
 
 def certify_hom_ub(g: BipartiteGraph, h: Graph, budget: int = DEFAULT_BUDGET,
@@ -171,37 +271,13 @@ def certify_hom_ub(g: BipartiteGraph, h: Graph, budget: int = DEFAULT_BUDGET,
     The left side comes from the backtracking counter, the right side from
     the closed form on the doubled target, so the two routes stay independent.
     """
-    n = _require_regular(g)
-    big_n = g.vertex_count
-    inst = _instance_desc(g, h, extra=instance_info)
-    inst["n"] = n
-    try:
-        lhs_base = count_homs(g.graph, h, budget)
-        rhs_base = closedform.knn_restricted_count(n, double(h))
-    except (BudgetExceededError, SubsetLimitError) as exc:
-        return _skipped("hom-ub", inst, exc)
-    bound = BoundCheck("upper", "<=", "count(g,h)^(2n)", "count(Knn,h)^N",
-                       Fraction(lhs_base ** (2 * n)), Fraction(rhs_base**big_n))
-    return _finish("hom-ub", inst, [bound],
-                   details={"count_g": str(lhs_base), "count_knn": str(rhs_base)})
+    return _certify("hom-ub", g, h, None, budget, instance_info)
 
 
 def certify_weighted_ub(g: BipartiteGraph, h: Graph, acts: ActivitySystem,
                         budget: int = DEFAULT_BUDGET, instance_info=None) -> CertReport:
     """Z(g,h,acts)^(2n) <= Z(K_{n,n},h,acts)^N, any positive activities."""
-    n = _require_regular(g)
-    big_n = g.vertex_count
-    inst = _instance_desc(g, h, acts, instance_info)
-    inst["n"] = n
-    try:
-        z_g = partition_fn(g, h, acts, budget)
-        z_knn = closedform.knn_partition(n, h, acts)
-    except (BudgetExceededError, SubsetLimitError) as exc:
-        return _skipped("weighted-ub", inst, exc)
-    bound = BoundCheck("upper", "<=", "Z(g)^(2n)", "Z(Knn)^N",
-                       z_g ** (2 * n), z_knn**big_n)
-    return _finish("weighted-ub", inst, [bound],
-                   details={"Z_g": str(z_g), "Z_knn": str(z_knn)})
+    return _certify("weighted-ub", g, h, acts, budget, instance_info)
 
 
 def certify_bireg(g: BipartiteGraph, h: Graph, acts: ActivitySystem,
@@ -211,23 +287,7 @@ def certify_bireg(g: BipartiteGraph, h: Graph, acts: ActivitySystem,
     The reference K* is the complete bipartite graph that is itself
     (a,b)-biregular: lambda side of size b, mu side of size a.
     """
-    degrees = g.biregular_degrees()
-    if degrees is None or min(degrees) < 1:
-        raise GraphFormatError("instance must be biregular with positive degrees")
-    a, b = degrees
-    big_n = g.vertex_count
-    inst = _instance_desc(g, h, acts, instance_info)
-    inst["a"] = a
-    inst["b"] = b
-    try:
-        z_g = partition_fn(g, h, acts, budget)
-        z_kab = closedform.kab_partition(b, a, h, acts)
-    except (BudgetExceededError, SubsetLimitError) as exc:
-        return _skipped("bireg-ub", inst, exc)
-    bound = BoundCheck("upper", "<=", "Z(g)^(a+b)", "Z(Kab)^N",
-                       z_g ** (a + b), z_kab**big_n)
-    return _finish("bireg-ub", inst, [bound],
-                   details={"Z_g": str(z_g), "Z_kab": str(z_kab)})
+    return _certify("bireg-ub", g, h, acts, budget, instance_info)
 
 
 def certify_sandwich(g: BipartiteGraph, h: Graph, acts: ActivitySystem,
@@ -240,69 +300,22 @@ def certify_sandwich(g: BipartiteGraph, h: Graph, acts: ActivitySystem,
     When eta = 0 (edgeless target) both bounds degenerate; the report says
     "vacuous" and asserts Z = 0 rather than passing 0 <= 0 silently.
     """
-    n = _require_regular(g)
-    big_n = g.vertex_count
-    inst = _instance_desc(g, h, acts, instance_info)
-    inst["n"] = n
-    try:
-        witness = eta_two_sided(h, acts)
-        z_g = partition_fn(g, h, acts, budget)
-    except (BudgetExceededError, SubsetLimitError) as exc:
-        return _skipped("eta-sandwich", inst, exc)
-    eta = witness.value
-    details = {
-        "eta": str(eta),
-        "eta_A": list(witness.set_a),
-        "eta_B": list(witness.set_b),
-        "Z_g": str(z_g),
-    }
-    if eta == 0:
-        verdict = VACUOUS if z_g == 0 else VIOLATED
-        note = "eta = 0: both bounds degenerate; asserting Z = 0"
-        return CertReport("eta-sandwich", inst, (), verdict, details=details, note=note)
-    lower = BoundCheck("lower", "<=", "eta^N", "Z(g)^2", eta**big_n, z_g**2)
-    upper = BoundCheck("upper", "<=", "Z(g)^(2n)", "eta^(nN)*2^(|V(h)|N)",
-                       z_g ** (2 * n),
-                       eta ** (n * big_n) * Fraction(2) ** (h.vertex_count * big_n))
-    return _finish("eta-sandwich", inst, [lower, upper], details=details)
+    return _certify("eta-sandwich", g, h, acts, budget, instance_info)
 
 
 def certify_lift_identity(g: BipartiteGraph, h: Graph, acts: ActivitySystem,
                           budget: int = DEFAULT_BUDGET, instance_info=None) -> CertReport:
     """Exact identity Z(g,h,acts) * C^N == restricted-count(g, blowup(h,acts));
-    any discrepancy is a hard failure, not a tolerance matter."""
-    big_n = g.vertex_count
-    inst = _instance_desc(g, h, acts, instance_info)
-    try:
-        target, meta = blowup(h, acts)
-        z_g = partition_fn(g, h, acts, budget)
-        lifted = count_homs_restricted(g, target, budget)
-    except (BudgetExceededError, SubsetLimitError) as exc:
-        return _skipped("lift-identity", inst, exc)
-    bound = BoundCheck("identity", "==", "Z(g)*C^N", "restricted-count(blowup)",
-                       z_g * meta.scale**big_n, Fraction(lifted))
-    details = {
-        "scale": str(meta.scale),
-        "blowup_vertices": target.graph.vertex_count,
-        "Z_g": str(z_g),
-        "lift_count": str(lifted),
-    }
-    return _finish("lift-identity", inst, [bound], details=details)
+    any discrepancy is a hard failure, not a tolerance matter.  A blow-up
+    whose vertices plus edges exceed the budget is skipped before it is built.
+    """
+    return _certify("lift-identity", g, h, acts, budget, instance_info)
 
 
 def certify_double_identity(g: BipartiteGraph, h: Graph,
                             budget: int = DEFAULT_BUDGET, instance_info=None) -> CertReport:
     """Exact identity count(g,h) == restricted-count(g, double(h))."""
-    inst = _instance_desc(g, h, extra=instance_info)
-    try:
-        plain = count_homs(g.graph, h, budget)
-        restricted = count_homs_restricted(g, double(h), budget)
-    except (BudgetExceededError, SubsetLimitError) as exc:
-        return _skipped("double-identity", inst, exc)
-    bound = BoundCheck("identity", "==", "count(g,h)", "restricted-count(double)",
-                       Fraction(plain), Fraction(restricted))
-    return _finish("double-identity", inst, [bound],
-                   details={"count": str(plain), "restricted_count": str(restricted)})
+    return _certify("double-identity", g, h, None, budget, instance_info)
 
 
 def sandwich_nonbipartite_demo(budget: int = DEFAULT_BUDGET) -> CertReport:
@@ -322,18 +335,13 @@ def sandwich_nonbipartite_demo(budget: int = DEFAULT_BUDGET) -> CertReport:
         "N": big_n,
         "n": n,
     }
-    try:
+
+    def evaluate():
         z = Fraction(count_homs(g, h, budget))
-        witness = eta_unweighted(h)
-    except (BudgetExceededError, SubsetLimitError) as exc:
-        return _skipped("nonbipartite-lower-bound-failure", inst, exc)
-    eta = witness.value
-    lower = BoundCheck("lower", "<=", "eta^N", "Z(g)^2", eta**big_n, z**2)
-    upper = BoundCheck("upper", "<=", "Z(g)^(2n)", "eta^(nN)*2^(|V(h)|N)",
-                       z ** (2 * n), eta ** (n * big_n) * Fraction(2) ** (2 * big_n))
-    details = {"eta": str(eta), "Z_g": str(z)}
-    return _finish("nonbipartite-lower-bound-failure", inst, [lower, upper],
-                   expected=True, details=details)
+        eta = eta_unweighted(h).value
+        return _sandwich_bounds(z, eta, n, big_n, h.vertex_count), {"eta": str(eta), "Z_g": str(z)}
+
+    return _judge("nonbipartite-lower-bound-failure", inst, evaluate, expected=True)
 
 
 # ---------------------------------------------------------------------------
@@ -360,6 +368,8 @@ def resolve_target(entry, base_dir=None) -> Graph:
             return complete_graph(int(m.group(2)), loops=bool(m.group(1)))
         raise GraphFormatError(f"unknown target shorthand {entry!r}")
     if isinstance(entry, dict) and set(entry) == {"file"}:
+        if not isinstance(entry["file"], str):
+            raise GraphFormatError(f"target 'file' must be a path string, got {entry['file']!r}")
         path = Path(entry["file"])
         if base_dir is not None and not path.is_absolute():
             path = Path(base_dir) / path
@@ -392,12 +402,20 @@ def resolve_activities(entry, vertex_count: int) -> ActivitySystem:
     raise GraphFormatError(f"bad activity entry {entry!r}")
 
 
+def _list_field(doc: dict, key: str, default=None):
+    if key not in doc:
+        return default
+    if not isinstance(doc[key], (list, tuple)):
+        raise GraphFormatError(f"{key!r} must be a list, got {doc[key]!r}")
+    return list(doc[key])
+
+
 @dataclass(frozen=True)
 class PropositionPlan:
     id: str
-    families: tuple | None = None
-    targets: tuple | None = None
-    activities: tuple | None = None
+    families: list | None = None
+    targets: list | None = None
+    activities: list | None = None
 
 
 def _parse_propositions(entries) -> list[PropositionPlan]:
@@ -414,14 +432,8 @@ def _parse_propositions(entries) -> list[PropositionPlan]:
             raise GraphFormatError(
                 f"unknown proposition {entry['id']!r}; expected one of {PROPOSITION_IDS}"
             )
-        plans.append(
-            PropositionPlan(
-                entry["id"],
-                tuple(entry["families"]) if "families" in entry else None,
-                tuple(entry["targets"]) if "targets" in entry else None,
-                tuple(entry["activities"]) if "activities" in entry else None,
-            )
-        )
+        overrides = (_list_field(entry, key) for key in ("families", "targets", "activities"))
+        plans.append(PropositionPlan(entry["id"], *overrides))
     return plans
 
 
@@ -447,24 +459,24 @@ def load_campaign(source, base_dir=None) -> tuple[dict, Path | None]:
     grids = raw.get("grids", {})
     if not isinstance(grids, dict) or set(grids) - _GRID_KEYS:
         raise GraphFormatError("'grids' must be an object with 'targets'/'activities'")
-    for key, default in (("seed", DEFAULT_SEED), ("trials", 3)):
+    for key, default in (("seed", DEFAULT_SEED), ("trials", 3), ("budget", DEFAULT_BUDGET)):
         value = raw.get(key, default)
         if isinstance(value, bool) or not isinstance(value, int) or value < 0:
             raise GraphFormatError(f"campaign {key!r} must be a nonnegative integer")
-    budget = raw.get("budget", DEFAULT_BUDGET)
-    if isinstance(budget, bool) or not isinstance(budget, int) or budget < 0:
-        raise GraphFormatError("campaign 'budget' must be a nonnegative integer")
     config = {
         "seed": raw.get("seed", DEFAULT_SEED),
         "trials": raw.get("trials", 3),
-        "budget": budget,
-        "families": list(raw.get("families", [])),
+        "families": _list_field(raw, "families", []),
         "grids": {
-            "targets": list(grids.get("targets", ["hind"])),
-            "activities": list(grids.get("activities", ["unit"])),
+            "targets": _list_field(grids, "targets", ["hind"]),
+            "activities": _list_field(grids, "activities", ["unit"]),
         },
-        "propositions": list(raw.get("propositions", [])),
+        "propositions": _list_field(raw, "propositions", []),
     }
+    # left out when the config has none, so a caller can tell the config's
+    # own budget from the default
+    if "budget" in raw:
+        config["budget"] = raw["budget"]
     return config, base_dir
 
 
@@ -487,16 +499,6 @@ def _expand_instances(families, master_seed, trials, base_dir):
     return out
 
 
-def _applicable(pid: str, g: BipartiteGraph) -> bool:
-    if pid in ("hom-ub", "weighted-ub", "eta-sandwich"):
-        n = g.regular_degree()
-        return n is not None and n >= 1
-    if pid == "bireg-ub":
-        degrees = g.biregular_degrees()
-        return degrees is not None and min(degrees) >= 1
-    return True
-
-
 _CERTIFIERS = {
     "hom-ub": lambda g, h, acts, budget, info: certify_hom_ub(g, h, budget, info),
     "weighted-ub": certify_weighted_ub,
@@ -507,27 +509,34 @@ _CERTIFIERS = {
 }
 
 
-def run_campaign(config, threads: int = 1, base_dir=None) -> list[CertReport]:
+def run_campaign(config, base_dir=None) -> list[CertReport]:
     """Deterministic sweep over (proposition, instance, target, activities).
 
-    Trials may run on a thread pool; report order depends only on the config.
+    The whole config is resolved before the first check runs; reports come
+    in plan order.
     """
     config, base_dir = load_campaign(config, base_dir)
-    budget = config["budget"]
+    budget = config.get("budget", DEFAULT_BUDGET)
     plans = _parse_propositions(config["propositions"])
     jobs = []
     for plan in plans:
         if plan.id == "nonbipartite-lower-bound-failure":
             jobs.append(lambda budget=budget: sandwich_nonbipartite_demo(budget))
             continue
-        families = list(plan.families) if plan.families is not None else config["families"]
-        instances = _expand_instances(families, config["seed"], config["trials"], base_dir)
-        instances = [(d, g) for d, g in instances if _applicable(plan.id, g)]
-        target_entries = list(plan.targets) if plan.targets is not None else config["grids"]["targets"]
+        hypothesis, weighted, _ = _PROPOSITIONS[plan.id]
+        families = plan.families if plan.families is not None else config["families"]
+        instances = []
+        for g_desc, g in _expand_instances(families, config["seed"], config["trials"], base_dir):
+            try:
+                hypothesis(g)
+            except GraphFormatError:
+                continue
+            instances.append((g_desc, g))
+        target_entries = plan.targets if plan.targets is not None else config["grids"]["targets"]
         targets = [(entry, resolve_target(entry, base_dir)) for entry in target_entries]
         act_entries = (
-            list(plan.activities) if plan.activities is not None else config["grids"]["activities"]
-        ) if plan.id in _WEIGHTED_PROPS else [None]
+            plan.activities if plan.activities is not None else config["grids"]["activities"]
+        ) if weighted else [None]
         certifier = _CERTIFIERS[plan.id]
         for trial, (g_desc, g) in enumerate(instances):
             for t_entry, h in targets:
@@ -537,9 +546,6 @@ def run_campaign(config, threads: int = 1, base_dir=None) -> list[CertReport]:
                     jobs.append(
                         lambda c=certifier, g=g, h=h, a=acts, i=info: c(g, h, a, budget, i)
                     )
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda job: job(), jobs))
     return [job() for job in jobs]
 
 

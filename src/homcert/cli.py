@@ -2,8 +2,8 @@
 
 One subcommand per operation group; every numeric output is a decimal string
 (counts) or a "p/q" string (rationals), never a binary float.  Output is
-byte-identical for identical (argv, input files) across runs and thread
-counts.  The default seed is the fixed constant 2004, never wall-clock.
+byte-identical for identical (argv, input files) across runs.  The default
+seed is the fixed constant 2004, never wall-clock.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 from importlib.resources import files
 from pathlib import Path
 
@@ -279,7 +280,6 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    budget_override = args.budget
     if args.check is not None:
         budget = _budget(args)
         if args.check == "nonbipartite-lower-bound-failure":
@@ -299,12 +299,9 @@ def _cmd_certify(args) -> int:
         config, base_dir = load_campaign(path)
         # precedence: --budget flag, then the config's own value, then the
         # environment override of the built-in default
-        had_budget_key = "budget" in json.loads(path.read_text(encoding="utf-8"))
-        if budget_override is not None:
-            config["budget"] = budget_override
-        elif not had_budget_key and os.environ.get(BUDGET_ENV) is not None:
+        if args.budget is not None or "budget" not in config:
             config["budget"] = _budget(args)
-        reports = run_campaign(config, threads=args.threads, base_dir=base_dir)
+        reports = run_campaign(config, base_dir=base_dir)
     _emit_stream(certify_mod.report_stream(reports), args.output)
     return campaign_exit_code(reports, strict=args.strict)
 
@@ -390,7 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(f"--{key}", type=int, help=argparse.SUPPRESS)
     p.add_argument("-H", "--target", help="target graph for --check")
     p.add_argument("-a", "--activities")
-    p.add_argument("--threads", type=int, default=1, help="worker threads for campaign trials")
     p.add_argument("--strict", action="store_true",
                    help="exit 3 when any check was skipped for budget")
     p.add_argument("--budget", type=int)
@@ -416,7 +412,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # so a failed write is reported here, not at exit
+        return code
     except (BudgetExceededError, SubsetLimitError) as exc:
         _emit({"error": {"code": "budget-exceeded", "message": str(exc)}}, None)
         return 1
@@ -429,6 +427,16 @@ def main(argv=None) -> int:
     except (ValueError, json.JSONDecodeError) as exc:
         _emit({"error": {"code": "input-error", "message": str(exc)}}, None)
         return 2
+    except Exception as exc:
+        # a defect of the program, not a verdict: RecursionError from the
+        # recursive kernel, OSError on output, ...
+        traceback.print_exc()
+        try:
+            _emit({"error": {"code": "internal-error", "message": repr(exc)}}, None)
+            sys.stdout.flush()
+        except OSError:
+            pass  # stdout itself failed; the traceback on stderr says why
+        return 4
 
 
 if __name__ == "__main__":

@@ -14,12 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from math import comb
 
 from .constructions import TwoSortedTarget
 from .errors import GraphFormatError, SubsetLimitError
-from .graphs import Graph
-from .homcount import ActivitySystem, as_fraction
+from .graphs import Graph, mask_vertices
+from .homcount import ActivitySystem, as_fraction, clear_denominators
 
 SUBSET_CAP = 24
 
@@ -74,6 +74,28 @@ def _common_neighbor_table(vertices: list[int], masks: list[int], full: int) -> 
     return cn
 
 
+def _subset_sums(h: Graph, acts: ActivitySystem, cap: int) -> tuple[int, int, list, list]:
+    """(d_lam, d_mu, lam_sub, mu_sub): the lambda- and mu-sums of every subset
+    of V(h), indexed by bitmask and scaled to integers by the common
+    denominators d_lam and d_mu.  Refuses targets above ``cap`` vertices."""
+    m = h.vertex_count
+    if m > cap:
+        raise SubsetLimitError(f"target has {m} > {cap} vertices")
+    if acts.vertex_count != m:
+        raise GraphFormatError("activity system size differs from target size")
+    d_lam, lam = clear_denominators(acts.lambdas)
+    d_mu, mu = clear_denominators(acts.mus)
+    size = 1 << m
+    lam_sub = [0] * size
+    mu_sub = [0] * size
+    for s in range(1, size):
+        low = s & -s
+        i = low.bit_length() - 1
+        lam_sub[s] = lam_sub[s ^ low] + lam[i]
+        mu_sub[s] = mu_sub[s ^ low] + mu[i]
+    return d_lam, d_mu, lam_sub, mu_sub
+
+
 def knn_restricted_count(n: int, target: TwoSortedTarget, cap: int = SUBSET_CAP) -> int:
     """|Hom restricted to (upper, lower)| of K_{n,n} into the target,
     evaluated by the subset sum instead of backtracking."""
@@ -112,7 +134,7 @@ def knn_restricted_terms(
     out = []
     for a in range(1 << len(lower)):
         subset = tuple(lower[i] for i in range(len(lower)) if a >> i & 1)
-        common = _mask_vertices(cn[a])
+        common = mask_vertices(cn[a])
         weight = surj[len(subset)]
         out.append(
             SubsetSummary(subset, Fraction(weight), common, Fraction(weight * len(common) ** n))
@@ -137,20 +159,11 @@ def knn_partition_terms(
     out = []
     for s in range(1 << m):
         subset = tuple(i for i in range(m) if s >> i & 1)
-        common = _mask_vertices(cn[s])
+        common = mask_vertices(cn[s])
         weight = weighted_surjection_sum([acts.mus[i] for i in subset], n)
         lam_sum = sum((acts.lambdas[j] for j in common), Fraction(0))
         out.append(SubsetSummary(subset, weight, common, weight * lam_sum**n))
     return out
-
-
-def _mask_vertices(mask: int) -> tuple[int, ...]:
-    out = []
-    while mask:
-        low = mask & -mask
-        mask ^= low
-        out.append(low.bit_length() - 1)
-    return tuple(out)
 
 
 def kab_partition(
@@ -167,25 +180,9 @@ def kab_partition(
     if a < 1 or b < 1:
         raise ValueError("side sizes must be >= 1")
     m = h.vertex_count
-    if m > cap:
-        raise SubsetLimitError(f"target has {m} > {cap} vertices")
-    if acts.vertex_count != m:
-        raise GraphFormatError("activity system size differs from target size")
-    d_lam = lcm(*(x.denominator for x in acts.lambdas)) if m else 1
-    d_mu = lcm(*(x.denominator for x in acts.mus)) if m else 1
-    lam = [int(x * d_lam) for x in acts.lambdas]
-    mu = [int(x * d_mu) for x in acts.mus]
-    masks = h.neighbor_masks()
+    d_lam, d_mu, lam_sub, mu_sub = _subset_sums(h, acts, cap)
     size = 1 << m
-
-    lam_sub = [0] * size
-    mu_sub = [0] * size
-    for s in range(1, size):
-        low = s & -s
-        i = low.bit_length() - 1
-        lam_sub[s] = lam_sub[s ^ low] + lam[i]
-        mu_sub[s] = mu_sub[s ^ low] + mu[i]
-    cn = _common_neighbor_table(list(range(m)), masks, size - 1)
+    cn = _common_neighbor_table(list(range(m)), h.neighbor_masks(), size - 1)
 
     # w[A] = sum over surjections of b labelled items onto A of the mu-product
     w = [mu_sub[s] ** b for s in range(size)]

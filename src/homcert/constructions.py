@@ -13,11 +13,10 @@ number of vertices of g.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
 
 from .errors import GraphFormatError
-from .graphs import Graph, _graph_from_doc, _int_list, _load_doc, _GRAPH_KEYS, serialize_graph
-from .homcount import ActivitySystem
+from .graphs import Graph, _graph_from_doc, _int_list, _load_doc, _GRAPH_KEYS, mask_of, serialize_graph
+from .homcount import ActivitySystem, clear_denominators
 
 
 @dataclass(frozen=True)
@@ -47,16 +46,10 @@ class TwoSortedTarget:
             raise GraphFormatError("provenance must cover every vertex")
 
     def upper_mask(self) -> int:
-        m = 0
-        for v in self.upper:
-            m |= 1 << v
-        return m
+        return mask_of(self.upper)
 
     def lower_mask(self) -> int:
-        m = 0
-        for v in self.lower:
-            m |= 1 << v
-        return m
+        return mask_of(self.lower)
 
     def __repr__(self) -> str:
         return (
@@ -95,7 +88,24 @@ def double(h: Graph) -> TwoSortedTarget:
 def scale_constant(acts: ActivitySystem) -> int:
     """Least positive integer C such that every C*lambda_i and C*mu_i is an
     integer: the lcm of all denominators in lowest terms."""
-    return lcm(*(x.denominator for x in acts.lambdas + acts.mus)) if acts.lambdas else 1
+    return clear_denominators(acts.lambdas + acts.mus)[0]
+
+
+def _copy_counts(h: Graph, acts: ActivitySystem) -> tuple[int, list[int], list[int]]:
+    """(C, upper copies C*lambda_i, lower copies C*mu_i) of the blow-up."""
+    m = h.vertex_count
+    if acts.vertex_count != m:
+        raise GraphFormatError("activity system size differs from target size")
+    c, copies = clear_denominators(acts.lambdas + acts.mus)
+    return c, copies[:m], copies[m:]
+
+
+def blowup_size(h: Graph, acts: ActivitySystem) -> tuple[int, int]:
+    """(vertices, edges) of blowup(h, acts), in O(|V(h)| + |E(h)|) time and
+    without building it."""
+    _, up, lo = _copy_counts(h, acts)
+    edges = sum(up[i] * sum(lo[j] for j in h.neighbors[i]) for i in range(h.vertex_count))
+    return sum(up) + sum(lo), edges
 
 
 def blowup(h: Graph, acts: ActivitySystem) -> tuple[TwoSortedTarget, BlowupMeta]:
@@ -107,11 +117,7 @@ def blowup(h: Graph, acts: ActivitySystem) -> tuple[TwoSortedTarget, BlowupMeta]
     double(h) exactly.
     """
     m = h.vertex_count
-    if acts.vertex_count != m:
-        raise GraphFormatError("activity system size differs from target size")
-    c = scale_constant(acts)
-    up = [int(x * c) for x in acts.lambdas]
-    lo = [int(x * c) for x in acts.mus]
+    c, up, lo = _copy_counts(h, acts)
 
     u_start = [0] * m
     acc = 0

@@ -10,11 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
-from .closedform import SUBSET_CAP, _common_neighbor_table
-from .errors import GraphFormatError, SubsetLimitError
-from .graphs import Graph
+from .closedform import SUBSET_CAP, _common_neighbor_table, _subset_sums
+from .graphs import Graph, mask_vertices
 from .homcount import ActivitySystem, as_fraction
 
 
@@ -31,15 +29,6 @@ class EtaWitness:
     value: Fraction
 
 
-def _mask_to_tuple(mask: int) -> tuple[int, ...]:
-    out = []
-    while mask:
-        low = mask & -mask
-        mask ^= low
-        out.append(low.bit_length() - 1)
-    return tuple(out)
-
-
 def eta_two_sided(h: Graph, acts: ActivitySystem, cap: int = SUBSET_CAP) -> EtaWitness:
     """Maximize (sum of lambda over A) * (sum of mu over B) over
     cross-complete pairs.
@@ -51,22 +40,8 @@ def eta_two_sided(h: Graph, acts: ActivitySystem, cap: int = SUBSET_CAP) -> EtaW
     with no edge has no admissible pair and scores 0 with an empty witness.
     """
     m = h.vertex_count
-    if m > cap:
-        raise SubsetLimitError(f"target has {m} > {cap} vertices")
-    if acts.vertex_count != m:
-        raise GraphFormatError("activity system size differs from target size")
-    d_lam = lcm(*(x.denominator for x in acts.lambdas)) if m else 1
-    d_mu = lcm(*(x.denominator for x in acts.mus)) if m else 1
-    lam = [int(x * d_lam) for x in acts.lambdas]
-    mu = [int(x * d_mu) for x in acts.mus]
+    d_lam, d_mu, lam_sub, mu_sub = _subset_sums(h, acts, cap)
     size = 1 << m
-    lam_sub = [0] * size
-    mu_sub = [0] * size
-    for s in range(1, size):
-        low = s & -s
-        i = low.bit_length() - 1
-        lam_sub[s] = lam_sub[s ^ low] + lam[i]
-        mu_sub[s] = mu_sub[s ^ low] + mu[i]
     cn = _common_neighbor_table(list(range(m)), h.neighbor_masks(), size - 1)
 
     best_val = 0
@@ -77,7 +52,7 @@ def eta_two_sided(h: Graph, acts: ActivitySystem, cap: int = SUBSET_CAP) -> EtaW
         val = lam_sub[a_mask] * mu_sub[b_mask]
         if val == 0 or val < best_val:
             continue
-        pair = (_mask_to_tuple(a_mask), _mask_to_tuple(b_mask))
+        pair = (mask_vertices(a_mask), mask_vertices(b_mask))
         if val > best_val or pair < best_pair:
             best_val = val
             best_pair = pair

@@ -29,6 +29,24 @@ def _check_index(v, n: int) -> int:
     return v
 
 
+def mask_of(vertices) -> int:
+    """Bitmask with bit v set for every vertex v in ``vertices``."""
+    m = 0
+    for v in vertices:
+        m |= 1 << v
+    return m
+
+
+def mask_vertices(mask: int) -> tuple[int, ...]:
+    """The vertices of a bitmask, in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        out.append(low.bit_length() - 1)
+    return tuple(out)
+
+
 class Graph:
     """Finite undirected graph on vertices 0..vertex_count-1, loops allowed.
 
@@ -74,19 +92,10 @@ class Graph:
 
     def neighbor_masks(self) -> list[int]:
         """Per-vertex neighbor bitmask; bit v set on its own mask iff loop."""
-        masks = []
-        for nbrs in self.neighbors:
-            m = 0
-            for w in nbrs:
-                m |= 1 << w
-            masks.append(m)
-        return masks
+        return [mask_of(nbrs) for nbrs in self.neighbors]
 
     def loop_mask(self) -> int:
-        m = 0
-        for v in self.loops:
-            m |= 1 << v
-        return m
+        return mask_of(self.loops)
 
     def __eq__(self, other) -> bool:
         return (

@@ -26,6 +26,13 @@ DEFAULT_BUDGET = 20_000_000
 _ONE = Fraction(1)
 
 
+def clear_denominators(values) -> tuple[int, list[int]]:
+    """(d, [d*x for x in values]) where d is the least common denominator of
+    the rationals in ``values`` (1 when there are none)."""
+    d = lcm(*(x.denominator for x in values))
+    return d, [x.numerator * (d // x.denominator) for x in values]
+
+
 def as_fraction(value) -> Fraction:
     """Exact rational from an int or a 'p/q' string; floats are rejected."""
     if isinstance(value, Fraction):
@@ -285,10 +292,8 @@ def partition_fn(
         raise GraphFormatError("activity system size differs from target size")
     if acts.is_unit():
         return Fraction(count_homs(g.graph, h, budget))
-    d_lam = lcm(*(x.denominator for x in acts.lambdas)) if acts.lambdas else 1
-    d_mu = lcm(*(x.denominator for x in acts.mus)) if acts.mus else 1
-    row_e = [int(x * d_lam) for x in acts.lambdas]
-    row_o = [int(x * d_mu) for x in acts.mus]
+    d_lam, row_e = clear_denominators(acts.lambdas)
+    d_mu, row_o = clear_denominators(acts.mus)
     rows = [row_e if v in g.class_e else row_o for v in range(g.vertex_count)]
     h_masks = h.neighbor_masks()
     full = (1 << h.vertex_count) - 1
@@ -304,11 +309,7 @@ def count_independent_sets(g: Graph, budget: int = DEFAULT_BUDGET) -> int:
     the two can cross-check each other; a looped vertex can never be selected.
     """
     n = g.vertex_count
-    nbr = [0] * n
-    for v in range(n):
-        for w in g.neighbors[v]:
-            if w != v:
-                nbr[v] |= 1 << w
+    nbr = [m & ~(1 << v) for v, m in enumerate(g.neighbor_masks())]
     loop_bits = g.loop_mask()
     meter = [0]
 

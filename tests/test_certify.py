@@ -234,6 +234,25 @@ def test_identity_grid_small():
                 assert certify_lift_identity(g, h, make(h.vertex_count)).verdict == HOLDS
 
 
+def test_lift_identity_charges_blowup_to_budget_before_building(monkeypatch):
+    import homcert.certify as certify_mod
+
+    def refuse(h, acts):
+        raise AssertionError("blowup built although it exceeds the budget")
+
+    monkeypatch.setattr(certify_mod, "blowup", refuse)
+    g = gen_even_cycle(4)
+    loop = complete_graph(1, loops=True)
+    report = certify_lift_identity(g, loop, ActivitySystem.from_pairs([("200", "1/200")]), budget=10)
+    assert report.verdict == SKIPPED_BUDGET
+    assert "40001 vertices and 40000 edges" in report.note
+    # about 1.6e9 edges: far too large to build at all
+    acts = ActivitySystem.from_pairs([("200", "1/200"), ("1/200", "200")])
+    report = certify_lift_identity(g, complete_graph(2, loops=True), acts)
+    assert report.verdict == SKIPPED_BUDGET
+    assert "1600080001 edges" in report.note
+
+
 # --- campaigns -------------------------------------------------------------------------
 
 
@@ -272,11 +291,6 @@ def test_campaign_runs_and_is_deterministic():
     expected = [r for r in first if r.expected_violation]
     assert len(expected) == 1 and expected[0].verdict == VIOLATED
     assert all(r.verdict == HOLDS for r in first if not r.expected_violation)
-
-
-def test_campaign_threads_equivalent():
-    config = _small_config()
-    assert report_stream(run_campaign(config, threads=4)) == report_stream(run_campaign(config))
 
 
 def test_campaign_trial_seeds_follow_split_rule():

@@ -184,6 +184,38 @@ def test_budget_env_does_not_override_explicit_config(capsys, monkeypatch, tmp_p
     assert code == 3  # now the env override of the default applies
 
 
+@pytest.mark.parametrize("config", [
+    {"families": 5},
+    {"propositions": 5},
+    {"grids": {"targets": 5}},
+    {"propositions": [{"id": "hom-ub", "families": 5}]},
+    {"grids": {"targets": [{"file": 5}]}, "propositions": ["hom-ub"]},
+])
+def test_malformed_campaign_config_is_input_error(capsys, tmp_path, config):
+    path = tmp_path / "camp.json"
+    path.write_text(json.dumps(config))
+    code, out = run_cli(capsys, "certify", "--config", path)
+    assert code == 2
+    assert json.loads(out)["error"]["code"] == "input-error"
+
+
+def test_internal_error_exit_code(capsys, tmp_path):
+    # the recursive kernel cannot follow a 998-cycle, although it has
+    # exactly one homomorphism into a single looped vertex
+    cycle = tmp_path / "c998.json"
+    cycle.write_text(json.dumps({"family": "cycle", "length": 998}))
+    loop = tmp_path / "loop.json"
+    loop.write_text(json.dumps({"vertices": 1, "edges": [], "loops": [0]}))
+    code = main(["count", "-g", str(cycle), "-H", str(loop)])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert json.loads(captured.out)["error"]["code"] == "internal-error"
+    assert "RecursionError" in captured.err
+    # an output that cannot be written is not a verdict either
+    code, out = run_cli(capsys, "eta", "-H", FIX / "k4.json", "-o", tmp_path)
+    assert code == 4 and json.loads(out)["error"]["code"] == "internal-error"
+
+
 def test_input_error_exit_code(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -25,6 +25,7 @@ from homcert import (
     serialize_two_sorted,
     two_sorted,
 )
+from homcert.constructions import blowup_size
 from helpers import random_activities, random_bipartite, random_graph
 
 HIND = independence_target()
@@ -92,6 +93,16 @@ def test_doubling_identity(seed):
     g = random_bipartite(rng, max_half=3)
     h = random_graph(rng, max_vertices=4)
     assert count_homs(g.graph, h) == count_homs_restricted(g, double(h))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2**32))
+def test_blowup_size_matches_built_blowup(seed):
+    rng = random.Random(seed)
+    h = random_graph(rng)
+    acts = random_activities(rng, h.vertex_count)
+    target, _ = blowup(h, acts)
+    assert blowup_size(h, acts) == (target.graph.vertex_count, len(target.graph.edges()))
 
 
 @settings(max_examples=40, deadline=None)
