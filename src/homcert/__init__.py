@@ -20,7 +20,6 @@ from .certify import (
     sandwich_nonbipartite_demo,
 )
 from .closedform import (
-    SUBSET_CAP,
     SubsetSummary,
     kab_partition,
     knn_partition,

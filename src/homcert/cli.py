@@ -20,7 +20,7 @@ from . import certify as certify_mod
 from .certify import DEFAULT_SEED, campaign_exit_code, load_campaign, run_campaign
 from .constructions import blowup, double, parse_two_sorted, serialize_two_sorted
 from .closedform import kab_partition, knn_partition, knn_restricted_count, surjection_count
-from .errors import BudgetExceededError, GraphFormatError, HomcertError, SubsetLimitError
+from .errors import BudgetExceededError, GraphFormatError, HomcertError
 from .eta import eta_two_sided
 from .graphs import (
     BipartiteGraph,
@@ -28,6 +28,7 @@ from .graphs import (
     parse_bipartite,
     parse_graph,
     parse_instance_spec,
+    read_doc,
     serialize_bipartite,
 )
 from .homcount import (
@@ -83,35 +84,20 @@ def _fixture_path(name: str) -> Path:
 
 
 def _budget(args) -> int:
-    if getattr(args, "budget", None) is not None:
-        return args.budget
-    env = os.environ.get(BUDGET_ENV)
-    if env is not None:
+    """--budget, else HOMCERT_BUDGET, else the default; never negative."""
+    value, source = getattr(args, "budget", None), "--budget"
+    if value is None:
+        env = os.environ.get(BUDGET_ENV)
+        if env is None:
+            return DEFAULT_BUDGET
+        source = BUDGET_ENV
         try:
             value = int(env)
         except ValueError:
             raise GraphFormatError(f"{BUDGET_ENV} must be an integer, got {env!r}") from None
-        if value < 0:
-            raise GraphFormatError(f"{BUDGET_ENV} must be nonnegative")
-        return value
-    return DEFAULT_BUDGET
-
-
-def _read(path: str) -> str:
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise GraphFormatError(f"cannot read {path}: {exc}") from None
-
-
-def _load_doc(path: str) -> dict:
-    try:
-        doc = json.loads(_read(path))
-    except json.JSONDecodeError as exc:
-        raise GraphFormatError(f"invalid JSON in {path}: {exc}") from None
-    if not isinstance(doc, dict):
-        raise GraphFormatError(f"{path} must contain a JSON object")
-    return doc
+    if value < 0:
+        raise GraphFormatError(f"{source} must be nonnegative")
+    return value
 
 
 def _apply_overrides(doc: dict, args) -> dict:
@@ -130,21 +116,23 @@ def _apply_overrides(doc: dict, args) -> dict:
     return doc
 
 
-def _load_source(path: str, args) -> BipartiteGraph:
-    """-g accepts a bipartite graph document or an instance-spec document."""
-    doc = _load_doc(path)
+def _load_source(args, doc=None) -> BipartiteGraph:
+    """-g accepts a bipartite graph document or an instance-spec document;
+    ``doc`` is the -g document when the caller has read it already."""
+    if doc is None:
+        doc = read_doc(args.graph)
     if "family" in doc:
         spec = parse_instance_spec(_apply_overrides(doc, args))
         if spec.family == "random-regular" and spec.seed is None:
             spec = parse_instance_spec({**spec.describe(), "seed": DEFAULT_SEED})
-        return build_instance(spec, Path(path).parent)
+        return build_instance(spec, Path(args.graph).parent)
     return parse_bipartite(doc)
 
 
 def _load_acts(args, vertex_count: int) -> ActivitySystem:
     if getattr(args, "activities", None) is None:
         return ActivitySystem.unit(vertex_count)
-    return parse_activities(_read(args.activities), vertex_count)
+    return parse_activities(read_doc(args.activities), vertex_count)
 
 
 def _emit(doc, output: str | None) -> None:
@@ -168,9 +156,9 @@ def _emit_stream(text: str, output: str | None) -> None:
 
 def _cmd_count(args) -> int:
     # count_homs does not need a bipartition, so plain graph files are fine here
-    doc = _load_doc(args.graph)
+    doc = read_doc(args.graph)
     if "family" in doc or "class_e" in doc:
-        g = _load_source(args.graph, args).graph
+        g = _load_source(args, doc).graph
     else:
         g = parse_graph(doc)
     if args.independent_sets:
@@ -178,21 +166,21 @@ def _cmd_count(args) -> int:
         return 0
     if args.target is None:
         raise GraphFormatError("count requires -H (or --independent-sets)")
-    h = parse_graph(_read(args.target))
+    h = parse_graph(read_doc(args.target))
     _emit({"count": str(count_homs(g, h, _budget(args)))}, args.output)
     return 0
 
 
 def _cmd_restricted(args) -> int:
-    g = _load_source(args.graph, args)
-    target = parse_two_sorted(_read(args.two_sorted))
+    g = _load_source(args)
+    target = parse_two_sorted(read_doc(args.two_sorted))
     _emit({"count": str(count_homs_restricted(g, target, _budget(args)))}, args.output)
     return 0
 
 
 def _cmd_partition(args) -> int:
-    g = _load_source(args.graph, args)
-    h = parse_graph(_read(args.target))
+    g = _load_source(args)
+    h = parse_graph(read_doc(args.target))
     acts = _load_acts(args, h.vertex_count)
     _emit({"value": str(partition_fn(g, h, acts, _budget(args)))}, args.output)
     return 0
@@ -208,26 +196,26 @@ def _cmd_knn(args) -> int:
         _emit({"count": str(surjection_count(args.n, args.surjections))}, args.output)
         return 0
     if args.two_sorted is not None:
-        target = parse_two_sorted(_read(args.two_sorted))
-        _emit({"count": str(knn_restricted_count(args.n, target))}, args.output)
+        target = parse_two_sorted(read_doc(args.two_sorted))
+        _emit({"count": str(knn_restricted_count(args.n, target, _budget(args)))}, args.output)
         return 0
-    h = parse_graph(_read(args.target))
+    h = parse_graph(read_doc(args.target))
     acts = _load_acts(args, h.vertex_count)
-    _emit({"value": str(knn_partition(args.n, h, acts))}, args.output)
+    _emit({"value": str(knn_partition(args.n, h, acts, _budget(args)))}, args.output)
     return 0
 
 
 def _cmd_kab(args) -> int:
-    h = parse_graph(_read(args.target))
+    h = parse_graph(read_doc(args.target))
     acts = _load_acts(args, h.vertex_count)
-    _emit({"value": str(kab_partition(args.a, args.b, h, acts))}, args.output)
+    _emit({"value": str(kab_partition(args.a, args.b, h, acts, _budget(args)))}, args.output)
     return 0
 
 
 def _cmd_eta(args) -> int:
-    h = parse_graph(_read(args.target))
+    h = parse_graph(read_doc(args.target))
     acts = _load_acts(args, h.vertex_count)
-    witness = eta_two_sided(h, acts)
+    witness = eta_two_sided(h, acts, _budget(args))
     _emit(
         {"value": str(witness.value), "A": list(witness.set_a), "B": list(witness.set_b)},
         args.output,
@@ -236,15 +224,15 @@ def _cmd_eta(args) -> int:
 
 
 def _cmd_double(args) -> int:
-    h = parse_graph(_read(args.target))
+    h = parse_graph(read_doc(args.target))
     _emit(serialize_two_sorted(double(h)), args.output)
     return 0
 
 
 def _cmd_blowup(args) -> int:
-    h = parse_graph(_read(args.target))
+    h = parse_graph(read_doc(args.target))
     acts = _load_acts(args, h.vertex_count)
-    target, meta = blowup(h, acts)
+    target, meta = blowup(h, acts, _budget(args))
     _emit(
         {
             "target": serialize_two_sorted(target),
@@ -261,7 +249,7 @@ def _cmd_generate(args) -> int:
     if args.spec is not None:
         doc = json.loads(args.spec)
     elif args.spec_file is not None:
-        doc = _load_doc(args.spec_file)
+        doc = read_doc(args.spec_file)
     elif args.family == "file":
         if args.path is None:
             raise GraphFormatError("--family file requires --path")
@@ -287,8 +275,8 @@ def _cmd_certify(args) -> int:
         else:
             if args.graph is None or args.target is None:
                 raise GraphFormatError(f"--check {args.check} requires -g and -H")
-            g = _load_source(args.graph, args)
-            h = parse_graph(_read(args.target))
+            g = _load_source(args)
+            h = parse_graph(read_doc(args.target))
             acts = _load_acts(args, h.vertex_count)
             fn = certify_mod._CERTIFIERS[args.check]
             reports = [fn(g, h, acts, budget, None)]
@@ -415,7 +403,7 @@ def main(argv=None) -> int:
         code = args.fn(args)
         sys.stdout.flush()  # so a failed write is reported here, not at exit
         return code
-    except (BudgetExceededError, SubsetLimitError) as exc:
+    except BudgetExceededError as exc:
         _emit({"error": {"code": "budget-exceeded", "message": str(exc)}}, None)
         return 1
     except GraphFormatError as exc:
@@ -424,7 +412,7 @@ def main(argv=None) -> int:
     except HomcertError as exc:
         _emit({"error": {"code": "operation-error", "message": str(exc)}}, None)
         return 1
-    except (ValueError, json.JSONDecodeError) as exc:
+    except ValueError as exc:
         _emit({"error": {"code": "input-error", "message": str(exc)}}, None)
         return 2
     except Exception as exc:

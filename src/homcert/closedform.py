@@ -6,8 +6,9 @@ neighbours of A|^n.  The weighted forms replace both factors by activity sums
 and are accepted only through oracle equivalence with the brute-force
 counters, never on derivation alone.
 
-Subset enumeration refuses targets above SUBSET_CAP vertices rather than
-approximating.
+Every table over the 2^k subsets of a k-vertex set is charged against the
+node-expansion budget before it is allocated; a target too large for the
+budget is refused, never approximated.
 """
 
 from __future__ import annotations
@@ -19,9 +20,7 @@ from math import comb
 from .constructions import TwoSortedTarget
 from .errors import GraphFormatError, SubsetLimitError
 from .graphs import Graph, mask_vertices
-from .homcount import ActivitySystem, as_fraction, clear_denominators
-
-SUBSET_CAP = 24
+from .homcount import DEFAULT_BUDGET, ActivitySystem, as_fraction, clear_denominators
 
 
 @dataclass(frozen=True)
@@ -64,8 +63,13 @@ def weighted_surjection_sum(mus, n: int) -> Fraction:
     return total
 
 
-def _common_neighbor_table(vertices: list[int], masks: list[int], full: int) -> list[int]:
-    # cn[A] = bitmask of vertices adjacent to every member of A; cn[0] = full
+def _common_neighbor_table(vertices: list[int], masks: list[int], full: int,
+                           budget: int) -> list[int]:
+    # cn[A] = bitmask of vertices adjacent to every member of A; cn[0] = full.
+    # Every subset table is built after this one, so this charge covers them.
+    if 1 << len(vertices) > budget:
+        raise SubsetLimitError(
+            f"subset table of 2^{len(vertices)} entries exceeds budget {budget}")
     cn = [0] * (1 << len(vertices))
     cn[0] = full
     for a in range(1, 1 << len(vertices)):
@@ -74,13 +78,11 @@ def _common_neighbor_table(vertices: list[int], masks: list[int], full: int) -> 
     return cn
 
 
-def _subset_sums(h: Graph, acts: ActivitySystem, cap: int) -> tuple[int, int, list, list]:
+def _subset_sums(h: Graph, acts: ActivitySystem) -> tuple[int, int, list, list]:
     """(d_lam, d_mu, lam_sub, mu_sub): the lambda- and mu-sums of every subset
     of V(h), indexed by bitmask and scaled to integers by the common
-    denominators d_lam and d_mu.  Refuses targets above ``cap`` vertices."""
+    denominators d_lam and d_mu."""
     m = h.vertex_count
-    if m > cap:
-        raise SubsetLimitError(f"target has {m} > {cap} vertices")
     if acts.vertex_count != m:
         raise GraphFormatError("activity system size differs from target size")
     d_lam, lam = clear_denominators(acts.lambdas)
@@ -96,16 +98,14 @@ def _subset_sums(h: Graph, acts: ActivitySystem, cap: int) -> tuple[int, int, li
     return d_lam, d_mu, lam_sub, mu_sub
 
 
-def knn_restricted_count(n: int, target: TwoSortedTarget, cap: int = SUBSET_CAP) -> int:
+def knn_restricted_count(n: int, target: TwoSortedTarget, budget: int = DEFAULT_BUDGET) -> int:
     """|Hom restricted to (upper, lower)| of K_{n,n} into the target,
     evaluated by the subset sum instead of backtracking."""
     if n < 1:
         raise ValueError("side size must be >= 1")
     lower = sorted(target.lower)
-    if len(lower) > cap:
-        raise SubsetLimitError(f"lower side has {len(lower)} > {cap} vertices")
     masks = target.graph.neighbor_masks()
-    cn = _common_neighbor_table(lower, masks, target.upper_mask())
+    cn = _common_neighbor_table(lower, masks, target.upper_mask(), budget)
     surj = [surjection_count(n, s) for s in range(min(len(lower), n) + 1)]
     total = 0
     for a in range(1, 1 << len(lower)):
@@ -119,17 +119,15 @@ def knn_restricted_count(n: int, target: TwoSortedTarget, cap: int = SUBSET_CAP)
 
 
 def knn_restricted_terms(
-    n: int, target: TwoSortedTarget, cap: int = SUBSET_CAP
+    n: int, target: TwoSortedTarget, budget: int = DEFAULT_BUDGET
 ) -> list[SubsetSummary]:
     """The per-subset breakdown behind knn_restricted_count, empty set
     included; the term values sum to the count."""
     if n < 1:
         raise ValueError("side size must be >= 1")
     lower = sorted(target.lower)
-    if len(lower) > cap:
-        raise SubsetLimitError(f"lower side has {len(lower)} > {cap} vertices")
     masks = target.graph.neighbor_masks()
-    cn = _common_neighbor_table(lower, masks, target.upper_mask())
+    cn = _common_neighbor_table(lower, masks, target.upper_mask(), budget)
     surj = [surjection_count(n, s) for s in range(len(lower) + 1)]
     out = []
     for a in range(1 << len(lower)):
@@ -143,7 +141,7 @@ def knn_restricted_terms(
 
 
 def knn_partition_terms(
-    n: int, h: Graph, acts: ActivitySystem, cap: int = SUBSET_CAP
+    n: int, h: Graph, acts: ActivitySystem, budget: int = DEFAULT_BUDGET
 ) -> list[SubsetSummary]:
     """Weighted analogue of knn_restricted_terms over subsets of V(h): the
     surjection weight is the mu-weighted surjection sum and the term
@@ -151,11 +149,9 @@ def knn_partition_terms(
     if n < 1:
         raise ValueError("side size must be >= 1")
     m = h.vertex_count
-    if m > cap:
-        raise SubsetLimitError(f"target has {m} > {cap} vertices")
     if acts.vertex_count != m:
         raise GraphFormatError("activity system size differs from target size")
-    cn = _common_neighbor_table(list(range(m)), h.neighbor_masks(), (1 << m) - 1)
+    cn = _common_neighbor_table(list(range(m)), h.neighbor_masks(), (1 << m) - 1, budget)
     out = []
     for s in range(1 << m):
         subset = tuple(i for i in range(m) if s >> i & 1)
@@ -167,7 +163,7 @@ def knn_partition_terms(
 
 
 def kab_partition(
-    a: int, b: int, h: Graph, acts: ActivitySystem, cap: int = SUBSET_CAP
+    a: int, b: int, h: Graph, acts: ActivitySystem, budget: int = DEFAULT_BUDGET
 ) -> Fraction:
     """Exact partition value on the complete bipartite graph whose E-class
     has size a (carrying lambda) and O-class size b (carrying mu).
@@ -180,9 +176,9 @@ def kab_partition(
     if a < 1 or b < 1:
         raise ValueError("side sizes must be >= 1")
     m = h.vertex_count
-    d_lam, d_mu, lam_sub, mu_sub = _subset_sums(h, acts, cap)
     size = 1 << m
-    cn = _common_neighbor_table(list(range(m)), h.neighbor_masks(), size - 1)
+    cn = _common_neighbor_table(list(range(m)), h.neighbor_masks(), size - 1, budget)
+    d_lam, d_mu, lam_sub, mu_sub = _subset_sums(h, acts)
 
     # w[A] = sum over surjections of b labelled items onto A of the mu-product
     w = [mu_sub[s] ** b for s in range(size)]
@@ -202,6 +198,7 @@ def kab_partition(
     return Fraction(total, d_mu**b * d_lam**a)
 
 
-def knn_partition(n: int, h: Graph, acts: ActivitySystem, cap: int = SUBSET_CAP) -> Fraction:
+def knn_partition(n: int, h: Graph, acts: ActivitySystem,
+                  budget: int = DEFAULT_BUDGET) -> Fraction:
     """Symmetric special case of kab_partition with both sides of size n."""
-    return kab_partition(n, n, h, acts, cap)
+    return kab_partition(n, n, h, acts, budget)

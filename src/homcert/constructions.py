@@ -14,9 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import GraphFormatError
+from .errors import BudgetExceededError, GraphFormatError
 from .graphs import Graph, _graph_from_doc, _int_list, _load_doc, _GRAPH_KEYS, mask_of, serialize_graph
-from .homcount import ActivitySystem, clear_denominators
+from .homcount import DEFAULT_BUDGET, ActivitySystem, clear_denominators
 
 
 @dataclass(frozen=True)
@@ -108,14 +108,21 @@ def blowup_size(h: Graph, acts: ActivitySystem) -> tuple[int, int]:
     return sum(up) + sum(lo), edges
 
 
-def blowup(h: Graph, acts: ActivitySystem) -> tuple[TwoSortedTarget, BlowupMeta]:
+def blowup(
+    h: Graph, acts: ActivitySystem, budget: int = DEFAULT_BUDGET
+) -> tuple[TwoSortedTarget, BlowupMeta]:
     """Replace vertex i by C*lambda_i upper copies and C*mu_i lower copies;
     join a copy of i to a copy of j exactly when i ~ j in h.
 
     Copy indices are assigned in origin-vertex order, so the layout (and its
     serialization) is deterministic.  With all activities 1 the result equals
-    double(h) exactly.
+    double(h) exactly.  A blow-up whose vertices plus edges exceed the budget
+    raises BudgetExceededError before any of it is built.
     """
+    vertices, edges = blowup_size(h, acts)
+    if vertices + edges > budget:
+        raise BudgetExceededError(
+            f"blowup of {vertices} vertices and {edges} edges exceeds budget {budget}")
     m = h.vertex_count
     c, up, lo = _copy_counts(h, acts)
 
@@ -136,13 +143,13 @@ def blowup(h: Graph, acts: ActivitySystem) -> tuple[TwoSortedTarget, BlowupMeta]
     for i in range(m):
         prov.extend((i, "L", k) for k in range(lo[i]))
 
-    edges = [
+    edges = (
         (u_start[i] + a, l_start[j] + b)
         for i in range(m)
         for j in h.neighbors[i]
         for a in range(up[i])
         for b in range(lo[j])
-    ]
+    )
     target = TwoSortedTarget(
         Graph(acc, edges),
         frozenset(range(total_up)),

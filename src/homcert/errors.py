@@ -20,5 +20,5 @@ class BudgetExceededError(HomcertError):
     """
 
 
-class SubsetLimitError(HomcertError):
-    """A subset enumeration would exceed the configured vertex cap."""
+class SubsetLimitError(BudgetExceededError):
+    """A table over all subsets of a vertex set would exceed the budget."""

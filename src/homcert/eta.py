@@ -11,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .closedform import SUBSET_CAP, _common_neighbor_table, _subset_sums
+from .closedform import _common_neighbor_table, _subset_sums
 from .graphs import Graph, mask_vertices
-from .homcount import ActivitySystem, as_fraction
+from .homcount import DEFAULT_BUDGET, ActivitySystem, as_fraction
 
 
 @dataclass(frozen=True)
@@ -29,7 +29,7 @@ class EtaWitness:
     value: Fraction
 
 
-def eta_two_sided(h: Graph, acts: ActivitySystem, cap: int = SUBSET_CAP) -> EtaWitness:
+def eta_two_sided(h: Graph, acts: ActivitySystem, budget: int = DEFAULT_BUDGET) -> EtaWitness:
     """Maximize (sum of lambda over A) * (sum of mu over B) over
     cross-complete pairs.
 
@@ -40,9 +40,9 @@ def eta_two_sided(h: Graph, acts: ActivitySystem, cap: int = SUBSET_CAP) -> EtaW
     with no edge has no admissible pair and scores 0 with an empty witness.
     """
     m = h.vertex_count
-    d_lam, d_mu, lam_sub, mu_sub = _subset_sums(h, acts, cap)
     size = 1 << m
-    cn = _common_neighbor_table(list(range(m)), h.neighbor_masks(), size - 1)
+    cn = _common_neighbor_table(list(range(m)), h.neighbor_masks(), size - 1, budget)
+    d_lam, d_mu, lam_sub, mu_sub = _subset_sums(h, acts)
 
     best_val = 0
     best_pair: tuple[tuple[int, ...], tuple[int, ...]] | None = None
@@ -61,15 +61,15 @@ def eta_two_sided(h: Graph, acts: ActivitySystem, cap: int = SUBSET_CAP) -> EtaW
     return EtaWitness(best_pair[0], best_pair[1], Fraction(best_val, d_lam * d_mu))
 
 
-def eta_unweighted(h: Graph, cap: int = SUBSET_CAP) -> EtaWitness:
+def eta_unweighted(h: Graph, budget: int = DEFAULT_BUDGET) -> EtaWitness:
     """Plain biclique optimum |A|*|B| (unit activities)."""
-    return eta_two_sided(h, ActivitySystem.unit(h.vertex_count), cap)
+    return eta_two_sided(h, ActivitySystem.unit(h.vertex_count), budget)
 
 
-def eta_one_sided(h: Graph, lambdas, cap: int = SUBSET_CAP) -> EtaWitness:
+def eta_one_sided(h: Graph, lambdas, budget: int = DEFAULT_BUDGET) -> EtaWitness:
     """One-sided model: the same weights on both sides of the pair."""
     lams = tuple(as_fraction(x) for x in lambdas)
-    return eta_two_sided(h, ActivitySystem(lams, lams), cap)
+    return eta_two_sided(h, ActivitySystem(lams, lams), budget)
 
 
 def validate_witness(h: Graph, acts: ActivitySystem, witness: EtaWitness) -> bool:

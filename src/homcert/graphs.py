@@ -196,8 +196,25 @@ def _load_doc(data) -> dict:
         except json.JSONDecodeError as exc:
             raise GraphFormatError(f"invalid JSON: {exc}") from None
     if not isinstance(data, dict):
-        raise GraphFormatError("graph document must be a JSON object")
+        raise GraphFormatError("document must be a JSON object")
     return data
+
+
+def read_doc(path, base_dir=None) -> dict:
+    """The JSON object in the file at ``path``, resolved against ``base_dir``
+    when relative; any failure to read or decode it is a GraphFormatError."""
+    path = Path(path)
+    if base_dir is not None and not path.is_absolute():
+        path = Path(base_dir) / path
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise GraphFormatError(f"invalid JSON in {path}: {exc}") from None
+    except (OSError, UnicodeError) as exc:
+        raise GraphFormatError(f"cannot read {path}: {exc}") from None
+    if not isinstance(doc, dict):
+        raise GraphFormatError(f"{path} must contain a JSON object")
+    return doc
 
 
 def _int_list(doc: dict, key: str) -> list:
@@ -429,11 +446,4 @@ def build_instance(spec, base_dir=None) -> BipartiteGraph:
         return gen_random_regular_bipartite(p["degree"], p["half"], spec.seed)
     if spec.family == "union":
         return gen_union([build_instance(part, base_dir) for part in p["parts"]])
-    path = Path(p["path"])
-    if base_dir is not None and not path.is_absolute():
-        path = Path(base_dir) / path
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise GraphFormatError(f"cannot read {path}: {exc}") from None
-    return parse_bipartite(text)
+    return parse_bipartite(read_doc(p["path"], base_dir))

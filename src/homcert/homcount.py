@@ -16,7 +16,7 @@ from math import lcm
 from typing import TYPE_CHECKING
 
 from .errors import BudgetExceededError, GraphFormatError
-from .graphs import BipartiteGraph, Graph
+from .graphs import BipartiteGraph, Graph, _load_doc
 
 if TYPE_CHECKING:
     from .constructions import TwoSortedTarget
@@ -131,16 +131,8 @@ def parse_activities(data, vertex_count: int) -> ActivitySystem:
     {"activities": {"<vertex>": {"lambda": "p/q", "mu": "p/q"}}}; omitted
     vertices default to 1; "lambda" alone sets both (one-sided model).
     """
-    import json
-
-    if isinstance(data, (bytes, bytearray)):
-        data = data.decode("utf-8")
-    if isinstance(data, str):
-        try:
-            data = json.loads(data)
-        except json.JSONDecodeError as exc:
-            raise GraphFormatError(f"invalid JSON: {exc}") from None
-    if not isinstance(data, dict) or set(data) != {"activities"}:
+    data = _load_doc(data)
+    if set(data) != {"activities"}:
         raise GraphFormatError("activity document must be {'activities': {...}}")
     entries = data["activities"]
     if not isinstance(entries, dict):
@@ -311,18 +303,19 @@ def count_independent_sets(g: Graph, budget: int = DEFAULT_BUDGET) -> int:
     n = g.vertex_count
     nbr = [m & ~(1 << v) for v, m in enumerate(g.neighbor_masks())]
     loop_bits = g.loop_mask()
-    meter = [0]
-
-    def rec(t: int, chosen: int) -> int:
+    meter = 0
+    total = 0
+    stack = [(0, 0)]  # (next vertex to decide, chosen vertices so far)
+    while stack:
+        t, chosen = stack.pop()
         if t == n:
-            return 1
-        meter[0] += 1
-        if meter[0] > budget:
+            total += 1
+            continue
+        meter += 1
+        if meter > budget:
             raise BudgetExceededError(f"node-expansion budget {budget} exceeded")
-        total = rec(t + 1, chosen)
+        stack.append((t + 1, chosen))
         bit = 1 << t
         if not loop_bits & bit and not chosen & nbr[t]:
-            total += rec(t + 1, chosen | bit)
-        return total
-
-    return rec(0, 0)
+            stack.append((t + 1, chosen | bit))
+    return total

@@ -5,6 +5,7 @@ import pytest
 
 from homcert import (
     ActivitySystem,
+    BudgetExceededError,
     CertReport,
     GraphFormatError,
     campaign_exit_code,
@@ -235,15 +236,18 @@ def test_identity_grid_small():
 
 
 def test_lift_identity_charges_blowup_to_budget_before_building(monkeypatch):
-    import homcert.certify as certify_mod
+    import homcert.constructions as constructions
 
-    def refuse(h, acts):
+    def refuse(*args, **kwargs):
         raise AssertionError("blowup built although it exceeds the budget")
 
-    monkeypatch.setattr(certify_mod, "blowup", refuse)
+    monkeypatch.setattr(constructions, "Graph", refuse)
     g = gen_even_cycle(4)
     loop = complete_graph(1, loops=True)
-    report = certify_lift_identity(g, loop, ActivitySystem.from_pairs([("200", "1/200")]), budget=10)
+    acts = ActivitySystem.from_pairs([("200", "1/200")])
+    with pytest.raises(BudgetExceededError, match="40001 vertices and 40000 edges"):
+        constructions.blowup(loop, acts, 10)
+    report = certify_lift_identity(g, loop, acts, budget=10)
     assert report.verdict == SKIPPED_BUDGET
     assert "40001 vertices and 40000 edges" in report.note
     # about 1.6e9 edges: far too large to build at all

@@ -1,4 +1,5 @@
 import json
+import resource
 import subprocess
 import sys
 
@@ -166,6 +167,48 @@ def test_budget_env_override(capsys, monkeypatch):
     monkeypatch.setenv("HOMCERT_BUDGET", "junk")
     code, out = run_cli(capsys, "count", "-g", FIX / "knn.json", "--n", "3", "-H", FIX / "hind.json")
     assert code == 2
+
+
+def test_kab_and_eta_take_the_budget_from_the_environment(capsys, monkeypatch):
+    # the subset tables of a 3-vertex target have 2^3 entries
+    monkeypatch.setenv("HOMCERT_BUDGET", "7")
+    for argv in (("kab", "--a", "1", "--b", "1"), ("eta",)):
+        code, out = run_cli(capsys, *argv, "-H", FIX / "k3.json")
+        assert code == 1
+        assert json.loads(out)["error"]["code"] == "budget-exceeded"
+    monkeypatch.setenv("HOMCERT_BUDGET", "8")
+    assert run_cli(capsys, "eta", "-H", FIX / "k3.json")[0] == 0
+
+
+def test_blowup_command_refuses_oversized_blowup(tmp_path):
+    # about 1.6e9 edges; the address-space limit turns a missing budget
+    # check into a MemoryError instead of an allocation that never ends
+    acts = tmp_path / "acts.json"
+    acts.write_text(json.dumps({"activities": {
+        "0": {"lambda": "200", "mu": "1/200"}, "1": {"lambda": "1/200", "mu": "200"}}}))
+    cmd = [sys.executable, "-m", "homcert", "blowup", "-H", str(FIX / "looped-k2.json"),
+           "-a", str(acts)]
+    limit = lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+    proc = subprocess.run(cmd, capture_output=True, timeout=60, preexec_fn=limit)
+    assert proc.returncode == 1
+    error = json.loads(proc.stdout)["error"]
+    assert error["code"] == "budget-exceeded"
+    assert "1600080001 edges" in error["message"]
+
+
+def test_negative_budget_flag_is_input_error(capsys):
+    code, out = run_cli(capsys, "count", "-g", FIX / "knn.json", "--n", "3", "-H", FIX / "hind.json",
+                        "--budget", "-5")
+    assert code == 2
+    assert json.loads(out)["error"]["code"] == "input-error"
+
+
+def test_independent_sets_stop_on_budget_not_recursion(capsys, tmp_path):
+    cycle = tmp_path / "c1000.json"
+    cycle.write_text(json.dumps({"family": "cycle", "length": 1000}))
+    code, out = run_cli(capsys, "count", "-g", cycle, "--independent-sets", "--budget", "100000")
+    assert code == 1
+    assert json.loads(out)["error"]["code"] == "budget-exceeded"
 
 
 def test_budget_env_does_not_override_explicit_config(capsys, monkeypatch, tmp_path):

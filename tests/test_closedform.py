@@ -111,9 +111,12 @@ def test_term_breakdown_matches_totals_and_example():
         assert sum((t.term for t in terms), Fraction(0)) == knn_partition(n, h, acts)
 
 
-def test_knn_restricted_subset_cap():
+def test_knn_restricted_subset_budget():
+    # the lower side has 3 vertices, so the subset table has 2^3 entries
+    target = double(complete_graph(3))
     with pytest.raises(SubsetLimitError):
-        knn_restricted_count(2, double(complete_graph(3)), cap=2)
+        knn_restricted_count(2, target, budget=7)
+    assert knn_restricted_count(2, target, budget=8) == knn_restricted_count(2, target)
 
 
 def test_knn_restricted_matches_backtracking():
@@ -212,8 +215,10 @@ def test_kab_matches_oracle(seed):
     assert kab_partition(a, b, h, acts) == partition_fn(gen_complete_bipartite(a, b), h, acts)
 
 
-def test_kab_subset_cap_and_sizes():
+def test_kab_subset_budget_and_sizes():
+    k3, unit = complete_graph(3), ActivitySystem.unit(3)
     with pytest.raises(SubsetLimitError):
-        kab_partition(1, 1, complete_graph(3), ActivitySystem.unit(3), cap=2)
+        kab_partition(1, 1, k3, unit, budget=7)
+    assert kab_partition(1, 1, k3, unit, budget=8) == 6
     with pytest.raises(ValueError):
         kab_partition(0, 1, HIND, ActivitySystem.unit(2))

@@ -137,6 +137,7 @@ def test_validate_witness_rejects_wrong_claims():
     assert not validate_witness(HIND, acts, EtaWitness((0, 1), (1,), Fraction(3)))  # wrong value
 
 
-def test_subset_cap():
+def test_subset_budget():
     with pytest.raises(SubsetLimitError):
-        eta_unweighted(complete_graph(4), cap=3)
+        eta_unweighted(complete_graph(4), budget=15)
+    assert eta_unweighted(complete_graph(4), budget=16).value == 4
