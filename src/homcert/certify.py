@@ -265,7 +265,7 @@ def certify_hom_ub(g: BipartiteGraph, h: Graph, budget: int = DEFAULT_BUDGET,
                    instance_info=None) -> CertReport:
     """count(g,h)^(2n) <= count(K_{n,n},h)^N for n-regular bipartite g.
 
-    The left side comes from the backtracking counter, the right side from
+    The left side comes from the homomorphism counter, the right side from
     the closed form on the doubled target, so the two routes stay independent.
     """
     return _certify("hom-ub", g, h, None, budget, instance_info)

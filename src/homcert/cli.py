@@ -416,8 +416,7 @@ def main(argv=None) -> int:
         _emit({"error": {"code": "input-error", "message": str(exc)}}, None)
         return 2
     except Exception as exc:
-        # a defect of the program, not a verdict: RecursionError from the
-        # recursive kernel, OSError on output, ...
+        # a defect of the program, not a verdict: OSError on output, ...
         traceback.print_exc()
         try:
             _emit({"error": {"code": "internal-error", "message": repr(exc)}}, None)

@@ -98,9 +98,22 @@ def _subset_sums(h: Graph, acts: ActivitySystem) -> tuple[int, int, list, list]:
     return d_lam, d_mu, lam_sub, mu_sub
 
 
+def _surjection_weights(mu_sub: list[int], b: int, m: int) -> list[int]:
+    """w[A] = sum over the surjections of b labelled items onto A of the
+    product of their mu's, for every subset A of an m-set: the Moebius
+    transform over subsets of mu_sub[A]^b, in m * 2^m steps."""
+    w = [x**b for x in mu_sub]
+    for i in range(m):
+        bit = 1 << i
+        for s in range(1 << m):
+            if s & bit:
+                w[s] -= w[s ^ bit]
+    return w
+
+
 def knn_restricted_count(n: int, target: TwoSortedTarget, budget: int = DEFAULT_BUDGET) -> int:
     """|Hom restricted to (upper, lower)| of K_{n,n} into the target,
-    evaluated by the subset sum instead of backtracking."""
+    evaluated by the subset sum instead of the homomorphism counter."""
     if n < 1:
         raise ValueError("side size must be >= 1")
     lower = sorted(target.lower)
@@ -149,16 +162,14 @@ def knn_partition_terms(
     if n < 1:
         raise ValueError("side size must be >= 1")
     m = h.vertex_count
-    if acts.vertex_count != m:
-        raise GraphFormatError("activity system size differs from target size")
     cn = _common_neighbor_table(list(range(m)), h.neighbor_masks(), (1 << m) - 1, budget)
+    d_lam, d_mu, lam_sub, mu_sub = _subset_sums(h, acts)
+    w = _surjection_weights(mu_sub, n, m)
     out = []
     for s in range(1 << m):
-        subset = tuple(i for i in range(m) if s >> i & 1)
-        common = mask_vertices(cn[s])
-        weight = weighted_surjection_sum([acts.mus[i] for i in subset], n)
-        lam_sum = sum((acts.lambdas[j] for j in common), Fraction(0))
-        out.append(SubsetSummary(subset, weight, common, weight * lam_sum**n))
+        weight = Fraction(w[s], d_mu**n)
+        term = Fraction(w[s] * lam_sub[cn[s]] ** n, (d_mu * d_lam) ** n)
+        out.append(SubsetSummary(mask_vertices(s), weight, mask_vertices(cn[s]), term))
     return out
 
 
@@ -180,14 +191,7 @@ def kab_partition(
     cn = _common_neighbor_table(list(range(m)), h.neighbor_masks(), size - 1, budget)
     d_lam, d_mu, lam_sub, mu_sub = _subset_sums(h, acts)
 
-    # w[A] = sum over surjections of b labelled items onto A of the mu-product
-    w = [mu_sub[s] ** b for s in range(size)]
-    for i in range(m):
-        bit = 1 << i
-        for s in range(size):
-            if s & bit:
-                w[s] -= w[s ^ bit]
-
+    w = _surjection_weights(mu_sub, b, m)
     total = 0
     for s in range(size):
         ws = w[s]

@@ -1,22 +1,25 @@
-"""Exact brute-force counting of homomorphisms and weighted partition values.
+"""Exact counting of homomorphisms and weighted partition values.
 
-This module is the ground-truth oracle for everything else in the package:
-component-wise backtracking in BFS vertex order with incremental candidate
-intersection, big integers throughout, and a hard node-expansion budget that
-turns oversized instances into an explicit error rather than a wrong answer.
-Weighted sums run on integers (activities scaled by their denominator lcm)
-and reduce to one exact rational at the end; no floating point anywhere.
+This module is the ground-truth counter for everything else in the package:
+component-wise dynamic programming over a vertex order, merging the partial
+maps that agree on the frontier (the placed vertices with unplaced
+neighbours), with incremental candidate intersection, big integers
+throughout, and a hard node-expansion budget that turns oversized instances
+into an explicit error rather than a wrong answer.  Weighted sums run on
+integers (activities scaled by their denominator lcm) and reduce to one
+exact rational at the end; no floating point anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush
 from math import lcm
 from typing import TYPE_CHECKING
 
 from .errors import BudgetExceededError, GraphFormatError
-from .graphs import BipartiteGraph, Graph, _load_doc
+from .graphs import BipartiteGraph, Graph, _load_doc, mask_vertices
 
 if TYPE_CHECKING:
     from .constructions import TwoSortedTarget
@@ -148,77 +151,123 @@ def parse_activities(data, vertex_count: int) -> ActivitySystem:
 
 
 # ---------------------------------------------------------------------------
-# Backtracking kernel
+# Frontier kernel
 #
-# Candidate sets are bitmasks over the target's vertices.  Budget is charged
-# once per candidate image considered (leaves included), so a budget of 0
-# refuses any nonempty instance and equal budgets always fail at the same
-# point regardless of thread count.
+# Each connected component is counted by dynamic programming over a vertex
+# order.  The frontier is the placed vertices that still have unplaced
+# neighbours; the state maps the frontier's images, packed into one int with
+# a fixed bit slot per frontier vertex, to the summed weight of the partial
+# maps that agree on them.  A vertex's image leaves the key once its last
+# neighbour is placed, so those maps merge and the cost follows
+# |V(h)|^frontier rather than the number of homomorphisms.  Candidate sets
+# are bitmasks over the target's vertices.  The budget is charged one unit
+# per candidate image per state, before the new state is inserted, so a
+# budget of 0 refuses any nonempty instance and the state dict never holds
+# more entries than the budget has seen.
 
 
-def _bfs_plan(g: Graph, start: int, seen: list[bool]):
-    order = [start]
-    pos = {start: 0}
-    seen[start] = True
-    head = 0
-    while head < len(order):
-        v = order[head]
-        head += 1
-        for w in g.neighbors[v]:
-            if w != v and not seen[w]:
-                seen[w] = True
-                pos[w] = len(order)
-                order.append(w)
-    earlier = [
-        tuple(pos[w] for w in g.neighbors[v] if w != v and pos[w] < pos[v])
-        for v in order
-    ]
-    return order, earlier
+def _frontier_order(nbrs, start: int, seen: list[bool]) -> list[int]:
+    """The component of ``start`` in greedy order: each next vertex is the
+    unplaced neighbour of the placed set that leaves the fewest placed
+    vertices with unplaced neighbours; ties go to the most placed
+    neighbours, then to the lowest index.  ``nbrs`` excludes loops."""
+    placed_nbrs = {start: 0}  # unplaced vertex -> placed neighbours
+    open_nbrs = {}  # placed vertex -> unplaced neighbours
+    closes = {start: 0}  # unplaced vertex -> placed neighbours it would close
+
+    def key(v):
+        p = placed_nbrs[v]
+        return ((len(nbrs[v]) > p) - closes[v], -p, v)
+
+    # A vertex's key only ever changes to one it never had before, so a heap
+    # entry is current exactly when it equals the vertex's key.
+    heap = [key(start)]
+    order = []
+    while heap:
+        entry = heappop(heap)
+        v = entry[2]
+        if seen[v] or entry != key(v):
+            continue
+        seen[v] = True
+        order.append(v)
+        changed = set()
+        unplaced = 0
+        for w in nbrs[v]:
+            if seen[w]:
+                open_nbrs[w] -= 1
+                if open_nbrs[w] == 1:
+                    (u,) = (u for u in nbrs[w] if not seen[u])
+                    closes[u] += 1
+                    changed.add(u)
+            else:
+                unplaced += 1
+                placed_nbrs[w] = placed_nbrs.get(w, 0) + 1
+                closes.setdefault(w, 0)
+                changed.add(w)
+        open_nbrs[v] = unplaced
+        if unplaced == 1:
+            (u,) = (u for u in nbrs[v] if not seen[u])
+            closes[u] += 1
+        for u in changed:
+            heappush(heap, key(u))
+    return order
 
 
-def _component_sum(order, earlier, base, h_masks, rows, meter, budget) -> int:
-    k = len(order)
-    images = [0] * k
-
-    def rec(t: int) -> int:
-        m = base[t]
-        for p in earlier[t]:
-            m &= h_masks[images[p]]
-        if m == 0:
-            return 0
-        meter[0] += m.bit_count()
-        if meter[0] > budget:
-            raise BudgetExceededError(f"node-expansion budget {budget} exceeded")
-        if t == k - 1:
-            if rows is None:
-                return m.bit_count()
-            row = rows[t]
-            total = 0
-            while m:
-                low = m & -m
-                m ^= low
-                total += row[low.bit_length() - 1]
-            return total
-        total = 0
-        if rows is None:
-            while m:
-                low = m & -m
-                m ^= low
-                images[t] = low.bit_length() - 1
-                total += rec(t + 1)
+def _component_sum(order, nbrs, base_of, h_masks, rows_of, bits, meter, budget) -> int:
+    """Weighted sum over the maps of one component, placed in ``order``;
+    each image takes ``bits`` bits of a state key."""
+    pos ={v: t for t, v in enumerate(order)}
+    last = {v: max((pos[w] for w in nbrs[v]), default=t) for t, v in enumerate(order)}
+    field = (1 << bits) - 1
+    slot = {}  # frontier vertex -> bit offset of its image in a state key
+    free = []
+    used = 0
+    states = {0: 1}
+    for t, v in enumerate(order):
+        earlier = [w for w in nbrs[v] if pos[w] < t]
+        shifts = [slot[w] for w in earlier]
+        keep = -1
+        for w in earlier:
+            if last[w] == t:
+                free.append(slot.pop(w))
+                keep &= ~(field << free[-1])
+        if last[v] > t:
+            if not free:
+                free.append(used)
+                used += bits
+            shift = slot[v] = free.pop()
         else:
-            row = rows[t]
+            shift = None
+        base = base_of[v]
+        row = None if rows_of is None else rows_of[v]
+        new = {}
+        for key, weight in states.items():
+            m = base
+            for s in shifts:
+                m &= h_masks[key >> s & field]
+            if not m:
+                continue
+            meter[0] += m.bit_count()
+            if meter[0] > budget:
+                raise BudgetExceededError(f"node-expansion budget {budget} exceeded")
+            key &= keep
+            if shift is None:
+                if row is None:
+                    weight *= m.bit_count()
+                else:
+                    weight *= sum(row[j] for j in mask_vertices(m))
+                new[key] = new.get(key, 0) + weight
+                continue
             while m:
                 low = m & -m
                 m ^= low
                 j = low.bit_length() - 1
-                images[t] = j
-                sub = rec(t + 1)
-                if sub:
-                    total += row[j] * sub
-        return total
-
-    return rec(0)
+                k = key | j << shift
+                new[k] = new.get(k, 0) + (weight if row is None else weight * row[j])
+        if not new:
+            return 0
+        states = new
+    return states[0]
 
 
 def _hom_sum(g: Graph, base_of, h_masks, rows_of, budget: int) -> int:
@@ -227,16 +276,16 @@ def _hom_sum(g: Graph, base_of, h_masks, rows_of, budget: int) -> int:
     ``rows_of[v]`` is an integer weight row for vertex v, or None overall for
     plain counting.  An empty graph contributes the empty product 1.
     """
+    nbrs = [tuple(w for w in ws if w != v) for v, ws in enumerate(g.neighbors)]
+    bits = max(1, (len(h_masks) - 1).bit_length())
     meter = [0]
     total = 1
     seen = [False] * g.vertex_count
     for s in range(g.vertex_count):
         if seen[s]:
             continue
-        order, earlier = _bfs_plan(g, s, seen)
-        base = [base_of[v] for v in order]
-        rows = None if rows_of is None else [rows_of[v] for v in order]
-        comp = _component_sum(order, earlier, base, h_masks, rows, meter, budget)
+        order = _frontier_order(nbrs, s, seen)
+        comp = _component_sum(order, nbrs, base_of, h_masks, rows_of, bits, meter, budget)
         if comp == 0:
             return 0
         total *= comp

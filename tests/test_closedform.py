@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from math import comb
 
@@ -109,6 +110,27 @@ def test_term_breakdown_matches_totals_and_example():
         n = rng.randint(1, 3)
         terms = knn_partition_terms(n, h, acts)
         assert sum((t.term for t in terms), Fraction(0)) == knn_partition(n, h, acts)
+
+
+def test_knn_partition_terms_weights_and_cost():
+    from homcert import knn_partition_terms
+
+    rng = random.Random(5)
+    for _ in range(10):
+        h = random_graph(rng, max_vertices=4)
+        acts = random_activities(rng, h.vertex_count)
+        n = rng.randint(1, 3)
+        for t in knn_partition_terms(n, h, acts):
+            mus = [acts.mus[i] for i in t.subset]
+            assert t.surjection_weight == weighted_surjection_sum(mus, n)
+    # m * 2^m steps, not one inclusion-exclusion per subset (3^m): a
+    # 12-vertex target takes well under a second, not about ten
+    k12 = complete_graph(12)
+    acts = ActivitySystem.uniform(12, "1/2", 3)
+    start = time.perf_counter()
+    terms = knn_partition_terms(4, k12, acts)
+    assert time.perf_counter() - start < 3.0
+    assert sum(t.term for t in terms) == knn_partition(4, k12, acts)
 
 
 def test_knn_restricted_subset_budget():

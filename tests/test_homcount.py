@@ -85,6 +85,66 @@ def test_count_matches_enumeration(seed):
     assert count_homs(g, h) == hom_count_by_enumeration(g, h)
 
 
+def test_long_cycle_follows_the_chromatic_polynomial():
+    # (k-1)^n + (-1)^n (k-1) proper k-colourings of the n-cycle, here k = 3
+    assert count_homs(gen_even_cycle(5000).graph, complete_graph(3)) == 2**5000 + 2
+
+
+# --- frontier kernel: sources large enough to free and reuse frontier slots
+
+
+def _source(rng, max_vertices=8):
+    """A random graph on up to max_vertices vertices, often disconnected."""
+    if rng.random() < 0.3:
+        parts = [random_graph(rng, max_vertices=max_vertices // 2) for _ in range(2)]
+        k = parts[0].vertex_count
+        return Graph(
+            k + parts[1].vertex_count,
+            parts[0].edges() + [(u + k, v + k) for u, v in parts[1].edges()],
+            list(parts[0].loops) + [v + k for v in parts[1].loops],
+        )
+    return random_graph(rng, max_vertices=max_vertices, p=rng.choice([0.25, 0.4, 0.6]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32))
+def test_frontier_count_matches_enumeration(seed):
+    rng = random.Random(seed)
+    g = _source(rng)
+    h = random_graph(rng, max_vertices=3, p=0.5)
+    assert count_homs(g, h) == hom_count_by_enumeration(g, h)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32))
+def test_frontier_partition_matches_enumeration(seed):
+    rng = random.Random(seed)
+    g = random_bipartite(rng, max_half=4, p=rng.choice([0.3, 0.6]))
+    h = random_graph(rng, max_vertices=3, p=0.5)
+    acts = random_activities(rng, h.vertex_count)
+    assert partition_fn(g, h, acts) == partition_by_enumeration(g, h, acts)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32))
+def test_frontier_restricted_matches_enumeration(seed):
+    rng = random.Random(seed)
+    g = random_bipartite(rng, max_half=4, p=rng.choice([0.3, 0.6]))
+    upper = rng.randint(1, 2)
+    size = upper + rng.randint(1, 3 - upper)
+    edges = [(u, v) for u in range(upper) for v in range(upper, size) if rng.random() < 0.6]
+    target = two_sorted(Graph(size, edges), range(upper))
+    assert count_homs_restricted(g, target) == restricted_count_by_enumeration(g, target)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32))
+def test_frontier_count_matches_independent_sets(seed):
+    rng = random.Random(seed)
+    g = random_graph(rng, max_vertices=20, p=rng.choice([0.15, 0.3, 0.5]), loop_p=0.1)
+    assert count_homs(g, HIND) == count_independent_sets(g)
+
+
 # --- restricted counts -------------------------------------------------------
 
 
