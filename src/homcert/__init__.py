@@ -19,16 +19,7 @@ from .certify import (
     run_campaign,
     sandwich_nonbipartite_demo,
 )
-from .closedform import (
-    SubsetSummary,
-    kab_partition,
-    knn_partition,
-    knn_partition_terms,
-    knn_restricted_count,
-    knn_restricted_terms,
-    surjection_count,
-    weighted_surjection_sum,
-)
+from .closedform import kab_partition, knn_partition, knn_restricted_count, surjection_count
 from .constructions import (
     BlowupMeta,
     TwoSortedTarget,

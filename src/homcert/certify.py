@@ -13,6 +13,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 from . import closedform
@@ -349,11 +350,13 @@ _GRID_KEYS = {"targets", "activities"}
 _TARGET_RE = re.compile(r"^(looped-)?k([1-9]\d*)$")
 
 
-def resolve_target(entry, base_dir=None) -> Graph:
+def resolve_target(entry, base_dir=None, budget: int = DEFAULT_BUDGET) -> Graph:
     """Target grid entry: shorthand name, {"file": path}, or inline document.
 
     Shorthands: "hind" (independence target), "loop" (single looped vertex),
-    "k<j>" (complete graph), "looped-k<j>" (complete graph, all loops).
+    "k<j>" (complete graph), "looped-k<j>" (complete graph, all loops).  A
+    complete graph whose vertices plus edges exceed the budget raises
+    BudgetExceededError before any of it is built.
     """
     if isinstance(entry, str):
         if entry == "hind":
@@ -362,7 +365,12 @@ def resolve_target(entry, base_dir=None) -> Graph:
             return complete_graph(1, loops=True)
         m = _TARGET_RE.match(entry)
         if m:
-            return complete_graph(int(m.group(2)), loops=bool(m.group(1)))
+            k = int(m.group(2))
+            edges = comb(k, 2)
+            if k + edges > budget:
+                raise BudgetExceededError(
+                    f"target {entry} of {k} vertices and {edges} edges exceeds budget {budget}")
+            return complete_graph(k, loops=bool(m.group(1)))
         raise GraphFormatError(f"unknown target shorthand {entry!r}")
     if isinstance(entry, dict) and set(entry) == {"file"}:
         if not isinstance(entry["file"], str):
@@ -518,7 +526,10 @@ def run_campaign(config, base_dir=None) -> list[CertReport]:
                 continue
             instances.append((g_desc, g))
         target_entries = plan.targets if plan.targets is not None else config["grids"]["targets"]
-        targets = [(entry, resolve_target(entry, base_dir)) for entry in target_entries]
+        # every report carries its target, so even a campaign whose budget
+        # skips every check builds the targets the default budget admits
+        target_budget = max(budget, DEFAULT_BUDGET)
+        targets = [(e, resolve_target(e, base_dir, target_budget)) for e in target_entries]
         act_entries = (
             plan.activities if plan.activities is not None else config["grids"]["activities"]
         ) if weighted else [None]

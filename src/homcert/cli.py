@@ -24,6 +24,7 @@ from .errors import BudgetExceededError, GraphFormatError, HomcertError
 from .eta import eta_two_sided
 from .graphs import (
     BipartiteGraph,
+    _load_doc,
     build_instance,
     parse_bipartite,
     parse_graph,
@@ -247,7 +248,7 @@ def _cmd_blowup(args) -> int:
 
 def _cmd_generate(args) -> int:
     if args.spec is not None:
-        doc = json.loads(args.spec)
+        doc = _load_doc(args.spec)
     elif args.spec_file is not None:
         doc = read_doc(args.spec_file)
     elif args.family == "file":

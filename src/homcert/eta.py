@@ -11,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .closedform import _common_neighbor_table, _subset_sums
+from .errors import GraphFormatError, SubsetLimitError
 from .graphs import Graph, mask_vertices
-from .homcount import DEFAULT_BUDGET, ActivitySystem, as_fraction
+from .homcount import DEFAULT_BUDGET, ActivitySystem, as_fraction, clear_denominators
 
 
 @dataclass(frozen=True)
@@ -29,6 +29,33 @@ class EtaWitness:
     value: Fraction
 
 
+def _subset_tables(h: Graph, acts: ActivitySystem, budget: int):
+    """(d_lam, d_mu, cn, lam_sub, mu_sub), each table indexed by a subset
+    bitmask A of V(h): cn[A] is the common neighbourhood of A (all of V(h)
+    for A empty), lam_sub[A] and mu_sub[A] the activity sums over A scaled to
+    integers by the common denominators d_lam and d_mu.  The 2^m subsets are
+    charged to the budget before any table is allocated."""
+    m = h.vertex_count
+    if 1 << m > budget:
+        raise SubsetLimitError(f"subset table of 2^{m} entries exceeds budget {budget}")
+    if acts.vertex_count != m:
+        raise GraphFormatError("activity system size differs from target size")
+    masks = h.neighbor_masks()
+    d_lam, lam = clear_denominators(acts.lambdas)
+    d_mu, mu = clear_denominators(acts.mus)
+    size = 1 << m
+    cn = [size - 1] * size
+    lam_sub = [0] * size
+    mu_sub = [0] * size
+    for s in range(1, size):
+        low = s & -s
+        i = low.bit_length() - 1
+        cn[s] = cn[s ^ low] & masks[i]
+        lam_sub[s] = lam_sub[s ^ low] + lam[i]
+        mu_sub[s] = mu_sub[s ^ low] + mu[i]
+    return d_lam, d_mu, cn, lam_sub, mu_sub
+
+
 def eta_two_sided(h: Graph, acts: ActivitySystem, budget: int = DEFAULT_BUDGET) -> EtaWitness:
     """Maximize (sum of lambda over A) * (sum of mu over B) over
     cross-complete pairs.
@@ -39,15 +66,10 @@ def eta_two_sided(h: Graph, acts: ActivitySystem, budget: int = DEFAULT_BUDGET) 
     break to the lexicographically smallest A, then smallest B.  A target
     with no edge has no admissible pair and scores 0 with an empty witness.
     """
-    m = h.vertex_count
-    size = 1 << m
-    cn = _common_neighbor_table(list(range(m)), h.neighbor_masks(), size - 1, budget)
-    d_lam, d_mu, lam_sub, mu_sub = _subset_sums(h, acts)
-
+    d_lam, d_mu, cn, lam_sub, mu_sub = _subset_tables(h, acts, budget)
     best_val = 0
     best_pair: tuple[tuple[int, ...], tuple[int, ...]] | None = None
-    for s in range(size):
-        b_mask = cn[s]
+    for b_mask in cn:
         a_mask = cn[b_mask]
         val = lam_sub[a_mask] * mu_sub[b_mask]
         if val == 0 or val < best_val:

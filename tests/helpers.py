@@ -1,7 +1,8 @@
 """Independent oracles for the test suite.
 
-Everything here enumerates exhaustively and shares no code path with the
-library's counters, closed forms, or optimizers.
+Everything here enumerates exhaustively, or walks all 2^m subsets of the
+target, and shares no code path with the library's counters, closed forms,
+or optimizers.
 """
 
 from __future__ import annotations
@@ -100,6 +101,59 @@ def weighted_surjections_by_enumeration(mus, n: int) -> Fraction:
                 w *= mus[i]
             total += w
     return total
+
+
+def weighted_surjection_sum(mus, n: int) -> Fraction:
+    """Sum over surjections g: [n] -> range(len(mus)) of prod_i mu_{g(i)}, by
+    inclusion-exclusion over the subsets of the range."""
+    mus = [Fraction(x) for x in mus]
+    a = len(mus)
+    total = Fraction(0)
+    for keep in range(1 << a):
+        part = sum((mus[i] for i in range(a) if keep & (1 << i)), Fraction(0))
+        sign = -1 if (a - keep.bit_count()) % 2 else 1
+        total += sign * part**n
+    return total
+
+
+def _subset_common_neighbors(vertices, masks, full: int) -> list[int]:
+    """cn[A] for every subset A of ``vertices`` (bit i stands for
+    vertices[i]): the members of ``full`` adjacent to all of A."""
+    cn = [full] * (1 << len(vertices))
+    for s in range(1, 1 << len(vertices)):
+        low = s & -s
+        cn[s] = cn[s ^ low] & masks[vertices[low.bit_length() - 1]]
+    return cn
+
+
+def kab_partition_by_subsets(a: int, b: int, h: Graph, acts: ActivitySystem) -> Fraction:
+    """Z(K_{a,b}) as a sum over the O-side image sets A of V(h): the
+    mu-weighted surjections of b items onto A (a Moebius transform over
+    subsets of mu(A)^b) times lambda(cn(A))^a."""
+    m = h.vertex_count
+    cn = _subset_common_neighbors(range(m), h.neighbor_masks(), (1 << m) - 1)
+    lam_sub = [Fraction(0)] * (1 << m)
+    mu_sub = [Fraction(0)] * (1 << m)
+    for s in range(1, 1 << m):
+        low = s & -s
+        i = low.bit_length() - 1
+        lam_sub[s] = lam_sub[s ^ low] + acts.lambdas[i]
+        mu_sub[s] = mu_sub[s ^ low] + acts.mus[i]
+    w = [x**b for x in mu_sub]
+    for i in range(m):
+        for s in range(1 << m):
+            if s >> i & 1:
+                w[s] -= w[s ^ 1 << i]
+    return sum((w[s] * lam_sub[cn[s]] ** a for s in range(1 << m)), Fraction(0))
+
+
+def knn_restricted_by_subsets(n: int, target: TwoSortedTarget) -> Fraction:
+    """Restricted count of K_{n,n}: the sum over lower-side image sets A of
+    surj(n, |A|) * |cn(A)|^n, with cn(A) taken in the upper side."""
+    lower = sorted(target.lower)
+    cn = _subset_common_neighbors(lower, target.graph.neighbor_masks(), target.upper_mask())
+    return sum(weighted_surjection_sum([1] * s.bit_count(), n) * c.bit_count() ** n
+               for s, c in enumerate(cn))
 
 
 def eta_by_pair_enumeration(h: Graph, acts: ActivitySystem) -> Fraction:

@@ -373,6 +373,13 @@ def test_resolve_target_shorthands():
         resolve_target("q3")
 
 
+def test_resolve_target_charges_complete_graphs_to_the_budget():
+    # K3: 3 vertices plus 3 edges
+    with pytest.raises(BudgetExceededError):
+        resolve_target("looped-k3", budget=5)
+    assert resolve_target("k3", budget=6) == complete_graph(3)
+
+
 def test_resolve_target_file(tmp_path):
     path = tmp_path / "h.json"
     path.write_text('{"vertices": 2, "edges": [[0, 1]], "loops": [1]}')

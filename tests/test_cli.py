@@ -102,6 +102,13 @@ def test_generate_families(capsys):
     assert code == 0 and json.loads(out)["vertices"] == 8
 
 
+def test_generate_spec_must_be_an_object(capsys):
+    for spec in ("[1]", "5"):
+        code, out = run_cli(capsys, "generate", "--spec", spec)
+        assert code == 2
+        assert json.loads(out)["error"]["code"] == "input-error"
+
+
 def test_generate_canonicalizes_files(capsys, tmp_path):
     messy = tmp_path / "g.json"
     messy.write_text('{"vertices": 4, "edges": [[1, 0], [0, 1], [2, 3]], "class_e": [0, 2]}')
@@ -170,14 +177,15 @@ def test_budget_env_override(capsys, monkeypatch):
 
 
 def test_kab_and_eta_take_the_budget_from_the_environment(capsys, monkeypatch):
-    # the subset tables of a 3-vertex target have 2^3 entries
-    monkeypatch.setenv("HOMCERT_BUDGET", "7")
-    for argv in (("kab", "--a", "1", "--b", "1"), ("eta",)):
+    # on a 3-vertex target eta's subset tables have 2^3 entries, and K_{1,1}
+    # costs one state of 3 candidate images
+    for argv, cost in ((("kab", "--a", "1", "--b", "1"), 3), (("eta",), 8)):
+        monkeypatch.setenv("HOMCERT_BUDGET", str(cost - 1))
         code, out = run_cli(capsys, *argv, "-H", FIX / "k3.json")
         assert code == 1
         assert json.loads(out)["error"]["code"] == "budget-exceeded"
-    monkeypatch.setenv("HOMCERT_BUDGET", "8")
-    assert run_cli(capsys, "eta", "-H", FIX / "k3.json")[0] == 0
+        monkeypatch.setenv("HOMCERT_BUDGET", str(cost))
+        assert run_cli(capsys, *argv, "-H", FIX / "k3.json")[0] == 0
 
 
 def test_blowup_command_refuses_oversized_blowup(tmp_path):
@@ -194,6 +202,24 @@ def test_blowup_command_refuses_oversized_blowup(tmp_path):
     error = json.loads(proc.stdout)["error"]
     assert error["code"] == "budget-exceeded"
     assert "1600080001 edges" in error["message"]
+
+
+def test_campaign_refuses_oversized_target_shorthand(tmp_path):
+    # K60000 has about 1.8e9 edges; under the address-space limit building
+    # it before the budget check ends in MemoryError
+    config = tmp_path / "camp.json"
+    config.write_text(json.dumps({
+        "families": [{"family": "cycle", "length": 4}],
+        "grids": {"targets": ["k60000"]},
+        "propositions": ["double-identity"],
+    }))
+    cmd = [sys.executable, "-m", "homcert", "certify", "--config", str(config)]
+    limit = lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+    proc = subprocess.run(cmd, capture_output=True, timeout=60, preexec_fn=limit)
+    assert proc.returncode == 1
+    error = json.loads(proc.stdout)["error"]
+    assert error["code"] == "budget-exceeded"
+    assert "1799970000 edges" in error["message"]
 
 
 def test_negative_budget_flag_is_input_error(capsys):

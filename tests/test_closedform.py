@@ -1,5 +1,4 @@
 import random
-import time
 from fractions import Fraction
 from math import comb
 
@@ -8,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from homcert import (
     ActivitySystem,
-    SubsetLimitError,
+    BudgetExceededError,
     complete_graph,
     count_homs_restricted,
     double,
@@ -20,16 +19,18 @@ from homcert import (
     partition_fn,
     surjection_count,
     two_sorted,
-    weighted_surjection_sum,
 )
 from homcert.graphs import Graph
 from helpers import (
+    kab_partition_by_subsets,
+    knn_restricted_by_subsets,
     partition_by_enumeration,
     random_activities,
     random_graph,
     random_two_sorted,
     restricted_count_by_enumeration,
     surjections_by_enumeration,
+    weighted_surjection_sum,
     weighted_surjections_by_enumeration,
 )
 
@@ -88,57 +89,22 @@ def test_knn_restricted_examples():
         knn_restricted_count(0, double(HIND))
 
 
-def test_term_breakdown_matches_totals_and_example():
-    from homcert import knn_partition_terms, knn_restricted_terms
-
-    target = double(complete_graph(3))
-    terms = knn_restricted_terms(2, target)
-    assert sum(t.term for t in terms) == knn_restricted_count(2, target) == 18
-    by_size = {}
-    for t in terms:
-        by_size.setdefault(len(t.subset), Fraction(0))
-        by_size[len(t.subset)] += t.term
-    assert by_size[1] == 12 and by_size[2] == 6  # 3*1*2^2 and 3*2*1^2
-    empty = next(t for t in terms if t.subset == ())
-    assert set(empty.common_neighbors) == target.upper
-    assert empty.term == 0
-
-    rng = random.Random(17)
-    for _ in range(10):
-        h = random_graph(rng, max_vertices=3)
-        acts = random_activities(rng, h.vertex_count)
-        n = rng.randint(1, 3)
-        terms = knn_partition_terms(n, h, acts)
-        assert sum((t.term for t in terms), Fraction(0)) == knn_partition(n, h, acts)
-
-
-def test_knn_partition_terms_weights_and_cost():
-    from homcert import knn_partition_terms
-
-    rng = random.Random(5)
-    for _ in range(10):
-        h = random_graph(rng, max_vertices=4)
-        acts = random_activities(rng, h.vertex_count)
-        n = rng.randint(1, 3)
-        for t in knn_partition_terms(n, h, acts):
-            mus = [acts.mus[i] for i in t.subset]
-            assert t.surjection_weight == weighted_surjection_sum(mus, n)
-    # m * 2^m steps, not one inclusion-exclusion per subset (3^m): a
-    # 12-vertex target takes well under a second, not about ten
-    k12 = complete_graph(12)
-    acts = ActivitySystem.uniform(12, "1/2", 3)
-    start = time.perf_counter()
-    terms = knn_partition_terms(4, k12, acts)
-    assert time.perf_counter() - start < 3.0
-    assert sum(t.term for t in terms) == knn_partition(4, k12, acts)
-
-
 def test_knn_restricted_subset_budget():
-    # the lower side has 3 vertices, so the subset table has 2^3 entries
+    # 3 lower vertices per state: 1 state for the first item, then one per
+    # common neighbourhood of a single lower vertex (3), so 3 + 9 = 12 units
     target = double(complete_graph(3))
-    with pytest.raises(SubsetLimitError):
-        knn_restricted_count(2, target, budget=7)
-    assert knn_restricted_count(2, target, budget=8) == knn_restricted_count(2, target)
+    with pytest.raises(BudgetExceededError):
+        knn_restricted_count(2, target, budget=11)
+    assert knn_restricted_count(2, target, budget=12) == 18
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32))
+def test_knn_restricted_matches_subset_oracle(seed):
+    rng = random.Random(seed)
+    target = random_two_sorted(rng, max_side=5, p=rng.random())
+    n = rng.randint(1, 4)
+    assert knn_restricted_count(n, target) == knn_restricted_by_subsets(n, target)
 
 
 def test_knn_restricted_matches_backtracking():
@@ -237,10 +203,30 @@ def test_kab_matches_oracle(seed):
     assert kab_partition(a, b, h, acts) == partition_fn(gen_complete_bipartite(a, b), h, acts)
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32))
+def test_kab_matches_subset_oracle(seed):
+    rng = random.Random(seed)
+    h = random_graph(rng, max_vertices=8, p=rng.random())
+    acts = random_activities(rng, h.vertex_count)
+    a = rng.randint(1, 4)
+    b = rng.randint(1, 4)
+    assert kab_partition(a, b, h, acts) == kab_partition_by_subsets(a, b, h, acts)
+
+
+def test_kab_on_a_target_past_any_subset_table():
+    # 2^40 image sets; the maps of the 3-side with k distinct images leave
+    # 40 - k common neighbours in K40
+    k40 = complete_graph(40)
+    expected = sum(comb(40, k) * surjection_count(3, k) * (40 - k) ** 3 for k in range(4))
+    assert kab_partition(3, 3, k40, ActivitySystem.unit(40)) == expected
+
+
 def test_kab_subset_budget_and_sizes():
+    # b = 1: one state, charged one unit per target vertex
     k3, unit = complete_graph(3), ActivitySystem.unit(3)
-    with pytest.raises(SubsetLimitError):
-        kab_partition(1, 1, k3, unit, budget=7)
-    assert kab_partition(1, 1, k3, unit, budget=8) == 6
+    with pytest.raises(BudgetExceededError):
+        kab_partition(1, 1, k3, unit, budget=2)
+    assert kab_partition(1, 1, k3, unit, budget=3) == 6
     with pytest.raises(ValueError):
         kab_partition(0, 1, HIND, ActivitySystem.unit(2))
