@@ -30,13 +30,7 @@ from .constructions import (
     serialize_two_sorted,
     two_sorted,
 )
-from .errors import (
-    BudgetExceededError,
-    GenerationError,
-    GraphFormatError,
-    HomcertError,
-    SubsetLimitError,
-)
+from .errors import BudgetExceededError, GenerationError, GraphFormatError, HomcertError
 from .eta import EtaWitness, eta_one_sided, eta_two_sided, eta_unweighted, validate_witness
 from .graphs import (
     BipartiteGraph,

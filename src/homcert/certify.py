@@ -473,7 +473,7 @@ def load_campaign(source, base_dir=None) -> tuple[dict, Path | None]:
     return config, base_dir
 
 
-def _expand_instances(families, master_seed, trials, base_dir):
+def _expand_instances(families, master_seed, trials, base_dir, budget):
     """Instances in family order; random families draw `trials` samples with
     seeds master_seed + running index (the recorded splitting rule)."""
     out = []
@@ -486,9 +486,9 @@ def _expand_instances(families, master_seed, trials, base_dir):
                 counter += 1
                 desc = seeded.describe()
                 desc["seed_rule"] = _SEED_RULE
-                out.append((desc, build_instance(seeded, base_dir)))
+                out.append((desc, build_instance(seeded, base_dir, budget)))
         else:
-            out.append((spec.describe(), build_instance(spec, base_dir)))
+            out.append((spec.describe(), build_instance(spec, base_dir, budget)))
     return out
 
 
@@ -510,6 +510,9 @@ def run_campaign(config, base_dir=None) -> list[CertReport]:
     """
     config, base_dir = load_campaign(config, base_dir)
     budget = config.get("budget", DEFAULT_BUDGET)
+    # every report carries its source and target, so even a campaign whose
+    # budget skips every check builds the instances the default budget admits
+    build_budget = max(budget, DEFAULT_BUDGET)
     plans = _parse_propositions(config["propositions"])
     jobs = []
     for plan in plans:
@@ -519,17 +522,15 @@ def run_campaign(config, base_dir=None) -> list[CertReport]:
         hypothesis, weighted, _ = _PROPOSITIONS[plan.id]
         families = plan.families if plan.families is not None else config["families"]
         instances = []
-        for g_desc, g in _expand_instances(families, config["seed"], config["trials"], base_dir):
+        for g_desc, g in _expand_instances(families, config["seed"], config["trials"], base_dir,
+                                           build_budget):
             try:
                 hypothesis(g)
             except GraphFormatError:
                 continue
             instances.append((g_desc, g))
         target_entries = plan.targets if plan.targets is not None else config["grids"]["targets"]
-        # every report carries its target, so even a campaign whose budget
-        # skips every check builds the targets the default budget admits
-        target_budget = max(budget, DEFAULT_BUDGET)
-        targets = [(e, resolve_target(e, base_dir, target_budget)) for e in target_entries]
+        targets = [(e, resolve_target(e, base_dir, build_budget)) for e in target_entries]
         act_entries = (
             plan.activities if plan.activities is not None else config["grids"]["activities"]
         ) if weighted else [None]

@@ -126,7 +126,7 @@ def _load_source(args, doc=None) -> BipartiteGraph:
         spec = parse_instance_spec(_apply_overrides(doc, args))
         if spec.family == "random-regular" and spec.seed is None:
             spec = parse_instance_spec({**spec.describe(), "seed": DEFAULT_SEED})
-        return build_instance(spec, Path(args.graph).parent)
+        return build_instance(spec, Path(args.graph).parent, _budget(args))
     return parse_bipartite(doc)
 
 
@@ -263,7 +263,7 @@ def _cmd_generate(args) -> int:
     if doc.get("family") == "random-regular" and "seed" not in doc:
         doc["seed"] = DEFAULT_SEED
     base = Path(args.spec_file).parent if args.spec_file else Path.cwd()
-    g = build_instance(parse_instance_spec(doc), base)
+    g = build_instance(parse_instance_spec(doc), base, _budget(args))
     _emit(serialize_bipartite(g), args.output)
     return 0
 

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the default budget."""
+
+DEFAULT_BUDGET = 20_000_000
 
 
 class HomcertError(Exception):
@@ -18,7 +20,3 @@ class BudgetExceededError(HomcertError):
 
     Raised instead of returning a truncated or approximate answer.
     """
-
-
-class SubsetLimitError(BudgetExceededError):
-    """A table over all subsets of a vertex set would exceed the budget."""

@@ -4,6 +4,11 @@ A pair is cross-complete when every A-vertex is adjacent to every B-vertex
 (loops allowed, so A and B may overlap).  The score of a pair is the
 lambda-sum of A times the mu-sum of B; with unit activities this is |A|*|B|,
 the edge count of a complete bipartite subgraph.
+
+The sets A with a common neighbour form a down-set, the neighbourhood
+complex of the target; the optimum is found by a depth-first walk of it that
+charges the budget one unit per candidate vertex tried, never by a table
+over all subsets.
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import GraphFormatError, SubsetLimitError
+from .errors import BudgetExceededError, GraphFormatError
 from .graphs import Graph, mask_vertices
 from .homcount import DEFAULT_BUDGET, ActivitySystem, as_fraction, clear_denominators
 
@@ -29,58 +34,46 @@ class EtaWitness:
     value: Fraction
 
 
-def _subset_tables(h: Graph, acts: ActivitySystem, budget: int):
-    """(d_lam, d_mu, cn, lam_sub, mu_sub), each table indexed by a subset
-    bitmask A of V(h): cn[A] is the common neighbourhood of A (all of V(h)
-    for A empty), lam_sub[A] and mu_sub[A] the activity sums over A scaled to
-    integers by the common denominators d_lam and d_mu.  The 2^m subsets are
-    charged to the budget before any table is allocated."""
+def eta_two_sided(h: Graph, acts: ActivitySystem, budget: int = DEFAULT_BUDGET) -> EtaWitness:
+    """Maximize (sum of lambda over A) * (sum of mu over B) over
+    cross-complete pairs.
+
+    Positivity makes B = C(A) (the common neighbourhood) optimal for fixed A
+    and every maximizer a closed pair (C(C(A)), C(A)), so the walk scores each
+    A of the complex against C(A).  It visits A in lexicographic order and
+    keeps the first maximum, so ties break to the smallest A, then smallest
+    B.  The pair enumeration and the subset tables are the test oracles.  A
+    target with no edge scores 0 with an empty witness.
+    """
     m = h.vertex_count
-    if 1 << m > budget:
-        raise SubsetLimitError(f"subset table of 2^{m} entries exceeds budget {budget}")
     if acts.vertex_count != m:
         raise GraphFormatError("activity system size differs from target size")
     masks = h.neighbor_masks()
     d_lam, lam = clear_denominators(acts.lambdas)
     d_mu, mu = clear_denominators(acts.mus)
-    size = 1 << m
-    cn = [size - 1] * size
-    lam_sub = [0] * size
-    mu_sub = [0] * size
-    for s in range(1, size):
-        low = s & -s
-        i = low.bit_length() - 1
-        cn[s] = cn[s ^ low] & masks[i]
-        lam_sub[s] = lam_sub[s ^ low] + lam[i]
-        mu_sub[s] = mu_sub[s ^ low] + mu[i]
-    return d_lam, d_mu, cn, lam_sub, mu_sub
-
-
-def eta_two_sided(h: Graph, acts: ActivitySystem, budget: int = DEFAULT_BUDGET) -> EtaWitness:
-    """Maximize (sum of lambda over A) * (sum of mu over B) over
-    cross-complete pairs.
-
-    Positivity makes B = C(A) (the common neighbourhood) optimal for fixed A,
-    so the search ranges over the closure pairs (C(C(A)), C(A)) only; the
-    full pair enumeration survives in the test suite as the oracle.  Ties
-    break to the lexicographically smallest A, then smallest B.  A target
-    with no edge has no admissible pair and scores 0 with an empty witness.
-    """
-    d_lam, d_mu, cn, lam_sub, mu_sub = _subset_tables(h, acts, budget)
-    best_val = 0
-    best_pair: tuple[tuple[int, ...], tuple[int, ...]] | None = None
-    for b_mask in cn:
-        a_mask = cn[b_mask]
-        val = lam_sub[a_mask] * mu_sub[b_mask]
-        if val == 0 or val < best_val:
-            continue
-        pair = (mask_vertices(a_mask), mask_vertices(b_mask))
-        if val > best_val or pair < best_pair:
-            best_val = val
-            best_pair = pair
-    if best_pair is None:
+    best_val, best, meter = 0, None, 0
+    # (A, C(A), lambda-sum of A, mu-sum of C(A), least vertex A may still take)
+    stack = [(0, (1 << m) - 1, 0, sum(mu), 0)]
+    while stack:
+        a_mask, cn, lam_a, mu_cn, start = stack.pop()
+        if lam_a * mu_cn > best_val:
+            best_val, best = lam_a * mu_cn, (a_mask, cn)
+        meter += m - start
+        if meter > budget:
+            raise BudgetExceededError(f"node-expansion budget {budget} exceeded")
+        for i in range(m - 1, start - 1, -1):
+            c = cn & masks[i]
+            if c:
+                mu_c, gone = mu_cn, cn ^ c
+                while gone:
+                    low = gone & -gone
+                    gone ^= low
+                    mu_c -= mu[low.bit_length() - 1]
+                stack.append((a_mask | 1 << i, c, lam_a + lam[i], mu_c, i + 1))
+    if best is None:
         return EtaWitness((), (), Fraction(0))
-    return EtaWitness(best_pair[0], best_pair[1], Fraction(best_val, d_lam * d_mu))
+    return EtaWitness(mask_vertices(best[0]), mask_vertices(best[1]),
+                      Fraction(best_val, d_lam * d_mu))
 
 
 def eta_unweighted(h: Graph, budget: int = DEFAULT_BUDGET) -> EtaWitness:

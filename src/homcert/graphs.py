@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import GenerationError, GraphFormatError
+from .errors import DEFAULT_BUDGET, BudgetExceededError, GenerationError, GraphFormatError
 
 _MATCHING_RESAMPLE_CAP = 10_000
 
@@ -429,10 +429,39 @@ def parse_instance_spec(doc: dict) -> InstanceSpec:
     return InstanceSpec(family, tuple(params), seed)
 
 
-def build_instance(spec, base_dir=None) -> BipartiteGraph:
-    """Materialize an InstanceSpec (or raw spec document) as a BipartiteGraph."""
+def _instance_size(spec: InstanceSpec, budget: int) -> int:
+    """Vertices plus edges of the instance ``spec`` describes, without
+    building it; a file counts 0, and a hypercube whose 2^dim vertices alone
+    exceed ``budget`` raises BudgetExceededError before 2^dim is formed."""
+    p = dict(spec.params)
+    if spec.family == "complete-bipartite":
+        return p["a"] + p["b"] + p["a"] * p["b"]
+    if spec.family == "cycle":
+        return 2 * p["length"]
+    if spec.family == "hypercube":
+        d = p["dim"]
+        if d >= budget.bit_length():
+            raise BudgetExceededError(f"hypercube of dimension {d} exceeds budget {budget}")
+        return (1 << d) + d * (1 << d - 1)
+    if spec.family == "random-regular":
+        return 2 * p["half"] + p["degree"] * p["half"]
+    if spec.family == "union":
+        return sum(_instance_size(part, budget) for part in p["parts"])
+    return 0
+
+
+def build_instance(spec, base_dir=None, budget: int = DEFAULT_BUDGET) -> BipartiteGraph:
+    """Materialize an InstanceSpec (or raw spec document) as a BipartiteGraph.
+
+    A generated instance whose vertices plus edges exceed the budget raises
+    BudgetExceededError before any of it is built.
+    """
     if isinstance(spec, dict):
         spec = parse_instance_spec(spec)
+    size = _instance_size(spec, budget)
+    if size > budget:
+        raise BudgetExceededError(
+            f"source {spec.family} of {size} vertices plus edges exceeds budget {budget}")
     p = dict(spec.params)
     if spec.family == "complete-bipartite":
         return gen_complete_bipartite(p["a"], p["b"])
@@ -445,5 +474,5 @@ def build_instance(spec, base_dir=None) -> BipartiteGraph:
             raise GraphFormatError("family 'random-regular' requires a seed")
         return gen_random_regular_bipartite(p["degree"], p["half"], spec.seed)
     if spec.family == "union":
-        return gen_union([build_instance(part, base_dir) for part in p["parts"]])
+        return gen_union([build_instance(part, base_dir, budget) for part in p["parts"]])
     return parse_bipartite(read_doc(p["path"], base_dir))

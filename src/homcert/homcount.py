@@ -18,13 +18,11 @@ from heapq import heappop, heappush
 from math import lcm
 from typing import TYPE_CHECKING
 
-from .errors import BudgetExceededError, GraphFormatError
+from .errors import DEFAULT_BUDGET, BudgetExceededError, GraphFormatError
 from .graphs import BipartiteGraph, Graph, _load_doc, mask_vertices
 
 if TYPE_CHECKING:
     from .constructions import TwoSortedTarget
-
-DEFAULT_BUDGET = 20_000_000
 
 _ONE = Fraction(1)
 

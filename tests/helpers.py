@@ -14,6 +14,7 @@ from fractions import Fraction
 from homcert import (
     ActivitySystem,
     BipartiteGraph,
+    EtaWitness,
     Graph,
     TwoSortedTarget,
     two_sorted,
@@ -154,6 +155,30 @@ def knn_restricted_by_subsets(n: int, target: TwoSortedTarget) -> Fraction:
     cn = _subset_common_neighbors(lower, target.graph.neighbor_masks(), target.upper_mask())
     return sum(weighted_surjection_sum([1] * s.bit_count(), n) * c.bit_count() ** n
                for s, c in enumerate(cn))
+
+
+def eta_by_subsets(h: Graph, acts: ActivitySystem) -> EtaWitness:
+    """The full eta witness from tables over all 2^m subsets A of V(h): every
+    closed pair (cn(cn(A)), cn(A)) is scored, and ties go to the smallest
+    (A, B) tuple.  No budget applies."""
+    m = h.vertex_count
+    cn = _subset_common_neighbors(range(m), h.neighbor_masks(), (1 << m) - 1)
+    lam_sub = [Fraction(0)] * (1 << m)
+    mu_sub = [Fraction(0)] * (1 << m)
+    for s in range(1, 1 << m):
+        low = s & -s
+        i = low.bit_length() - 1
+        lam_sub[s] = lam_sub[s ^ low] + acts.lambdas[i]
+        mu_sub[s] = mu_sub[s ^ low] + acts.mus[i]
+    best = (Fraction(0), (), ())
+    for b_mask in cn:
+        a_mask = cn[b_mask]
+        val = lam_sub[a_mask] * mu_sub[b_mask]
+        a = tuple(i for i in range(m) if a_mask >> i & 1)
+        b = tuple(j for j in range(m) if b_mask >> j & 1)
+        if val > best[0] or (val == best[0] > 0 and (a, b) < best[1:]):
+            best = (val, a, b)
+    return EtaWitness(best[1], best[2], best[0])
 
 
 def eta_by_pair_enumeration(h: Graph, acts: ActivitySystem) -> Fraction:

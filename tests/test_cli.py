@@ -177,9 +177,9 @@ def test_budget_env_override(capsys, monkeypatch):
 
 
 def test_kab_and_eta_take_the_budget_from_the_environment(capsys, monkeypatch):
-    # on a 3-vertex target eta's subset tables have 2^3 entries, and K_{1,1}
-    # costs one state of 3 candidate images
-    for argv, cost in ((("kab", "--a", "1", "--b", "1"), 3), (("eta",), 8)):
+    # eta's walk of K3's neighbourhood complex tries 3 + 2 + 1 + 1 candidate
+    # vertices, and K_{1,1} costs one state of 3 candidate images
+    for argv, cost in ((("kab", "--a", "1", "--b", "1"), 3), (("eta",), 7)):
         monkeypatch.setenv("HOMCERT_BUDGET", str(cost - 1))
         code, out = run_cli(capsys, *argv, "-H", FIX / "k3.json")
         assert code == 1
@@ -220,6 +220,29 @@ def test_campaign_refuses_oversized_target_shorthand(tmp_path):
     error = json.loads(proc.stdout)["error"]
     assert error["code"] == "budget-exceeded"
     assert "1799970000 edges" in error["message"]
+
+
+def test_oversized_source_families_are_refused_before_building(tmp_path):
+    # K_{60000,60000} has 3.6e9 edges and Q40 has 2^40 vertices; under the
+    # address-space limit building either before the budget check ends in
+    # MemoryError
+    config = tmp_path / "camp.json"
+    config.write_text(json.dumps({
+        "families": [{"family": "complete-bipartite", "a": 60000, "b": 60000}],
+        "grids": {"targets": ["k2"]},
+        "propositions": ["double-identity"],
+    }))
+    limit = lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+    for argv, words in (
+        (("certify", "--config", str(config)), "3600120000 vertices plus edges"),
+        (("generate", "--family", "hypercube", "--dim", "40"), "hypercube of dimension 40"),
+    ):
+        proc = subprocess.run([sys.executable, "-m", "homcert", *argv], capture_output=True,
+                              timeout=60, preexec_fn=limit)
+        assert proc.returncode == 1
+        error = json.loads(proc.stdout)["error"]
+        assert error["code"] == "budget-exceeded"
+        assert words in error["message"]
 
 
 def test_negative_budget_flag_is_input_error(capsys):

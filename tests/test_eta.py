@@ -6,8 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from homcert import (
     ActivitySystem,
+    BudgetExceededError,
+    EtaWitness,
     Graph,
-    SubsetLimitError,
     complete_graph,
     eta_one_sided,
     eta_two_sided,
@@ -15,7 +16,7 @@ from homcert import (
     independence_target,
     validate_witness,
 )
-from helpers import eta_by_pair_enumeration, random_activities, random_graph
+from helpers import eta_by_pair_enumeration, eta_by_subsets, random_activities, random_graph
 
 HIND = independence_target()
 
@@ -130,14 +131,32 @@ def test_swap_duality(seed):
 
 
 def test_validate_witness_rejects_wrong_claims():
-    from homcert import EtaWitness
-
     acts = ActivitySystem.unit(2)
     assert not validate_witness(HIND, acts, EtaWitness((0,), (0,), Fraction(1)))  # not cross-complete
     assert not validate_witness(HIND, acts, EtaWitness((0, 1), (1,), Fraction(3)))  # wrong value
 
 
 def test_subset_budget():
-    with pytest.raises(SubsetLimitError):
-        eta_unweighted(complete_graph(4), budget=15)
-    assert eta_unweighted(complete_graph(4), budget=16).value == 4
+    # the walk tries 4 + 3 + 2 + 1 + 2 + 1 + 1 + 1 candidate vertices on K4
+    with pytest.raises(BudgetExceededError):
+        eta_unweighted(complete_graph(4), budget=14)
+    assert eta_unweighted(complete_graph(4), budget=15).value == 4
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32), st.sampled_from(["unit", "rational"]))
+def test_witness_matches_subset_oracle(seed, weights):
+    rng = random.Random(seed)
+    h = random_graph(rng, max_vertices=10, p=rng.choice([0.2, 0.5, 0.8]),
+                     loop_p=rng.choice([0.0, 0.3]))
+    if weights == "unit":
+        acts = ActivitySystem.unit(h.vertex_count)
+    else:
+        acts = random_activities(rng, h.vertex_count)
+    assert eta_two_sided(h, acts) == eta_by_subsets(h, acts)
+
+
+def test_eta_on_a_target_past_any_subset_table():
+    # 2^200 subsets; the walk of the 200-cycle's neighbourhood complex is short
+    c200 = Graph(200, [(i, (i + 1) % 200) for i in range(200)])
+    assert eta_unweighted(c200) == EtaWitness((0,), (1, 199), 2)

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 import homcert.graphs as graphs_mod
 from homcert import (
     BipartiteGraph,
+    BudgetExceededError,
     GenerationError,
     Graph,
     GraphFormatError,
@@ -259,3 +260,19 @@ def test_instance_describe_includes_seed_and_parts():
         "parts": [{"family": "cycle", "length": 4}],
         "seed": 7,
     }
+
+
+@pytest.mark.parametrize("doc", [
+    {"family": "complete-bipartite", "a": 3, "b": 5},
+    {"family": "cycle", "length": 10},
+    {"family": "hypercube", "dim": 4},
+    {"family": "random-regular", "degree": 3, "half": 6, "seed": 4},
+    {"family": "union", "parts": [{"family": "cycle", "length": 4},
+                                  {"family": "hypercube", "dim": 3}]},
+])
+def test_build_instance_charges_vertices_plus_edges(doc):
+    g = build_instance(doc)
+    size = g.vertex_count + len(g.graph.edges())
+    assert build_instance(doc, budget=size) == g
+    with pytest.raises(BudgetExceededError):
+        build_instance(doc, budget=size - 1)
