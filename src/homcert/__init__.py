@@ -35,7 +35,6 @@ from .eta import EtaWitness, eta_one_sided, eta_two_sided, eta_unweighted, valid
 from .graphs import (
     BipartiteGraph,
     Graph,
-    InstanceSpec,
     build_instance,
     check_bipartition,
     complete_graph,

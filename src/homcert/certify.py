@@ -23,10 +23,11 @@ from .eta import eta_two_sided, eta_unweighted
 from .graphs import (
     BipartiteGraph,
     Graph,
-    InstanceSpec,
     build_instance,
     complete_graph,
     independence_target,
+    instance_size,
+    needs_seed,
     parse_graph,
     parse_instance_spec,
     read_doc,
@@ -375,9 +376,9 @@ def resolve_target(entry, base_dir=None, budget: int = DEFAULT_BUDGET) -> Graph:
     if isinstance(entry, dict) and set(entry) == {"file"}:
         if not isinstance(entry["file"], str):
             raise GraphFormatError(f"target 'file' must be a path string, got {entry['file']!r}")
-        return parse_graph(read_doc(entry["file"], base_dir))
+        return parse_graph(read_doc(entry["file"], base_dir), budget)
     if isinstance(entry, dict):
-        return parse_graph(entry)
+        return parse_graph(entry, budget)
     raise GraphFormatError(f"bad target entry {entry!r}")
 
 
@@ -475,20 +476,26 @@ def load_campaign(source, base_dir=None) -> tuple[dict, Path | None]:
 
 def _expand_instances(families, master_seed, trials, base_dir, budget):
     """Instances in family order; random families draw `trials` samples with
-    seeds master_seed + running index (the recorded splitting rule)."""
+    seeds master_seed + running index (the recorded splitting rule).  The
+    vertices plus edges of all of them are charged to the budget before the
+    first is built."""
+    specs = [parse_instance_spec(doc) for doc in families]
+    total = sum(instance_size(spec, budget) * (trials if needs_seed(spec) else 1)
+                for spec in specs)
+    if total > budget:
+        raise BudgetExceededError(
+            f"campaign sources of {total} vertices plus edges exceed budget {budget}")
     out = []
     counter = 0
-    for doc in families:
-        spec = doc if isinstance(doc, InstanceSpec) else parse_instance_spec(doc)
-        if spec.family == "random-regular" and spec.seed is None:
-            for _ in range(trials):
-                seeded = InstanceSpec(spec.family, spec.params, master_seed + counter)
-                counter += 1
-                desc = seeded.describe()
-                desc["seed_rule"] = _SEED_RULE
-                out.append((desc, build_instance(seeded, base_dir, budget)))
-        else:
-            out.append((spec.describe(), build_instance(spec, base_dir, budget)))
+    for spec in specs:
+        if not needs_seed(spec):
+            out.append((spec, build_instance(spec, base_dir, budget)))
+            continue
+        for _ in range(trials):
+            seeded = {**spec, "seed": master_seed + counter}
+            counter += 1
+            out.append(({**seeded, "seed_rule": _SEED_RULE},
+                        build_instance(seeded, base_dir, budget)))
     return out
 
 

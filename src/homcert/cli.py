@@ -23,9 +23,11 @@ from .closedform import kab_partition, knn_partition, knn_restricted_count, surj
 from .errors import BudgetExceededError, GraphFormatError, HomcertError
 from .eta import eta_two_sided
 from .graphs import (
+    GENERATED_FAMILIES,
     BipartiteGraph,
     _load_doc,
     build_instance,
+    needs_seed,
     parse_bipartite,
     parse_graph,
     parse_instance_spec,
@@ -77,7 +79,9 @@ SUBCOMMAND_OPERATIONS = {
     ),
 }
 
-_OVERRIDE_KEYS = ("a", "b", "length", "dim", "degree", "half", "seed")
+# one override flag per parameter of a generated family, plus the seed
+_OVERRIDE_KEYS = (*dict.fromkeys(k for row in GENERATED_FAMILIES.values() for k in row.params),
+                  "seed")
 
 
 def _fixture_path(name: str) -> Path:
@@ -102,6 +106,8 @@ def _budget(args) -> int:
 
 
 def _apply_overrides(doc: dict, args) -> dict:
+    """The canonical spec of ``doc`` with the override flags applied and the
+    default seed filled in for a seeded family."""
     doc = dict(doc)
     n = getattr(args, "n", None)
     if n is not None:
@@ -114,7 +120,10 @@ def _apply_overrides(doc: dict, args) -> dict:
         value = getattr(args, key, None)
         if value is not None:
             doc[key] = value
-    return doc
+    spec = parse_instance_spec(doc)
+    if needs_seed(spec):
+        spec["seed"] = DEFAULT_SEED
+    return spec
 
 
 def _load_source(args, doc=None) -> BipartiteGraph:
@@ -123,11 +132,12 @@ def _load_source(args, doc=None) -> BipartiteGraph:
     if doc is None:
         doc = read_doc(args.graph)
     if "family" in doc:
-        spec = parse_instance_spec(_apply_overrides(doc, args))
-        if spec.family == "random-regular" and spec.seed is None:
-            spec = parse_instance_spec({**spec.describe(), "seed": DEFAULT_SEED})
-        return build_instance(spec, Path(args.graph).parent, _budget(args))
-    return parse_bipartite(doc)
+        return build_instance(_apply_overrides(doc, args), Path(args.graph).parent, _budget(args))
+    return parse_bipartite(doc, _budget(args))
+
+
+def _load_target(args):
+    return parse_graph(read_doc(args.target), _budget(args))
 
 
 def _load_acts(args, vertex_count: int) -> ActivitySystem:
@@ -161,27 +171,27 @@ def _cmd_count(args) -> int:
     if "family" in doc or "class_e" in doc:
         g = _load_source(args, doc).graph
     else:
-        g = parse_graph(doc)
+        g = parse_graph(doc, _budget(args))
     if args.independent_sets:
         _emit({"count": str(count_independent_sets(g, _budget(args)))}, args.output)
         return 0
     if args.target is None:
         raise GraphFormatError("count requires -H (or --independent-sets)")
-    h = parse_graph(read_doc(args.target))
+    h = _load_target(args)
     _emit({"count": str(count_homs(g, h, _budget(args)))}, args.output)
     return 0
 
 
 def _cmd_restricted(args) -> int:
     g = _load_source(args)
-    target = parse_two_sorted(read_doc(args.two_sorted))
+    target = parse_two_sorted(read_doc(args.two_sorted), _budget(args))
     _emit({"count": str(count_homs_restricted(g, target, _budget(args)))}, args.output)
     return 0
 
 
 def _cmd_partition(args) -> int:
     g = _load_source(args)
-    h = parse_graph(read_doc(args.target))
+    h = _load_target(args)
     acts = _load_acts(args, h.vertex_count)
     _emit({"value": str(partition_fn(g, h, acts, _budget(args)))}, args.output)
     return 0
@@ -197,24 +207,24 @@ def _cmd_knn(args) -> int:
         _emit({"count": str(surjection_count(args.n, args.surjections))}, args.output)
         return 0
     if args.two_sorted is not None:
-        target = parse_two_sorted(read_doc(args.two_sorted))
+        target = parse_two_sorted(read_doc(args.two_sorted), _budget(args))
         _emit({"count": str(knn_restricted_count(args.n, target, _budget(args)))}, args.output)
         return 0
-    h = parse_graph(read_doc(args.target))
+    h = _load_target(args)
     acts = _load_acts(args, h.vertex_count)
     _emit({"value": str(knn_partition(args.n, h, acts, _budget(args)))}, args.output)
     return 0
 
 
 def _cmd_kab(args) -> int:
-    h = parse_graph(read_doc(args.target))
+    h = _load_target(args)
     acts = _load_acts(args, h.vertex_count)
     _emit({"value": str(kab_partition(args.a, args.b, h, acts, _budget(args)))}, args.output)
     return 0
 
 
 def _cmd_eta(args) -> int:
-    h = parse_graph(read_doc(args.target))
+    h = _load_target(args)
     acts = _load_acts(args, h.vertex_count)
     witness = eta_two_sided(h, acts, _budget(args))
     _emit(
@@ -225,13 +235,13 @@ def _cmd_eta(args) -> int:
 
 
 def _cmd_double(args) -> int:
-    h = parse_graph(read_doc(args.target))
+    h = _load_target(args)
     _emit(serialize_two_sorted(double(h)), args.output)
     return 0
 
 
 def _cmd_blowup(args) -> int:
-    h = parse_graph(read_doc(args.target))
+    h = _load_target(args)
     acts = _load_acts(args, h.vertex_count)
     target, meta = blowup(h, acts, _budget(args))
     _emit(
@@ -259,11 +269,8 @@ def _cmd_generate(args) -> int:
         doc = {"family": args.family}
     else:
         raise GraphFormatError("generate requires --family, --spec, or --spec-file")
-    doc = _apply_overrides(doc, args)
-    if doc.get("family") == "random-regular" and "seed" not in doc:
-        doc["seed"] = DEFAULT_SEED
     base = Path(args.spec_file).parent if args.spec_file else Path.cwd()
-    g = build_instance(parse_instance_spec(doc), base, _budget(args))
+    g = build_instance(_apply_overrides(doc, args), base, _budget(args))
     _emit(serialize_bipartite(g), args.output)
     return 0
 
@@ -277,7 +284,7 @@ def _cmd_certify(args) -> int:
             if args.graph is None or args.target is None:
                 raise GraphFormatError(f"--check {args.check} requires -g and -H")
             g = _load_source(args)
-            h = parse_graph(read_doc(args.target))
+            h = _load_target(args)
             acts = _load_acts(args, h.vertex_count)
             fn = certify_mod._CERTIFIERS[args.check]
             reports = [fn(g, h, acts, budget, None)]
@@ -299,13 +306,18 @@ def _cmd_certify(args) -> int:
 # Parser
 
 
+def _add_overrides(p, n_help="complete-bipartite shorthand: a = b = n"):
+    """The flags that override instance-spec fields."""
+    p.add_argument("--n", type=int, help=n_help)
+    for key in _OVERRIDE_KEYS:
+        p.add_argument(f"--{key}", type=int, help=argparse.SUPPRESS)
+
+
 def _add_common(p, *, graph=False, target=False, target_required=False, acts=False, budget=True):
     if graph:
         p.add_argument("-g", "--graph", required=True,
                        help="bipartite graph file or instance-spec file")
-        p.add_argument("--n", type=int, help="complete-bipartite shorthand: a = b = n")
-        for key in _OVERRIDE_KEYS:
-            p.add_argument(f"--{key}", type=int, help=argparse.SUPPRESS)
+        _add_overrides(p)
     if target:
         p.add_argument("-H", "--target", required=target_required,
                        help="target graph file")
@@ -371,9 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check", choices=certify_mod.PROPOSITION_IDS,
                    help="run a single check instead of a campaign")
     p.add_argument("-g", "--graph", help="source graph for --check")
-    p.add_argument("--n", type=int, help=argparse.SUPPRESS)
-    for key in _OVERRIDE_KEYS:
-        p.add_argument(f"--{key}", type=int, help=argparse.SUPPRESS)
+    _add_overrides(p, n_help=argparse.SUPPRESS)
     p.add_argument("-H", "--target", help="target graph for --check")
     p.add_argument("-a", "--activities")
     p.add_argument("--strict", action="store_true",
@@ -383,14 +393,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_certify)
 
     p = sub.add_parser("generate", help="emit an instance as a bipartite graph file")
-    p.add_argument("--family", choices=("complete-bipartite", "cycle", "hypercube",
-                                        "random-regular", "union", "file"))
+    p.add_argument("--family", choices=(*GENERATED_FAMILIES, "union", "file"))
     p.add_argument("--spec", help="inline instance-spec JSON")
     p.add_argument("--spec-file", help="instance-spec file")
     p.add_argument("--path", help="graph file for --family file")
-    p.add_argument("--n", type=int, help="complete-bipartite shorthand: a = b = n")
-    for key in _OVERRIDE_KEYS:
-        p.add_argument(f"--{key}", type=int, help=argparse.SUPPRESS)
+    _add_overrides(p)
     p.add_argument("-o", "--output")
     p.set_defaults(fn=_cmd_generate)
 
@@ -400,6 +407,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)  # exact answers print at any length
     try:
         code = args.fn(args)
         sys.stdout.flush()  # so a failed write is reported here, not at exit

@@ -163,11 +163,11 @@ def blowup(
 # File format: a graph document plus {"upper": [...]}
 
 
-def parse_two_sorted(data) -> TwoSortedTarget:
+def parse_two_sorted(data, budget: int = DEFAULT_BUDGET) -> TwoSortedTarget:
     doc = _load_doc(data)
     if "upper" not in doc:
         raise GraphFormatError("missing 'upper'")
-    graph = _graph_from_doc({k: v for k, v in doc.items() if k != "upper"}, _GRAPH_KEYS)
+    graph = _graph_from_doc({k: v for k, v in doc.items() if k != "upper"}, _GRAPH_KEYS, budget)
     return two_sorted(graph, _int_list(doc, "upper"))
 
 

@@ -10,17 +10,14 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from .errors import DEFAULT_BUDGET, BudgetExceededError, GenerationError, GraphFormatError
 
 _MATCHING_RESAMPLE_CAP = 10_000
 
 _GRAPH_KEYS = {"vertices", "edges", "loops"}
-_BIPARTITE_KEYS = _GRAPH_KEYS | {"class_e"}
-
-FAMILIES = ("complete-bipartite", "cycle", "hypercube", "random-regular", "union", "file")
 
 
 def _check_index(v, n: int) -> int:
@@ -224,29 +221,36 @@ def _int_list(doc: dict, key: str) -> list:
     return value
 
 
-def _graph_from_doc(doc: dict, allowed: set[str]) -> Graph:
+def _graph_from_doc(doc: dict, allowed: set[str], budget: int = DEFAULT_BUDGET) -> Graph:
+    """The Graph of a document; its declared vertices plus listed edges are
+    charged to the larger of ``budget`` and the default before it is built."""
     unknown = set(doc) - allowed
     if unknown:
         raise GraphFormatError(f"unknown keys {sorted(unknown)}")
     if "vertices" not in doc:
         raise GraphFormatError("missing 'vertices'")
-    return Graph(doc["vertices"], _int_list(doc, "edges"), _int_list(doc, "loops"))
+    vertices, edges = doc["vertices"], _int_list(doc, "edges")
+    budget = max(budget, DEFAULT_BUDGET)
+    if isinstance(vertices, int) and vertices + len(edges) > budget:
+        raise BudgetExceededError(
+            f"graph document of {vertices} vertices and {len(edges)} edges exceeds budget {budget}")
+    return Graph(vertices, edges, _int_list(doc, "loops"))
 
 
-def parse_graph(data) -> Graph:
+def parse_graph(data, budget: int = DEFAULT_BUDGET) -> Graph:
     """Parse a target-graph document: {"vertices", "edges", "loops"}.
 
     Adjacency is symmetrized and deduplicated; an edge [v, v] is a loop.
     """
-    return _graph_from_doc(_load_doc(data), _GRAPH_KEYS)
+    return _graph_from_doc(_load_doc(data), _GRAPH_KEYS, budget)
 
 
-def parse_bipartite(data) -> BipartiteGraph:
+def parse_bipartite(data, budget: int = DEFAULT_BUDGET) -> BipartiteGraph:
     """Parse a source-graph document: graph keys plus "class_e"."""
     doc = _load_doc(data)
     if "class_e" not in doc:
         raise GraphFormatError("missing 'class_e'")
-    graph = _graph_from_doc({k: v for k, v in doc.items() if k != "class_e"}, _GRAPH_KEYS)
+    graph = _graph_from_doc({k: v for k, v in doc.items() if k != "class_e"}, _GRAPH_KEYS, budget)
     return BipartiteGraph(graph, _int_list(doc, "class_e"))
 
 
@@ -358,121 +362,118 @@ def gen_random_regular_bipartite(n: int, half: int, seed: int) -> BipartiteGraph
 # Instance specs (declarative form of the generators, used by CLI and campaigns)
 
 
-@dataclass(frozen=True)
-class InstanceSpec:
-    family: str
-    params: tuple[tuple[str, object], ...]
-    seed: int | None = None
+class Family(NamedTuple):
+    """A generated source family.  Each callable takes the parameter values
+    in ``params`` order; ``size`` (vertices plus edges) then the budget, and
+    ``generate`` then the seed when the family is ``seeded``."""
 
-    def param(self, key):
-        return dict(self.params)[key]
-
-    def describe(self) -> dict:
-        doc: dict = {"family": self.family, **dict(self.params)}
-        if self.family == "union":
-            doc["parts"] = [part.describe() for part in doc["parts"]]
-        if self.seed is not None:
-            doc["seed"] = self.seed
-        return doc
+    params: tuple[str, ...]
+    valid: Callable[..., bool]
+    size: Callable[..., int]
+    generate: Callable[..., BipartiteGraph]
+    seeded: bool = False
 
 
-_FAMILY_PARAMS = {
-    "complete-bipartite": ("a", "b"),
-    "cycle": ("length",),
-    "hypercube": ("dim",),
-    "random-regular": ("degree", "half"),
-    "union": ("parts",),
-    "file": ("path",),
+def _hypercube_size(dim: int, budget: int) -> int:
+    # 2^dim alone exceeds the budget: refuse before forming it
+    if dim >= budget.bit_length():
+        raise BudgetExceededError(f"hypercube of dimension {dim} exceeds budget {budget}")
+    return (1 << dim) + dim * (1 << dim - 1)
+
+
+GENERATED_FAMILIES = {
+    "complete-bipartite": Family(
+        ("a", "b"), lambda a, b: a >= 1 and b >= 1, lambda a, b, _: a + b + a * b,
+        gen_complete_bipartite),
+    "cycle": Family(
+        ("length",), lambda length: length >= 4 and length % 2 == 0,
+        lambda length, _: 2 * length, gen_even_cycle),
+    "hypercube": Family(("dim",), lambda dim: dim >= 1, _hypercube_size, gen_hypercube),
+    "random-regular": Family(
+        ("degree", "half"), lambda degree, half: 1 <= degree <= half,
+        lambda degree, half, _: 2 * half + degree * half, gen_random_regular_bipartite,
+        seeded=True),
 }
 
+# the structural families and their one parameter
+_STRUCTURAL = {"union": "parts", "file": "path"}
 
-def parse_instance_spec(doc: dict) -> InstanceSpec:
+
+def parse_instance_spec(doc: dict) -> dict:
+    """The canonical spec document: family, parameters (union parts
+    canonical too) and the seed when one is given.  Every parameter is
+    checked here, so a bad spec fails before any generation work."""
     if not isinstance(doc, dict):
         raise GraphFormatError("instance spec must be a JSON object")
     family = doc.get("family")
-    if family not in FAMILIES:
-        raise GraphFormatError(f"unknown family {family!r}; expected one of {FAMILIES}")
-    wanted = _FAMILY_PARAMS[family]
+    families = (*GENERATED_FAMILIES, *_STRUCTURAL)
+    if family not in families:
+        raise GraphFormatError(f"unknown family {family!r}; expected one of {families}")
+    row = GENERATED_FAMILIES.get(family)
+    wanted = row.params if row else (_STRUCTURAL[family],)
     unknown = set(doc) - set(wanted) - {"family", "seed"}
     if unknown:
         raise GraphFormatError(f"unknown spec keys {sorted(unknown)} for family {family!r}")
     missing = [k for k in wanted if k not in doc]
     if missing:
         raise GraphFormatError(f"family {family!r} requires {missing}")
-    params = []
+    params = {}
     for key in wanted:
         value = doc[key]
         if key == "parts":
             if not isinstance(value, list):
                 raise GraphFormatError("'parts' must be a list of instance specs")
-            value = tuple(parse_instance_spec(p) for p in value)
+            value = [parse_instance_spec(p) for p in value]
         elif key == "path":
             if not isinstance(value, str):
                 raise GraphFormatError("'path' must be a string")
         elif isinstance(value, bool) or not isinstance(value, int):
             raise GraphFormatError(f"parameter {key!r} must be an integer")
-        params.append((key, value))
+        params[key] = value
     seed = doc.get("seed")
     if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
         raise GraphFormatError("'seed' must be an integer")
-    # eager parameter validation so bad specs fail before any generation work
-    checks = {
-        "complete-bipartite": lambda p: p["a"] >= 1 and p["b"] >= 1,
-        "cycle": lambda p: p["length"] >= 4 and p["length"] % 2 == 0,
-        "hypercube": lambda p: p["dim"] >= 1,
-        "random-regular": lambda p: 1 <= p["degree"] <= p["half"],
-        "union": lambda p: True,
-        "file": lambda p: True,
-    }
-    if not checks[family](dict(params)):
-        raise GraphFormatError(f"invalid parameters for family {family!r}: {dict(params)}")
-    return InstanceSpec(family, tuple(params), seed)
+    if row and not row.valid(*params.values()):
+        raise GraphFormatError(f"invalid parameters for family {family!r}: {params}")
+    return {"family": family, **params, **({} if seed is None else {"seed": seed})}
 
 
-def _instance_size(spec: InstanceSpec, budget: int) -> int:
-    """Vertices plus edges of the instance ``spec`` describes, without
-    building it; a file counts 0, and a hypercube whose 2^dim vertices alone
-    exceed ``budget`` raises BudgetExceededError before 2^dim is formed."""
-    p = dict(spec.params)
-    if spec.family == "complete-bipartite":
-        return p["a"] + p["b"] + p["a"] * p["b"]
-    if spec.family == "cycle":
-        return 2 * p["length"]
-    if spec.family == "hypercube":
-        d = p["dim"]
-        if d >= budget.bit_length():
-            raise BudgetExceededError(f"hypercube of dimension {d} exceeds budget {budget}")
-        return (1 << d) + d * (1 << d - 1)
-    if spec.family == "random-regular":
-        return 2 * p["half"] + p["degree"] * p["half"]
-    if spec.family == "union":
-        return sum(_instance_size(part, budget) for part in p["parts"])
+def instance_size(spec: dict, budget: int) -> int:
+    """Vertices plus edges of the instance a canonical ``spec`` describes,
+    without building it; a file counts 0 (its document is charged when
+    read)."""
+    row = GENERATED_FAMILIES.get(spec["family"])
+    if row:
+        return row.size(*(spec[k] for k in row.params), budget)
+    if spec["family"] == "union":
+        return sum(instance_size(part, budget) for part in spec["parts"])
     return 0
 
 
-def build_instance(spec, base_dir=None, budget: int = DEFAULT_BUDGET) -> BipartiteGraph:
-    """Materialize an InstanceSpec (or raw spec document) as a BipartiteGraph.
+def needs_seed(spec: dict) -> bool:
+    """Whether a canonical spec is of a seeded family and carries no seed."""
+    row = GENERATED_FAMILIES.get(spec["family"])
+    return bool(row and row.seeded) and "seed" not in spec
+
+
+def build_instance(spec: dict, base_dir=None, budget: int = DEFAULT_BUDGET) -> BipartiteGraph:
+    """Materialize a spec document as a BipartiteGraph.
 
     A generated instance whose vertices plus edges exceed the budget raises
     BudgetExceededError before any of it is built.
     """
-    if isinstance(spec, dict):
-        spec = parse_instance_spec(spec)
-    size = _instance_size(spec, budget)
+    spec = parse_instance_spec(spec)
+    family = spec["family"]
+    size = instance_size(spec, budget)
     if size > budget:
         raise BudgetExceededError(
-            f"source {spec.family} of {size} vertices plus edges exceeds budget {budget}")
-    p = dict(spec.params)
-    if spec.family == "complete-bipartite":
-        return gen_complete_bipartite(p["a"], p["b"])
-    if spec.family == "cycle":
-        return gen_even_cycle(p["length"])
-    if spec.family == "hypercube":
-        return gen_hypercube(p["dim"])
-    if spec.family == "random-regular":
-        if spec.seed is None:
-            raise GraphFormatError("family 'random-regular' requires a seed")
-        return gen_random_regular_bipartite(p["degree"], p["half"], spec.seed)
-    if spec.family == "union":
-        return gen_union([build_instance(part, base_dir, budget) for part in p["parts"]])
-    return parse_bipartite(read_doc(p["path"], base_dir))
+            f"source {family} of {size} vertices plus edges exceeds budget {budget}")
+    if needs_seed(spec):
+        raise GraphFormatError(f"family {family!r} requires a seed")
+    row = GENERATED_FAMILIES.get(family)
+    if row:
+        seed = (spec["seed"],) if row.seeded else ()
+        return row.generate(*(spec[k] for k in row.params), *seed)
+    if family == "union":
+        return gen_union([build_instance(part, base_dir, budget) for part in spec["parts"]])
+    return parse_bipartite(read_doc(spec["path"], base_dir), budget)

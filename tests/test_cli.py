@@ -1,3 +1,4 @@
+import itertools
 import json
 import resource
 import subprocess
@@ -6,7 +7,9 @@ import sys
 import pytest
 
 import homcert
+from homcert.certify import DEFAULT_SEED
 from homcert.cli import SUBCOMMAND_OPERATIONS, _fixture_path, build_parser, main
+from homcert.graphs import GENERATED_FAMILIES, build_instance, serialize_bipartite
 
 FIX = _fixture_path("hind.json").parent
 
@@ -115,6 +118,26 @@ def test_generate_canonicalizes_files(capsys, tmp_path):
     code, out = run_cli(capsys, "generate", "--family", "file", "--path", messy)
     assert code == 0
     assert json.loads(out)["edges"] == [[0, 1], [2, 3]]
+
+
+@pytest.mark.parametrize("family", GENERATED_FAMILIES)
+def test_every_generated_family_builds_from_flags(capsys, family):
+    # the first parameter values in 0..6 that meet the row's condition, and
+    # the first that break it, passed as the flags the table gives the CLI
+    row = GENERATED_FAMILIES[family]
+    grid = itertools.product(range(7), repeat=len(row.params))
+    good = next(v for v in grid if row.valid(*v))
+    bad = next(v for v in itertools.product(range(7), repeat=len(row.params)) if not row.valid(*v))
+    flags = lambda values: [f for k, v in zip(row.params, values) for f in (f"--{k}", v)]
+    code, out = run_cli(capsys, "generate", "--family", family, *flags(good))
+    assert code == 0
+    spec = {"family": family, **dict(zip(row.params, good))}
+    if row.seeded:
+        spec["seed"] = DEFAULT_SEED
+    assert json.loads(out) == serialize_bipartite(build_instance(spec))
+    code, out = run_cli(capsys, "generate", "--family", family, *flags(bad))
+    assert code == 2
+    assert json.loads(out)["error"]["code"] == "input-error"
 
 
 def test_certify_single_check(capsys):
@@ -243,6 +266,62 @@ def test_oversized_source_families_are_refused_before_building(tmp_path):
         error = json.loads(proc.stdout)["error"]
         assert error["code"] == "budget-exceeded"
         assert words in error["message"]
+
+
+def test_graph_documents_are_charged_before_building(tmp_path):
+    # 3e9 declared vertices in a 50-byte file; under the address-space limit
+    # allocating them before the budget check ends in MemoryError
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps({"vertices": 3000000000, "edges": [], "loops": []}))
+    limit = lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+    cycle = tmp_path / "c4.json"
+    cycle.write_text(json.dumps({"family": "cycle", "length": 4}))
+    for argv in (("count", "-g", str(cycle), "-H", str(big)), ("eta", "-H", str(big))):
+        proc = subprocess.run([sys.executable, "-m", "homcert", *argv], capture_output=True,
+                              timeout=60, preexec_fn=limit)
+        assert proc.returncode == 1
+        error = json.loads(proc.stdout)["error"]
+        assert error["code"] == "budget-exceeded"
+        assert "3000000000 vertices" in error["message"]
+
+
+def test_campaign_charges_every_trial_before_building(tmp_path):
+    # 1e8 trials of a 3-unit random family: building them one by one runs
+    # until memory is gone, so the timeout makes a missing charge fail fast
+    config = tmp_path / "camp.json"
+    config.write_text(json.dumps({
+        "trials": 100000000,
+        "families": [{"family": "random-regular", "degree": 1, "half": 1}],
+        "propositions": ["double-identity"],
+    }))
+    limit = lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+    proc = subprocess.run([sys.executable, "-m", "homcert", "certify", "--config", str(config)],
+                          capture_output=True, timeout=20, preexec_fn=limit)
+    assert proc.returncode == 1
+    error = json.loads(proc.stdout)["error"]
+    assert error["code"] == "budget-exceeded"
+    assert "300000000 vertices plus edges" in error["message"]
+
+
+def test_exact_answers_print_at_any_length(capsys, tmp_path):
+    # 2^20000 + 2 has 6,021 digits, past the interpreter's default
+    # int-to-str limit of 4,300
+    cycle = tmp_path / "c20000.json"
+    cycle.write_text(json.dumps({"family": "cycle", "length": 20000}))
+    code, out = run_cli(capsys, "count", "-g", cycle, "-H", FIX / "k3.json")
+    assert code == 0
+    assert json.loads(out) == {"count": str(2**20000 + 2)}
+    config = tmp_path / "camp.json"
+    config.write_text(json.dumps({
+        "families": [{"family": "cycle", "length": 20000}],
+        "grids": {"targets": ["k3"]},
+        "propositions": ["hom-ub"],
+    }))
+    code, out = run_cli(capsys, "certify", "--config", config)
+    assert code == 0
+    report = json.loads(out)
+    assert report["verdict"] == "holds"
+    assert str(2**20000 + 2) in out
 
 
 def test_negative_budget_flag_is_input_error(capsys):

@@ -255,7 +255,7 @@ def test_instance_describe_includes_seed_and_parts():
     spec = parse_instance_spec(
         {"family": "union", "parts": [{"family": "cycle", "length": 4}], "seed": 7}
     )
-    assert spec.describe() == {
+    assert spec == {
         "family": "union",
         "parts": [{"family": "cycle", "length": 4}],
         "seed": 7,
