@@ -19,7 +19,7 @@ from pathlib import Path
 from . import closedform
 from .constructions import blowup, double
 from .errors import BudgetExceededError, GraphFormatError
-from .eta import eta_two_sided, eta_unweighted
+from .eta import EtaWitness, eta_two_sided, eta_unweighted
 from .graphs import (
     BipartiteGraph,
     Graph,
@@ -41,6 +41,7 @@ from .homcount import (
     count_homs_restricted,
     parse_activities,
     partition_fn,
+    partition_grid,
 )
 
 DEFAULT_SEED = 2004
@@ -137,8 +138,33 @@ class CertReport:
 
 # The propositions.  A row gives the hypothesis on g (it returns the extra
 # instance fields or raises GraphFormatError), whether activities apply, and
-# the evaluation (it returns the bounds and the report details).  Evaluations
-# look the layer functions up at call time, never through the table.
+# the evaluation (it returns the bounds and the report details).  An
+# evaluation asks its quantities object for every number it needs, in its
+# own order, so the first refused quantity is the one its report names.
+
+
+class _Quantities:
+    """One report's inputs and the numbers its evaluation asks for, each
+    computed by a direct call to the layer that owns it.  Calls look the layer
+    functions up at call time, never through a table."""
+
+    def __init__(self, g: BipartiteGraph, h: Graph, acts: ActivitySystem | None, budget: int):
+        self.g, self.h, self.acts, self.budget = g, h, acts, budget
+
+    def count(self) -> int:
+        return count_homs(self.g.graph, self.h, self.budget)
+
+    def z(self) -> Fraction:
+        return partition_fn(self.g, self.h, self.acts, self.budget)
+
+    def kab(self, a: int, b: int) -> Fraction:
+        return closedform.kab_partition(a, b, self.h, self.acts, self.budget)
+
+    def knn_count(self, n: int) -> int:
+        return closedform.knn_restricted_count(n, double(self.h), self.budget)
+
+    def eta(self) -> EtaWitness:
+        return eta_two_sided(self.h, self.acts, self.budget)
 
 
 def _regular(g: BipartiteGraph) -> dict:
@@ -155,27 +181,27 @@ def _biregular(g: BipartiteGraph) -> dict:
     return {"a": degrees[0], "b": degrees[1]}
 
 
-def _hom_ub(g, h, acts, budget, n):
-    lhs = count_homs(g.graph, h, budget)
-    rhs = closedform.knn_restricted_count(n, double(h), budget)
+def _hom_ub(q, n):
+    lhs = q.count()
+    rhs = q.knn_count(n)
     bound = BoundCheck("upper", "<=", "count(g,h)^(2n)", "count(Knn,h)^N",
-                       Fraction(lhs ** (2 * n)), Fraction(rhs**g.vertex_count))
+                       Fraction(lhs ** (2 * n)), Fraction(rhs**q.g.vertex_count))
     return [bound], {"count_g": str(lhs), "count_knn": str(rhs)}
 
 
-def _weighted_ub(g, h, acts, budget, n):
-    z_g = partition_fn(g, h, acts, budget)
-    z_knn = closedform.knn_partition(n, h, acts, budget)
+def _weighted_ub(q, n):
+    z_g = q.z()
+    z_knn = q.kab(n, n)
     bound = BoundCheck("upper", "<=", "Z(g)^(2n)", "Z(Knn)^N",
-                       z_g ** (2 * n), z_knn**g.vertex_count)
+                       z_g ** (2 * n), z_knn**q.g.vertex_count)
     return [bound], {"Z_g": str(z_g), "Z_knn": str(z_knn)}
 
 
-def _bireg_ub(g, h, acts, budget, a, b):
-    z_g = partition_fn(g, h, acts, budget)
-    z_kab = closedform.kab_partition(b, a, h, acts, budget)
+def _bireg_ub(q, a, b):
+    z_g = q.z()
+    z_kab = q.kab(b, a)
     bound = BoundCheck("upper", "<=", "Z(g)^(a+b)", "Z(Kab)^N",
-                       z_g ** (a + b), z_kab**g.vertex_count)
+                       z_g ** (a + b), z_kab**q.g.vertex_count)
     return [bound], {"Z_g": str(z_g), "Z_kab": str(z_kab)}
 
 
@@ -192,22 +218,23 @@ def _sandwich_bounds(z: Fraction, eta: Fraction, n: int, big_n: int, m: int) -> 
     ]
 
 
-def _eta_sandwich(g, h, acts, budget, n):
-    witness = eta_two_sided(h, acts, budget)
-    z_g = partition_fn(g, h, acts, budget)
+def _eta_sandwich(q, n):
+    witness = q.eta()
+    z_g = q.z()
     details = {
         "eta": str(witness.value),
         "eta_A": list(witness.set_a),
         "eta_B": list(witness.set_b),
         "Z_g": str(z_g),
     }
-    return _sandwich_bounds(z_g, witness.value, n, g.vertex_count, h.vertex_count), details
+    return _sandwich_bounds(z_g, witness.value, n, q.g.vertex_count, q.h.vertex_count), details
 
 
-def _lift_identity(g, h, acts, budget):
-    target, meta = blowup(h, acts, budget)
-    z_g = partition_fn(g, h, acts, budget)
-    lifted = count_homs_restricted(g, target, budget)
+def _lift_identity(q):
+    g = q.g
+    target, meta = blowup(q.h, q.acts, q.budget)
+    z_g = q.z()
+    lifted = count_homs_restricted(g, target, q.budget)
     bound = BoundCheck("identity", "==", "Z(g)*C^N", "restricted-count(blowup)",
                        z_g * meta.scale**g.vertex_count, Fraction(lifted))
     details = {
@@ -219,9 +246,9 @@ def _lift_identity(g, h, acts, budget):
     return [bound], details
 
 
-def _double_identity(g, h, acts, budget):
-    plain = count_homs(g.graph, h, budget)
-    restricted = count_homs_restricted(g, double(h), budget)
+def _double_identity(q):
+    plain = q.count()
+    restricted = count_homs_restricted(q.g, double(q.h), q.budget)
     bound = BoundCheck("identity", "==", "count(g,h)", "restricted-count(double)",
                        Fraction(plain), Fraction(restricted))
     return [bound], {"count": str(plain), "restricted_count": str(restricted)}
@@ -252,15 +279,22 @@ def _judge(check, instance, evaluate, expected=False) -> CertReport:
                       expected_violation=expected, details=details)
 
 
-def _certify(pid, g, h, acts, budget, instance_info) -> CertReport:
-    hypothesis, weighted, evaluate = _PROPOSITIONS[pid]
-    fields = hypothesis(g)
-    inst = {"g": serialize_bipartite(g), "h": serialize_graph(h), "N": g.vertex_count}
+def _report(pid, q, g_doc, h_doc, acts_doc, instance_info, fields) -> CertReport:
+    """Describe the instance and judge proposition ``pid`` on ``q``."""
+    _, weighted, evaluate = _PROPOSITIONS[pid]
+    inst = {"g": g_doc, "h": h_doc, "N": q.g.vertex_count}
     if weighted:
-        inst["activities"] = acts.describe()
+        inst["activities"] = acts_doc
     inst.update(instance_info or {})
     inst.update(fields)
-    return _judge(pid, inst, lambda: evaluate(g, h, acts, budget, **fields))
+    return _judge(pid, inst, lambda: evaluate(q, **fields))
+
+
+def _certify(pid, g, h, acts, budget, instance_info) -> CertReport:
+    fields = _PROPOSITIONS[pid][0](g)
+    acts_doc = acts.describe() if _PROPOSITIONS[pid][1] else None
+    return _report(pid, _Quantities(g, h, acts, budget), serialize_bipartite(g),
+                   serialize_graph(h), acts_doc, instance_info, fields)
 
 
 def certify_hom_ub(g: BipartiteGraph, h: Graph, budget: int = DEFAULT_BUDGET,
@@ -474,11 +508,11 @@ def load_campaign(source, base_dir=None) -> tuple[dict, Path | None]:
     return config, base_dir
 
 
-def _expand_instances(families, master_seed, trials, base_dir, budget):
-    """Instances in family order; random families draw `trials` samples with
-    seeds master_seed + running index (the recorded splitting rule).  The
-    vertices plus edges of all of them are charged to the budget before the
-    first is built."""
+def _instance_specs(families, master_seed, trials, budget) -> list[tuple[dict, dict]]:
+    """(description, buildable spec) of each instance in family order; random
+    families draw `trials` samples with seeds master_seed + running index
+    (the recorded splitting rule).  The vertices plus edges of all of them
+    are charged to the budget before any is built."""
     specs = [parse_instance_spec(doc) for doc in families]
     total = sum(instance_size(spec, budget) * (trials if needs_seed(spec) else 1)
                 for spec in specs)
@@ -489,13 +523,12 @@ def _expand_instances(families, master_seed, trials, base_dir, budget):
     counter = 0
     for spec in specs:
         if not needs_seed(spec):
-            out.append((spec, build_instance(spec, base_dir, budget)))
+            out.append((spec, spec))
             continue
         for _ in range(trials):
             seeded = {**spec, "seed": master_seed + counter}
             counter += 1
-            out.append(({**seeded, "seed_rule": _SEED_RULE},
-                        build_instance(seeded, base_dir, budget)))
+            out.append(({**seeded, "seed_rule": _SEED_RULE}, seeded))
     return out
 
 
@@ -509,48 +542,164 @@ _CERTIFIERS = {
 }
 
 
-def run_campaign(config, base_dir=None) -> list[CertReport]:
-    """Deterministic sweep over (proposition, instance, target, activities).
+class _Campaign:
+    """The sources, targets and activity systems of one campaign, each
+    resolved once, and every number its reports share, each computed once on
+    first use: Z per (source, target) in one partition_grid call over every
+    system the campaign asks of the pair (the plain count is Z of the unit
+    system), the closed forms per (sizes, target, system) and eta per
+    (target, system).  Each computation charges its own meter up to the
+    campaign budget, as a direct call would; a refusal is kept and raised
+    again at every use.
 
-    The whole config is resolved before the first check runs; reports come
-    in plan order.
+    A job is (proposition, trial, source, target, system): indices into
+    ``sources``, ``targets`` and the target's ``systems``, whose system is
+    the unit one for an unweighted proposition; then the hypothesis fields.
     """
-    config, base_dir = load_campaign(config, base_dir)
-    budget = config.get("budget", DEFAULT_BUDGET)
-    # every report carries its source and target, so even a campaign whose
-    # budget skips every check builds the instances the default budget admits
-    build_budget = max(budget, DEFAULT_BUDGET)
-    plans = _parse_propositions(config["propositions"])
-    jobs = []
-    for plan in plans:
+
+    def __init__(self, config: dict, base_dir, budget: int):
+        self.config, self.base_dir, self.budget = config, base_dir, budget
+        # every report carries its source and target, so even a campaign whose
+        # budget skips every check builds the instances the default budget admits
+        self.build_budget = max(budget, DEFAULT_BUDGET)
+        self.sources: list[tuple[dict, BipartiteGraph]] = []
+        self.targets: list[tuple[object, Graph]] = []
+        self.systems: list[list[ActivitySystem]] = []
+        self.grids: dict[tuple[int, int], dict] = {}  # (source, target) -> system indices
+        self._index: dict = {}
+        self._values: dict = {}
+
+    def _resolve(self, key, table: list, resolve) -> int:
+        """Index of ``key`` in ``table``, appending resolve() on first sight."""
+        if key not in self._index:
+            self._index[key] = len(table)
+            table.append(resolve())
+        return self._index[key]
+
+    def _instances(self, families) -> list[int]:
+        key = ("families", repr(families))
+        if key not in self._index:
+            config = self.config
+            specs = _instance_specs(families, config["seed"], config["trials"], self.build_budget)
+            self._index[key] = [
+                self._resolve(("source", repr(desc)), self.sources,
+                              lambda: (desc, build_instance(spec, self.base_dir, self.build_budget)))
+                for desc, spec in specs
+            ]
+        return self._index[key]
+
+    def _target(self, entry) -> int:
+        def resolve():
+            self.systems.append([])
+            return entry, resolve_target(entry, self.base_dir, self.build_budget)
+
+        return self._resolve(("target", repr(entry)), self.targets, resolve)
+
+    def jobs(self, plan: PropositionPlan) -> list[tuple]:
+        """The plan's jobs in report order: instances that meet the
+        hypothesis, then targets, then activity systems."""
         if plan.id == "nonbipartite-lower-bound-failure":
-            jobs.append(lambda budget=budget: sandwich_nonbipartite_demo(budget))
-            continue
+            return [(plan.id,)]
         hypothesis, weighted, _ = _PROPOSITIONS[plan.id]
-        families = plan.families if plan.families is not None else config["families"]
+        config = self.config
         instances = []
-        for g_desc, g in _expand_instances(families, config["seed"], config["trials"], base_dir,
-                                           build_budget):
+        for i in self._instances(plan.families if plan.families is not None
+                                 else config["families"]):
             try:
-                hypothesis(g)
+                instances.append((i, hypothesis(self.sources[i][1])))
             except GraphFormatError:
                 continue
-            instances.append((g_desc, g))
-        target_entries = plan.targets if plan.targets is not None else config["grids"]["targets"]
-        targets = [(e, resolve_target(e, base_dir, build_budget)) for e in target_entries]
+        targets = [self._target(e) for e in (
+            plan.targets if plan.targets is not None else config["grids"]["targets"])]
         act_entries = (
             plan.activities if plan.activities is not None else config["grids"]["activities"]
         ) if weighted else [None]
-        certifier = _CERTIFIERS[plan.id]
-        for trial, (g_desc, g) in enumerate(instances):
-            for t_entry, h in targets:
-                for a_entry in act_entries:
-                    acts = resolve_activities(a_entry, h.vertex_count)
-                    info = {"g_spec": g_desc, "h_spec": t_entry, "trial": trial}
-                    jobs.append(
-                        lambda c=certifier, g=g, h=h, a=acts, i=info: c(g, h, a, budget, i)
-                    )
-    return [job() for job in jobs]
+        jobs = []
+        for trial, (i, fields) in enumerate(instances):
+            for t in targets:
+                for entry in act_entries:
+                    k = self._resolve(("system", t, repr(entry)), self.systems[t], lambda: (
+                        resolve_activities(entry, self.targets[t][1].vertex_count)))
+                    self.grids.setdefault((i, t), {})[k] = None
+                    jobs.append((plan.id, trial, i, t, k, fields))
+        return jobs
+
+    def once(self, key, compute):
+        """compute() on the first call with ``key``; later calls return its
+        value or raise its budget refusal again."""
+        if key not in self._values:
+            try:
+                self._values[key] = compute()
+            except BudgetExceededError as exc:
+                self._values[key] = exc
+        value = self._values[key]
+        if isinstance(value, BudgetExceededError):
+            raise value.with_traceback(None)
+        return value
+
+    def z_grid(self, i: int, t: int) -> dict:
+        """{system index: Z} for every system asked of (source i, target t)."""
+        def compute():
+            grid = list(self.grids[i, t])
+            systems = [self.systems[t][k] for k in grid]
+            return dict(zip(grid, partition_grid(self.sources[i][1], self.targets[t][1],
+                                                 systems, self.budget)))
+
+        return self.once(("z", i, t), compute)
+
+    def report(self, job: tuple) -> CertReport:
+        pid = job[0]
+        if pid == "nonbipartite-lower-bound-failure":
+            return sandwich_nonbipartite_demo(self.budget)
+        _, trial, i, t, k, fields = job
+        q = _CampaignQuantities(self, i, t, k)
+        g_doc = self.once(("g_doc", i), lambda: serialize_bipartite(q.g))
+        h_doc = self.once(("h_doc", t), lambda: serialize_graph(q.h))
+        acts_doc = self.once(("acts_doc", t, k), q.acts.describe)
+        info = {"g_spec": self.sources[i][0], "h_spec": self.targets[t][0], "trial": trial}
+        return _report(pid, q, g_doc, h_doc, acts_doc, info, fields)
+
+
+class _CampaignQuantities(_Quantities):
+    """The quantities of a campaign job on (source i, target t, system k),
+    looked up in the campaign's table."""
+
+    def __init__(self, campaign: _Campaign, i: int, t: int, k: int):
+        super().__init__(campaign.sources[i][1], campaign.targets[t][1],
+                         campaign.systems[t][k], campaign.budget)
+        self.campaign, self.i, self.t, self.k = campaign, i, t, k
+
+    def count(self) -> int:
+        # only unweighted propositions ask for the count; their system is the unit one
+        return self.z().numerator
+
+    def z(self) -> Fraction:
+        return self.campaign.z_grid(self.i, self.t)[self.k]
+
+    def kab(self, a: int, b: int) -> Fraction:
+        return self.campaign.once(("kab", a, b, self.t, self.k),
+                                  lambda: _Quantities.kab(self, a, b))
+
+    def knn_count(self, n: int) -> int:
+        return self.campaign.once(("knn", n, self.t), lambda: _Quantities.knn_count(self, n))
+
+    def eta(self) -> EtaWitness:
+        return self.campaign.once(("eta", self.t, self.k), super().eta)
+
+
+def run_campaign(config, base_dir=None) -> list[CertReport]:
+    """Deterministic sweep over (proposition, instance, target, activities).
+
+    The whole config is resolved before the first check runs, each distinct
+    families list, source, target and (target, activity entry) once; each
+    check is a job of indices into them.  Reports come in plan order and are
+    the ones the public certify_* functions give one at a time.
+    """
+    config, base_dir = load_campaign(config, base_dir)
+    campaign = _Campaign(config, base_dir, config.get("budget", DEFAULT_BUDGET))
+    jobs = [job for plan in _parse_propositions(config["propositions"])
+            for job in campaign.jobs(plan)]
+    return [campaign.report(job) for job in jobs]
 
 
 def campaign_exit_code(reports, strict: bool = False) -> int:

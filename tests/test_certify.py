@@ -1,4 +1,6 @@
 import json
+import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -7,6 +9,7 @@ from homcert import (
     ActivitySystem,
     BudgetExceededError,
     CertReport,
+    build_instance,
     GraphFormatError,
     campaign_exit_code,
     certify_bireg,
@@ -28,6 +31,7 @@ from homcert import (
     run_campaign,
     sandwich_nonbipartite_demo,
 )
+from homcert import certify as certify_mod, homcount
 from homcert.certify import HOLDS, SKIPPED_BUDGET, VACUOUS, VIOLATED, resolve_activities, resolve_target
 from homcert.cli import _fixture_path
 from homcert.graphs import Graph
@@ -337,6 +341,118 @@ def test_campaign_skips_inapplicable_instances():
     reports = run_campaign(config)
     # K_{1,2} is biregular but not regular: only bireg-ub reports appear
     assert reports and all(r.check == "bireg-ub" for r in reports)
+
+
+# the acceptance cubic campaign's grid: nine systems that differ at target vertex 0
+_VERTEX0_GRID = [{"vertex": {"0": {"lambda": lam, "mu": mu}}}
+                 for lam in ("1/3", "1/2", "2") for mu in ("1/3", "1/2", "2")]
+
+
+def _cubic_config(halves, trials, budget, propositions):
+    return {
+        "seed": 77001,
+        "trials": trials,
+        "budget": budget,
+        "families": [{"family": "random-regular", "degree": 3, "half": h} for h in halves],
+        "grids": {"targets": ["hind", "k3"], "activities": _VERTEX0_GRID},
+        "propositions": propositions,
+    }
+
+
+_ONE_AT_A_TIME = {
+    "weighted-ub": certify_weighted_ub,
+    "eta-sandwich": certify_sandwich,
+    "bireg-ub": certify_bireg,
+    "lift-identity": certify_lift_identity,
+}
+
+
+def _reports_one_at_a_time(config):
+    """The reports of a campaign of random cubic sources (every one meets
+    every hypothesis), one public certify_* call each."""
+    sources = []
+    for family in config["families"]:
+        for _ in range(config["trials"]):
+            seeded = {**family, "seed": config["seed"] + len(sources)}
+            sources.append(({**seeded, "seed_rule": "master_seed+index"}, build_instance(seeded)))
+    targets = [(entry, resolve_target(entry)) for entry in config["grids"]["targets"]]
+    return [
+        _ONE_AT_A_TIME[pid](g, h, resolve_activities(entry, h.vertex_count), config["budget"],
+                            {"g_spec": desc, "h_spec": t_entry, "trial": trial})
+        for pid in config["propositions"]
+        for trial, (desc, g) in enumerate(sources)
+        for t_entry, h in targets
+        for entry in config["grids"]["activities"]
+    ]
+
+
+def _counted_campaign(monkeypatch, config):
+    """run_campaign(config), counting the weighted kernel walks per (source
+    graph, target masks) and the source builds per spec."""
+    walks, builds = Counter(), Counter()
+    kernel, build = homcount._hom_sum, certify_mod.build_instance
+
+    def counting_kernel(g, base_of, h_masks, rows_of, budget):
+        if rows_of is not None:
+            walks[id(g), tuple(h_masks)] += 1
+        return kernel(g, base_of, h_masks, rows_of, budget)
+
+    def counting_build(spec, *args):
+        builds[repr(spec)] += 1
+        return build(spec, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(homcount, "_hom_sum", counting_kernel)
+        patch.setattr(certify_mod, "build_instance", counting_build)
+        reports = run_campaign(config)
+    return reports, walks, builds
+
+
+@pytest.mark.parametrize("budget, verdicts", [
+    (50_000_000, {HOLDS}), (400, {HOLDS, SKIPPED_BUDGET}), (3, {SKIPPED_BUDGET})])
+def test_campaign_equals_one_report_at_a_time(monkeypatch, budget, verdicts):
+    config = _cubic_config((4, 5), 2, budget,
+                           ["weighted-ub", "eta-sandwich", "bireg-ub", "lift-identity"])
+    reports, walks, builds = _counted_campaign(monkeypatch, config)
+    assert [r.to_json_line() for r in reports] == [
+        r.to_json_line() for r in _reports_one_at_a_time(config)]
+    assert len(reports) == 4 * 4 * 2 * 9
+    assert {r.verdict for r in reports} == verdicts
+    # every system of the grid is weighted, so these walks are the Z walks
+    # (the lift identity's restricted counts are unweighted): at most one
+    # per (source, target)
+    assert len(walks) <= 4 * 2 and set(walks.values()) <= {1}
+    # each source built once per campaign, not once per proposition
+    assert len(builds) == 4 and set(builds.values()) == {1}
+
+
+def test_cubic_campaign_makes_one_z_walk_per_source_and_target(monkeypatch):
+    config = _cubic_config((4, 5, 6, 7, 8), 20, 50_000_000,
+                           ["weighted-ub", "eta-sandwich", "nonbipartite-lower-bound-failure"])
+    reports, walks, builds = _counted_campaign(monkeypatch, config)
+    assert len(reports) == 3601
+    # 100 sources x 2 targets, one packed walk each, where one walk per
+    # report took 3,600
+    assert len(walks) == 200 and set(walks.values()) == {1}
+    assert len(builds) == 100 and set(builds.values()) == {1}
+
+
+def test_campaign_on_a_long_cycle_with_a_vertex0_grid():
+    # a grid a campaign would pack, on a source too large to pack
+    systems = [{"vertex": {"0": {"lambda": lam}}} for lam in ("1/2", "2")]
+    config = {"seed": 1, "trials": 1, "families": [{"family": "cycle", "length": 1000}],
+              "grids": {"targets": ["k3"], "activities": systems},
+              "propositions": ["hom-ub", "weighted-ub"]}
+    start = time.perf_counter()
+    reports = run_campaign(config)
+    assert time.perf_counter() - start < 10
+    g, k3 = gen_even_cycle(1000), resolve_target("k3")
+    info = {"g_spec": {"family": "cycle", "length": 1000}, "h_spec": "k3", "trial": 0}
+    expected = [certify_hom_ub(g, k3, instance_info=info)] + [
+        certify_weighted_ub(g, k3, resolve_activities(entry, 3), instance_info=info)
+        for entry in systems]
+    assert [r.to_json_line() for r in reports] == [r.to_json_line() for r in expected]
+    assert {r.verdict for r in reports} == {HOLDS}
 
 
 def test_exit_code_on_synthetic_reports():

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,7 @@ from homcert import (
     partition_fn,
     two_sorted,
 )
+from homcert.homcount import partition_grid
 from helpers import (
     hom_count_by_enumeration,
     independent_set_count_by_bitmask,
@@ -252,6 +254,148 @@ def test_monotone_in_target():
             set(h.loops) | ({u} if u == v else set()),
         )
         assert count_homs(g, grown) >= base
+
+
+# --- partition_grid ----------------------------------------------------------
+
+
+def _grid_source(rng):
+    """A bipartite graph on up to 10 vertices, possibly empty, edgeless or
+    disconnected."""
+    a, b = rng.randint(0, 5), rng.randint(0, 5)
+    p = rng.choice([0.0, 0.3, 0.6, 1.0])
+    edges = [(i, a + j) for i in range(a) for j in range(b) if rng.random() < p]
+    return BipartiteGraph(Graph(a + b, edges), range(a))
+
+
+def _rational(rng):
+    return Fraction(rng.randint(1, 5), rng.randint(1, 4))
+
+
+def _grid_systems(rng, m):
+    """1-5 systems that agree off some vertices; the shape decides which of
+    partition_grid's routes they take."""
+    shape = rng.choice(["one-vertex", "two-vertex", "uniform", "mixed"])
+    if shape == "uniform":
+        return [ActivitySystem.uniform(m, _rational(rng), _rational(rng))
+                for _ in range(rng.randint(1, 5))] + [ActivitySystem.unit(m)]
+    common = random_activities(rng, m, max_num=5, max_den=4)
+    vary = rng.sample(range(m), 2 if shape == "two-vertex" and m > 1 else 1)
+    systems = []
+    for _ in range(rng.randint(1, 5)):
+        lams, mus = list(common.lambdas), list(common.mus)
+        for v in vary:
+            lams[v], mus[v] = _rational(rng), _rational(rng)
+        systems.append(ActivitySystem(tuple(lams), tuple(mus)))
+    if shape == "mixed":
+        systems += [ActivitySystem.unit(m), ActivitySystem.uniform(m, _rational(rng))]
+    return systems + rng.sample(systems, rng.randint(0, len(systems)))  # repeats too
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32))
+def test_partition_grid_matches_partition_fn(seed):
+    rng = random.Random(seed)
+    g = _grid_source(rng)
+    h = random_graph(rng, max_vertices=5, p=rng.choice([0.3, 0.6]), loop_p=0.4)
+    if h.vertex_count == 0:
+        h = LOOP
+    systems = _grid_systems(rng, h.vertex_count)
+    assert partition_grid(g, h, systems) == [partition_fn(g, h, acts) for acts in systems]
+
+
+def _least_budget(g, h, acts):
+    """The least budget at which partition_fn answers, by bisection."""
+    low, high = -1, 1
+    while True:
+        try:
+            partition_fn(g, h, acts, budget=high)
+            break
+        except BudgetExceededError:
+            low, high = high, 2 * high
+    while high - low > 1:
+        mid = (low + high) // 2
+        try:
+            partition_fn(g, h, acts, budget=mid)
+            high = mid
+        except BudgetExceededError:
+            low = mid
+    return high
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32))
+def test_partition_grid_refuses_exactly_when_partition_fn_does(seed):
+    rng = random.Random(seed)
+    g = _grid_source(rng)
+    h = random_graph(rng, max_vertices=5, p=0.5, loop_p=0.4)
+    if h.vertex_count == 0:
+        h = LOOP
+    systems = _grid_systems(rng, h.vertex_count)
+    least = _least_budget(g, h, systems[0])
+    for budget in {0, least - 1, least}:
+        if budget < 0:
+            continue
+        refused = []
+        for acts in systems:
+            try:
+                partition_fn(g, h, acts, budget)
+                refused.append(False)
+            except BudgetExceededError:
+                refused.append(True)
+        assert refused == [budget < least] * len(systems)
+        if budget < least:
+            with pytest.raises(BudgetExceededError):
+                partition_grid(g, h, systems, budget)
+        else:
+            assert partition_grid(g, h, systems, budget) == [
+                partition_fn(g, h, acts) for acts in systems]
+
+
+def test_partition_grid_packs_one_vertex_grids_into_one_walk(monkeypatch):
+    from homcert import homcount
+
+    walks = []
+    kernel = homcount._hom_sum
+    monkeypatch.setattr(homcount, "_hom_sum", lambda *args: walks.append(args[3]) or kernel(*args))
+    g = gen_union([gen_even_cycle(6), gen_complete_bipartite(2, 3)])
+    k3 = complete_graph(3)
+    grid = [ActivitySystem.from_mapping(3, {0: (lam, mu), 2: ("3/2", "1/5")})
+            for lam in ("1/3", "2") for mu in ("1/2", "7")]
+    assert partition_grid(g, k3, grid) == [partition_fn(g, k3, acts) for acts in grid]
+    uniform = [ActivitySystem.unit(3), ActivitySystem.uniform(3, "1/2"),
+               ActivitySystem.uniform(3, "3/2", "1")]
+    walks.clear()
+    assert partition_grid(g, k3, grid + uniform) == [
+        partition_fn(g, k3, acts) for acts in grid + uniform]
+    # one plain count walk for the uniform systems, one packed walk for the rest;
+    # then one walk per partition_fn call
+    assert [rows is None for rows in walks[:2]] == [True, False]
+    assert len(walks) == 2 + len(grid) + len(uniform)
+
+
+def test_partition_grid_walks_a_long_cycle_once_per_system(monkeypatch):
+    # packed, C1000's weights would be about 1585 * 501 * 501 bits wide
+    from homcert import homcount
+
+    walks = []
+    kernel = homcount._hom_sum
+    monkeypatch.setattr(homcount, "_hom_sum", lambda *args: walks.append(args[3]) or kernel(*args))
+    k3 = complete_graph(3)
+    grid = [ActivitySystem.from_mapping(3, {0: (lam, "1")}) for lam in ("1/2", "2")]
+    for length in (64, 1000):
+        g = gen_even_cycle(length)
+        walks.clear()
+        start = time.perf_counter()
+        values = partition_grid(g, k3, grid)
+        assert time.perf_counter() - start < 5
+        assert len(walks) == 2 and None not in walks
+        assert values == [partition_fn(g, k3, acts) for acts in grid]
+
+
+def test_partition_grid_rejects_a_system_of_the_wrong_size():
+    with pytest.raises(GraphFormatError):
+        partition_grid(gen_even_cycle(4), HIND, [ActivitySystem.unit(2), ActivitySystem.unit(3)])
 
 
 # --- independent sets ----------------------------------------------------------
