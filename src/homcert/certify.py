@@ -13,8 +13,10 @@ import json
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from math import comb
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import closedform
 from .constructions import blowup, double
@@ -40,7 +42,6 @@ from .homcount import (
     count_homs,
     count_homs_restricted,
     parse_activities,
-    partition_fn,
     partition_grid,
 )
 
@@ -51,15 +52,8 @@ VIOLATED = "violated"
 VACUOUS = "vacuous"
 SKIPPED_BUDGET = "skipped-budget"
 
-PROPOSITION_IDS = (
-    "hom-ub",
-    "weighted-ub",
-    "eta-sandwich",
-    "bireg-ub",
-    "lift-identity",
-    "double-identity",
-    "nonbipartite-lower-bound-failure",
-)
+# the one check that is not a _PROPOSITIONS row: it has no instance to take
+_DEMO = "nonbipartite-lower-bound-failure"
 
 _SEED_RULE = "master_seed+index"
 
@@ -136,132 +130,75 @@ class CertReport:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
 
-# The propositions.  A row gives the hypothesis on g (it returns the extra
-# instance fields or raises GraphFormatError), whether activities apply, and
-# the evaluation (it returns the bounds and the report details).  An
-# evaluation asks its quantities object for every number it needs, in its
-# own order, so the first refused quantity is the one its report names.
-
-
 class _Quantities:
-    """One report's inputs and the numbers its evaluation asks for, each
-    computed by a direct call to the layer that owns it.  Calls look the layer
-    functions up at call time, never through a table."""
+    """The numbers that the reports of one run ask for, each computed once on
+    first use: Z per (source, target) in one partition_grid call over every
+    system the run's jobs ask of the pair (the plain count is Z of the unit
+    system), the closed forms per (sizes, target, system), eta per (target,
+    system), and the serialized source, target and system of each report.
+    Each computation charges its own meter up to the run's budget, as a
+    direct call would; a refusal is kept and raised again at every use.
 
-    def __init__(self, g: BipartiteGraph, h: Graph, acts: ActivitySystem | None, budget: int):
-        self.g, self.h, self.acts, self.budget = g, h, acts, budget
+    A job is (proposition id, source, target, system, hypothesis fields,
+    instance info), the objects themselves; an unweighted proposition's
+    system is the unit one.  Memo keys use the objects' id(), so the jobs
+    keep every object alive for the run.
+    """
 
-    def count(self) -> int:
-        return count_homs(self.g.graph, self.h, self.budget)
+    def __init__(self, jobs, budget: int):
+        self.budget = budget
+        self._values: dict = {}
+        self._grids: dict = {}  # (id(g), id(h)) -> {id(acts): acts}, in job order
+        for _, g, h, acts, _, _ in jobs:
+            self._grids.setdefault((id(g), id(h)), {})[id(acts)] = acts
 
-    def z(self) -> Fraction:
-        return partition_fn(self.g, self.h, self.acts, self.budget)
+    def once(self, key, compute):
+        """compute() on the first call with ``key``; later calls return its
+        value or raise its budget refusal again."""
+        if key not in self._values:
+            try:
+                self._values[key] = compute()
+            except BudgetExceededError as exc:
+                self._values[key] = exc
+        value = self._values[key]
+        if isinstance(value, BudgetExceededError):
+            raise value.with_traceback(None)
+        return value
 
-    def kab(self, a: int, b: int) -> Fraction:
-        return closedform.kab_partition(a, b, self.h, self.acts, self.budget)
+    def z(self, g: BipartiteGraph, h: Graph, acts: ActivitySystem) -> Fraction:
+        def compute():
+            grid = self._grids[id(g), id(h)]
+            return dict(zip(grid, partition_grid(g, h, list(grid.values()), self.budget)))
 
-    def knn_count(self, n: int) -> int:
-        return closedform.knn_restricted_count(n, double(self.h), self.budget)
+        return self.once(("z", id(g), id(h)), compute)[id(acts)]
 
-    def eta(self) -> EtaWitness:
-        return eta_two_sided(self.h, self.acts, self.budget)
+    def count(self, g: BipartiteGraph, h: Graph, acts: ActivitySystem) -> int:
+        # only unweighted propositions ask for the count; their system is the unit one
+        return self.z(g, h, acts).numerator
 
+    def kab(self, a: int, b: int, h: Graph, acts: ActivitySystem) -> Fraction:
+        return self.once(("kab", a, b, id(h), id(acts)),
+                         lambda: closedform.kab_partition(a, b, h, acts, self.budget))
 
-def _regular(g: BipartiteGraph) -> dict:
-    n = g.regular_degree()
-    if n is None or n < 1:
-        raise GraphFormatError("instance must be n-regular bipartite with n >= 1")
-    return {"n": n}
+    def knn_count(self, n: int, h: Graph) -> int:
+        return self.once(("knn", n, id(h)),
+                         lambda: closedform.knn_restricted_count(n, double(h), self.budget))
 
+    def eta(self, h: Graph, acts: ActivitySystem) -> EtaWitness:
+        return self.once(("eta", id(h), id(acts)), lambda: eta_two_sided(h, acts, self.budget))
 
-def _biregular(g: BipartiteGraph) -> dict:
-    degrees = g.biregular_degrees()
-    if degrees is None or min(degrees) < 1:
-        raise GraphFormatError("instance must be biregular with positive degrees")
-    return {"a": degrees[0], "b": degrees[1]}
-
-
-def _hom_ub(q, n):
-    lhs = q.count()
-    rhs = q.knn_count(n)
-    bound = BoundCheck("upper", "<=", "count(g,h)^(2n)", "count(Knn,h)^N",
-                       Fraction(lhs ** (2 * n)), Fraction(rhs**q.g.vertex_count))
-    return [bound], {"count_g": str(lhs), "count_knn": str(rhs)}
-
-
-def _weighted_ub(q, n):
-    z_g = q.z()
-    z_knn = q.kab(n, n)
-    bound = BoundCheck("upper", "<=", "Z(g)^(2n)", "Z(Knn)^N",
-                       z_g ** (2 * n), z_knn**q.g.vertex_count)
-    return [bound], {"Z_g": str(z_g), "Z_knn": str(z_knn)}
-
-
-def _bireg_ub(q, a, b):
-    z_g = q.z()
-    z_kab = q.kab(b, a)
-    bound = BoundCheck("upper", "<=", "Z(g)^(a+b)", "Z(Kab)^N",
-                       z_g ** (a + b), z_kab**q.g.vertex_count)
-    return [bound], {"Z_g": str(z_g), "Z_kab": str(z_kab)}
-
-
-def _sandwich_bounds(z: Fraction, eta: Fraction, n: int, big_n: int, m: int) -> list:
-    """lower: eta^N <= Z^2; upper: Z^(2n) <= eta^(nN) * 2^(mN) for an m-vertex
-    target.  With eta = 0 both degenerate: no bound when Z = 0 (the report is
-    vacuous), else the failed assertion Z == 0."""
-    if eta == 0:
-        return [BoundCheck("degenerate", "==", "Z(g)", "0", z, Fraction(0))] if z else []
-    return [
-        BoundCheck("lower", "<=", "eta^N", "Z(g)^2", eta**big_n, z**2),
-        BoundCheck("upper", "<=", "Z(g)^(2n)", "eta^(nN)*2^(|V(h)|N)",
-                   z ** (2 * n), eta ** (n * big_n) * Fraction(2) ** (m * big_n)),
-    ]
-
-
-def _eta_sandwich(q, n):
-    witness = q.eta()
-    z_g = q.z()
-    details = {
-        "eta": str(witness.value),
-        "eta_A": list(witness.set_a),
-        "eta_B": list(witness.set_b),
-        "Z_g": str(z_g),
-    }
-    return _sandwich_bounds(z_g, witness.value, n, q.g.vertex_count, q.h.vertex_count), details
-
-
-def _lift_identity(q):
-    g = q.g
-    target, meta = blowup(q.h, q.acts, q.budget)
-    z_g = q.z()
-    lifted = count_homs_restricted(g, target, q.budget)
-    bound = BoundCheck("identity", "==", "Z(g)*C^N", "restricted-count(blowup)",
-                       z_g * meta.scale**g.vertex_count, Fraction(lifted))
-    details = {
-        "scale": str(meta.scale),
-        "blowup_vertices": target.graph.vertex_count,
-        "Z_g": str(z_g),
-        "lift_count": str(lifted),
-    }
-    return [bound], details
-
-
-def _double_identity(q):
-    plain = q.count()
-    restricted = count_homs_restricted(q.g, double(q.h), q.budget)
-    bound = BoundCheck("identity", "==", "count(g,h)", "restricted-count(double)",
-                       Fraction(plain), Fraction(restricted))
-    return [bound], {"count": str(plain), "restricted_count": str(restricted)}
-
-
-_PROPOSITIONS = {
-    "hom-ub": (_regular, False, _hom_ub),
-    "weighted-ub": (_regular, True, _weighted_ub),
-    "eta-sandwich": (_regular, True, _eta_sandwich),
-    "bireg-ub": (_biregular, True, _bireg_ub),
-    "lift-identity": (lambda g: {}, True, _lift_identity),
-    "double-identity": (lambda g: {}, False, _double_identity),
-}
+    def report(self, job: tuple) -> CertReport:
+        """Describe the job's instance and judge its proposition."""
+        pid, g, h, acts, fields, info = job
+        _, weighted, evaluate = _PROPOSITIONS[pid]
+        inst = {"g": self.once(("g_doc", id(g)), lambda: serialize_bipartite(g)),
+                "h": self.once(("h_doc", id(h)), lambda: serialize_graph(h)),
+                "N": g.vertex_count}
+        if weighted:
+            inst["activities"] = self.once(("acts_doc", id(acts)), acts.describe)
+        inst.update(info or {})
+        inst.update(fields)
+        return _judge(pid, inst, lambda: evaluate(self, g, h, acts, **fields))
 
 
 def _judge(check, instance, evaluate, expected=False) -> CertReport:
@@ -279,22 +216,134 @@ def _judge(check, instance, evaluate, expected=False) -> CertReport:
                       expected_violation=expected, details=details)
 
 
-def _report(pid, q, g_doc, h_doc, acts_doc, instance_info, fields) -> CertReport:
-    """Describe the instance and judge proposition ``pid`` on ``q``."""
-    _, weighted, evaluate = _PROPOSITIONS[pid]
-    inst = {"g": g_doc, "h": h_doc, "N": q.g.vertex_count}
-    if weighted:
-        inst["activities"] = acts_doc
-    inst.update(instance_info or {})
-    inst.update(fields)
-    return _judge(pid, inst, lambda: evaluate(q, **fields))
+# The propositions.  An evaluation takes the run's quantities, the job's
+# source, target, system and hypothesis fields, and asks for every number it
+# needs in its own order, so the first refused quantity is the one its
+# report names.
 
 
-def _certify(pid, g, h, acts, budget, instance_info) -> CertReport:
-    fields = _PROPOSITIONS[pid][0](g)
-    acts_doc = acts.describe() if _PROPOSITIONS[pid][1] else None
-    return _report(pid, _Quantities(g, h, acts, budget), serialize_bipartite(g),
-                   serialize_graph(h), acts_doc, instance_info, fields)
+def _regular(g: BipartiteGraph) -> dict:
+    n = g.regular_degree()
+    if n is None or n < 1:
+        raise GraphFormatError("instance must be n-regular bipartite with n >= 1")
+    return {"n": n}
+
+
+def _biregular(g: BipartiteGraph) -> dict:
+    degrees = g.biregular_degrees()
+    if degrees is None or min(degrees) < 1:
+        raise GraphFormatError("instance must be biregular with positive degrees")
+    return {"a": degrees[0], "b": degrees[1]}
+
+
+def _hom_ub(q, g, h, acts, n):
+    lhs = q.count(g, h, acts)
+    rhs = q.knn_count(n, h)
+    bound = BoundCheck("upper", "<=", "count(g,h)^(2n)", "count(Knn,h)^N",
+                       Fraction(lhs ** (2 * n)), Fraction(rhs**g.vertex_count))
+    return [bound], {"count_g": str(lhs), "count_knn": str(rhs)}
+
+
+def _weighted_ub(q, g, h, acts, n):
+    z_g = q.z(g, h, acts)
+    z_knn = q.kab(n, n, h, acts)
+    bound = BoundCheck("upper", "<=", "Z(g)^(2n)", "Z(Knn)^N",
+                       z_g ** (2 * n), z_knn**g.vertex_count)
+    return [bound], {"Z_g": str(z_g), "Z_knn": str(z_knn)}
+
+
+def _bireg_ub(q, g, h, acts, a, b):
+    z_g = q.z(g, h, acts)
+    z_kab = q.kab(b, a, h, acts)
+    bound = BoundCheck("upper", "<=", "Z(g)^(a+b)", "Z(Kab)^N",
+                       z_g ** (a + b), z_kab**g.vertex_count)
+    return [bound], {"Z_g": str(z_g), "Z_kab": str(z_kab)}
+
+
+def _sandwich_bounds(z: Fraction, eta: Fraction, n: int, big_n: int, m: int) -> list:
+    """lower: eta^N <= Z^2; upper: Z^(2n) <= eta^(nN) * 2^(mN) for an m-vertex
+    target.  With eta = 0 both degenerate: no bound when Z = 0 (the report is
+    vacuous), else the failed assertion Z == 0."""
+    if eta == 0:
+        return [BoundCheck("degenerate", "==", "Z(g)", "0", z, Fraction(0))] if z else []
+    return [
+        BoundCheck("lower", "<=", "eta^N", "Z(g)^2", eta**big_n, z**2),
+        BoundCheck("upper", "<=", "Z(g)^(2n)", "eta^(nN)*2^(|V(h)|N)",
+                   z ** (2 * n), eta ** (n * big_n) * Fraction(2) ** (m * big_n)),
+    ]
+
+
+def _eta_sandwich(q, g, h, acts, n):
+    witness = q.eta(h, acts)
+    z_g = q.z(g, h, acts)
+    details = {
+        "eta": str(witness.value),
+        "eta_A": list(witness.set_a),
+        "eta_B": list(witness.set_b),
+        "Z_g": str(z_g),
+    }
+    return _sandwich_bounds(z_g, witness.value, n, g.vertex_count, h.vertex_count), details
+
+
+def _lift_identity(q, g, h, acts):
+    target, meta = blowup(h, acts, q.budget)
+    z_g = q.z(g, h, acts)
+    lifted = count_homs_restricted(g, target, q.budget)
+    bound = BoundCheck("identity", "==", "Z(g)*C^N", "restricted-count(blowup)",
+                       z_g * meta.scale**g.vertex_count, Fraction(lifted))
+    details = {
+        "scale": str(meta.scale),
+        "blowup_vertices": target.graph.vertex_count,
+        "Z_g": str(z_g),
+        "lift_count": str(lifted),
+    }
+    return [bound], details
+
+
+def _double_identity(q, g, h, acts):
+    plain = q.count(g, h, acts)
+    restricted = count_homs_restricted(g, double(h), q.budget)
+    bound = BoundCheck("identity", "==", "count(g,h)", "restricted-count(double)",
+                       Fraction(plain), Fraction(restricted))
+    return [bound], {"count": str(plain), "restricted_count": str(restricted)}
+
+
+class Proposition(NamedTuple):
+    """A checkable proposition.  ``hypothesis`` takes the source and returns
+    the extra instance fields or raises GraphFormatError; ``weighted`` says
+    whether activities apply; ``evaluate`` returns the bounds and the report
+    details."""
+
+    hypothesis: Callable[[BipartiteGraph], dict]
+    weighted: bool
+    evaluate: Callable[..., tuple[list, dict]]
+
+
+_PROPOSITIONS = {
+    "hom-ub": Proposition(_regular, False, _hom_ub),
+    "weighted-ub": Proposition(_regular, True, _weighted_ub),
+    "eta-sandwich": Proposition(_regular, True, _eta_sandwich),
+    "bireg-ub": Proposition(_biregular, True, _bireg_ub),
+    "lift-identity": Proposition(lambda g: {}, True, _lift_identity),
+    "double-identity": Proposition(lambda g: {}, False, _double_identity),
+}
+
+PROPOSITION_IDS = (*_PROPOSITIONS, _DEMO)
+
+
+def _check(pid, g: BipartiteGraph, h: Graph, acts: ActivitySystem | None,
+           budget: int = DEFAULT_BUDGET, instance_info=None) -> CertReport:
+    """Proposition ``pid`` on one instance, as a run of one job: it shares no
+    number with another report, and its Z grid holds one system, so no walk
+    is packed."""
+    hypothesis, weighted, _ = _PROPOSITIONS[pid]
+    job = (pid, g, h, acts if weighted else ActivitySystem.unit(h.vertex_count),
+           hypothesis(g), instance_info)
+    return _Quantities([job], budget).report(job)
+
+
+# pid -> fn(g, h, acts, budget, instance_info); the CLI's --check dispatches here
+_CERTIFIERS = {pid: partial(_check, pid) for pid in _PROPOSITIONS}
 
 
 def certify_hom_ub(g: BipartiteGraph, h: Graph, budget: int = DEFAULT_BUDGET,
@@ -304,13 +353,13 @@ def certify_hom_ub(g: BipartiteGraph, h: Graph, budget: int = DEFAULT_BUDGET,
     The left side comes from the homomorphism counter, the right side from
     the closed form on the doubled target, so the two routes stay independent.
     """
-    return _certify("hom-ub", g, h, None, budget, instance_info)
+    return _check("hom-ub", g, h, None, budget, instance_info)
 
 
 def certify_weighted_ub(g: BipartiteGraph, h: Graph, acts: ActivitySystem,
                         budget: int = DEFAULT_BUDGET, instance_info=None) -> CertReport:
     """Z(g,h,acts)^(2n) <= Z(K_{n,n},h,acts)^N, any positive activities."""
-    return _certify("weighted-ub", g, h, acts, budget, instance_info)
+    return _check("weighted-ub", g, h, acts, budget, instance_info)
 
 
 def certify_bireg(g: BipartiteGraph, h: Graph, acts: ActivitySystem,
@@ -320,7 +369,7 @@ def certify_bireg(g: BipartiteGraph, h: Graph, acts: ActivitySystem,
     The reference K* is the complete bipartite graph that is itself
     (a,b)-biregular: lambda side of size b, mu side of size a.
     """
-    return _certify("bireg-ub", g, h, acts, budget, instance_info)
+    return _check("bireg-ub", g, h, acts, budget, instance_info)
 
 
 def certify_sandwich(g: BipartiteGraph, h: Graph, acts: ActivitySystem,
@@ -333,7 +382,7 @@ def certify_sandwich(g: BipartiteGraph, h: Graph, acts: ActivitySystem,
     When eta = 0 (edgeless target) both bounds degenerate; the report says
     "vacuous" and asserts Z = 0 rather than passing 0 <= 0 silently.
     """
-    return _certify("eta-sandwich", g, h, acts, budget, instance_info)
+    return _check("eta-sandwich", g, h, acts, budget, instance_info)
 
 
 def certify_lift_identity(g: BipartiteGraph, h: Graph, acts: ActivitySystem,
@@ -342,13 +391,13 @@ def certify_lift_identity(g: BipartiteGraph, h: Graph, acts: ActivitySystem,
     any discrepancy is a hard failure, not a tolerance matter.  A blow-up
     whose vertices plus edges exceed the budget is skipped before it is built.
     """
-    return _certify("lift-identity", g, h, acts, budget, instance_info)
+    return _check("lift-identity", g, h, acts, budget, instance_info)
 
 
 def certify_double_identity(g: BipartiteGraph, h: Graph,
                             budget: int = DEFAULT_BUDGET, instance_info=None) -> CertReport:
     """Exact identity count(g,h) == restricted-count(g, double(h))."""
-    return _certify("double-identity", g, h, None, budget, instance_info)
+    return _check("double-identity", g, h, None, budget, instance_info)
 
 
 def sandwich_nonbipartite_demo(budget: int = DEFAULT_BUDGET) -> CertReport:
@@ -374,7 +423,7 @@ def sandwich_nonbipartite_demo(budget: int = DEFAULT_BUDGET) -> CertReport:
         eta = eta_unweighted(h, budget).value
         return _sandwich_bounds(z, eta, n, big_n, h.vertex_count), {"eta": str(eta), "Z_g": str(z)}
 
-    return _judge("nonbipartite-lower-bound-failure", inst, evaluate, expected=True)
+    return _judge(_DEMO, inst, evaluate, expected=True)
 
 
 # ---------------------------------------------------------------------------
@@ -532,174 +581,64 @@ def _instance_specs(families, master_seed, trials, budget) -> list[tuple[dict, d
     return out
 
 
-_CERTIFIERS = {
-    "hom-ub": lambda g, h, acts, budget, info: certify_hom_ub(g, h, budget, info),
-    "weighted-ub": certify_weighted_ub,
-    "eta-sandwich": certify_sandwich,
-    "bireg-ub": certify_bireg,
-    "lift-identity": certify_lift_identity,
-    "double-identity": lambda g, h, acts, budget, info: certify_double_identity(g, h, budget, info),
-}
-
-
-class _Campaign:
-    """The sources, targets and activity systems of one campaign, each
-    resolved once, and every number its reports share, each computed once on
-    first use: Z per (source, target) in one partition_grid call over every
-    system the campaign asks of the pair (the plain count is Z of the unit
-    system), the closed forms per (sizes, target, system) and eta per
-    (target, system).  Each computation charges its own meter up to the
-    campaign budget, as a direct call would; a refusal is kept and raised
-    again at every use.
-
-    A job is (proposition, trial, source, target, system): indices into
-    ``sources``, ``targets`` and the target's ``systems``, whose system is
-    the unit one for an unweighted proposition; then the hypothesis fields.
-    """
-
-    def __init__(self, config: dict, base_dir, budget: int):
-        self.config, self.base_dir, self.budget = config, base_dir, budget
-        # every report carries its source and target, so even a campaign whose
-        # budget skips every check builds the instances the default budget admits
-        self.build_budget = max(budget, DEFAULT_BUDGET)
-        self.sources: list[tuple[dict, BipartiteGraph]] = []
-        self.targets: list[tuple[object, Graph]] = []
-        self.systems: list[list[ActivitySystem]] = []
-        self.grids: dict[tuple[int, int], dict] = {}  # (source, target) -> system indices
-        self._index: dict = {}
-        self._values: dict = {}
-
-    def _resolve(self, key, table: list, resolve) -> int:
-        """Index of ``key`` in ``table``, appending resolve() on first sight."""
-        if key not in self._index:
-            self._index[key] = len(table)
-            table.append(resolve())
-        return self._index[key]
-
-    def _instances(self, families) -> list[int]:
-        key = ("families", repr(families))
-        if key not in self._index:
-            config = self.config
-            specs = _instance_specs(families, config["seed"], config["trials"], self.build_budget)
-            self._index[key] = [
-                self._resolve(("source", repr(desc)), self.sources,
-                              lambda: (desc, build_instance(spec, self.base_dir, self.build_budget)))
-                for desc, spec in specs
-            ]
-        return self._index[key]
-
-    def _target(self, entry) -> int:
-        def resolve():
-            self.systems.append([])
-            return entry, resolve_target(entry, self.base_dir, self.build_budget)
-
-        return self._resolve(("target", repr(entry)), self.targets, resolve)
-
-    def jobs(self, plan: PropositionPlan) -> list[tuple]:
-        """The plan's jobs in report order: instances that meet the
-        hypothesis, then targets, then activity systems."""
-        if plan.id == "nonbipartite-lower-bound-failure":
-            return [(plan.id,)]
-        hypothesis, weighted, _ = _PROPOSITIONS[plan.id]
-        config = self.config
-        instances = []
-        for i in self._instances(plan.families if plan.families is not None
-                                 else config["families"]):
-            try:
-                instances.append((i, hypothesis(self.sources[i][1])))
-            except GraphFormatError:
-                continue
-        targets = [self._target(e) for e in (
-            plan.targets if plan.targets is not None else config["grids"]["targets"])]
-        act_entries = (
-            plan.activities if plan.activities is not None else config["grids"]["activities"]
-        ) if weighted else [None]
-        jobs = []
-        for trial, (i, fields) in enumerate(instances):
-            for t in targets:
-                for entry in act_entries:
-                    k = self._resolve(("system", t, repr(entry)), self.systems[t], lambda: (
-                        resolve_activities(entry, self.targets[t][1].vertex_count)))
-                    self.grids.setdefault((i, t), {})[k] = None
-                    jobs.append((plan.id, trial, i, t, k, fields))
-        return jobs
-
-    def once(self, key, compute):
-        """compute() on the first call with ``key``; later calls return its
-        value or raise its budget refusal again."""
-        if key not in self._values:
-            try:
-                self._values[key] = compute()
-            except BudgetExceededError as exc:
-                self._values[key] = exc
-        value = self._values[key]
-        if isinstance(value, BudgetExceededError):
-            raise value.with_traceback(None)
-        return value
-
-    def z_grid(self, i: int, t: int) -> dict:
-        """{system index: Z} for every system asked of (source i, target t)."""
-        def compute():
-            grid = list(self.grids[i, t])
-            systems = [self.systems[t][k] for k in grid]
-            return dict(zip(grid, partition_grid(self.sources[i][1], self.targets[t][1],
-                                                 systems, self.budget)))
-
-        return self.once(("z", i, t), compute)
-
-    def report(self, job: tuple) -> CertReport:
-        pid = job[0]
-        if pid == "nonbipartite-lower-bound-failure":
-            return sandwich_nonbipartite_demo(self.budget)
-        _, trial, i, t, k, fields = job
-        q = _CampaignQuantities(self, i, t, k)
-        g_doc = self.once(("g_doc", i), lambda: serialize_bipartite(q.g))
-        h_doc = self.once(("h_doc", t), lambda: serialize_graph(q.h))
-        acts_doc = self.once(("acts_doc", t, k), q.acts.describe)
-        info = {"g_spec": self.sources[i][0], "h_spec": self.targets[t][0], "trial": trial}
-        return _report(pid, q, g_doc, h_doc, acts_doc, info, fields)
-
-
-class _CampaignQuantities(_Quantities):
-    """The quantities of a campaign job on (source i, target t, system k),
-    looked up in the campaign's table."""
-
-    def __init__(self, campaign: _Campaign, i: int, t: int, k: int):
-        super().__init__(campaign.sources[i][1], campaign.targets[t][1],
-                         campaign.systems[t][k], campaign.budget)
-        self.campaign, self.i, self.t, self.k = campaign, i, t, k
-
-    def count(self) -> int:
-        # only unweighted propositions ask for the count; their system is the unit one
-        return self.z().numerator
-
-    def z(self) -> Fraction:
-        return self.campaign.z_grid(self.i, self.t)[self.k]
-
-    def kab(self, a: int, b: int) -> Fraction:
-        return self.campaign.once(("kab", a, b, self.t, self.k),
-                                  lambda: _Quantities.kab(self, a, b))
-
-    def knn_count(self, n: int) -> int:
-        return self.campaign.once(("knn", n, self.t), lambda: _Quantities.knn_count(self, n))
-
-    def eta(self) -> EtaWitness:
-        return self.campaign.once(("eta", self.t, self.k), super().eta)
-
-
 def run_campaign(config, base_dir=None) -> list[CertReport]:
     """Deterministic sweep over (proposition, instance, target, activities).
 
     The whole config is resolved before the first check runs, each distinct
     families list, source, target and (target, activity entry) once; each
-    check is a job of indices into them.  Reports come in plan order and are
+    check is a job of the resolved objects, and the jobs run together, so a
+    number they share is computed once.  Reports come in plan order and are
     the ones the public certify_* functions give one at a time.
     """
     config, base_dir = load_campaign(config, base_dir)
-    campaign = _Campaign(config, base_dir, config.get("budget", DEFAULT_BUDGET))
-    jobs = [job for plan in _parse_propositions(config["propositions"])
-            for job in campaign.jobs(plan)]
-    return [campaign.report(job) for job in jobs]
+    budget = config.get("budget", DEFAULT_BUDGET)
+    # every report carries its source and target, so even a campaign whose
+    # budget skips every check builds the instances the default budget admits
+    build_budget = max(budget, DEFAULT_BUDGET)
+    resolved: dict = {}
+
+    def once(key, resolve):
+        if key not in resolved:
+            resolved[key] = resolve()
+        return resolved[key]
+
+    def sources(families):
+        specs = _instance_specs(families, config["seed"], config["trials"], build_budget)
+        return [once(("source", repr(desc)),
+                     lambda: (desc, build_instance(spec, base_dir, build_budget)))
+                for desc, spec in specs]
+
+    # the plans' jobs in report order: instances that meet the hypothesis,
+    # then targets, then activity systems; None holds the demo's place
+    jobs = []
+    for plan in _parse_propositions(config["propositions"]):
+        if plan.id == _DEMO:
+            jobs.append(None)
+            continue
+        hypothesis, weighted, _ = _PROPOSITIONS[plan.id]
+        families = plan.families if plan.families is not None else config["families"]
+        instances = []
+        for desc, g in once(("families", repr(families)), lambda: sources(families)):
+            try:
+                instances.append((desc, g, hypothesis(g)))
+            except GraphFormatError:
+                continue
+        targets = [once(("target", repr(entry)),
+                        lambda: (entry, resolve_target(entry, base_dir, build_budget)))
+                   for entry in (plan.targets if plan.targets is not None
+                                 else config["grids"]["targets"])]
+        act_entries = (
+            plan.activities if plan.activities is not None else config["grids"]["activities"]
+        ) if weighted else [None]
+        for trial, (desc, g, fields) in enumerate(instances):
+            for h_spec, h in targets:
+                info = {"g_spec": desc, "h_spec": h_spec, "trial": trial}
+                for entry in act_entries:
+                    acts = once(("system", id(h), repr(entry)),
+                                lambda: resolve_activities(entry, h.vertex_count))
+                    jobs.append((plan.id, g, h, acts, fields, info))
+    q = _Quantities(filter(None, jobs), budget)
+    return [sandwich_nonbipartite_demo(budget) if job is None else q.report(job) for job in jobs]
 
 
 def campaign_exit_code(reports, strict: bool = False) -> int:

@@ -128,11 +128,14 @@ def _apply_overrides(doc: dict, args) -> dict:
 
 def _load_source(args, doc=None) -> BipartiteGraph:
     """-g accepts a bipartite graph document or an instance-spec document;
-    ``doc`` is the -g document when the caller has read it already."""
+    ``doc`` is the -g document when the caller has read it already.  Either
+    is charged to the larger of the budget and the default, so a spec and
+    the document it generates load alike."""
     if doc is None:
         doc = read_doc(args.graph)
     if "family" in doc:
-        return build_instance(_apply_overrides(doc, args), Path(args.graph).parent, _budget(args))
+        budget = max(_budget(args), DEFAULT_BUDGET)
+        return build_instance(_apply_overrides(doc, args), Path(args.graph).parent, budget)
     return parse_bipartite(doc, _budget(args))
 
 
@@ -277,6 +280,8 @@ def _cmd_generate(args) -> int:
 
 def _cmd_certify(args) -> int:
     if args.check is not None:
+        if args.config is not None:
+            raise GraphFormatError("--check and --config exclude each other")
         budget = _budget(args)
         if args.check == "nonbipartite-lower-bound-failure":
             reports = [certify_mod.sandwich_nonbipartite_demo(budget)]

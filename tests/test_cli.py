@@ -7,9 +7,15 @@ import sys
 import pytest
 
 import homcert
+from homcert import certify as certify_mod
 from homcert.certify import DEFAULT_SEED
 from homcert.cli import SUBCOMMAND_OPERATIONS, _fixture_path, build_parser, main
-from homcert.graphs import GENERATED_FAMILIES, build_instance, serialize_bipartite
+from homcert.graphs import (
+    GENERATED_FAMILIES,
+    build_instance,
+    gen_complete_bipartite,
+    serialize_bipartite,
+)
 
 FIX = _fixture_path("hind.json").parent
 
@@ -169,6 +175,68 @@ def test_certify_demo_check(capsys):
     assert code == 0
     doc = json.loads(out.strip())
     assert doc["verdict"] == "violated" and doc["expected_violation"]
+
+
+def test_certify_check_rejects_a_config(capsys):
+    code, out = run_cli(
+        capsys, "certify", "--check", "hom-ub", "--config", "default",
+        "-g", FIX / "knn.json", "--n", "2", "-H", FIX / "k3.json",
+    )
+    assert code == 2
+    assert json.loads(out)["error"]["code"] == "input-error"
+
+
+def test_certify_check_loads_a_spec_as_the_document_it_generates(capsys, tmp_path):
+    # K_{3,3} has 15 vertices plus edges; under budget 1 the kernel refuses
+    # the count, whichever form -g takes
+    document = tmp_path / "k33.json"
+    assert run_cli(capsys, "generate", "--family", "complete-bipartite", "--n", "3",
+                   "-o", document)[0] == 0
+    tail = ("-H", FIX / "k3.json", "--budget", "1", "--strict")
+    spec = run_cli(capsys, "certify", "--check", "hom-ub", "-g", FIX / "knn.json", "--n", "3", *tail)
+    generated = run_cli(capsys, "certify", "--check", "hom-ub", "-g", document, *tail)
+    assert spec == generated
+    assert spec[0] == 3 and json.loads(spec[1])["verdict"] == "skipped-budget"
+
+
+_PUBLIC_CERTIFIERS = {
+    "hom-ub": lambda g, h, acts: homcert.certify_hom_ub(g, h),
+    "weighted-ub": homcert.certify_weighted_ub,
+    "eta-sandwich": homcert.certify_sandwich,
+    "bireg-ub": homcert.certify_bireg,
+    "lift-identity": homcert.certify_lift_identity,
+    "double-identity": lambda g, h, acts: homcert.certify_double_identity(g, h),
+}
+
+
+def test_check_ids_are_the_proposition_rows():
+    rows = tuple(certify_mod._PROPOSITIONS)
+    assert certify_mod.PROPOSITION_IDS == (*rows, "nonbipartite-lower-bound-failure")
+    assert tuple(certify_mod._CERTIFIERS) == rows == tuple(_PUBLIC_CERTIFIERS)
+    certify_parser = build_parser()._subparsers._group_actions[0].choices["certify"]
+    check = next(a for a in certify_parser._actions if a.dest == "check")
+    assert tuple(check.choices) == certify_mod.PROPOSITION_IDS
+
+
+@pytest.mark.parametrize("pid", certify_mod.PROPOSITION_IDS)
+def test_check_prints_the_line_of_its_certifier(capsys, tmp_path, pid):
+    # K_{2,2} is regular and biregular, so it meets every hypothesis
+    g = gen_complete_bipartite(2, 2)
+    g_path, acts_path = tmp_path / "k22.json", tmp_path / "acts.json"
+    g_path.write_text(json.dumps(serialize_bipartite(g)))
+    acts_doc = {"activities": {"0": {"lambda": "1/2", "mu": "3"}}}
+    acts_path.write_text(json.dumps(acts_doc))
+    code, out = run_cli(capsys, "certify", "--check", pid, "-g", g_path,
+                        "-H", FIX / "k3.json", "-a", acts_path)
+    assert code == 0
+    if pid == "nonbipartite-lower-bound-failure":
+        expected = [homcert.sandwich_nonbipartite_demo()]
+    else:
+        h = homcert.parse_graph(json.loads((FIX / "k3.json").read_text()))
+        acts = homcert.parse_activities(acts_doc, h.vertex_count)
+        expected = [certify_mod._CERTIFIERS[pid](g, h, acts, homcert.DEFAULT_BUDGET, None),
+                    _PUBLIC_CERTIFIERS[pid](g, h, acts)]
+    assert {r.to_json_line() + "\n" for r in expected} == {out}
 
 
 def test_certify_default_campaign(capsys):
