@@ -150,11 +150,7 @@ def _load_acts(args, vertex_count: int) -> ActivitySystem:
 
 
 def _emit(doc, output: str | None) -> None:
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    if output:
-        Path(output).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    _emit_stream(json.dumps(doc, sort_keys=True, indent=2) + "\n", output)
 
 
 def _emit_stream(text: str, output: str | None) -> None:
@@ -162,6 +158,14 @@ def _emit_stream(text: str, output: str | None) -> None:
         Path(output).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
+
+
+def _reject_unread(args, names, mode: str) -> None:
+    """An input error for each flag in ``names`` that was given: ``mode`` does not read it."""
+    given = [f"--{name.replace('_', '-')}" for name in names
+             if getattr(args, name, None) is not None]
+    if given:
+        raise GraphFormatError(f"{mode} does not read {', '.join(given)}")
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +180,7 @@ def _cmd_count(args) -> int:
     else:
         g = parse_graph(doc, _budget(args))
     if args.independent_sets:
+        _reject_unread(args, ["target"], "--independent-sets")
         _emit({"count": str(count_independent_sets(g, _budget(args)))}, args.output)
         return 0
     if args.target is None:
@@ -205,11 +210,13 @@ def _cmd_knn(args) -> int:
     if sum(modes) != 1:
         raise GraphFormatError("knn requires exactly one of -H, -T, or --surjections")
     if args.surjections is not None:
+        _reject_unread(args, ["activities"], "knn --surjections")
         if args.surjections < 0:
             raise GraphFormatError("--surjections must be nonnegative")
         _emit({"count": str(surjection_count(args.n, args.surjections))}, args.output)
         return 0
     if args.two_sorted is not None:
+        _reject_unread(args, ["activities"], "knn -T")
         target = parse_two_sorted(read_doc(args.two_sorted), _budget(args))
         _emit({"count": str(knn_restricted_count(args.n, target, _budget(args)))}, args.output)
         return 0
@@ -279,11 +286,13 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_certify(args) -> int:
+    instance_flags = ["graph", "target", "activities", "n", *_OVERRIDE_KEYS]
     if args.check is not None:
         if args.config is not None:
             raise GraphFormatError("--check and --config exclude each other")
         budget = _budget(args)
         if args.check == "nonbipartite-lower-bound-failure":
+            _reject_unread(args, instance_flags, f"--check {args.check}")
             reports = [certify_mod.sandwich_nonbipartite_demo(budget)]
         else:
             if args.graph is None or args.target is None:
@@ -296,6 +305,7 @@ def _cmd_certify(args) -> int:
     else:
         if args.config is None:
             raise GraphFormatError("certify requires --config or --check")
+        _reject_unread(args, instance_flags, "--config")
         path = _fixture_path("default-campaign.json") if args.config == "default" else Path(args.config)
         config, base_dir = load_campaign(path)
         # precedence: --budget flag, then the config's own value, then the
@@ -421,15 +431,12 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         _emit({"error": {"code": "budget-exceeded", "message": str(exc)}}, None)
         return 1
-    except GraphFormatError as exc:
+    except ValueError as exc:  # GraphFormatError included
         _emit({"error": {"code": "input-error", "message": str(exc)}}, None)
         return 2
     except HomcertError as exc:
         _emit({"error": {"code": "operation-error", "message": str(exc)}}, None)
         return 1
-    except ValueError as exc:
-        _emit({"error": {"code": "input-error", "message": str(exc)}}, None)
-        return 2
     except Exception as exc:
         # a defect of the program, not a verdict: OSError on output, ...
         traceback.print_exc()

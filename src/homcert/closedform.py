@@ -20,9 +20,9 @@ from fractions import Fraction
 from math import comb
 
 from .constructions import TwoSortedTarget
-from .errors import BudgetExceededError, GraphFormatError
+from .errors import BudgetExceededError
 from .graphs import Graph, mask_vertices
-from .homcount import DEFAULT_BUDGET, ActivitySystem, clear_denominators
+from .homcount import DEFAULT_BUDGET, ActivitySystem
 
 
 def surjection_count(n: int, a: int) -> int:
@@ -76,11 +76,8 @@ def kab_partition(
     """
     if a < 1 or b < 1:
         raise ValueError("side sizes must be >= 1")
+    d_lam, lam, d_mu, mu = acts.integer_rows(h)
     m = h.vertex_count
-    if acts.vertex_count != m:
-        raise GraphFormatError("activity system size differs from target size")
-    d_lam, lam = clear_denominators(acts.lambdas)
-    d_mu, mu = clear_denominators(acts.mus)
     states = _common_neighbourhoods(b, range(m), h.neighbor_masks(), (1 << m) - 1, mu, budget)
     total = sum(w * sum(lam[i] for i in mask_vertices(c)) ** a for c, w in states.items())
     return Fraction(total, d_mu**b * d_lam**a)

@@ -13,10 +13,12 @@ number of vertices of g.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
 from .errors import BudgetExceededError, GraphFormatError
-from .graphs import Graph, _graph_from_doc, _int_list, _load_doc, _GRAPH_KEYS, mask_of, serialize_graph
-from .homcount import DEFAULT_BUDGET, ActivitySystem, clear_denominators
+from .graphs import (Graph, _check_index, _graph_from_doc, _int_list, _load_doc, _GRAPH_KEYS,
+                     mask_of, serialize_graph)
+from .homcount import DEFAULT_BUDGET, ActivitySystem
 
 
 @dataclass(frozen=True)
@@ -60,7 +62,7 @@ class TwoSortedTarget:
 
 def two_sorted(graph: Graph, upper) -> TwoSortedTarget:
     """Wrap a graph with an explicit upper side; lower is the complement."""
-    upper = frozenset(upper)
+    upper = frozenset(_check_index(v, graph.vertex_count) for v in upper)
     lower = frozenset(range(graph.vertex_count)) - upper
     return TwoSortedTarget(graph, upper, lower)
 
@@ -88,16 +90,14 @@ def double(h: Graph) -> TwoSortedTarget:
 def scale_constant(acts: ActivitySystem) -> int:
     """Least positive integer C such that every C*lambda_i and C*mu_i is an
     integer: the lcm of all denominators in lowest terms."""
-    return clear_denominators(acts.lambdas + acts.mus)[0]
+    return lcm(*(x.denominator for x in acts.lambdas + acts.mus))
 
 
 def _copy_counts(h: Graph, acts: ActivitySystem) -> tuple[int, list[int], list[int]]:
     """(C, upper copies C*lambda_i, lower copies C*mu_i) of the blow-up."""
-    m = h.vertex_count
-    if acts.vertex_count != m:
-        raise GraphFormatError("activity system size differs from target size")
-    c, copies = clear_denominators(acts.lambdas + acts.mus)
-    return c, copies[:m], copies[m:]
+    d_lam, lam, d_mu, mu = acts.integer_rows(h)
+    c = lcm(d_lam, d_mu)
+    return c, [x * (c // d_lam) for x in lam], [x * (c // d_mu) for x in mu]
 
 
 def blowup_size(h: Graph, acts: ActivitySystem) -> tuple[int, int]:

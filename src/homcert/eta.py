@@ -16,9 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BudgetExceededError, GraphFormatError
+from .errors import BudgetExceededError
 from .graphs import Graph, mask_vertices
-from .homcount import DEFAULT_BUDGET, ActivitySystem, as_fraction, clear_denominators
+from .homcount import DEFAULT_BUDGET, ActivitySystem, as_fraction
 
 
 @dataclass(frozen=True)
@@ -45,12 +45,9 @@ def eta_two_sided(h: Graph, acts: ActivitySystem, budget: int = DEFAULT_BUDGET) 
     B.  The pair enumeration and the subset tables are the test oracles.  A
     target with no edge scores 0 with an empty witness.
     """
+    d_lam, lam, d_mu, mu = acts.integer_rows(h)
     m = h.vertex_count
-    if acts.vertex_count != m:
-        raise GraphFormatError("activity system size differs from target size")
     masks = h.neighbor_masks()
-    d_lam, lam = clear_denominators(acts.lambdas)
-    d_mu, mu = clear_denominators(acts.mus)
     best_val, best, meter = 0, None, 0
     # (A, C(A), lambda-sum of A, mu-sum of C(A), least vertex A may still take)
     stack = [(0, (1 << m) - 1, 0, sum(mu), 0)]

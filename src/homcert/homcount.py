@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from heapq import heappop, heappush
 from math import lcm
 from typing import TYPE_CHECKING
@@ -99,6 +100,18 @@ class ActivitySystem:
             lams[v] = as_fraction(lam)
             mus[v] = as_fraction(mu)
         return cls(tuple(lams), tuple(mus))
+
+    def integer_rows(self, h: Graph) -> tuple[int, list[int], int, list[int]]:
+        """(d_lam, lam_row, d_mu, mu_row): clear_denominators of the lambdas
+        and of the mus, computed once per system and shared (callers must not
+        change the rows); a GraphFormatError unless the system fits h."""
+        if self.vertex_count != h.vertex_count:
+            raise GraphFormatError("activity system size differs from target size")
+        return self._integer_rows
+
+    @cached_property
+    def _integer_rows(self):
+        return (*clear_denominators(self.lambdas), *clear_denominators(self.mus))
 
     def is_unit(self) -> bool:
         return all(x == 1 for x in self.lambdas + self.mus)
@@ -327,15 +340,7 @@ def partition_fn(
 
     With all activities 1 this equals count_homs exactly.
     """
-    _check_size(h, acts)
-    if acts.is_unit():
-        return Fraction(count_homs(g.graph, h, budget))
-    return _weighted_sum(g, h.neighbor_masks(), acts, budget)
-
-
-def _check_size(h: Graph, acts: ActivitySystem) -> None:
-    if acts.vertex_count != h.vertex_count:
-        raise GraphFormatError("activity system size differs from target size")
+    return partition_grid(g, h, [acts], budget)[0]
 
 
 def _walk(g: BipartiteGraph, h_masks, row_e, row_o, budget: int) -> int:
@@ -344,14 +349,6 @@ def _walk(g: BipartiteGraph, h_masks, row_e, row_o, budget: int) -> int:
     rows = None if row_e is None else [
         row_e if v in g.class_e else row_o for v in range(g.vertex_count)]
     return _hom_sum(g.graph, [(1 << len(h_masks)) - 1] * g.vertex_count, h_masks, rows, budget)
-
-
-def _weighted_sum(g: BipartiteGraph, h_masks, acts: ActivitySystem, budget: int) -> Fraction:
-    """Z(g, h, acts) from one weighted walk on denominators-cleared rows."""
-    d_lam, row_e = clear_denominators(acts.lambdas)
-    d_mu, row_o = clear_denominators(acts.mus)
-    num = _walk(g, h_masks, row_e, row_o, budget)
-    return Fraction(num, d_lam ** len(g.class_e) * d_mu ** len(g.class_o))
 
 
 # What one kernel step costs besides its weight arithmetic, in bits of
@@ -408,8 +405,8 @@ def _packed_sums(g: BipartiteGraph, h_masks, systems, v: int, budget: int):
 def partition_grid(
     g: BipartiteGraph, h: Graph, systems, budget: int = DEFAULT_BUDGET
 ) -> list[Fraction]:
-    """partition_fn(g, h, acts, budget) for every system in ``systems``, from
-    as few kernel walks as the systems allow:
+    """Z(g, h, acts) for every system in ``systems``, from as few kernel walks
+    as the systems allow:
 
     - uniform systems (unit included) share one plain count walk, as
       Z = lambda^|E| * mu^|O| * hom(g, h);
@@ -419,16 +416,13 @@ def partition_grid(
     - otherwise each distinct system takes one weighted walk.
 
     Every walk charges its own meter up to ``budget``, and the meter counts
-    candidate images, not weights, so each charges what one partition_fn call
-    charges: the grid is refused exactly when partition_fn refuses its
-    systems.
+    candidate images, not weights, so every walk charges alike: the grid is
+    refused exactly when partition_fn, a one-system grid, refuses its systems.
     """
-    for acts in systems:
-        _check_size(h, acts)
+    rows = {acts: acts.integer_rows(h) for acts in systems}  # the distinct systems
     h_masks = h.neighbor_masks()
-    distinct = list(dict.fromkeys(systems))
-    uniform = [acts for acts in distinct if acts.is_uniform()]
-    rest = [acts for acts in distinct if not acts.is_uniform()]
+    uniform = [acts for acts in rows if acts.is_uniform()]
+    rest = [acts for acts in rows if not acts.is_uniform()]
     values = {}
     if uniform:
         count = Fraction(_walk(g, h_masks, None, None, budget))
@@ -442,7 +436,9 @@ def partition_grid(
         values.update(zip(rest, packed))
     else:
         for acts in rest:
-            values[acts] = _weighted_sum(g, h_masks, acts, budget)
+            d_lam, row_e, d_mu, row_o = rows[acts]
+            num = _walk(g, h_masks, row_e, row_o, budget)
+            values[acts] = Fraction(num, d_lam ** len(g.class_e) * d_mu ** len(g.class_o))
     return [values[acts] for acts in systems]
 
 

@@ -226,8 +226,12 @@ def test_check_prints_the_line_of_its_certifier(capsys, tmp_path, pid):
     g_path.write_text(json.dumps(serialize_bipartite(g)))
     acts_doc = {"activities": {"0": {"lambda": "1/2", "mu": "3"}}}
     acts_path.write_text(json.dumps(acts_doc))
-    code, out = run_cli(capsys, "certify", "--check", pid, "-g", g_path,
-                        "-H", FIX / "k3.json", "-a", acts_path)
+    flags = ("-g", g_path, "-H", FIX / "k3.json", "-a", acts_path)
+    if pid == "nonbipartite-lower-bound-failure":
+        # the demo reads no instance, so instance flags are input errors
+        assert run_cli(capsys, "certify", "--check", pid, *flags)[0] == 2
+        flags = ()
+    code, out = run_cli(capsys, "certify", "--check", pid, *flags)
     assert code == 0
     if pid == "nonbipartite-lower-bound-failure":
         expected = [homcert.sandwich_nonbipartite_demo()]
@@ -465,6 +469,36 @@ def test_input_error_exit_code(capsys, tmp_path):
     assert json.loads(out)["error"]["code"] == "input-error"
     code, _ = run_cli(capsys, "count", "-g", tmp_path / "missing.json", "-H", FIX / "hind.json")
     assert code == 2
+
+
+@pytest.mark.parametrize("command, upper", [
+    (("restricted", "-g", FIX / "knn.json", "--n", "1"), [0.0]),
+    (("knn", "--n", "1"), [[0]]),
+    (("restricted", "-g", FIX / "knn.json", "--n", "1"), [True]),
+])
+def test_two_sorted_upper_entries_are_vertex_indices(capsys, tmp_path, command, upper):
+    target = tmp_path / "t.json"
+    target.write_text(json.dumps({"vertices": 2, "edges": [[0, 1]], "upper": upper}))
+    code = main([str(a) for a in (*command, "-T", target)])
+    captured = capsys.readouterr()
+    assert code == 2 and "Traceback" not in captured.err
+    assert json.loads(captured.out)["error"]["code"] == "input-error"
+
+
+@pytest.mark.parametrize("argv", [
+    *[("certify", "--check", "nonbipartite-lower-bound-failure", *flag) for flag in (
+        ("-g", FIX / "knn.json"), ("-H", FIX / "k3.json"), ("-a", "/nonexistent.json"),
+        ("--n", "3"), ("--half", "4"), ("--seed", "1"))],
+    ("certify", "--config", "default", "-g", FIX / "knn.json", "--n", "3", "-H", FIX / "k3.json"),
+    ("knn", "--n", "2", "--surjections", "2", "-a", "/nonexistent.json"),
+    ("knn", "--n", "2", "-T", FIX / "k2.json", "-a", "/nonexistent.json"),
+    ("count", "-g", FIX / "knn.json", "--n", "2", "--independent-sets",
+     "-H", "/nonexistent.json"),
+])
+def test_flags_the_mode_does_not_read_are_input_errors(capsys, argv):
+    code, out = run_cli(capsys, *argv)
+    assert code == 2
+    assert "does not read" in json.loads(out)["error"]["message"]
 
 
 def test_usage_error_exit_code():

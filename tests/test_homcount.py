@@ -127,6 +127,20 @@ def test_frontier_partition_matches_enumeration(seed):
     assert partition_fn(g, h, acts) == partition_by_enumeration(g, h, acts)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32))
+def test_uniform_partition_matches_enumeration(seed):
+    # a uniform system takes one plain count walk: Z = lambda^|E| * mu^|O| * hom(g, h)
+    rng = random.Random(seed)
+    g = random_bipartite(rng, max_half=4, p=rng.choice([0.3, 0.6]))
+    h = random_graph(rng, max_vertices=3, p=0.5)
+    lam = mu = Fraction(1)
+    while lam == mu == 1:
+        lam, mu = (Fraction(rng.randint(1, 3), rng.randint(1, 3)) for _ in range(2))
+    acts = ActivitySystem.uniform(h.vertex_count, lam, mu)
+    assert partition_fn(g, h, acts) == partition_by_enumeration(g, h, acts)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2**32))
 def test_frontier_restricted_matches_enumeration(seed):
