@@ -83,6 +83,7 @@ class BoundCheck:
         return self.rhs / self.lhs if self.lhs > 0 else None
 
     def to_dict(self) -> dict:
+        slack = self.slack
         return {
             "name": self.name,
             "relation": self.relation,
@@ -92,7 +93,7 @@ class BoundCheck:
             "rhs": str(self.rhs),
             "verdict": self.verdict,
             "equality": self.equality,
-            "slack": None if self.slack is None else str(self.slack),
+            "slack": None if slack is None else str(slack),
         }
 
 
@@ -131,26 +132,31 @@ class CertReport:
 
 
 class _Quantities:
-    """The numbers that the reports of one run ask for, each computed once on
-    first use: Z per (source, target) in one partition_grid call over every
-    system the run's jobs ask of the pair (the plain count is Z of the unit
-    system), the closed forms per (sizes, target, system), eta per (target,
-    system), and the serialized source, target and system of each report.
-    Each computation charges its own meter up to the run's budget, as a
-    direct call would; a refusal is kept and raised again at every use.
+    """The one memo of a run: every number its reports ask for, computed once
+    on first use.  These are Z per (source, target) in one partition_grid call
+    over every system the run's jobs ask of the pair (an unweighted
+    proposition's system is the unit one, so its count is a Z of denominator
+    1), the closed forms per (sizes, target, system), eta, the double and the
+    blow-up per target or (target, system), the serialized source, target and
+    system of each report, and a campaign's resolved sources, targets and
+    systems.  Each computation charges its own meter up to the run's budget,
+    as a direct call would; a refusal is kept and raised again at every use.
 
     A job is (proposition id, source, target, system, hypothesis fields,
-    instance info), the objects themselves; an unweighted proposition's
-    system is the unit one.  Memo keys use the objects' id(), so the jobs
-    keep every object alive for the run.
+    instance info), the objects themselves.  Memo keys use the objects' id(),
+    so the jobs and the memo keep every object alive for the run.
     """
 
-    def __init__(self, jobs, budget: int):
+    def __init__(self, budget: int):
         self.budget = budget
         self._values: dict = {}
         self._grids: dict = {}  # (id(g), id(h)) -> {id(acts): acts}, in job order
-        for _, g, h, acts, _, _ in jobs:
-            self._grids.setdefault((id(g), id(h)), {})[id(acts)] = acts
+
+    def job(self, pid, g, h, acts, fields, info) -> tuple:
+        """The job tuple; its system joins the Z grid of (g, h), so a run
+        makes every job before its first report."""
+        self._grids.setdefault((id(g), id(h)), {})[id(acts)] = acts
+        return pid, g, h, acts, fields, info
 
     def once(self, key, compute):
         """compute() on the first call with ``key``; later calls return its
@@ -172,17 +178,14 @@ class _Quantities:
 
         return self.once(("z", id(g), id(h)), compute)[id(acts)]
 
-    def count(self, g: BipartiteGraph, h: Graph, acts: ActivitySystem) -> int:
-        # only unweighted propositions ask for the count; their system is the unit one
-        return self.z(g, h, acts).numerator
-
     def kab(self, a: int, b: int, h: Graph, acts: ActivitySystem) -> Fraction:
         return self.once(("kab", a, b, id(h), id(acts)),
                          lambda: closedform.kab_partition(a, b, h, acts, self.budget))
 
     def knn_count(self, n: int, h: Graph) -> int:
+        doubled = self.once(("double", id(h)), lambda: double(h))
         return self.once(("knn", n, id(h)),
-                         lambda: closedform.knn_restricted_count(n, double(h), self.budget))
+                         lambda: closedform.knn_restricted_count(n, doubled, self.budget))
 
     def eta(self, h: Graph, acts: ActivitySystem) -> EtaWitness:
         return self.once(("eta", id(h), id(acts)), lambda: eta_two_sided(h, acts, self.budget))
@@ -237,10 +240,10 @@ def _biregular(g: BipartiteGraph) -> dict:
 
 
 def _hom_ub(q, g, h, acts, n):
-    lhs = q.count(g, h, acts)
+    lhs = q.z(g, h, acts)
     rhs = q.knn_count(n, h)
     bound = BoundCheck("upper", "<=", "count(g,h)^(2n)", "count(Knn,h)^N",
-                       Fraction(lhs ** (2 * n)), Fraction(rhs**g.vertex_count))
+                       lhs ** (2 * n), Fraction(rhs**g.vertex_count))
     return [bound], {"count_g": str(lhs), "count_knn": str(rhs)}
 
 
@@ -286,7 +289,7 @@ def _eta_sandwich(q, g, h, acts, n):
 
 
 def _lift_identity(q, g, h, acts):
-    target, meta = blowup(h, acts, q.budget)
+    target, meta = q.once(("blowup", id(h), id(acts)), lambda: blowup(h, acts, q.budget))
     z_g = q.z(g, h, acts)
     lifted = count_homs_restricted(g, target, q.budget)
     bound = BoundCheck("identity", "==", "Z(g)*C^N", "restricted-count(blowup)",
@@ -301,10 +304,11 @@ def _lift_identity(q, g, h, acts):
 
 
 def _double_identity(q, g, h, acts):
-    plain = q.count(g, h, acts)
-    restricted = count_homs_restricted(g, double(h), q.budget)
+    plain = q.z(g, h, acts)
+    doubled = q.once(("double", id(h)), lambda: double(h))
+    restricted = count_homs_restricted(g, doubled, q.budget)
     bound = BoundCheck("identity", "==", "count(g,h)", "restricted-count(double)",
-                       Fraction(plain), Fraction(restricted))
+                       plain, Fraction(restricted))
     return [bound], {"count": str(plain), "restricted_count": str(restricted)}
 
 
@@ -337,9 +341,9 @@ def _check(pid, g: BipartiteGraph, h: Graph, acts: ActivitySystem | None,
     number with another report, and its Z grid holds one system, so no walk
     is packed."""
     hypothesis, weighted, _ = _PROPOSITIONS[pid]
-    job = (pid, g, h, acts if weighted else ActivitySystem.unit(h.vertex_count),
-           hypothesis(g), instance_info)
-    return _Quantities([job], budget).report(job)
+    q = _Quantities(budget)
+    return q.report(q.job(pid, g, h, acts if weighted else ActivitySystem.unit(h.vertex_count),
+                          hypothesis(g), instance_info))
 
 
 # pid -> fn(g, h, acts, budget, instance_info); the CLI's --check dispatches here
@@ -485,7 +489,7 @@ def resolve_activities(entry, vertex_count: int) -> ActivitySystem:
     raise GraphFormatError(f"bad activity entry {entry!r}")
 
 
-def _list_field(doc: dict, key: str, default=None):
+def _list_field(doc: dict, key: str, default):
     if key not in doc:
         return default
     if not isinstance(doc[key], (list, tuple)):
@@ -493,35 +497,27 @@ def _list_field(doc: dict, key: str, default=None):
     return list(doc[key])
 
 
-@dataclass(frozen=True)
-class PropositionPlan:
-    id: str
-    families: list | None = None
-    targets: list | None = None
-    activities: list | None = None
-
-
-def _parse_propositions(entries) -> list[PropositionPlan]:
-    plans = []
-    for entry in entries:
-        if isinstance(entry, str):
-            entry = {"id": entry}
-        if not isinstance(entry, dict) or "id" not in entry:
-            raise GraphFormatError(f"bad proposition entry {entry!r}")
-        unknown = set(entry) - {"id", "families", "targets", "activities"}
-        if unknown:
-            raise GraphFormatError(f"unknown proposition keys {sorted(unknown)}")
-        if entry["id"] not in PROPOSITION_IDS:
-            raise GraphFormatError(
-                f"unknown proposition {entry['id']!r}; expected one of {PROPOSITION_IDS}"
-            )
-        overrides = (_list_field(entry, key) for key in ("families", "targets", "activities"))
-        plans.append(PropositionPlan(entry["id"], *overrides))
-    return plans
+def _proposition(entry, lists: dict) -> dict:
+    """A proposition entry with its families, targets and activities: its own
+    lists where it has them, else the campaign's."""
+    if isinstance(entry, str):
+        entry = {"id": entry}
+    if not isinstance(entry, dict) or "id" not in entry:
+        raise GraphFormatError(f"bad proposition entry {entry!r}")
+    unknown = set(entry) - {"id", *lists}
+    if unknown:
+        raise GraphFormatError(f"unknown proposition keys {sorted(unknown)}")
+    if entry["id"] not in PROPOSITION_IDS:
+        raise GraphFormatError(
+            f"unknown proposition {entry['id']!r}; expected one of {PROPOSITION_IDS}"
+        )
+    return {"id": entry["id"], **{key: _list_field(entry, key, lists[key]) for key in lists}}
 
 
 def load_campaign(source, base_dir=None) -> tuple[dict, Path | None]:
-    """Load and validate a campaign config; returns (config, base_dir)."""
+    """Load and validate a campaign config; returns (config, base_dir).  Each
+    proposition entry of the config comes back with its families, targets and
+    activities filled in, so a loaded config loads as itself."""
     if isinstance(source, (str, Path)):
         raw = read_doc(source)
         if base_dir is None:
@@ -540,15 +536,16 @@ def load_campaign(source, base_dir=None) -> tuple[dict, Path | None]:
         value = raw.get(key, default)
         if isinstance(value, bool) or not isinstance(value, int) or value < 0:
             raise GraphFormatError(f"campaign {key!r} must be a nonnegative integer")
+    lists = {"families": _list_field(raw, "families", []),
+             "targets": _list_field(grids, "targets", ["hind"]),
+             "activities": _list_field(grids, "activities", ["unit"])}
     config = {
         "seed": raw.get("seed", DEFAULT_SEED),
         "trials": raw.get("trials", 3),
-        "families": _list_field(raw, "families", []),
-        "grids": {
-            "targets": _list_field(grids, "targets", ["hind"]),
-            "activities": _list_field(grids, "activities", ["unit"]),
-        },
-        "propositions": _list_field(raw, "propositions", []),
+        "families": lists["families"],
+        "grids": {"targets": lists["targets"], "activities": lists["activities"]},
+        "propositions": [_proposition(entry, lists)
+                         for entry in _list_field(raw, "propositions", [])],
     }
     # left out when the config has none, so a caller can tell the config's
     # own budget from the default
@@ -585,59 +582,51 @@ def run_campaign(config, base_dir=None) -> list[CertReport]:
     """Deterministic sweep over (proposition, instance, target, activities).
 
     The whole config is resolved before the first check runs, each distinct
-    families list, source, target and (target, activity entry) once; each
-    check is a job of the resolved objects, and the jobs run together, so a
-    number they share is computed once.  Reports come in plan order and are
-    the ones the public certify_* functions give one at a time.
+    families list, source, target and (target, activity entry) once, through
+    the run's one memo; each check is a job of the resolved objects, and the
+    jobs run together, so a number they share is computed once.  Reports come
+    in plan order and are the ones the public certify_* functions give one at
+    a time.
     """
     config, base_dir = load_campaign(config, base_dir)
     budget = config.get("budget", DEFAULT_BUDGET)
     # every report carries its source and target, so even a campaign whose
     # budget skips every check builds the instances the default budget admits
     build_budget = max(budget, DEFAULT_BUDGET)
-    resolved: dict = {}
-
-    def once(key, resolve):
-        if key not in resolved:
-            resolved[key] = resolve()
-        return resolved[key]
+    q = _Quantities(budget)
 
     def sources(families):
         specs = _instance_specs(families, config["seed"], config["trials"], build_budget)
-        return [once(("source", repr(desc)),
-                     lambda: (desc, build_instance(spec, base_dir, build_budget)))
+        return [q.once(("source", repr(desc)),
+                       lambda: (desc, build_instance(spec, base_dir, build_budget)))
                 for desc, spec in specs]
 
     # the plans' jobs in report order: instances that meet the hypothesis,
     # then targets, then activity systems; None holds the demo's place
     jobs = []
-    for plan in _parse_propositions(config["propositions"]):
-        if plan.id == _DEMO:
+    for plan in config["propositions"]:
+        pid = plan["id"]
+        if pid == _DEMO:
             jobs.append(None)
             continue
-        hypothesis, weighted, _ = _PROPOSITIONS[plan.id]
-        families = plan.families if plan.families is not None else config["families"]
+        hypothesis, weighted, _ = _PROPOSITIONS[pid]
+        families = plan["families"]
         instances = []
-        for desc, g in once(("families", repr(families)), lambda: sources(families)):
+        for desc, g in q.once(("families", repr(families)), lambda: sources(families)):
             try:
                 instances.append((desc, g, hypothesis(g)))
             except GraphFormatError:
                 continue
-        targets = [once(("target", repr(entry)),
-                        lambda: (entry, resolve_target(entry, base_dir, build_budget)))
-                   for entry in (plan.targets if plan.targets is not None
-                                 else config["grids"]["targets"])]
-        act_entries = (
-            plan.activities if plan.activities is not None else config["grids"]["activities"]
-        ) if weighted else [None]
+        targets = [q.once(("target", repr(entry)),
+                          lambda: (entry, resolve_target(entry, base_dir, build_budget)))
+                   for entry in plan["targets"]]
         for trial, (desc, g, fields) in enumerate(instances):
             for h_spec, h in targets:
                 info = {"g_spec": desc, "h_spec": h_spec, "trial": trial}
-                for entry in act_entries:
-                    acts = once(("system", id(h), repr(entry)),
-                                lambda: resolve_activities(entry, h.vertex_count))
-                    jobs.append((plan.id, g, h, acts, fields, info))
-    q = _Quantities(filter(None, jobs), budget)
+                for entry in plan["activities"] if weighted else [None]:
+                    acts = q.once(("system", id(h), repr(entry)),
+                                  lambda: resolve_activities(entry, h.vertex_count))
+                    jobs.append(q.job(pid, g, h, acts, fields, info))
     return [sandwich_nonbipartite_demo(budget) if job is None else q.report(job) for job in jobs]
 
 

@@ -82,6 +82,8 @@ SUBCOMMAND_OPERATIONS = {
 # one override flag per parameter of a generated family, plus the seed
 _OVERRIDE_KEYS = (*dict.fromkeys(k for row in GENERATED_FAMILIES.values() for k in row.params),
                   "seed")
+# the flags that only an instance spec reads
+_SPEC_FLAGS = ("n", *_OVERRIDE_KEYS)
 
 
 def _fixture_path(name: str) -> Path:
@@ -136,6 +138,7 @@ def _load_source(args, doc=None) -> BipartiteGraph:
     if "family" in doc:
         budget = max(_budget(args), DEFAULT_BUDGET)
         return build_instance(_apply_overrides(doc, args), Path(args.graph).parent, budget)
+    _reject_unread(args, _SPEC_FLAGS, "a -g graph document")
     return parse_bipartite(doc, _budget(args))
 
 
@@ -178,6 +181,7 @@ def _cmd_count(args) -> int:
     if "family" in doc or "class_e" in doc:
         g = _load_source(args, doc).graph
     else:
+        _reject_unread(args, _SPEC_FLAGS, "a -g graph document")
         g = parse_graph(doc, _budget(args))
     if args.independent_sets:
         _reject_unread(args, ["target"], "--independent-sets")
@@ -268,14 +272,17 @@ def _cmd_blowup(args) -> int:
 
 def _cmd_generate(args) -> int:
     if args.spec is not None:
+        _reject_unread(args, ["spec_file", "family", "path"], "--spec")
         doc = _load_doc(args.spec)
     elif args.spec_file is not None:
+        _reject_unread(args, ["family", "path"], "--spec-file")
         doc = read_doc(args.spec_file)
     elif args.family == "file":
         if args.path is None:
             raise GraphFormatError("--family file requires --path")
         doc = {"family": "file", "path": args.path}
     elif args.family is not None:
+        _reject_unread(args, ["path"], f"--family {args.family}")
         doc = {"family": args.family}
     else:
         raise GraphFormatError("generate requires --family, --spec, or --spec-file")
@@ -286,7 +293,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    instance_flags = ["graph", "target", "activities", "n", *_OVERRIDE_KEYS]
+    instance_flags = ["graph", "target", "activities", *_SPEC_FLAGS]
     if args.check is not None:
         if args.config is not None:
             raise GraphFormatError("--check and --config exclude each other")
@@ -295,6 +302,8 @@ def _cmd_certify(args) -> int:
             _reject_unread(args, instance_flags, f"--check {args.check}")
             reports = [certify_mod.sandwich_nonbipartite_demo(budget)]
         else:
+            if not certify_mod._PROPOSITIONS[args.check].weighted:
+                _reject_unread(args, ["activities"], f"--check {args.check}")
             if args.graph is None or args.target is None:
                 raise GraphFormatError(f"--check {args.check} requires -g and -H")
             g = _load_source(args)

@@ -26,6 +26,7 @@ from homcert import (
     gen_random_regular_bipartite,
     gen_union,
     independence_target,
+    load_campaign,
     parse_bipartite,
     report_stream,
     run_campaign,
@@ -341,6 +342,44 @@ def test_campaign_skips_inapplicable_instances():
     reports = run_campaign(config)
     # K_{1,2} is biregular but not regular: only bireg-ub reports appear
     assert reports and all(r.check == "bireg-ub" for r in reports)
+
+
+def test_an_empty_proposition_list_overrides_the_campaign_list():
+    config = _small_config(propositions=[{"id": "hom-ub", "families": []}, "double-identity"])
+    loaded, _ = load_campaign(config)
+    assert [p["families"] for p in loaded["propositions"]] == [[], config["families"]]
+    assert load_campaign(loaded)[0] == loaded
+    reports = run_campaign(config)
+    # hom-ub has no sources; double-identity takes the campaign's three
+    # (C4 and two random trials) into its two targets
+    assert len(reports) == 3 * 2 and {r.check for r in reports} == {"double-identity"}
+
+
+@pytest.mark.parametrize("budget", [20_000_000, 0])
+def test_default_campaign_makes_each_double_and_blowup_once(monkeypatch, budget):
+    doubles, blowups = Counter(), Counter()
+    double, blowup = certify_mod.double, certify_mod.blowup
+
+    def counting_double(h):
+        doubles[id(h)] += 1
+        return double(h)
+
+    def counting_blowup(h, acts, budget):
+        blowups[id(h), id(acts)] += 1
+        return blowup(h, acts, budget)
+
+    monkeypatch.setattr(certify_mod, "double", counting_double)
+    monkeypatch.setattr(certify_mod, "blowup", counting_blowup)
+    config, base_dir = load_campaign(_fixture_path("default-campaign.json"))
+    config["budget"] = budget
+    reports = run_campaign(config, base_dir)
+    # 4 targets x 4 activity systems; a refused blow-up is not tried again
+    assert len(blowups) == 16 and set(blowups.values()) == {1}
+    if budget:
+        # one double per target serves hom-ub's closed form and the double identity
+        assert len(doubles) == 4 and set(doubles.values()) == {1}
+    else:
+        assert all(r.verdict == SKIPPED_BUDGET for r in reports if not r.expected_violation)
 
 
 # the acceptance cubic campaign's grid: nine systems that differ at target vertex 0

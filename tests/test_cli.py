@@ -227,6 +227,10 @@ def test_check_prints_the_line_of_its_certifier(capsys, tmp_path, pid):
     acts_doc = {"activities": {"0": {"lambda": "1/2", "mu": "3"}}}
     acts_path.write_text(json.dumps(acts_doc))
     flags = ("-g", g_path, "-H", FIX / "k3.json", "-a", acts_path)
+    if pid in ("hom-ub", "double-identity"):
+        # an unweighted proposition reads no activities
+        assert run_cli(capsys, "certify", "--check", pid, *flags)[0] == 2
+        flags = flags[:-2]
     if pid == "nonbipartite-lower-bound-failure":
         # the demo reads no instance, so instance flags are input errors
         assert run_cli(capsys, "certify", "--check", pid, *flags)[0] == 2
@@ -494,6 +498,15 @@ def test_two_sorted_upper_entries_are_vertex_indices(capsys, tmp_path, command, 
     ("knn", "--n", "2", "-T", FIX / "k2.json", "-a", "/nonexistent.json"),
     ("count", "-g", FIX / "knn.json", "--n", "2", "--independent-sets",
      "-H", "/nonexistent.json"),
+    # spec override flags with a graph document, bipartite or plain
+    ("partition", "-g", FIX / "incidence_k4.json", "--n", "3", "-H", FIX / "hind.json"),
+    ("count", "-g", FIX / "k3.json", "--n", "3", "-H", FIX / "k3.json"),
+    ("count", "-g", FIX / "k3.json", "--independent-sets", "--length", "8"),
+    # generate reads exactly one source flag, and --path only with --family file
+    ("generate", "--family", "hypercube", "--spec", '{"family": "cycle", "length": 4}',
+     "--spec-file", "/nonexistent.json"),
+    ("generate", "--spec-file", FIX / "knn.json", "--family", "cycle"),
+    ("generate", "--family", "cycle", "--length", "6", "--path", "/nonexistent.json"),
 ])
 def test_flags_the_mode_does_not_read_are_input_errors(capsys, argv):
     code, out = run_cli(capsys, *argv)
