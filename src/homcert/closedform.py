@@ -9,6 +9,13 @@ dropped.  The restricted count of K_{n,n} into a two-sorted target is the
 same sum with unit weights over the lower side.  Both are accepted only
 through oracle equivalence with the counters, never on derivation alone.
 
+kab_partition keys its states by orbit of the target's twin swaps
+(ActivitySystem.twin_prev): swapping twins maps the maps of one common
+neighbourhood onto those of its image with the same weight and lambda-sum,
+so each state is kept as the member that takes the lowest vertices of each
+twin class, and K_m has at most m states per step instead of up to
+2^m - 1.  The restricted count keeps one state per common neighbourhood.
+
 The budget is charged one unit per target vertex per state before the state
 is extended, so the dict never outgrows what the budget has seen; a target
 too large for the budget is refused, never approximated.
@@ -33,10 +40,27 @@ def surjection_count(n: int, a: int) -> int:
     return sum((-1) ** i * comb(a, i) * (a - i) ** n for i in range(a + 1))
 
 
-def _common_neighbourhoods(b: int, vertices, masks, full: int, weight, budget: int) -> dict:
+def _twin_classes(prev) -> list[tuple[int, list[int]]]:
+    """(class mask, [mask of its k lowest members for k = 0..size]) for each
+    twin class of two or more vertices, from ActivitySystem.twin_prev."""
+    lows_of = {}  # keyed by the largest member so far of each class
+    for i, j in enumerate(prev):
+        lows = lows_of.pop(j, [0])
+        lows.append(lows[-1] | 1 << i)
+        lows_of[i] = lows
+    return [(lows[-1], lows) for lows in lows_of.values() if len(lows) > 2]
+
+
+def _common_neighbourhoods(b: int, vertices, masks, full: int, weight, budget: int,
+                           twins=()) -> dict:
     """{c: w} over the maps of b labelled items into ``vertices``: w sums,
     over the maps whose images have common neighbourhood c (a nonempty
-    bitmask within ``full``), the product of weight[j] over the images j."""
+    bitmask within ``full``), the product of weight[j] over the images j.
+
+    With ``twins`` (from _twin_classes) each c is an orbit of the twin swaps
+    instead, kept as its canonical member: the one that takes the lowest
+    members of each class.  The fold commutes with the swaps, so the merged
+    weights are exact for any sum over c that the swaps leave unchanged."""
     states = {full: 1}
     meter = 0
     for _ in range(b):
@@ -49,7 +73,14 @@ def _common_neighbourhoods(b: int, vertices, masks, full: int, weight, budget: i
                 c = cn & masks[j]
                 if c:
                     new[c] = new.get(c, 0) + w * weight[j]
-        states = new
+        if twins:
+            states = {}
+            for c, w in new.items():
+                for cls, lows in twins:
+                    c = c & ~cls | lows[(c & cls).bit_count()]
+                states[c] = states.get(c, 0) + w
+        else:
+            states = new
     return states
 
 
@@ -78,7 +109,8 @@ def kab_partition(
         raise ValueError("side sizes must be >= 1")
     d_lam, lam, d_mu, mu = acts.integer_rows(h)
     m = h.vertex_count
-    states = _common_neighbourhoods(b, range(m), h.neighbor_masks(), (1 << m) - 1, mu, budget)
+    states = _common_neighbourhoods(b, range(m), h.neighbor_masks(), (1 << m) - 1, mu, budget,
+                                    _twin_classes(acts.twin_prev(h)))
     total = sum(w * sum(lam[i] for i in mask_vertices(c)) ** a for c, w in states.items())
     return Fraction(total, d_mu**b * d_lam**a)
 

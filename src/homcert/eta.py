@@ -8,7 +8,10 @@ the edge count of a complete bipartite subgraph.
 The sets A with a common neighbour form a down-set, the neighbourhood
 complex of the target; the optimum is found by a depth-first walk of it that
 charges the budget one unit per candidate vertex tried, never by a table
-over all subsets.
+over all subsets.  Twin target vertices (ActivitySystem.twin_prev) are
+interchangeable, so the walk visits one set per orbit of the twin swaps:
+K_m costs m(m+1)/2 instead of 2^m - 1, and a twin-free target walks every
+set of its complex.
 """
 
 from __future__ import annotations
@@ -42,10 +45,15 @@ def eta_two_sided(h: Graph, acts: ActivitySystem, budget: int = DEFAULT_BUDGET) 
     and every maximizer a closed pair (C(C(A)), C(A)), so the walk scores each
     A of the complex against C(A).  It visits A in lexicographic order and
     keeps the first maximum, so ties break to the smallest A, then smallest
-    B.  The pair enumeration and the subset tables are the test oracles.  A
-    target with no edge scores 0 with an empty witness.
+    B.  A vertex with a smaller twin joins A only after its largest smaller
+    twin has, so A takes the lowest members of each twin class: that set
+    scores like every set with the same count per class and comes first
+    among them, so the first maximum is the same.  The pair enumeration and
+    the subset tables are the test oracles.  A target with no edge scores 0
+    with an empty witness.
     """
     d_lam, lam, d_mu, mu = acts.integer_rows(h)
+    prev = acts.twin_prev(h)
     m = h.vertex_count
     masks = h.neighbor_masks()
     best_val, best, meter = 0, None, 0
@@ -60,7 +68,7 @@ def eta_two_sided(h: Graph, acts: ActivitySystem, budget: int = DEFAULT_BUDGET) 
             raise BudgetExceededError(f"node-expansion budget {budget} exceeded")
         for i in range(m - 1, start - 1, -1):
             c = cn & masks[i]
-            if c:
+            if c and (prev[i] < 0 or a_mask >> prev[i] & 1):
                 mu_c, gone = mu_cn, cn ^ c
                 while gone:
                     low = gone & -gone

@@ -401,8 +401,9 @@ _STRUCTURAL = {"union": "parts", "file": "path"}
 
 def parse_instance_spec(doc: dict) -> dict:
     """The canonical spec document: family, parameters (union parts
-    canonical too) and the seed when one is given.  Every parameter is
-    checked here, so a bad spec fails before any generation work."""
+    canonical too) and the seed when one is given; only a seeded family
+    takes one.  Every parameter is checked here, so a bad spec fails before
+    any generation work."""
     if not isinstance(doc, dict):
         raise GraphFormatError("instance spec must be a JSON object")
     family = doc.get("family")
@@ -433,6 +434,8 @@ def parse_instance_spec(doc: dict) -> dict:
     seed = doc.get("seed")
     if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
         raise GraphFormatError("'seed' must be an integer")
+    if seed is not None and not (row and row.seeded):
+        raise GraphFormatError(f"family {family!r} takes no seed")
     if row and not row.valid(*params.values()):
         raise GraphFormatError(f"invalid parameters for family {family!r}: {params}")
     return {"family": family, **params, **({} if seed is None else {"seed": seed})}

@@ -113,6 +113,30 @@ class ActivitySystem:
     def _integer_rows(self):
         return (*clear_denominators(self.lambdas), *clear_denominators(self.mus))
 
+    def twin_prev(self, h: Graph) -> list[int]:
+        """For each vertex i of h, its largest twin j < i, or -1.
+
+        i and j are twins when swapping them is an automorphism of h that
+        keeps both activities: equal lambdas, equal mus, both looped or
+        neither, and the same neighbours outside {i, j}.  Twinship is an
+        equivalence relation, so i is compared only with the largest member
+        so far of each class."""
+        _, lam, _, mu = self.integer_rows(h)
+        masks = h.neighbor_masks()
+        prev, last = [], []
+        for i, mask in enumerate(masks):
+            for k, j in enumerate(last):
+                pair = ~(1 << i | 1 << j)
+                if (lam[i] == lam[j] and mu[i] == mu[j] and mask >> i & 1 == masks[j] >> j & 1
+                        and mask & pair == masks[j] & pair):
+                    last[k] = i
+                    prev.append(j)
+                    break
+            else:
+                last.append(i)
+                prev.append(-1)
+        return prev
+
     def is_unit(self) -> bool:
         return all(x == 1 for x in self.lambdas + self.mus)
 

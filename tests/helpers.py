@@ -215,6 +215,42 @@ def random_graph(rng: random.Random, max_vertices: int = 6, p: float = 0.4,
     return Graph(n, edges, loops)
 
 
+def random_twin_target(rng: random.Random, max_classes: int = 4,
+                       max_class_size: int = 3) -> tuple[Graph, ActivitySystem]:
+    """A target with planted twin classes and its activities.
+
+    A random quotient graph on the classes is blown up: each class is a
+    clique or an independent set, looped or not, and two classes are joined
+    completely or not at all.  The labels are shuffled.  Activities are equal
+    within a class, except that one vertex is sometimes perturbed, and one
+    noise edge sometimes breaks a class."""
+    sizes = [rng.randint(1, max_class_size) for _ in range(rng.randint(1, max_classes))]
+    labels = list(range(sum(sizes)))
+    rng.shuffle(labels)
+    classes = [labels[sum(sizes[:c]):sum(sizes[:c + 1])] for c in range(len(sizes))]
+    edges, loops = set(), []
+    lams, mus = [None] * len(labels), [None] * len(labels)
+    unit = rng.random() < 0.3
+    for c, members in enumerate(classes):
+        if rng.random() < 0.4:
+            loops += members
+        joined = [d for d in range(c) if rng.random() < 0.5]
+        if rng.random() < 0.5:
+            joined.append(c)
+        edges |= {(min(u, v), max(u, v)) for d in joined for u in members for v in classes[d]
+                  if u != v}
+        lam, mu = (1, 1) if unit else (Fraction(rng.randint(1, 3), rng.randint(1, 2)),
+                                       Fraction(rng.randint(1, 3), rng.randint(1, 2)))
+        for v in members:
+            lams[v], mus[v] = Fraction(lam), Fraction(mu)
+    if rng.random() < 0.3:
+        (lams if rng.random() < 0.5 else mus)[rng.randrange(len(labels))] += 1
+    missing = [(u, v) for u in labels for v in labels if u < v and (u, v) not in edges]
+    if missing and rng.random() < 0.3:
+        edges.add(rng.choice(missing))
+    return Graph(len(labels), sorted(edges), loops), ActivitySystem(tuple(lams), tuple(mus))
+
+
 def random_bipartite(rng: random.Random, max_half: int = 4, p: float = 0.5) -> BipartiteGraph:
     a = rng.randint(1, max_half)
     b = rng.randint(1, max_half)

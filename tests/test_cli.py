@@ -276,9 +276,10 @@ def test_budget_env_override(capsys, monkeypatch):
 
 
 def test_kab_and_eta_take_the_budget_from_the_environment(capsys, monkeypatch):
-    # eta's walk of K3's neighbourhood complex tries 3 + 2 + 1 + 1 candidate
-    # vertices, and K_{1,1} costs one state of 3 candidate images
-    for argv, cost in ((("kab", "--a", "1", "--b", "1"), 3), (("eta",), 7)):
+    # K3's vertices are twins, so eta walks {}, {0} and {0, 1} of its
+    # neighbourhood complex and tries 3 + 2 + 1 candidate vertices; K_{1,1}
+    # costs one state of 3 candidate images
+    for argv, cost in ((("kab", "--a", "1", "--b", "1"), 3), (("eta",), 6)):
         monkeypatch.setenv("HOMCERT_BUDGET", str(cost - 1))
         code, out = run_cli(capsys, *argv, "-H", FIX / "k3.json")
         assert code == 1
@@ -512,6 +513,20 @@ def test_flags_the_mode_does_not_read_are_input_errors(capsys, argv):
     code, out = run_cli(capsys, *argv)
     assert code == 2
     assert "does not read" in json.loads(out)["error"]["message"]
+
+
+def test_a_seed_on_an_unseeded_family_is_an_input_error(capsys, tmp_path):
+    config = tmp_path / "camp.json"
+    config.write_text(json.dumps({
+        "families": [{"family": "cycle", "length": 6, "seed": 3}],
+        "grids": {"targets": ["k2"]},
+        "propositions": ["hom-ub"],
+    }))
+    for argv in (("generate", "--family", "cycle", "--length", "6", "--seed", "3"),
+                 ("certify", "--config", config)):
+        code, out = run_cli(capsys, *argv)
+        assert code == 2
+        assert json.loads(out)["error"]["message"] == "family 'cycle' takes no seed"
 
 
 def test_usage_error_exit_code():

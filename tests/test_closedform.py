@@ -27,6 +27,7 @@ from helpers import (
     partition_by_enumeration,
     random_activities,
     random_graph,
+    random_twin_target,
     random_two_sorted,
     restricted_count_by_enumeration,
     surjections_by_enumeration,
@@ -212,6 +213,27 @@ def test_kab_matches_subset_oracle(seed):
     a = rng.randint(1, 4)
     b = rng.randint(1, 4)
     assert kab_partition(a, b, h, acts) == kab_partition_by_subsets(a, b, h, acts)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32))
+def test_kab_on_twin_targets_matches_subset_oracle(seed):
+    rng = random.Random(seed)
+    h, acts = random_twin_target(rng)
+    a, b = rng.randint(1, 4), rng.randint(1, 4)
+    assert kab_partition(a, b, h, acts) == kab_partition_by_subsets(a, b, h, acts)
+
+
+def test_kab_keeps_one_state_per_twin_orbit():
+    # K4's vertices are twins: the three steps extend 1, 1 and 2 states of 4
+    # candidate images each; distinct lambdas leave it twin-free, and then
+    # they extend 1, 4 and 10
+    k4 = complete_graph(4)
+    for acts, cost in ((ActivitySystem.unit(4), 16),
+                       (ActivitySystem.from_pairs([(1, 1), (2, 1), (3, 1), (4, 1)]), 60)):
+        with pytest.raises(BudgetExceededError):
+            kab_partition(1, 3, k4, acts, budget=cost - 1)
+        assert kab_partition(1, 3, k4, acts, budget=cost) == kab_partition_by_subsets(1, 3, k4, acts)
 
 
 def test_kab_on_a_target_past_any_subset_table():

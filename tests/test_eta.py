@@ -16,7 +16,8 @@ from homcert import (
     independence_target,
     validate_witness,
 )
-from helpers import eta_by_pair_enumeration, eta_by_subsets, random_activities, random_graph
+from helpers import (eta_by_pair_enumeration, eta_by_subsets, random_activities, random_graph,
+                     random_twin_target)
 
 HIND = independence_target()
 
@@ -137,10 +138,21 @@ def test_validate_witness_rejects_wrong_claims():
 
 
 def test_subset_budget():
-    # the walk tries 4 + 3 + 2 + 1 + 2 + 1 + 1 + 1 candidate vertices on K4
+    # K4's vertices are twins, so the walk visits {}, {0}, {0, 1} and
+    # {0, 1, 2} and tries 4 + 3 + 2 + 1 candidate vertices
     with pytest.raises(BudgetExceededError):
-        eta_unweighted(complete_graph(4), budget=14)
-    assert eta_unweighted(complete_graph(4), budget=15).value == 4
+        eta_unweighted(complete_graph(4), budget=9)
+    assert eta_unweighted(complete_graph(4), budget=10).value == 4
+
+
+def test_twin_free_target_walks_every_set():
+    # distinct lambdas leave K4 twin-free: the walk visits all 15 sets of its
+    # complex and tries 4 + 3 + 2 + 1 + 2 + 1 + 1 + 1 candidate vertices
+    acts = ActivitySystem.from_pairs([(1, 1), (2, 1), (3, 1), (4, 1)])
+    assert acts.twin_prev(complete_graph(4)) == [-1, -1, -1, -1]
+    with pytest.raises(BudgetExceededError):
+        eta_two_sided(complete_graph(4), acts, budget=14)
+    assert eta_two_sided(complete_graph(4), acts, budget=15) == EtaWitness((2, 3), (0, 1), 14)
 
 
 @settings(max_examples=150, deadline=None)
@@ -160,3 +172,28 @@ def test_eta_on_a_target_past_any_subset_table():
     # 2^200 subsets; the walk of the 200-cycle's neighbourhood complex is short
     c200 = Graph(200, [(i, (i + 1) % 200) for i in range(200)])
     assert eta_unweighted(c200) == EtaWitness((0,), (1, 199), 2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32))
+def test_twin_targets_match_subset_oracle(seed):
+    h, acts = random_twin_target(random.Random(seed))
+    assert eta_two_sided(h, acts) == eta_by_subsets(h, acts)
+
+
+def test_unit_k25_answers_at_once():
+    # one twin class: 25 + 24 + ... + 1 candidate vertices, not 2^25 - 1
+    expected = EtaWitness(tuple(range(12)), tuple(range(12, 25)), 156)
+    assert eta_unweighted(complete_graph(25)) == expected
+    assert eta_unweighted(complete_graph(25), budget=325) == expected
+    with pytest.raises(BudgetExceededError):
+        eta_unweighted(complete_graph(25), budget=324)
+
+
+def test_complete_target_with_one_weighted_vertex():
+    # two twin classes, {0} and the rest; the oracle reaches the small sizes
+    acts = lambda m: ActivitySystem.from_mapping(m, {0: ("1/2", "2")})
+    for m in range(2, 12):
+        assert eta_two_sided(complete_graph(m), acts(m)) == eta_by_subsets(complete_graph(m), acts(m))
+    assert eta_two_sided(complete_graph(200), acts(200)) == EtaWitness(
+        tuple(range(1, 101)), (0, *range(101, 200)), 10100)

@@ -238,6 +238,10 @@ def test_instance_specs_match_generators(tmp_path):
         {"family": "random-regular", "degree": 3, "half": 2},
         {"family": "complete-bipartite", "a": 0, "b": 1},
         {"family": "hypercube", "dim": "3"},
+        # a seed only a seeded family reads
+        {"family": "cycle", "length": 6, "seed": 3},
+        {"family": "file", "path": "g.json", "seed": 4},
+        {"family": "union", "parts": [{"family": "cycle", "length": 4}], "seed": 7},
     ],
 )
 def test_instance_spec_rejects(doc):
@@ -252,13 +256,12 @@ def test_random_regular_spec_requires_seed():
 
 
 def test_instance_describe_includes_seed_and_parts():
-    spec = parse_instance_spec(
-        {"family": "union", "parts": [{"family": "cycle", "length": 4}], "seed": 7}
-    )
+    part = {"half": 3, "family": "random-regular", "seed": 7, "degree": 2}
+    spec = parse_instance_spec({"family": "union", "parts": [{"family": "cycle", "length": 4}, part]})
     assert spec == {
         "family": "union",
-        "parts": [{"family": "cycle", "length": 4}],
-        "seed": 7,
+        "parts": [{"family": "cycle", "length": 4},
+                  {"family": "random-regular", "degree": 2, "half": 3, "seed": 7}],
     }
 
 

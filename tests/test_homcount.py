@@ -32,6 +32,7 @@ from helpers import (
     random_activities,
     random_bipartite,
     random_graph,
+    random_twin_target,
     restricted_count_by_enumeration,
 )
 
@@ -503,3 +504,27 @@ def test_activity_describe_shapes():
     }
     vertexwise = ActivitySystem.from_mapping(2, {0: ("1/3", "2")}).describe()
     assert vertexwise == {"vertex": {"0": {"lambda": "1/3", "mu": "2"}}}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32))
+def test_twin_prev_is_the_largest_smaller_twin(seed):
+    # the definition pair by pair: swapping i and j fixes the edges and loops
+    # of h and both activities
+    rng = random.Random(seed)
+    if rng.random() < 0.5:
+        h, acts = random_twin_target(rng)
+    else:
+        h = random_graph(rng, max_vertices=7)
+        acts = random_activities(rng, h.vertex_count, max_num=2, max_den=1)
+    swap = lambda i, j: {i: j, j: i}
+
+    def twins(i, j):
+        s = swap(i, j)
+        return (acts.lambdas[i] == acts.lambdas[j] and acts.mus[i] == acts.mus[j]
+                and all(h.adjacent(u, v) == h.adjacent(s.get(u, u), s.get(v, v))
+                        for u in range(h.vertex_count) for v in range(h.vertex_count)))
+
+    expected = [max((j for j in range(i) if twins(i, j)), default=-1)
+                for i in range(h.vertex_count)]
+    assert acts.twin_prev(h) == expected
