@@ -13,8 +13,8 @@ import json
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
-from math import comb
+from functools import lru_cache, partial
+from math import comb, gcd
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -57,10 +57,24 @@ _DEMO = "nonbipartite-lower-bound-failure"
 
 _SEED_RULE = "master_seed+index"
 
+# a report's JSON is json.dumps(to_dict(), sort_keys=True, separators=(",", ":"))
+_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+@lru_cache(maxsize=64)  # this module makes eight kinds of bound
+def _bound_frame(name: str, relation: str, lhs_label: str, rhs_label: str) -> tuple[str, str]:
+    """The JSON text of a bound's fixed fields: what comes between its lhs
+    and rhs values, and what comes between its rhs value and its slack."""
+    return (f'","lhs_label":{_json(lhs_label)},"name":{_json(name)},'
+            f'"relation":{_json(relation)},"rhs":"',
+            f'","rhs_label":{_json(rhs_label)},"slack":')
+
 
 @dataclass(frozen=True)
 class BoundCheck:
-    """One exact comparison between two power-normalized values."""
+    """One exact comparison between two power-normalized values, judged once
+    on construction: the cross products lhs.n * rhs.d and rhs.n * lhs.d
+    decide the verdict and the equality, and their quotient is the slack."""
 
     name: str
     relation: str  # "<=" or "=="
@@ -68,19 +82,26 @@ class BoundCheck:
     rhs_label: str
     lhs: Fraction
     rhs: Fraction
+    verdict: str = field(init=False, compare=False)
+    equality: bool = field(init=False, compare=False)
 
-    @property
-    def verdict(self) -> str:
-        ok = self.lhs == self.rhs if self.relation == "==" else self.lhs <= self.rhs
-        return HOLDS if ok else VIOLATED
+    def __post_init__(self):
+        low, high = self._cross()
+        ok = low == high if self.relation == "==" else low <= high
+        object.__setattr__(self, "verdict", HOLDS if ok else VIOLATED)
+        object.__setattr__(self, "equality", low == high)
 
-    @property
-    def equality(self) -> bool:
-        return self.lhs == self.rhs
+    def _cross(self) -> tuple[int, int]:
+        """(lhs, rhs) over the common denominator lhs.d * rhs.d; not kept,
+        as the products are as large as the sides."""
+        return (self.lhs.numerator * self.rhs.denominator,
+                self.rhs.numerator * self.lhs.denominator)
 
     @property
     def slack(self) -> Fraction | None:
-        return self.rhs / self.lhs if self.lhs > 0 else None
+        """rhs / lhs, or None unless lhs > 0."""
+        low, high = self._cross()
+        return Fraction(high, low) if low > 0 else None
 
     def to_dict(self) -> dict:
         slack = self.slack
@@ -95,6 +116,30 @@ class BoundCheck:
             "equality": self.equality,
             "slack": None if slack is None else str(slack),
         }
+
+    def to_json(self) -> str:
+        """to_dict() as compact JSON with sorted keys, written from its
+        strings: the values and the slack are digits and '/'."""
+        low, high = self._cross()
+        if low > 0:
+            d = gcd(high, low)
+            slack = f'"{high // d}"' if d == low else f'"{high // d}/{low // d}"'
+        else:
+            slack = "null"
+        mid, tail = _bound_frame(self.name, self.relation, self.lhs_label, self.rhs_label)
+        return "".join(('{"equality":', "true" if self.equality else "false", ',"lhs":"',
+                        str(self.lhs), mid, str(self.rhs), tail, slack,
+                        ',"verdict":"', self.verdict, '"}'))
+
+
+def _shared_json(value, encoded: dict) -> str:
+    """The JSON text of ``value``, encoded once per memo ``encoded``
+    (id(value) -> (value, text)); the memo holds the value, so its id is not
+    reused while the memo lives."""
+    hit = encoded.get(id(value))
+    if hit is None:
+        hit = encoded[id(value)] = (value, _json(value))
+    return hit[1]
 
 
 @dataclass
@@ -127,8 +172,27 @@ class CertReport:
             doc["note"] = self.note
         return doc
 
-    def to_json_line(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+    def to_json_line(self, encoded: dict | None = None) -> str:
+        """to_dict() as compact JSON with sorted keys, written key by key.
+        ``encoded`` is a stream's memo (see _shared_json) for what reports
+        share: the instance keys and values other than ints, the check and
+        the verdict.  The bounds, details and note are this report's own."""
+        if encoded is None:
+            encoded = {}
+        instance = []
+        for key, value in sorted(self.instance.items()):
+            text = str(value) if type(value) is int else _shared_json(value, encoded)
+            instance.append(_shared_json(key, encoded) + ":" + text)
+        parts = ['{"bounds":[', ",".join([b.to_json() for b in self.bounds]),
+                 '],"check":', _shared_json(self.check, encoded)]
+        if self.details:
+            parts += (',"details":', _json(self.details))
+        parts += (',"expected_violation":', "true" if self.expected_violation else "false",
+                  ',"instance":{', ",".join(instance), "}")
+        if self.note is not None:
+            parts += (',"note":', _json(self.note))
+        parts += (',"verdict":', _shared_json(self.verdict, encoded), "}")
+        return "".join(parts)
 
 
 class _Quantities:
@@ -189,6 +253,12 @@ class _Quantities:
 
     def eta(self, h: Graph, acts: ActivitySystem) -> EtaWitness:
         return self.once(("eta", id(h), id(acts)), lambda: eta_two_sided(h, acts, self.budget))
+
+    def power(self, value: Fraction, e: int) -> Fraction:
+        """value ** e, once per (value, e): a bound side that the trials of one
+        size share.  Only for values this memo keeps alive (a kab value, an
+        eta witness's value), so their ids stay theirs for the run."""
+        return self.once(("power", id(value), e), lambda: value**e)
 
     def report(self, job: tuple) -> CertReport:
         """Describe the job's instance and judge its proposition."""
@@ -251,7 +321,7 @@ def _weighted_ub(q, g, h, acts, n):
     z_g = q.z(g, h, acts)
     z_knn = q.kab(n, n, h, acts)
     bound = BoundCheck("upper", "<=", "Z(g)^(2n)", "Z(Knn)^N",
-                       z_g ** (2 * n), z_knn**g.vertex_count)
+                       z_g ** (2 * n), q.power(z_knn, g.vertex_count))
     return [bound], {"Z_g": str(z_g), "Z_knn": str(z_knn)}
 
 
@@ -259,20 +329,22 @@ def _bireg_ub(q, g, h, acts, a, b):
     z_g = q.z(g, h, acts)
     z_kab = q.kab(b, a, h, acts)
     bound = BoundCheck("upper", "<=", "Z(g)^(a+b)", "Z(Kab)^N",
-                       z_g ** (a + b), z_kab**g.vertex_count)
+                       z_g ** (a + b), q.power(z_kab, g.vertex_count))
     return [bound], {"Z_g": str(z_g), "Z_kab": str(z_kab)}
 
 
-def _sandwich_bounds(z: Fraction, eta: Fraction, n: int, big_n: int, m: int) -> list:
+def _sandwich_bounds(z: Fraction, eta: Fraction, n: int, big_n: int, m: int,
+                     power=pow) -> list:
     """lower: eta^N <= Z^2; upper: Z^(2n) <= eta^(nN) * 2^(mN) for an m-vertex
-    target.  With eta = 0 both degenerate: no bound when Z = 0 (the report is
-    vacuous), else the failed assertion Z == 0."""
+    target, with eta's powers taken by ``power``.  With eta = 0 both
+    degenerate: no bound when Z = 0 (the report is vacuous), else the failed
+    assertion Z == 0."""
     if eta == 0:
         return [BoundCheck("degenerate", "==", "Z(g)", "0", z, Fraction(0))] if z else []
     return [
-        BoundCheck("lower", "<=", "eta^N", "Z(g)^2", eta**big_n, z**2),
+        BoundCheck("lower", "<=", "eta^N", "Z(g)^2", power(eta, big_n), z**2),
         BoundCheck("upper", "<=", "Z(g)^(2n)", "eta^(nN)*2^(|V(h)|N)",
-                   z ** (2 * n), eta ** (n * big_n) * Fraction(2) ** (m * big_n)),
+                   z ** (2 * n), power(eta, n * big_n) * (1 << m * big_n)),
     ]
 
 
@@ -285,7 +357,8 @@ def _eta_sandwich(q, g, h, acts, n):
         "eta_B": list(witness.set_b),
         "Z_g": str(z_g),
     }
-    return _sandwich_bounds(z_g, witness.value, n, g.vertex_count, h.vertex_count), details
+    bounds = _sandwich_bounds(z_g, witness.value, n, g.vertex_count, h.vertex_count, q.power)
+    return bounds, details
 
 
 def _lift_identity(q, g, h, acts):
@@ -645,4 +718,8 @@ def campaign_exit_code(reports, strict: bool = False) -> int:
 
 
 def report_stream(reports) -> str:
-    return "".join(r.to_json_line() + "\n" for r in reports)
+    """One JSON line per report.  The stream shares one memo, so a document
+    that many reports hold (a source, a target, a system, a spec) is encoded
+    once; the bytes are those of each report's to_dict()."""
+    encoded = {}
+    return "".join(r.to_json_line(encoded) + "\n" for r in reports)

@@ -217,7 +217,7 @@ def _cmd_knn(args) -> int:
         _reject_unread(args, ["activities"], "knn --surjections")
         if args.surjections < 0:
             raise GraphFormatError("--surjections must be nonnegative")
-        _emit({"count": str(surjection_count(args.n, args.surjections))}, args.output)
+        _emit({"count": str(surjection_count(args.n, args.surjections, _budget(args)))}, args.output)
         return 0
     if args.two_sorted is not None:
         _reject_unread(args, ["activities"], "knn -T")

@@ -18,7 +18,11 @@ twin class, and K_m has at most m states per step instead of up to
 
 The budget is charged one unit per target vertex per state before the state
 is extended, so the dict never outgrows what the budget has seen; a target
-too large for the budget is refused, never approximated.
+too large for the budget is refused, never approximated.  Before any of
+that, a bound on the answer's bit length is checked, so a huge exponent is
+refused at once instead of spending minutes on one big power: like a
+document's size, the bound is held to the larger of the budget and the
+default, so a small budget still meters the work alone.
 """
 
 from __future__ import annotations
@@ -27,16 +31,25 @@ from fractions import Fraction
 from math import comb
 
 from .constructions import TwoSortedTarget
-from .errors import BudgetExceededError
+from .errors import DEFAULT_BUDGET, BudgetExceededError
 from .graphs import Graph, mask_vertices
-from .homcount import DEFAULT_BUDGET, ActivitySystem
+from .homcount import ActivitySystem
 
 
-def surjection_count(n: int, a: int) -> int:
+def _check_answer_bits(bits: int, budget: int) -> None:
+    """Refuse an answer of up to ``bits`` bits past the larger of the budget
+    and the default, before it is computed."""
+    limit = max(budget, DEFAULT_BUDGET)
+    if bits > limit:
+        raise BudgetExceededError(f"answer of up to {bits} bits exceeds budget {limit}")
+
+
+def surjection_count(n: int, a: int, budget: int = DEFAULT_BUDGET) -> int:
     """Number of surjections from an n-set onto an a-set, by
-    inclusion-exclusion: sum_i (-1)^i C(a,i) (a-i)^n."""
+    inclusion-exclusion: sum_i (-1)^i C(a,i) (a-i)^n, which is below a^n."""
     if n < 0 or a < 0:
         raise ValueError("sizes must be nonnegative")
+    _check_answer_bits(n * a.bit_length(), budget)
     return sum((-1) ** i * comb(a, i) * (a - i) ** n for i in range(a + 1))
 
 
@@ -89,6 +102,9 @@ def knn_restricted_count(n: int, target: TwoSortedTarget, budget: int = DEFAULT_
     evaluated in closed form instead of by the homomorphism counter."""
     if n < 1:
         raise ValueError("side size must be >= 1")
+    # at most |lower|^n maps, each counted |upper|^n times at most
+    _check_answer_bits(n * (len(target.upper).bit_length() + len(target.lower).bit_length()),
+                       budget)
     masks = target.graph.neighbor_masks()
     states = _common_neighbourhoods(n, sorted(target.lower), masks, target.upper_mask(),
                                     [1] * len(masks), budget)
@@ -108,6 +124,8 @@ def kab_partition(
     if a < 1 or b < 1:
         raise ValueError("side sizes must be >= 1")
     d_lam, lam, d_mu, mu = acts.integer_rows(h)
+    # the cleared sum is at most (sum mu)^b * (sum lambda)^a
+    _check_answer_bits(a * sum(lam).bit_length() + b * sum(mu).bit_length(), budget)
     m = h.vertex_count
     states = _common_neighbourhoods(b, range(m), h.neighbor_masks(), (1 << m) - 1, mu, budget,
                                     _twin_classes(acts.twin_prev(h)))

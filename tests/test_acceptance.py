@@ -5,6 +5,7 @@ enforces the criterion's stated tolerance, which is exact equality
 everywhere, plus a wall-clock ceiling.
 """
 
+import hashlib
 import json
 import random
 import subprocess
@@ -32,6 +33,7 @@ from homcert import (
     knn_partition,
     knn_restricted_count,
     parse_bipartite,
+    report_stream,
     run_campaign,
     validate_witness,
 )
@@ -195,15 +197,19 @@ def test_criterion_08_biregular_bound():
         assert report.verdict == HOLDS and not report.equality
 
 
-def test_criterion_09_extremality_equality_pattern():
+@pytest.fixture(scope="module")
+def default_campaign():
+    return run_campaign(_fixture_path("default-campaign.json"))
+
+
+def test_criterion_09_extremality_equality_pattern(default_campaign):
     with _criterion(9, "extremality equality pattern", limit=60.0):
         report = certify_hom_ub(gen_even_cycle(6), K3)
         (bound,) = report.bounds
         assert bound.lhs == 18974736 and bound.rhs == 34012224
         assert report.verdict == HOLDS and not report.equality
 
-        campaign = run_campaign(_fixture_path("default-campaign.json"))
-        hom_reports = [r for r in campaign if r.check == "hom-ub"]
+        hom_reports = [r for r in default_campaign if r.check == "hom-ub"]
         assert hom_reports
         seen_equality = False
         for r in hom_reports:
@@ -221,6 +227,25 @@ def test_criterion_10_campaign_determinism_across_threads():
         assert all(r.returncode == 0 for r in runs)
         assert runs[0].stdout == runs[1].stdout == runs[2].stdout
         assert len(runs[0].stdout.splitlines()) > 300
+
+
+# sha256 of the full report streams, details and notes included.  A change
+# that alters a stream on purpose updates its digest and says so.
+CUBIC_STREAM_SHA256 = "81a039b098814f00210e1ab090482de6110a8c8dc2e2428cfc940052174ed1c9"
+DEFAULT_STREAM_SHA256 = "79783be118bd15216ef88a3c160168b12e61cf6867fd99575ee6ab7dadb40226"
+
+
+def test_full_report_streams_are_pinned(cubic_campaign, default_campaign):
+    for reports, digest in ((cubic_campaign[0], CUBIC_STREAM_SHA256),
+                            (default_campaign, DEFAULT_STREAM_SHA256)):
+        assert hashlib.sha256(report_stream(reports).encode()).hexdigest() == digest
+
+
+def test_report_lines_are_their_dicts(cubic_campaign, default_campaign):
+    for reports in (cubic_campaign[0], default_campaign):
+        lines = [json.dumps(r.to_dict(), sort_keys=True, separators=(",", ":")) for r in reports]
+        assert [r.to_json_line() for r in reports] == lines
+        assert report_stream(reports) == "".join(line + "\n" for line in lines)
 
 
 def test_zz_summary():

@@ -1,3 +1,4 @@
+import copy
 import json
 import time
 from collections import Counter
@@ -33,9 +34,17 @@ from homcert import (
     sandwich_nonbipartite_demo,
 )
 from homcert import certify as certify_mod, homcount
-from homcert.certify import HOLDS, SKIPPED_BUDGET, VACUOUS, VIOLATED, resolve_activities, resolve_target
+from homcert.certify import (
+    HOLDS,
+    SKIPPED_BUDGET,
+    VACUOUS,
+    VIOLATED,
+    BoundCheck,
+    resolve_activities,
+    resolve_target,
+)
 from homcert.cli import _fixture_path
-from homcert.graphs import Graph
+from homcert.graphs import Graph, serialize_bipartite
 
 HIND = independence_target()
 K3 = complete_graph(3)
@@ -513,6 +522,62 @@ def test_report_lines_are_valid_json_with_string_numbers():
         doc = json.loads(line)
         for bound in doc["bounds"]:
             assert isinstance(bound["lhs"], str) and isinstance(bound["rhs"], str)
+
+
+def _dict_line(report):
+    """The definition of a report's line."""
+    return json.dumps(report.to_dict(), sort_keys=True, separators=(",", ":"))
+
+
+def test_report_lines_are_their_dicts_on_edge_reports(tmp_path):
+    # a source path with a non-ASCII character, a quote and a backslash,
+    # which every report of the file family carries in its g_spec
+    name = 'k\u00e9"\\22.json'
+    (tmp_path / name).write_text(json.dumps(serialize_bipartite(gen_complete_bipartite(2, 2))))
+    config = {
+        "families": [{"family": "file", "path": name}],
+        "grids": {"targets": ["hind", "k3"],
+                  "activities": ["unit", {"vertex": {"1": {"lambda": "2/3", "mu": "3"}}}]},
+        "propositions": ["hom-ub", "weighted-ub", "eta-sandwich", "lift-identity",
+                         "nonbipartite-lower-bound-failure"],
+    }
+    skipped = certify_weighted_ub(gen_hypercube(3), K3, ActivitySystem.unit(3), budget=5)
+    vacuous = certify_sandwich(gen_even_cycle(4), Graph(2), ActivitySystem.unit(2))
+    assert skipped.verdict == SKIPPED_BUDGET and skipped.note
+    assert vacuous.verdict == VACUOUS and vacuous.note and vacuous.details
+    reports = [*run_campaign(config, tmp_path), skipped, vacuous, sandwich_nonbipartite_demo()]
+    assert [r.to_json_line() for r in reports] == [_dict_line(r) for r in reports]
+    stream = report_stream(reports)
+    assert stream == "".join(_dict_line(r) + "\n" for r in reports)
+    assert '"path":"k\\u00e9\\"\\\\22.json"' in stream
+
+
+def test_bound_checks_are_judged_once_and_written_as_their_dicts():
+    def bound(relation, lhs, rhs):
+        return BoundCheck("upper", relation, "x", "y", Fraction(lhs), Fraction(rhs))
+
+    cases = [  # (relation, lhs, rhs, verdict, equality, slack)
+        ("<=", "1/3", "1/2", HOLDS, False, "3/2"),
+        ("<=", "6", "6", HOLDS, True, "1"),
+        ("<=", "9/2", "3", VIOLATED, False, "2/3"),
+        ("==", "1/3", "1/2", VIOLATED, False, "3/2"),
+        ("==", "4/6", "2/3", HOLDS, True, "1"),
+        ("==", "5", "0", VIOLATED, False, "0"),
+        ("<=", "0", "7", HOLDS, False, None),
+        ("<=", "-2", "7", HOLDS, False, None),
+    ]
+    for relation, lhs, rhs, verdict, equality, slack in cases:
+        b = bound(relation, lhs, rhs)
+        assert (b.verdict, b.equality, b.to_dict()["slack"]) == (verdict, equality, slack)
+        assert b.to_json() == json.dumps(b.to_dict(), sort_keys=True, separators=(",", ":"))
+
+
+def test_report_stream_of_a_generator_equals_that_of_a_list():
+    # each report is a fresh copy, dropped once written, so a stream memo
+    # that did not hold its values would meet their ids again in later copies
+    reports = run_campaign(_small_config())
+    assert report_stream(copy.deepcopy(r) for r in reports) == report_stream(reports)
+    assert report_stream(reports) == "".join(_dict_line(r) + "\n" for r in reports)
 
 
 # --- grid entry resolution ----------------------------------------------------------

@@ -3,6 +3,7 @@ import json
 import resource
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -286,6 +287,19 @@ def test_kab_and_eta_take_the_budget_from_the_environment(capsys, monkeypatch):
         assert json.loads(out)["error"]["code"] == "budget-exceeded"
         monkeypatch.setenv("HOMCERT_BUDGET", str(cost))
         assert run_cli(capsys, *argv, "-H", FIX / "k3.json")[0] == 0
+
+
+def test_kab_refuses_a_huge_exponent_at_once(capsys):
+    # 3 * 2^A: refused from its bit bound 2A + 2 before any work at
+    # A = 10^7; at A = 10^6 it prints all 301,031 digits
+    start = time.perf_counter()
+    code, out = run_cli(capsys, "kab", "--a", "10000000", "--b", "1", "-H", FIX / "k3.json")
+    assert time.perf_counter() - start < 5
+    assert code == 1 and json.loads(out)["error"]["code"] == "budget-exceeded"
+    code, out = run_cli(capsys, "kab", "--a", "1000000", "--b", "1", "-H", FIX / "k3.json")
+    assert code == 0 and len(out) == 301_049
+    value = json.loads(out)["value"]
+    assert value.isdigit() and value.startswith("2970196868")  # 3 * 2^(10^6)
 
 
 def test_blowup_command_refuses_oversized_blowup(tmp_path):

@@ -20,6 +20,7 @@ from homcert import (
     surjection_count,
     two_sorted,
 )
+from homcert.errors import DEFAULT_BUDGET
 from homcert.graphs import Graph
 from helpers import (
     kab_partition_by_subsets,
@@ -252,3 +253,27 @@ def test_kab_subset_budget_and_sizes():
     assert kab_partition(1, 1, k3, unit, budget=3) == 6
     with pytest.raises(ValueError):
         kab_partition(0, 1, HIND, ActivitySystem.unit(2))
+
+
+def test_closed_forms_refuse_a_huge_answer_before_counting():
+    # kab(a, 1) into unit K3 is 3 * 2^a, bounded by a * bitlen(3) + bitlen(3)
+    # = 2a + 2 bits; the bound is held to the larger of the budget and the
+    # default, so a small budget still answers by the meter alone
+    k3, unit = complete_graph(3), ActivitySystem.unit(3)
+    a = (DEFAULT_BUDGET - 2) // 2
+    assert kab_partition(a, 1, k3, unit) == 3 << a
+    assert kab_partition(1000, 1, k3, unit, budget=3) == 3 << 1000
+    with pytest.raises(BudgetExceededError, match="bits"):
+        kab_partition(a + 1, 1, k3, unit)
+    with pytest.raises(BudgetExceededError, match="bits"):
+        knn_partition(a, k3, unit)
+    # |upper| = |lower| = 3: n * (2 + 2) bits
+    with pytest.raises(BudgetExceededError, match="bits"):
+        knn_restricted_count(DEFAULT_BUDGET // 4 + 1, double(k3))
+    assert knn_restricted_count(1, double(k3), budget=3) == 6
+    # n * bitlen(50) = 6n bits
+    with pytest.raises(BudgetExceededError, match="bits"):
+        surjection_count(10**8, 50)
+    with pytest.raises(BudgetExceededError, match="bits"):
+        surjection_count(DEFAULT_BUDGET // 6 + 1, 50, budget=DEFAULT_BUDGET)
+    assert surjection_count(3, 2, budget=0) == 6
