@@ -37,19 +37,23 @@ from .homcount import ActivitySystem
 
 
 def _check_answer_bits(bits: int, budget: int) -> None:
-    """Refuse an answer of up to ``bits`` bits past the larger of the budget
-    and the default, before it is computed."""
+    """Refuse a closed form whose answer (or sum of terms) may take more than
+    ``bits`` bits past the larger of the budget and the default, before it
+    is computed."""
     limit = max(budget, DEFAULT_BUDGET)
     if bits > limit:
-        raise BudgetExceededError(f"answer of up to {bits} bits exceeds budget {limit}")
+        raise BudgetExceededError(f"closed form of up to {bits} bits exceeds budget {limit}")
 
 
 def surjection_count(n: int, a: int, budget: int = DEFAULT_BUDGET) -> int:
     """Number of surjections from an n-set onto an a-set, by
-    inclusion-exclusion: sum_i (-1)^i C(a,i) (a-i)^n, which is below a^n."""
+    inclusion-exclusion: sum_i (-1)^i C(a,i) (a-i)^n."""
     if n < 0 or a < 0:
         raise ValueError("sizes must be nonnegative")
-    _check_answer_bits(n * a.bit_length(), budget)
+    if a > n:
+        return 0
+    # a + 1 terms, each below 2^a * a^n
+    _check_answer_bits((a + 1) * (a + n * a.bit_length()), budget)
     return sum((-1) ** i * comb(a, i) * (a - i) ** n for i in range(a + 1))
 
 
@@ -124,8 +128,10 @@ def kab_partition(
     if a < 1 or b < 1:
         raise ValueError("side sizes must be >= 1")
     d_lam, lam, d_mu, mu = acts.integer_rows(h)
-    # the cleared sum is at most (sum mu)^b * (sum lambda)^a
-    _check_answer_bits(a * sum(lam).bit_length() + b * sum(mu).bit_length(), budget)
+    # the cleared sum is at most (sum mu)^b * (sum lambda)^a, over d_mu^b * d_lam^a
+    # (d - 1).bit_length() is ceil(log2 d), so d^a has at most a times that bits
+    _check_answer_bits(a * (sum(lam).bit_length() + (d_lam - 1).bit_length())
+                       + b * (sum(mu).bit_length() + (d_mu - 1).bit_length()), budget)
     m = h.vertex_count
     states = _common_neighbourhoods(b, range(m), h.neighbor_masks(), (1 << m) - 1, mu, budget,
                                     _twin_classes(acts.twin_prev(h)))

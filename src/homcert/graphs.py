@@ -3,9 +3,7 @@ instance generators.
 
 Vertices are dense 0-based integer indices; names, if any, live in the file
 layer only.  All types are immutable after construction and safe to share
-across threads (a Graph's ``kernel_plan`` is a cache, filled once with the
-same value by whichever walk comes first); generators are pure functions of
-(parameters, seed).
+across threads; generators are pure functions of (parameters, seed).
 """
 
 from __future__ import annotations
@@ -51,11 +49,9 @@ class Graph:
 
     ``neighbors[v]`` is a sorted tuple that contains ``v`` itself exactly when
     ``v`` carries a loop; parallel edges cannot be represented.
-    ``kernel_plan`` is None until the homomorphism kernel first walks the
-    graph as a source; it then holds the kernel's vertex orders.
     """
 
-    __slots__ = ("vertex_count", "neighbors", "loops", "_nbr_sets", "kernel_plan")
+    __slots__ = ("vertex_count", "neighbors", "loops", "_nbr_sets")
 
     def __init__(self, vertex_count: int, edges=(), loops=()):
         if isinstance(vertex_count, bool) or not isinstance(vertex_count, int) or vertex_count < 0:
@@ -77,7 +73,6 @@ class Graph:
         self.neighbors = tuple(tuple(sorted(s)) for s in adj)
         self._nbr_sets = tuple(frozenset(s) for s in adj)
         self.loops = frozenset(v for v in range(vertex_count) if v in adj[v])
-        self.kernel_plan = None
 
     def adjacent(self, u: int, v: int) -> bool:
         return v in self._nbr_sets[u]

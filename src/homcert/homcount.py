@@ -12,7 +12,6 @@ exact rational at the end; no floating point anywhere.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -314,29 +313,21 @@ def _component_sum(order, nbrs, base_of, h_masks, rows_of, bits, meter, budget) 
     return states[0]
 
 
-def _kernel_plan(g: Graph) -> tuple[list, list]:
-    """(loop-free neighbour tuples, frontier order of each component) of g,
-    built on g's first walk and kept on g (``Graph.kernel_plan``) for every
-    later one.  Ordering is not charged to the budget."""
-    if g.kernel_plan is None:
-        nbrs = [tuple(w for w in ws if w != v) for v, ws in enumerate(g.neighbors)]
-        seen = [False] * g.vertex_count
-        orders = [_frontier_order(nbrs, s, seen) for s in range(g.vertex_count) if not seen[s]]
-        g.kernel_plan = nbrs, orders
-    return g.kernel_plan
-
-
 def _hom_sum(g: Graph, base_of, h_masks, rows_of, budget: int) -> int:
     """Product over connected components of the per-component assignment sums.
 
     ``rows_of[v]`` is an integer weight row for vertex v, or None overall for
     plain counting.  An empty graph contributes the empty product 1.
     """
-    nbrs, orders = _kernel_plan(g)
+    nbrs = [tuple(w for w in ws if w != v) for v, ws in enumerate(g.neighbors)]
     bits = max(1, (len(h_masks) - 1).bit_length())
     meter = [0]
     total = 1
-    for order in orders:
+    seen = [False] * g.vertex_count
+    for s in range(g.vertex_count):
+        if seen[s]:
+            continue
+        order = _frontier_order(nbrs, s, seen)
         comp = _component_sum(order, nbrs, base_of, h_masks, rows_of, bits, meter, budget)
         if comp == 0:
             return 0
@@ -451,12 +442,10 @@ def partition_grid(
 
     - uniform systems (unit included) share one plain count walk, as
       Z = lambda^|E| * mu^|O| * hom(g, h);
-    - the others are grouped by a vertex at which they differ: each system
-      joins the largest group of systems equal to it off one vertex v (ties
-      to the lowest v), and a group of two or more whose packed weights
-      stay narrow enough to pay off shares one walk with packed weights
-      (see _packed_sums);
-    - every other distinct system takes one weighted walk.
+    - the others, when they differ at one target vertex only and the packed
+      weights stay narrow enough to pay off, share one walk with packed
+      weights (see _packed_sums);
+    - otherwise each distinct system takes one weighted walk.
 
     Every walk charges its own meter up to ``budget``, and the meter counts
     candidate images, not weights, so every walk charges alike: the grid is
@@ -472,37 +461,19 @@ def partition_grid(
         for acts in uniform:
             values[acts] = count if acts.is_unit() else (
                 count * acts.lambdas[0] ** len(g.class_e) * acts.mus[0] ** len(g.class_o))
-    for v, group in _one_vertex_groups(rest, h.vertex_count):
-        packed = _packed_sums(g, h_masks, group, v, budget) if len(group) > 1 else None
-        if packed is not None:
-            values.update(zip(group, packed))
-            continue
-        for acts in group:
+    first = rest[0] if rest else None
+    differ = [v for v in range(h.vertex_count)
+              if any(acts.lambdas[v] != first.lambdas[v] or acts.mus[v] != first.mus[v]
+                     for acts in rest)]
+    packed = _packed_sums(g, h_masks, rest, differ[0], budget) if len(differ) == 1 else None
+    if packed is not None:
+        values.update(zip(rest, packed))
+    else:
+        for acts in rest:
             d_lam, row_e, d_mu, row_o = rows[acts]
             num = _walk(g, h_masks, row_e, row_o, budget)
             values[acts] = Fraction(num, d_lam ** len(g.class_e) * d_mu ** len(g.class_o))
     return [values[acts] for acts in systems]
-
-
-def _one_vertex_groups(systems, m: int) -> list[tuple[int, list]]:
-    """(v, systems) groups of distinct ``systems`` over m target vertices,
-    each group equal everywhere but at v.  Two systems can differ only at a
-    vertex where one differs from the first, so a system's values off v are
-    keyed by those vertices alone: no key when all differ at one vertex."""
-    if not systems:
-        return []
-    first = systems[0]
-    differ = [v for v in range(m)
-              if any(a.lambdas[v] != first.lambdas[v] or a.mus[v] != first.mus[v]
-                     for a in systems)]
-    keys = [[(v, tuple((a.lambdas[u], a.mus[u]) for u in differ if u != v)) for v in differ]
-            for a in systems]
-    size = Counter(key for row in keys for key in row)
-    groups = {}  # (v, values off v) -> systems, in order
-    for a, row in zip(systems, keys):
-        # max keeps the first largest, so ties go to the lowest vertex
-        groups.setdefault(max(row, key=size.__getitem__, default=(0, ())), []).append(a)
-    return [(v, group) for (v, _), group in groups.items()]
 
 
 def count_independent_sets(g: Graph, budget: int = DEFAULT_BUDGET) -> int:

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from math import comb
 
@@ -267,13 +268,27 @@ def test_closed_forms_refuse_a_huge_answer_before_counting():
         kab_partition(a + 1, 1, k3, unit)
     with pytest.raises(BudgetExceededError, match="bits"):
         knn_partition(a, k3, unit)
+    # lambda = 1/1000 everywhere: 3 / 500^a, whose denominator counts too, so
+    # the bound is a * (bitlen(3) + bitlen(999)) + bitlen(3) = 12a + 2 bits
+    small = ActivitySystem.from_mapping(3, {v: ("1/1000", "1") for v in range(3)})
+    assert kab_partition(1000, 1, k3, small) == Fraction(3, 500**1000)
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError, match="bits"):
+        kab_partition((DEFAULT_BUDGET - 2) // 12 + 1, 1, k3, small)
+    assert time.perf_counter() - start < 1
     # |upper| = |lower| = 3: n * (2 + 2) bits
     with pytest.raises(BudgetExceededError, match="bits"):
         knn_restricted_count(DEFAULT_BUDGET // 4 + 1, double(k3))
     assert knn_restricted_count(1, double(k3), budget=3) == 6
-    # n * bitlen(50) = 6n bits
+    # a + 1 terms of at most a + n * bitlen(a) bits each: 51 * (50 + 6n) for a = 50
     with pytest.raises(BudgetExceededError, match="bits"):
         surjection_count(10**8, 50)
     with pytest.raises(BudgetExceededError, match="bits"):
-        surjection_count(DEFAULT_BUDGET // 6 + 1, 50, budget=DEFAULT_BUDGET)
+        surjection_count(DEFAULT_BUDGET // 306 + 1, 50, budget=DEFAULT_BUDGET)
+    assert surjection_count(DEFAULT_BUDGET // 306 - 9, 50) > 0
+    # the answer is one bit, but the sum has 10^5 + 1 terms of up to 1.7M bits
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError, match="bits"):
+        surjection_count(10**5, 10**5)
+    assert surjection_count(1, 10**8) == 0 and time.perf_counter() - start < 1
     assert surjection_count(3, 2, budget=0) == 6

@@ -24,7 +24,6 @@ from homcert import (
     partition_fn,
     two_sorted,
 )
-from homcert import homcount
 from homcert.homcount import partition_grid
 from helpers import (
     hom_count_by_enumeration,
@@ -407,81 +406,6 @@ def test_partition_grid_walks_a_long_cycle_once_per_system(monkeypatch):
         assert time.perf_counter() - start < 5
         assert len(walks) == 2 and None not in walks
         assert values == [partition_fn(g, k3, acts) for acts in grid]
-
-
-def _mixed_vertex_systems(rng, m):
-    """Systems that each leave one common system at a vertex of their own
-    (a few at two), with repeats and sometimes the unit system."""
-    common = random_activities(rng, m, max_num=5, max_den=4)
-    systems = []
-    for _ in range(rng.randint(2, 7)):
-        lams, mus = list(common.lambdas), list(common.mus)
-        for v in rng.sample(range(m), rng.choice([1, 1, 1, 2]) if m > 1 else 1):
-            lams[v], mus[v] = _rational(rng), _rational(rng)
-        systems.append(ActivitySystem(tuple(lams), tuple(mus)))
-    if rng.random() < 0.3:
-        systems.append(ActivitySystem.unit(m))
-    return systems + rng.sample(systems, rng.randint(0, 2))
-
-
-def _equal_off(a, b, v):
-    return all(a.lambdas[u] == b.lambdas[u] and a.mus[u] == b.mus[u]
-               for u in range(a.vertex_count) if u != v)
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.integers(0, 2**32))
-def test_partition_grid_matches_partition_fn_on_mixed_vertex_grids(seed):
-    rng = random.Random(seed)
-    g = _grid_source(rng)
-    h = random_graph(rng, max_vertices=5, p=rng.choice([0.3, 0.6]), loop_p=0.4)
-    if h.vertex_count == 0:
-        h = LOOP
-    systems = _mixed_vertex_systems(rng, h.vertex_count)
-    assert partition_grid(g, h, systems) == [partition_fn(g, h, acts) for acts in systems]
-    # each group is equal off its vertex, and each member of a shared group
-    # chose that vertex: the one with the most systems equal to it off it,
-    # the lowest on a tie
-    rest = list(dict.fromkeys(a for a in systems if not a.is_uniform()))
-    groups = homcount._one_vertex_groups(rest, h.vertex_count)
-    assert sorted(rest.index(a) for _, group in groups for a in group) == list(range(len(rest)))
-    for v, group in groups:
-        assert all(_equal_off(a, group[0], v) for a in group)
-        if len(group) > 1:
-            for a in group:
-                sizes = [sum(_equal_off(a, b, u) for b in rest) for u in range(h.vertex_count)]
-                assert v == sizes.index(max(sizes))
-
-
-def test_partition_grid_packs_each_vertex_group_apart(monkeypatch):
-    # three systems that differ only at vertex 0 share one walk; a fourth that
-    # leaves the first at vertex 1 takes its own walk and leaves the three packed
-    walks = []
-    kernel = homcount._hom_sum
-    monkeypatch.setattr(homcount, "_hom_sum", lambda *args: walks.append(args[3]) or kernel(*args))
-    g, k3 = gen_even_cycle(8), complete_graph(3)
-    grid = [ActivitySystem.from_mapping(3, {0: (lam, "1/2")}) for lam in ("1/3", "2", "5")]
-    stray = ActivitySystem.from_mapping(3, {0: ("1/3", "1/2"), 1: ("3", "1")})
-    expected = [partition_fn(g, k3, acts) for acts in grid + [stray]]
-    walks.clear()
-    assert partition_grid(g, k3, grid) == expected[:3]
-    assert len(walks) == 1
-    walks.clear()
-    assert partition_grid(g, k3, grid + [stray]) == expected
-    assert len(walks) == 2
-
-
-def test_a_source_is_ordered_once_for_all_its_walks(monkeypatch):
-    orders = []
-    order = homcount._frontier_order
-    monkeypatch.setattr(homcount, "_frontier_order",
-                        lambda *args: orders.append(args[1]) or order(*args))
-    g = gen_union([gen_even_cycle(6), gen_complete_bipartite(2, 3)])
-    for h in (HIND, complete_graph(3)):
-        partition_grid(g, h, [ActivitySystem.unit(h.vertex_count),
-                              ActivitySystem.from_mapping(h.vertex_count, {0: ("1/2", "3")})])
-        count_homs(g.graph, h)
-    assert orders == [0, 6]  # one order per component, on the first walk
 
 
 def test_activity_systems_hash_by_value():
