@@ -20,16 +20,7 @@ from .certify import (
     sandwich_nonbipartite_demo,
 )
 from .closedform import kab_partition, knn_partition, knn_restricted_count, surjection_count
-from .constructions import (
-    BlowupMeta,
-    TwoSortedTarget,
-    blowup,
-    double,
-    parse_two_sorted,
-    scale_constant,
-    serialize_two_sorted,
-    two_sorted,
-)
+from .constructions import BlowupMeta, blowup, double, scale_constant
 from .errors import BudgetExceededError, GenerationError, GraphFormatError, HomcertError
 from .eta import EtaWitness, eta_one_sided, eta_two_sided, eta_unweighted, validate_witness
 from .graphs import (
@@ -47,8 +38,10 @@ from .graphs import (
     parse_bipartite,
     parse_graph,
     parse_instance_spec,
+    parse_two_sorted,
     serialize_bipartite,
     serialize_graph,
+    serialize_two_sorted,
 )
 from .homcount import (
     ActivitySystem,

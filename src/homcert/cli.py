@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import certify as certify_mod
 from .certify import DEFAULT_SEED, campaign_exit_code, load_campaign, run_campaign
-from .constructions import blowup, double, parse_two_sorted, serialize_two_sorted
+from .constructions import blowup, double
 from .closedform import kab_partition, knn_partition, knn_restricted_count, surjection_count
 from .errors import BudgetExceededError, GraphFormatError, HomcertError
 from .eta import eta_two_sided
@@ -31,8 +31,10 @@ from .graphs import (
     parse_bipartite,
     parse_graph,
     parse_instance_spec,
+    parse_two_sorted,
     read_doc,
     serialize_bipartite,
+    serialize_two_sorted,
 )
 from .homcount import (
     DEFAULT_BUDGET,

@@ -30,9 +30,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from .constructions import TwoSortedTarget
 from .errors import DEFAULT_BUDGET, BudgetExceededError
-from .graphs import Graph, mask_vertices
+from .graphs import BipartiteGraph, Graph, mask_of, mask_vertices
 from .homcount import ActivitySystem
 
 
@@ -101,16 +100,17 @@ def _common_neighbourhoods(b: int, vertices, masks, full: int, weight, budget: i
     return states
 
 
-def knn_restricted_count(n: int, target: TwoSortedTarget, budget: int = DEFAULT_BUDGET) -> int:
-    """|Hom restricted to (upper, lower)| of K_{n,n} into the target,
-    evaluated in closed form instead of by the homomorphism counter."""
+def knn_restricted_count(n: int, target: BipartiteGraph, budget: int = DEFAULT_BUDGET) -> int:
+    """|Hom restricted to (E, O)| of K_{n,n} into the target (a two-sorted
+    target's upper and lower sides), evaluated in closed form instead of by
+    the homomorphism counter."""
     if n < 1:
         raise ValueError("side size must be >= 1")
-    # at most |lower|^n maps, each counted |upper|^n times at most
-    _check_answer_bits(n * (len(target.upper).bit_length() + len(target.lower).bit_length()),
+    # at most |O|^n maps, each counted |E|^n times at most
+    _check_answer_bits(n * (len(target.class_e).bit_length() + len(target.class_o).bit_length()),
                        budget)
     masks = target.graph.neighbor_masks()
-    states = _common_neighbourhoods(n, sorted(target.lower), masks, target.upper_mask(),
+    states = _common_neighbourhoods(n, sorted(target.class_o), masks, mask_of(target.class_e),
                                     [1] * len(masks), budget)
     return sum(w * c.bit_count() ** n for c, w in states.items())
 

@@ -1,7 +1,8 @@
 """Two target transformations: the bipartite double and the activity blow-up.
 
-Both yield two-sorted targets whose restricted homomorphism counts encode the
-original (weighted) counts exactly:
+Both yield two-sorted targets, BipartiteGraphs whose class E is the upper
+side, and their restricted homomorphism counts encode the original
+(weighted) counts exactly:
 
   count(g, h)            == restricted-count(g, double(h))
   Z(g, h, acts) * C**N   == restricted-count(g, blowup(h, acts))
@@ -13,58 +14,12 @@ number of vertices of g.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from math import lcm
 
-from .errors import BudgetExceededError, GraphFormatError
-from .graphs import (Graph, _check_index, _graph_from_doc, _int_list, _load_doc, _GRAPH_KEYS,
-                     mask_of, serialize_graph)
+from .errors import BudgetExceededError
+from .graphs import BipartiteGraph, Graph
 from .homcount import DEFAULT_BUDGET, ActivitySystem
-
-
-@dataclass(frozen=True)
-class TwoSortedTarget:
-    """A loopless graph with a distinguished (upper, lower) bisection; every
-    edge runs between the two sides.
-
-    ``provenance[v]``, when present, records (origin vertex, side, copy index)
-    for targets produced by doubling or blowing up another graph.
-    """
-
-    graph: Graph
-    upper: frozenset
-    lower: frozenset
-    provenance: tuple | None = None
-
-    def __post_init__(self):
-        n = self.graph.vertex_count
-        if self.upper | self.lower != frozenset(range(n)) or self.upper & self.lower:
-            raise GraphFormatError("upper and lower must partition the vertex set")
-        if self.graph.loops:
-            raise GraphFormatError("two-sorted target may not carry loops")
-        for u, v in self.graph.edges():
-            if (u in self.upper) == (v in self.upper):
-                raise GraphFormatError(f"edge ({u}, {v}) does not cross the bisection")
-        if self.provenance is not None and len(self.provenance) != n:
-            raise GraphFormatError("provenance must cover every vertex")
-
-    def upper_mask(self) -> int:
-        return mask_of(self.upper)
-
-    def lower_mask(self) -> int:
-        return mask_of(self.lower)
-
-    def __repr__(self) -> str:
-        return (
-            f"TwoSortedTarget({self.graph.vertex_count} vertices, "
-            f"|U|={len(self.upper)}, |L|={len(self.lower)})"
-        )
-
-
-def two_sorted(graph: Graph, upper) -> TwoSortedTarget:
-    """Wrap a graph with an explicit upper side; lower is the complement."""
-    upper = frozenset(_check_index(v, graph.vertex_count) for v in upper)
-    lower = frozenset(range(graph.vertex_count)) - upper
-    return TwoSortedTarget(graph, upper, lower)
 
 
 @dataclass(frozen=True)
@@ -76,27 +31,26 @@ class BlowupMeta:
     lower_copies: tuple[int, ...]
 
 
-def double(h: Graph) -> TwoSortedTarget:
-    """Bipartite double: upper copy v_i and lower copy w_j are adjacent
-    exactly when i ~ j in h, so a loop at i becomes the cross edge v_i ~ w_i."""
+def double(h: Graph) -> BipartiteGraph:
+    """Bipartite double: upper copy v_i (vertex i) and lower copy w_j (vertex
+    m + j) are adjacent exactly when i ~ j in h, so a loop at i becomes the
+    cross edge v_i ~ w_i."""
     m = h.vertex_count
     edges = [(i, m + j) for i in range(m) for j in h.neighbors[i]]
-    prov = tuple((i, "U", 0) for i in range(m)) + tuple((i, "L", 0) for i in range(m))
-    return TwoSortedTarget(
-        Graph(2 * m, edges), frozenset(range(m)), frozenset(range(m, 2 * m)), prov
-    )
+    return BipartiteGraph(Graph(2 * m, edges), range(m))
 
 
 def scale_constant(acts: ActivitySystem) -> int:
     """Least positive integer C such that every C*lambda_i and C*mu_i is an
-    integer: the lcm of all denominators in lowest terms."""
-    return lcm(*(x.denominator for x in acts.lambdas + acts.mus))
+    integer: the lcm of the two denominators that ActivitySystem clears."""
+    d_lam, _, d_mu, _ = acts._integer_rows
+    return lcm(d_lam, d_mu)
 
 
 def _copy_counts(h: Graph, acts: ActivitySystem) -> tuple[int, list[int], list[int]]:
     """(C, upper copies C*lambda_i, lower copies C*mu_i) of the blow-up."""
     d_lam, lam, d_mu, mu = acts.integer_rows(h)
-    c = lcm(d_lam, d_mu)
+    c = scale_constant(acts)
     return c, [x * (c // d_lam) for x in lam], [x * (c // d_mu) for x in mu]
 
 
@@ -110,14 +64,16 @@ def blowup_size(h: Graph, acts: ActivitySystem) -> tuple[int, int]:
 
 def blowup(
     h: Graph, acts: ActivitySystem, budget: int = DEFAULT_BUDGET
-) -> tuple[TwoSortedTarget, BlowupMeta]:
+) -> tuple[BipartiteGraph, BlowupMeta]:
     """Replace vertex i by C*lambda_i upper copies and C*mu_i lower copies;
     join a copy of i to a copy of j exactly when i ~ j in h.
 
-    Copy indices are assigned in origin-vertex order, so the layout (and its
-    serialization) is deterministic.  With all activities 1 the result equals
-    double(h) exactly.  A blow-up whose vertices plus edges exceed the budget
-    raises BudgetExceededError before any of it is built.
+    Copies come in origin-vertex order, the upper ones (the blow-up's class
+    E) before the lower ones, so BlowupMeta's copy counts give each copy's
+    origin and the layout (and its serialization) is deterministic.  With
+    all activities 1 the result equals double(h) exactly.  A blow-up whose
+    vertices plus edges exceed the budget raises BudgetExceededError before
+    any of it is built.
     """
     vertices, edges = blowup_size(h, acts)
     if vertices + edges > budget:
@@ -125,24 +81,9 @@ def blowup(
             f"blowup of {vertices} vertices and {edges} edges exceeds budget {budget}")
     m = h.vertex_count
     c, up, lo = _copy_counts(h, acts)
-
-    u_start = [0] * m
-    acc = 0
-    for i in range(m):
-        u_start[i] = acc
-        acc += up[i]
-    total_up = acc
-    l_start = [0] * m
-    for i in range(m):
-        l_start[i] = acc
-        acc += lo[i]
-
-    prov: list[tuple[int, str, int]] = []
-    for i in range(m):
-        prov.extend((i, "U", k) for k in range(up[i]))
-    for i in range(m):
-        prov.extend((i, "L", k) for k in range(lo[i]))
-
+    # the first copy of each origin, the upper copies before the lower ones
+    starts = list(accumulate(up + lo, initial=0))
+    u_start, l_start = starts[:m], starts[m:]
     edges = (
         (u_start[i] + a, l_start[j] + b)
         for i in range(m)
@@ -150,28 +91,6 @@ def blowup(
         for a in range(up[i])
         for b in range(lo[j])
     )
-    target = TwoSortedTarget(
-        Graph(acc, edges),
-        frozenset(range(total_up)),
-        frozenset(range(total_up, acc)),
-        tuple(prov),
-    )
+    target = BipartiteGraph(Graph(starts[-1], edges), range(starts[m]))
     return target, BlowupMeta(c, tuple(up), tuple(lo))
 
-
-# ---------------------------------------------------------------------------
-# File format: a graph document plus {"upper": [...]}
-
-
-def parse_two_sorted(data, budget: int = DEFAULT_BUDGET) -> TwoSortedTarget:
-    doc = _load_doc(data)
-    if "upper" not in doc:
-        raise GraphFormatError("missing 'upper'")
-    graph = _graph_from_doc({k: v for k, v in doc.items() if k != "upper"}, _GRAPH_KEYS, budget)
-    return two_sorted(graph, _int_list(doc, "upper"))
-
-
-def serialize_two_sorted(t: TwoSortedTarget) -> dict:
-    doc = serialize_graph(t.graph)
-    doc["upper"] = sorted(t.upper)
-    return doc

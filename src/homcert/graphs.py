@@ -51,7 +51,7 @@ class Graph:
     ``v`` carries a loop; parallel edges cannot be represented.
     """
 
-    __slots__ = ("vertex_count", "neighbors", "loops", "_nbr_sets")
+    __slots__ = ("vertex_count", "neighbors", "loops")
 
     def __init__(self, vertex_count: int, edges=(), loops=()):
         if isinstance(vertex_count, bool) or not isinstance(vertex_count, int) or vertex_count < 0:
@@ -71,11 +71,10 @@ class Graph:
             adj[v].add(v)
         self.vertex_count = vertex_count
         self.neighbors = tuple(tuple(sorted(s)) for s in adj)
-        self._nbr_sets = tuple(frozenset(s) for s in adj)
         self.loops = frozenset(v for v in range(vertex_count) if v in adj[v])
 
     def adjacent(self, u: int, v: int) -> bool:
-        return v in self._nbr_sets[u]
+        return v in self.neighbors[u]
 
     def degree(self, v: int) -> int:
         return len(self.neighbors[v])
@@ -116,7 +115,9 @@ class BipartiteGraph:
 
     The orientation is caller data, never inferred: two-sided weights attach
     lambdas to E-images and mus to O-images, so the choice of classes is part
-    of the instance.
+    of the instance.  A two-sorted target (the double or the blow-up of a
+    graph) is a BipartiteGraph too: its upper side is class E and its lower
+    side class O, and a restricted homomorphism maps E into E and O into O.
     """
 
     __slots__ = ("graph", "class_e", "class_o")
@@ -128,8 +129,7 @@ class BipartiteGraph:
         class_o = frozenset(range(graph.vertex_count)) - class_e
         for u, v in graph.edges():
             if (u in class_e) == (v in class_e):
-                side = "class_e" if u in class_e else "class_o"
-                raise GraphFormatError(f"edge ({u}, {v}) lies inside {side}")
+                raise GraphFormatError(f"edge ({u}, {v}) does not cross the bipartition")
         self.graph = graph
         self.class_e = class_e
         self.class_o = class_o
@@ -221,10 +221,10 @@ def _int_list(doc: dict, key: str) -> list:
     return value
 
 
-def _graph_from_doc(doc: dict, allowed: set[str], budget: int = DEFAULT_BUDGET) -> Graph:
+def _graph_from_doc(doc: dict, budget: int = DEFAULT_BUDGET) -> Graph:
     """The Graph of a document; its declared vertices plus listed edges are
     charged to the larger of ``budget`` and the default before it is built."""
-    unknown = set(doc) - allowed
+    unknown = set(doc) - _GRAPH_KEYS
     if unknown:
         raise GraphFormatError(f"unknown keys {sorted(unknown)}")
     if "vertices" not in doc:
@@ -242,16 +242,7 @@ def parse_graph(data, budget: int = DEFAULT_BUDGET) -> Graph:
 
     Adjacency is symmetrized and deduplicated; an edge [v, v] is a loop.
     """
-    return _graph_from_doc(_load_doc(data), _GRAPH_KEYS, budget)
-
-
-def parse_bipartite(data, budget: int = DEFAULT_BUDGET) -> BipartiteGraph:
-    """Parse a source-graph document: graph keys plus "class_e"."""
-    doc = _load_doc(data)
-    if "class_e" not in doc:
-        raise GraphFormatError("missing 'class_e'")
-    graph = _graph_from_doc({k: v for k, v in doc.items() if k != "class_e"}, _GRAPH_KEYS, budget)
-    return BipartiteGraph(graph, _int_list(doc, "class_e"))
+    return _graph_from_doc(_load_doc(data), budget)
 
 
 def serialize_graph(g: Graph) -> dict:
@@ -262,10 +253,40 @@ def serialize_graph(g: Graph) -> dict:
     }
 
 
-def serialize_bipartite(bg: BipartiteGraph) -> dict:
+def _parse_sided(data, side_key: str, budget: int) -> BipartiteGraph:
+    """A bipartite document is a graph document plus one side key that lists
+    class E: "class_e" in a source document, "upper" in a two-sorted
+    target's."""
+    doc = _load_doc(data)
+    if side_key not in doc:
+        raise GraphFormatError(f"missing {side_key!r}")
+    graph = _graph_from_doc({k: v for k, v in doc.items() if k != side_key}, budget)
+    return BipartiteGraph(graph, _int_list(doc, side_key))
+
+
+def _serialize_sided(bg: BipartiteGraph, side_key: str) -> dict:
     doc = serialize_graph(bg.graph)
-    doc["class_e"] = sorted(bg.class_e)
+    doc[side_key] = sorted(bg.class_e)
     return doc
+
+
+def parse_bipartite(data, budget: int = DEFAULT_BUDGET) -> BipartiteGraph:
+    """Parse a source-graph document: graph keys plus "class_e"."""
+    return _parse_sided(data, "class_e", budget)
+
+
+def parse_two_sorted(data, budget: int = DEFAULT_BUDGET) -> BipartiteGraph:
+    """Parse a two-sorted target document: graph keys plus "upper", which
+    lists the upper side (class E)."""
+    return _parse_sided(data, "upper", budget)
+
+
+def serialize_bipartite(bg: BipartiteGraph) -> dict:
+    return _serialize_sided(bg, "class_e")
+
+
+def serialize_two_sorted(target: BipartiteGraph) -> dict:
+    return _serialize_sided(target, "upper")
 
 
 # ---------------------------------------------------------------------------

@@ -17,13 +17,9 @@ from fractions import Fraction
 from functools import cached_property
 from heapq import heappop, heappush
 from math import lcm
-from typing import TYPE_CHECKING
 
 from .errors import DEFAULT_BUDGET, BudgetExceededError, GraphFormatError
-from .graphs import BipartiteGraph, Graph, _load_doc, mask_vertices
-
-if TYPE_CHECKING:
-    from .constructions import TwoSortedTarget
+from .graphs import BipartiteGraph, Graph, _load_doc, mask_of, mask_vertices
 
 _ONE = Fraction(1)
 
@@ -353,14 +349,15 @@ def count_homs(g: Graph, h: Graph, budget: int = DEFAULT_BUDGET) -> int:
 
 
 def count_homs_restricted(
-    g: BipartiteGraph, target: "TwoSortedTarget", budget: int = DEFAULT_BUDGET
+    g: BipartiteGraph, target: BipartiteGraph, budget: int = DEFAULT_BUDGET
 ) -> int:
-    """Exact count of homomorphisms sending class E into the target's upper
-    side and class O into its lower side."""
+    """Exact count of homomorphisms sending g's class E into the target's
+    class E (a two-sorted target's upper side) and class O into its class O
+    (the lower side)."""
     h_masks = target.graph.neighbor_masks()
-    um = target.upper_mask()
-    lm = target.lower_mask()
-    base = [um if v in g.class_e else lm for v in range(g.vertex_count)]
+    em = mask_of(target.class_e)
+    om = mask_of(target.class_o)
+    base = [em if v in g.class_e else om for v in range(g.vertex_count)]
     return _hom_sum(g.graph, base, h_masks, None, budget)
 
 

@@ -16,8 +16,7 @@ from homcert import (
     BipartiteGraph,
     EtaWitness,
     Graph,
-    TwoSortedTarget,
-    two_sorted,
+    check_bipartition,
 )
 
 
@@ -35,14 +34,14 @@ def hom_count_by_enumeration(g: Graph, h: Graph) -> int:
     return total
 
 
-def restricted_count_by_enumeration(g: BipartiteGraph, target: TwoSortedTarget) -> int:
+def restricted_count_by_enumeration(g: BipartiteGraph, target: BipartiteGraph) -> int:
     total = 0
     n = g.vertex_count
     tg = target.graph
     for f in itertools.product(range(tg.vertex_count), repeat=n):
-        if any(f[v] not in target.upper for v in g.class_e):
+        if any(f[v] not in target.class_e for v in g.class_e):
             continue
-        if any(f[v] not in target.lower for v in g.class_o):
+        if any(f[v] not in target.class_o for v in g.class_o):
             continue
         if all(tg.adjacent(f[u], f[v]) for u in range(n) for v in g.graph.neighbors[u] if v > u):
             total += 1
@@ -148,11 +147,12 @@ def kab_partition_by_subsets(a: int, b: int, h: Graph, acts: ActivitySystem) -> 
     return sum((w[s] * lam_sub[cn[s]] ** a for s in range(1 << m)), Fraction(0))
 
 
-def knn_restricted_by_subsets(n: int, target: TwoSortedTarget) -> Fraction:
+def knn_restricted_by_subsets(n: int, target: BipartiteGraph) -> Fraction:
     """Restricted count of K_{n,n}: the sum over lower-side image sets A of
     surj(n, |A|) * |cn(A)|^n, with cn(A) taken in the upper side."""
-    lower = sorted(target.lower)
-    cn = _subset_common_neighbors(lower, target.graph.neighbor_masks(), target.upper_mask())
+    lower = sorted(target.class_o)
+    upper_mask = sum(1 << v for v in target.class_e)
+    cn = _subset_common_neighbors(lower, target.graph.neighbor_masks(), upper_mask)
     return sum(weighted_surjection_sum([1] * s.bit_count(), n) * c.bit_count() ** n
                for s, c in enumerate(cn))
 
@@ -258,11 +258,11 @@ def random_bipartite(rng: random.Random, max_half: int = 4, p: float = 0.5) -> B
     return BipartiteGraph(Graph(a + b, edges), range(a))
 
 
-def random_two_sorted(rng: random.Random, max_side: int = 5, p: float = 0.5) -> TwoSortedTarget:
+def random_two_sorted(rng: random.Random, max_side: int = 5, p: float = 0.5) -> BipartiteGraph:
     u = rng.randint(1, max_side)
     l = rng.randint(1, max_side)
     edges = [(i, u + j) for i in range(u) for j in range(l) if rng.random() < p]
-    return two_sorted(Graph(u + l, edges), range(u))
+    return check_bipartition(Graph(u + l, edges), range(u))
 
 
 def random_activities(rng: random.Random, k: int, max_num: int = 3, max_den: int = 3) -> ActivitySystem:

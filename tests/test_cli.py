@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import resource
@@ -96,6 +97,29 @@ def test_blowup_output(capsys, tmp_path):
     assert doc["scale"] == "2"
     assert doc["upper_copies"] == [3, 3] and doc["lower_copies"] == [2, 2]
     assert doc["target"]["vertices"] == 10
+
+
+# sha256 of the stdout of each command, recorded when two-sorted targets
+# had a class of their own; the documents must not change with the type.
+# "acts" stands for an activity file with lambda = 3/2 at both vertices.
+PINNED_STDOUT = {
+    "double-hind": (("double", "-H", FIX / "hind.json"),
+                    "ba34ff9f339e70d514616d070913c4d5a244b8555e32f86e4314c8eab780145e"),
+    "double-looped-k2": (("double", "-H", FIX / "looped-k2.json"),
+                         "eb22f55345ec9ab3f79749f7b36e3fdfded49211f11ebeb82d6e49d74ab6ae3f"),
+    "blowup-hind": (("blowup", "-H", FIX / "hind.json", "-a", "acts"),
+                    "b6e239aa7d6838e69073a94d04caebd471176a037606989d42f4dd41e86fb97b"),
+}
+
+
+@pytest.mark.parametrize("argv, digest", PINNED_STDOUT.values(), ids=PINNED_STDOUT)
+def test_two_sorted_documents_are_pinned(capsys, tmp_path, argv, digest):
+    acts = tmp_path / "acts.json"
+    acts.write_text(json.dumps({"activities": {"0": {"lambda": "3/2", "mu": "1"},
+                                               "1": {"lambda": "3/2", "mu": "1"}}}))
+    code, out = run_cli(capsys, *(acts if a == "acts" else a for a in argv))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_generate_families(capsys):
@@ -494,6 +518,7 @@ def test_input_error_exit_code(capsys, tmp_path):
     (("restricted", "-g", FIX / "knn.json", "--n", "1"), [0.0]),
     (("knn", "--n", "1"), [[0]]),
     (("restricted", "-g", FIX / "knn.json", "--n", "1"), [True]),
+    (("knn", "--n", "1"), [0, 1]),  # the edge lies inside the upper side
 ])
 def test_two_sorted_upper_entries_are_vertex_indices(capsys, tmp_path, command, upper):
     target = tmp_path / "t.json"

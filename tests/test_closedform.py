@@ -19,10 +19,9 @@ from homcert import (
     knn_restricted_count,
     partition_fn,
     surjection_count,
-    two_sorted,
 )
 from homcert.errors import DEFAULT_BUDGET
-from homcert.graphs import Graph
+from homcert.graphs import Graph, check_bipartition
 from helpers import (
     kab_partition_by_subsets,
     knn_restricted_by_subsets,
@@ -86,7 +85,7 @@ def test_knn_restricted_examples():
     assert knn_restricted_count(2, double(HIND)) == 7
     # doubled triangle: |A|=1 gives 3*1*2^2 = 12, |A|=2 gives 3*2*1^2 = 6
     assert knn_restricted_count(2, double(complete_graph(3))) == 18
-    empty_lower = two_sorted(Graph(3), upper=(0, 1, 2))
+    empty_lower = check_bipartition(Graph(3), (0, 1, 2))
     assert knn_restricted_count(2, empty_lower) == 0
     with pytest.raises(ValueError):
         knn_restricted_count(0, double(HIND))

@@ -10,8 +10,8 @@ from homcert import (
     ActivitySystem,
     Graph,
     GraphFormatError,
-    TwoSortedTarget,
     blowup,
+    check_bipartition,
     complete_graph,
     count_homs,
     count_homs_restricted,
@@ -19,11 +19,12 @@ from homcert import (
     gen_complete_bipartite,
     gen_even_cycle,
     independence_target,
+    parse_bipartite,
     parse_two_sorted,
     partition_fn,
     scale_constant,
+    serialize_bipartite,
     serialize_two_sorted,
-    two_sorted,
 )
 from homcert.constructions import blowup_size
 from helpers import random_activities, random_bipartite, random_graph
@@ -36,8 +37,7 @@ def test_double_independence_target():
     d = double(HIND)
     assert d.graph.vertex_count == 4
     assert sorted(d.graph.edges()) == [(0, 3), (1, 2), (1, 3)]
-    assert d.upper == frozenset({0, 1}) and d.lower == frozenset({2, 3})
-    assert d.provenance == ((0, "U", 0), (1, "U", 0), (0, "L", 0), (1, "L", 0))
+    assert d.class_e == frozenset({0, 1}) and d.class_o == frozenset({2, 3})
 
 
 def test_double_single_loop_is_single_edge():
@@ -56,6 +56,15 @@ def test_scale_constant():
     assert scale_constant(ActivitySystem((Fraction(2, 3),), (Fraction(5, 4),))) == 12
 
 
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2**32))
+def test_scale_constant_is_blowup_scale(seed):
+    rng = random.Random(seed)
+    h = random_graph(rng, max_vertices=4)
+    acts = random_activities(rng, h.vertex_count, max_num=4, max_den=6)
+    assert scale_constant(acts) == blowup(h, acts)[1].scale
+
+
 def test_blowup_unit_is_double():
     for h in (HIND, complete_graph(3), LOOP):
         target, meta = blowup(h, ActivitySystem.unit(h.vertex_count))
@@ -67,7 +76,7 @@ def test_blowup_single_loop():
     target, meta = blowup(LOOP, ActivitySystem((Fraction(3, 2),), (Fraction(1),)))
     assert meta.scale == 2
     assert meta.upper_copies == (3,) and meta.lower_copies == (2,)
-    assert len(target.upper) == 3 and len(target.lower) == 2
+    assert len(target.class_e) == 3 and len(target.class_o) == 2
     assert len(target.graph.edges()) == 6  # complete join of the copies
 
 
@@ -118,19 +127,21 @@ def test_lift_identity(seed):
 
 
 def test_lift_counts_partition_by_projection():
-    # every restricted map projects (via provenance) to one source map; the
-    # fibre over f has exactly weight(f) * C^N elements
+    # every restricted map projects (each copy to its origin) to one source
+    # map; the fibre over f has exactly weight(f) * C^N elements
     g = gen_complete_bipartite(1, 1)
     h = HIND
     acts = ActivitySystem.from_mapping(2, {0: (Fraction(1, 2), Fraction(3, 2))})
     target, meta = blowup(h, acts)
     c = meta.scale
-    origin = [p[0] for p in target.provenance]
+    # copies come in origin order, upper before lower
+    origin = [i for copies in (meta.upper_copies, meta.lower_copies)
+              for i, k in enumerate(copies) for _ in range(k)]
 
     fibres = {}
     tg = target.graph
     for f in product(range(tg.vertex_count), repeat=2):
-        if f[0] not in target.upper or f[1] not in target.lower:
+        if f[0] not in target.class_e or f[1] not in target.class_o:
             continue
         if not tg.adjacent(f[0], f[1]):
             continue
@@ -145,20 +156,30 @@ def test_lift_counts_partition_by_projection():
 
 
 def test_two_sorted_validation():
+    with pytest.raises(GraphFormatError, match="does not cross the bipartition"):
+        check_bipartition(Graph(2, [(0, 1)]), (0, 1))  # edge inside upper
+    with pytest.raises(GraphFormatError, match="does not cross the bipartition"):
+        check_bipartition(Graph(3, [(1, 2)]), (0,))  # edge inside lower
     with pytest.raises(GraphFormatError):
-        two_sorted(Graph(2, [(0, 1)]), upper=(0, 1))  # edge inside upper
-    with pytest.raises(GraphFormatError):
-        two_sorted(Graph(2, [], [0]), upper=(0,))  # loop
-    with pytest.raises(GraphFormatError):
-        TwoSortedTarget(Graph(2), frozenset({0}), frozenset({0, 1}))
-    with pytest.raises(GraphFormatError):
-        TwoSortedTarget(Graph(2), frozenset({0}), frozenset({1}), provenance=((0, "U", 0),))
+        check_bipartition(Graph(2, [], [0]), (0,))  # loop
 
 
 def test_two_sorted_file_round_trip():
     d = double(complete_graph(3))
     doc = serialize_two_sorted(d)
     again = parse_two_sorted(json.dumps(doc))
-    assert again.graph == d.graph and again.upper == d.upper
+    assert again == d
     with pytest.raises(GraphFormatError):
         parse_two_sorted({"vertices": 2, "edges": []})  # upper missing
+
+
+def test_upper_and_class_e_documents_are_one_type():
+    graph = {"vertices": 4, "edges": [[0, 2], [0, 3], [1, 3]], "loops": []}
+    source_doc = {**graph, "class_e": [0, 1]}
+    target_doc = {**graph, "upper": [0, 1]}
+    source, target = parse_bipartite(source_doc), parse_two_sorted(target_doc)
+    assert source == target
+    assert serialize_bipartite(source) == source_doc
+    assert serialize_two_sorted(target) == target_doc
+    with pytest.raises(GraphFormatError, match="unknown keys"):
+        parse_two_sorted(source_doc | {"upper": [0, 1]})

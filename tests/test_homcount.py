@@ -11,6 +11,7 @@ from homcert import (
     BudgetExceededError,
     Graph,
     GraphFormatError,
+    check_bipartition,
     complete_graph,
     count_homs,
     count_homs_restricted,
@@ -22,7 +23,6 @@ from homcert import (
     independence_target,
     parse_activities,
     partition_fn,
-    two_sorted,
 )
 from homcert.homcount import partition_grid
 from helpers import (
@@ -150,7 +150,7 @@ def test_frontier_restricted_matches_enumeration(seed):
     upper = rng.randint(1, 2)
     size = upper + rng.randint(1, 3 - upper)
     edges = [(u, v) for u in range(upper) for v in range(upper, size) if rng.random() < 0.6]
-    target = two_sorted(Graph(size, edges), range(upper))
+    target = check_bipartition(Graph(size, edges), range(upper))
     assert count_homs_restricted(g, target) == restricted_count_by_enumeration(g, target)
 
 
@@ -175,7 +175,7 @@ def test_restricted_single_edge_into_doubled_edge():
 
 
 def test_restricted_empty_upper_side():
-    target = two_sorted(Graph(2), upper=())
+    target = check_bipartition(Graph(2), ())
     g = gen_complete_bipartite(1, 1)
     assert count_homs_restricted(g, target) == 0
 
@@ -194,7 +194,7 @@ def test_restriction_consistency():
 def test_restriction_vacuous_equality():
     # all-upper edgeless target with an all-E source: restriction adds nothing
     g = BipartiteGraph(Graph(1), class_e={0})
-    target = two_sorted(Graph(3), upper=(0, 1, 2))
+    target = check_bipartition(Graph(3), (0, 1, 2))
     assert count_homs_restricted(g, target) == count_homs(g.graph, target.graph) == 3
 
 
