@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple
 
 from . import closedform
 from .constructions import blowup, double
-from .errors import BudgetExceededError, GraphFormatError
+from .errors import BudgetExceededError, GraphFormatError, input_limit
 from .eta import EtaWitness, eta_two_sided, eta_unweighted
 from .graphs import (
     BipartiteGraph,
@@ -29,6 +29,7 @@ from .graphs import (
     complete_graph,
     independence_target,
     instance_size,
+    list_field,
     needs_seed,
     parse_graph,
     parse_instance_spec,
@@ -41,8 +42,8 @@ from .homcount import (
     ActivitySystem,
     count_homs,
     count_homs_restricted,
-    parse_activities,
     partition_grid,
+    resolve_activities,
 )
 
 DEFAULT_SEED = 2004
@@ -533,34 +534,6 @@ def resolve_target(entry, base_dir=None, budget: int = DEFAULT_BUDGET) -> Graph:
     raise GraphFormatError(f"bad target entry {entry!r}")
 
 
-def resolve_activities(entry, vertex_count: int) -> ActivitySystem:
-    """Activity grid entry: "unit", {"uniform": {...}}, {"vertex": {...}},
-    a bare uniform {"lambda": ..., "mu": ...}, or a full activity document."""
-    if entry is None or entry == "unit" or entry == {"unit": True}:
-        return ActivitySystem.unit(vertex_count)
-    if isinstance(entry, dict):
-        if set(entry) == {"uniform"}:
-            pair = entry["uniform"]
-            if not isinstance(pair, dict) or "lambda" not in pair or set(pair) - {"lambda", "mu"}:
-                raise GraphFormatError(f"bad uniform activity entry {entry!r}")
-            return ActivitySystem.uniform(vertex_count, pair["lambda"], pair.get("mu"))
-        if set(entry) == {"vertex"}:
-            return parse_activities({"activities": entry["vertex"]}, vertex_count)
-        if set(entry) == {"activities"}:
-            return parse_activities(entry, vertex_count)
-        if "lambda" in entry and not set(entry) - {"lambda", "mu"}:
-            return ActivitySystem.uniform(vertex_count, entry["lambda"], entry.get("mu"))
-    raise GraphFormatError(f"bad activity entry {entry!r}")
-
-
-def _list_field(doc: dict, key: str, default):
-    if key not in doc:
-        return default
-    if not isinstance(doc[key], (list, tuple)):
-        raise GraphFormatError(f"{key!r} must be a list, got {doc[key]!r}")
-    return list(doc[key])
-
-
 def _proposition(entry, lists: dict) -> dict:
     """A proposition entry with its families, targets and activities: its own
     lists where it has them, else the campaign's."""
@@ -575,7 +548,7 @@ def _proposition(entry, lists: dict) -> dict:
         raise GraphFormatError(
             f"unknown proposition {entry['id']!r}; expected one of {PROPOSITION_IDS}"
         )
-    return {"id": entry["id"], **{key: _list_field(entry, key, lists[key]) for key in lists}}
+    return {"id": entry["id"], **{key: list_field(entry, key, lists[key]) for key in lists}}
 
 
 def load_campaign(source, base_dir=None) -> tuple[dict, Path | None]:
@@ -600,16 +573,16 @@ def load_campaign(source, base_dir=None) -> tuple[dict, Path | None]:
         value = raw.get(key, default)
         if isinstance(value, bool) or not isinstance(value, int) or value < 0:
             raise GraphFormatError(f"campaign {key!r} must be a nonnegative integer")
-    lists = {"families": _list_field(raw, "families", []),
-             "targets": _list_field(grids, "targets", ["hind"]),
-             "activities": _list_field(grids, "activities", ["unit"])}
+    lists = {"families": list_field(raw, "families", []),
+             "targets": list_field(grids, "targets", ["hind"]),
+             "activities": list_field(grids, "activities", ["unit"])}
     config = {
         "seed": raw.get("seed", DEFAULT_SEED),
         "trials": raw.get("trials", 3),
         "families": lists["families"],
         "grids": {"targets": lists["targets"], "activities": lists["activities"]},
         "propositions": [_proposition(entry, lists)
-                         for entry in _list_field(raw, "propositions", [])],
+                         for entry in list_field(raw, "propositions", [])],
     }
     # left out when the config has none, so a caller can tell the config's
     # own budget from the default
@@ -656,7 +629,7 @@ def run_campaign(config, base_dir=None) -> list[CertReport]:
     budget = config.get("budget", DEFAULT_BUDGET)
     # every report carries its source and target, so even a campaign whose
     # budget skips every check builds the instances the default budget admits
-    build_budget = max(budget, DEFAULT_BUDGET)
+    build_budget = input_limit(budget)
     q = _Quantities(budget)
 
     def sources(families):

@@ -20,13 +20,13 @@ from . import certify as certify_mod
 from .certify import DEFAULT_SEED, campaign_exit_code, load_campaign, run_campaign
 from .constructions import blowup, double
 from .closedform import kab_partition, knn_partition, knn_restricted_count, surjection_count
-from .errors import BudgetExceededError, GraphFormatError, HomcertError
+from .errors import BudgetExceededError, GraphFormatError, HomcertError, input_limit
 from .eta import eta_two_sided
 from .graphs import (
     GENERATED_FAMILIES,
     BipartiteGraph,
-    _load_doc,
     build_instance,
+    load_doc,
     needs_seed,
     parse_bipartite,
     parse_graph,
@@ -138,8 +138,8 @@ def _load_source(args, doc=None) -> BipartiteGraph:
     if doc is None:
         doc = read_doc(args.graph)
     if "family" in doc:
-        budget = max(_budget(args), DEFAULT_BUDGET)
-        return build_instance(_apply_overrides(doc, args), Path(args.graph).parent, budget)
+        return build_instance(_apply_overrides(doc, args), Path(args.graph).parent,
+                              input_limit(_budget(args)))
     _reject_unread(args, _SPEC_FLAGS, "a -g graph document")
     return parse_bipartite(doc, _budget(args))
 
@@ -177,7 +177,7 @@ def _reject_unread(args, names, mode: str) -> None:
 # Subcommand handlers
 
 
-def _cmd_count(args) -> int:
+def _cmd_count(args) -> dict:
     # count_homs does not need a bipartition, so plain graph files are fine here
     doc = read_doc(args.graph)
     if "family" in doc or "class_e" in doc:
@@ -187,31 +187,26 @@ def _cmd_count(args) -> int:
         g = parse_graph(doc, _budget(args))
     if args.independent_sets:
         _reject_unread(args, ["target"], "--independent-sets")
-        _emit({"count": str(count_independent_sets(g, _budget(args)))}, args.output)
-        return 0
+        return {"count": str(count_independent_sets(g, _budget(args)))}
     if args.target is None:
         raise GraphFormatError("count requires -H (or --independent-sets)")
-    h = _load_target(args)
-    _emit({"count": str(count_homs(g, h, _budget(args)))}, args.output)
-    return 0
+    return {"count": str(count_homs(g, _load_target(args), _budget(args)))}
 
 
-def _cmd_restricted(args) -> int:
+def _cmd_restricted(args) -> dict:
     g = _load_source(args)
     target = parse_two_sorted(read_doc(args.two_sorted), _budget(args))
-    _emit({"count": str(count_homs_restricted(g, target, _budget(args)))}, args.output)
-    return 0
+    return {"count": str(count_homs_restricted(g, target, _budget(args)))}
 
 
-def _cmd_partition(args) -> int:
+def _cmd_partition(args) -> dict:
     g = _load_source(args)
     h = _load_target(args)
     acts = _load_acts(args, h.vertex_count)
-    _emit({"value": str(partition_fn(g, h, acts, _budget(args)))}, args.output)
-    return 0
+    return {"value": str(partition_fn(g, h, acts, _budget(args)))}
 
 
-def _cmd_knn(args) -> int:
+def _cmd_knn(args) -> dict:
     modes = [args.target is not None, args.two_sorted is not None, args.surjections is not None]
     if sum(modes) != 1:
         raise GraphFormatError("knn requires exactly one of -H, -T, or --surjections")
@@ -219,63 +214,49 @@ def _cmd_knn(args) -> int:
         _reject_unread(args, ["activities"], "knn --surjections")
         if args.surjections < 0:
             raise GraphFormatError("--surjections must be nonnegative")
-        _emit({"count": str(surjection_count(args.n, args.surjections, _budget(args)))}, args.output)
-        return 0
+        return {"count": str(surjection_count(args.n, args.surjections, _budget(args)))}
     if args.two_sorted is not None:
         _reject_unread(args, ["activities"], "knn -T")
         target = parse_two_sorted(read_doc(args.two_sorted), _budget(args))
-        _emit({"count": str(knn_restricted_count(args.n, target, _budget(args)))}, args.output)
-        return 0
+        return {"count": str(knn_restricted_count(args.n, target, _budget(args)))}
     h = _load_target(args)
     acts = _load_acts(args, h.vertex_count)
-    _emit({"value": str(knn_partition(args.n, h, acts, _budget(args)))}, args.output)
-    return 0
+    return {"value": str(knn_partition(args.n, h, acts, _budget(args)))}
 
 
-def _cmd_kab(args) -> int:
+def _cmd_kab(args) -> dict:
     h = _load_target(args)
     acts = _load_acts(args, h.vertex_count)
-    _emit({"value": str(kab_partition(args.a, args.b, h, acts, _budget(args)))}, args.output)
-    return 0
+    return {"value": str(kab_partition(args.a, args.b, h, acts, _budget(args)))}
 
 
-def _cmd_eta(args) -> int:
+def _cmd_eta(args) -> dict:
     h = _load_target(args)
     acts = _load_acts(args, h.vertex_count)
     witness = eta_two_sided(h, acts, _budget(args))
-    _emit(
-        {"value": str(witness.value), "A": list(witness.set_a), "B": list(witness.set_b)},
-        args.output,
-    )
-    return 0
+    return {"value": str(witness.value), "A": list(witness.set_a), "B": list(witness.set_b)}
 
 
-def _cmd_double(args) -> int:
-    h = _load_target(args)
-    _emit(serialize_two_sorted(double(h)), args.output)
-    return 0
+def _cmd_double(args) -> dict:
+    return serialize_two_sorted(double(_load_target(args)))
 
 
-def _cmd_blowup(args) -> int:
+def _cmd_blowup(args) -> dict:
     h = _load_target(args)
     acts = _load_acts(args, h.vertex_count)
     target, meta = blowup(h, acts, _budget(args))
-    _emit(
-        {
-            "target": serialize_two_sorted(target),
-            "scale": str(meta.scale),
-            "upper_copies": list(meta.upper_copies),
-            "lower_copies": list(meta.lower_copies),
-        },
-        args.output,
-    )
-    return 0
+    return {
+        "target": serialize_two_sorted(target),
+        "scale": str(meta.scale),
+        "upper_copies": list(meta.upper_copies),
+        "lower_copies": list(meta.lower_copies),
+    }
 
 
-def _cmd_generate(args) -> int:
+def _cmd_generate(args) -> dict:
     if args.spec is not None:
         _reject_unread(args, ["spec_file", "family", "path"], "--spec")
-        doc = _load_doc(args.spec)
+        doc = load_doc(args.spec)
     elif args.spec_file is not None:
         _reject_unread(args, ["family", "path"], "--spec-file")
         doc = read_doc(args.spec_file)
@@ -289,12 +270,11 @@ def _cmd_generate(args) -> int:
     else:
         raise GraphFormatError("generate requires --family, --spec, or --spec-file")
     base = Path(args.spec_file).parent if args.spec_file else Path.cwd()
-    g = build_instance(_apply_overrides(doc, args), base, _budget(args))
-    _emit(serialize_bipartite(g), args.output)
-    return 0
+    return serialize_bipartite(build_instance(_apply_overrides(doc, args), base, _budget(args)))
 
 
 def _cmd_certify(args) -> int:
+    """Writes its report stream itself and returns the campaign exit code."""
     instance_flags = ["graph", "target", "activities", *_SPEC_FLAGS]
     if args.check is not None:
         if args.config is not None:
@@ -436,9 +416,12 @@ def main(argv=None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)  # exact answers print at any length
     try:
-        code = args.fn(args)
+        result = args.fn(args)
+        if isinstance(result, dict):  # every handler but certify's returns its answer
+            _emit(result, args.output)
+            result = 0
         sys.stdout.flush()  # so a failed write is reported here, not at exit
-        return code
+        return result
     except BudgetExceededError as exc:
         _emit({"error": {"code": "budget-exceeded", "message": str(exc)}}, None)
         return 1

@@ -30,7 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from .errors import DEFAULT_BUDGET, BudgetExceededError
+from .errors import DEFAULT_BUDGET, BudgetExceededError, input_limit
 from .graphs import BipartiteGraph, Graph, mask_of, mask_vertices
 from .homcount import ActivitySystem
 
@@ -39,7 +39,7 @@ def _check_answer_bits(bits: int, budget: int) -> None:
     """Refuse a closed form whose answer (or sum of terms) may take more than
     ``bits`` bits past the larger of the budget and the default, before it
     is computed."""
-    limit = max(budget, DEFAULT_BUDGET)
+    limit = input_limit(budget)
     if bits > limit:
         raise BudgetExceededError(f"closed form of up to {bits} bits exceeds budget {limit}")
 

@@ -3,6 +3,12 @@
 DEFAULT_BUDGET = 20_000_000
 
 
+def input_limit(budget: int) -> int:
+    """What an input may cost before it is built: the larger of the budget
+    and the default, so a small budget still reads what it refuses to count."""
+    return max(DEFAULT_BUDGET, budget)
+
+
 class HomcertError(Exception):
     """Base class for package-specific errors."""
 

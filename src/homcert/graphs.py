@@ -2,8 +2,8 @@
 instance generators.
 
 Vertices are dense 0-based integer indices; names, if any, live in the file
-layer only.  All types are immutable after construction and safe to share
-across threads; generators are pure functions of (parameters, seed).
+layer only.  All types are immutable after construction; generators are
+pure functions of (parameters, seed).
 """
 
 from __future__ import annotations
@@ -13,7 +13,8 @@ import random
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from .errors import DEFAULT_BUDGET, BudgetExceededError, GenerationError, GraphFormatError
+from .errors import (
+    DEFAULT_BUDGET, BudgetExceededError, GenerationError, GraphFormatError, input_limit)
 
 _MATCHING_RESAMPLE_CAP = 10_000
 
@@ -184,16 +185,22 @@ def check_bipartition(g: Graph, class_e) -> BipartiteGraph:
 # JSON file format
 
 
-def _load_doc(data) -> dict:
+def load_doc(data, path=None) -> dict:
+    """The JSON object of ``data``: text, bytes or an already decoded object.
+    ``path`` names the file the text was read from, in messages."""
     if isinstance(data, (bytes, bytearray)):
         data = data.decode("utf-8")
     if isinstance(data, str):
         try:
             data = json.loads(data)
         except json.JSONDecodeError as exc:
-            raise GraphFormatError(f"invalid JSON: {exc}") from None
+            where = "" if path is None else f" in {path}"
+            raise GraphFormatError(f"invalid JSON{where}: {exc}") from None
+        except RecursionError:
+            raise GraphFormatError(f"{path or 'document'} is nested too deeply") from None
     if not isinstance(data, dict):
-        raise GraphFormatError("document must be a JSON object")
+        raise GraphFormatError("document must be a JSON object" if path is None
+                               else f"{path} must contain a JSON object")
     return data
 
 
@@ -204,19 +211,16 @@ def read_doc(path, base_dir=None) -> dict:
     if base_dir is not None and not path.is_absolute():
         path = Path(base_dir) / path
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise GraphFormatError(f"invalid JSON in {path}: {exc}") from None
+        text = path.read_text(encoding="utf-8")
     except (OSError, UnicodeError) as exc:
         raise GraphFormatError(f"cannot read {path}: {exc}") from None
-    if not isinstance(doc, dict):
-        raise GraphFormatError(f"{path} must contain a JSON object")
-    return doc
+    return load_doc(text, path)
 
 
-def _int_list(doc: dict, key: str) -> list:
-    value = doc.get(key, [])
-    if not isinstance(value, list):
+def list_field(doc: dict, key: str, default=()):
+    """``doc[key]``, which must be a list (or a tuple), or ``default``."""
+    value = doc.get(key, default)
+    if not isinstance(value, (list, tuple)):
         raise GraphFormatError(f"{key!r} must be a list")
     return value
 
@@ -229,12 +233,12 @@ def _graph_from_doc(doc: dict, budget: int = DEFAULT_BUDGET) -> Graph:
         raise GraphFormatError(f"unknown keys {sorted(unknown)}")
     if "vertices" not in doc:
         raise GraphFormatError("missing 'vertices'")
-    vertices, edges = doc["vertices"], _int_list(doc, "edges")
-    budget = max(budget, DEFAULT_BUDGET)
+    vertices, edges = doc["vertices"], list_field(doc, "edges")
+    budget = input_limit(budget)
     if isinstance(vertices, int) and vertices + len(edges) > budget:
         raise BudgetExceededError(
             f"graph document of {vertices} vertices and {len(edges)} edges exceeds budget {budget}")
-    return Graph(vertices, edges, _int_list(doc, "loops"))
+    return Graph(vertices, edges, list_field(doc, "loops"))
 
 
 def parse_graph(data, budget: int = DEFAULT_BUDGET) -> Graph:
@@ -242,7 +246,7 @@ def parse_graph(data, budget: int = DEFAULT_BUDGET) -> Graph:
 
     Adjacency is symmetrized and deduplicated; an edge [v, v] is a loop.
     """
-    return _graph_from_doc(_load_doc(data), budget)
+    return _graph_from_doc(load_doc(data), budget)
 
 
 def serialize_graph(g: Graph) -> dict:
@@ -257,11 +261,11 @@ def _parse_sided(data, side_key: str, budget: int) -> BipartiteGraph:
     """A bipartite document is a graph document plus one side key that lists
     class E: "class_e" in a source document, "upper" in a two-sorted
     target's."""
-    doc = _load_doc(data)
+    doc = load_doc(data)
     if side_key not in doc:
         raise GraphFormatError(f"missing {side_key!r}")
     graph = _graph_from_doc({k: v for k, v in doc.items() if k != side_key}, budget)
-    return BipartiteGraph(graph, _int_list(doc, side_key))
+    return BipartiteGraph(graph, list_field(doc, side_key))
 
 
 def _serialize_sided(bg: BipartiteGraph, side_key: str) -> dict:
@@ -419,8 +423,12 @@ GENERATED_FAMILIES = {
 # the structural families and their one parameter
 _STRUCTURAL = {"union": "parts", "file": "path"}
 
+# reading, sizing and building a spec recurse once per union level; deeper
+# specs than this would end in RecursionError where the JSON decoder admits them
+_UNION_DEPTH = 100
 
-def parse_instance_spec(doc: dict) -> dict:
+
+def parse_instance_spec(doc: dict, _depth: int = 0) -> dict:
     """The canonical spec document: family, parameters (union parts
     canonical too) and the seed when one is given; only a seeded family
     takes one.  Every parameter is checked here, so a bad spec fails before
@@ -445,7 +453,9 @@ def parse_instance_spec(doc: dict) -> dict:
         if key == "parts":
             if not isinstance(value, list):
                 raise GraphFormatError("'parts' must be a list of instance specs")
-            value = [parse_instance_spec(p) for p in value]
+            if _depth == _UNION_DEPTH:
+                raise GraphFormatError(f"instance spec is nested too deeply (> {_UNION_DEPTH})")
+            value = [parse_instance_spec(p, _depth + 1) for p in value]
         elif key == "path":
             if not isinstance(value, str):
                 raise GraphFormatError("'path' must be a string")

@@ -19,7 +19,7 @@ from heapq import heappop, heappush
 from math import lcm
 
 from .errors import DEFAULT_BUDGET, BudgetExceededError, GraphFormatError
-from .graphs import BipartiteGraph, Graph, _load_doc, mask_of, mask_vertices
+from .graphs import BipartiteGraph, Graph, load_doc, mask_of, mask_vertices
 
 _ONE = Fraction(1)
 
@@ -32,7 +32,8 @@ def clear_denominators(values) -> tuple[int, list[int]]:
 
 
 def as_fraction(value) -> Fraction:
-    """Exact rational from an int or a 'p/q' string; floats are rejected."""
+    """Exact rational from an int or an integer, decimal or 'p/q' string;
+    floats and exponent notation ("1e10000000" is 33 Mbit) are rejected."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
@@ -40,6 +41,8 @@ def as_fraction(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        if "e" in value or "E" in value:
+            raise GraphFormatError(f"not a rational (exponent notation): {value!r}")
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError):
@@ -173,7 +176,7 @@ def parse_activities(data, vertex_count: int) -> ActivitySystem:
     {"activities": {"<vertex>": {"lambda": "p/q", "mu": "p/q"}}}; omitted
     vertices default to 1; "lambda" alone sets both (one-sided model).
     """
-    data = _load_doc(data)
+    data = load_doc(data)
     if set(data) != {"activities"}:
         raise GraphFormatError("activity document must be {'activities': {...}}")
     entries = data["activities"]
@@ -187,6 +190,22 @@ def parse_activities(data, vertex_count: int) -> ActivitySystem:
         mu = entry.get("mu", entry["lambda"] if "lambda" in entry else 1)
         mapping[key] = (lam, mu)
     return ActivitySystem.from_mapping(vertex_count, mapping)
+
+
+def resolve_activities(entry, vertex_count: int) -> ActivitySystem:
+    """An activity entry as describe() writes it, or as a campaign grid lists
+    it: also "unit", None, a bare {"lambda", "mu"} pair or an activity document."""
+    if entry is None or entry == "unit" or entry == {"unit": True}:
+        return ActivitySystem.unit(vertex_count)
+    if isinstance(entry, dict):
+        pair = entry["uniform"] if set(entry) == {"uniform"} else entry
+        if isinstance(pair, dict) and "lambda" in pair and not set(pair) - {"lambda", "mu"}:
+            return ActivitySystem.uniform(vertex_count, pair["lambda"], pair.get("mu"))
+        if set(entry) == {"vertex"}:
+            return parse_activities({"activities": entry["vertex"]}, vertex_count)
+        if set(entry) == {"activities"}:
+            return parse_activities(entry, vertex_count)
+    raise GraphFormatError(f"bad activity entry {entry!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -373,10 +392,9 @@ def partition_fn(
 
 
 def _walk(g: BipartiteGraph, h_masks, row_e, row_o, budget: int) -> int:
-    """One kernel walk over the maps of g into the target: E-vertices weigh
-    row_e, O-vertices row_o, or both are None for a plain count."""
-    rows = None if row_e is None else [
-        row_e if v in g.class_e else row_o for v in range(g.vertex_count)]
+    """One weighted kernel walk over the maps of g into the target:
+    E-vertices weigh row_e, O-vertices row_o."""
+    rows = [row_e if v in g.class_e else row_o for v in range(g.vertex_count)]
     return _hom_sum(g.graph, [(1 << len(h_masks)) - 1] * g.vertex_count, h_masks, rows, budget)
 
 
@@ -437,7 +455,7 @@ def partition_grid(
     """Z(g, h, acts) for every system in ``systems``, from as few kernel walks
     as the systems allow:
 
-    - uniform systems (unit included) share one plain count walk, as
+    - uniform systems (unit included) share one count_homs walk, as
       Z = lambda^|E| * mu^|O| * hom(g, h);
     - the others, when they differ at one target vertex only and the packed
       weights stay narrow enough to pay off, share one walk with packed
@@ -454,7 +472,7 @@ def partition_grid(
     rest = [acts for acts in rows if not acts.is_uniform()]
     values = {}
     if uniform:
-        count = Fraction(_walk(g, h_masks, None, None, budget))
+        count = Fraction(count_homs(g.graph, h, budget))
         for acts in uniform:
             values[acts] = count if acts.is_unit() else (
                 count * acts.lambdas[0] ** len(g.class_e) * acts.mus[0] ** len(g.class_o))

@@ -224,7 +224,7 @@ def test_criterion_09_extremality_equality_pattern(default_campaign):
         assert seen_equality
 
 
-def test_criterion_10_campaign_determinism_across_threads():
+def test_criterion_10_campaign_determinism_across_runs():
     with _criterion(10, "campaign determinism across runs", limit=120.0):
         cmd = [sys.executable, "-m", "homcert", "certify", "--config", "default"]
         runs = [subprocess.run(cmd, capture_output=True) for _ in range(3)]

@@ -514,6 +514,53 @@ def test_input_error_exit_code(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("mode", ["graph", "spec", "config"])
+def test_deeply_nested_json_is_an_input_error(capsys, tmp_path, mode):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    argv = {"graph": ["count", "-g", deep, "-H", FIX / "hind.json"],
+            "spec": ["generate", "--spec", deep.read_text()],
+            "config": ["certify", "--config", deep]}[mode]
+    start = time.perf_counter()
+    code = main([str(a) for a in argv])
+    captured = capsys.readouterr()
+    assert time.perf_counter() - start < 1
+    assert code == 2 and "Traceback" not in captured.err
+    error = json.loads(captured.out)["error"]
+    assert error["code"] == "input-error" and "nested too deeply" in error["message"]
+
+
+def test_deeply_nested_union_spec_is_an_input_error(capsys, tmp_path):
+    spec = tmp_path / "union.json"
+    spec.write_text('{"family": "union", "parts": [' * 600 + '{"family": "cycle", "length": 4}'
+                    + "]}" * 600)
+    code = main(["generate", "--spec-file", str(spec)])
+    captured = capsys.readouterr()
+    assert code == 2 and "Traceback" not in captured.err
+    error = json.loads(captured.out)["error"]
+    assert error["code"] == "input-error" and "nested too deeply" in error["message"]
+
+
+@pytest.mark.parametrize("where", ["activity file", "campaign grid"])
+def test_exponent_activity_is_refused_at_once(capsys, tmp_path, where):
+    huge = "1e10000000"  # a 33-Mbit numerator, were it read
+    path = tmp_path / "input.json"
+    if where == "activity file":
+        path.write_text(json.dumps({"activities": {"0": {"lambda": huge}}}))
+        argv = ["partition", "-g", FIX / "knn.json", "--n", "2", "-H", FIX / "hind.json",
+                "-a", path]
+    else:
+        path.write_text(json.dumps({
+            "families": [{"family": "cycle", "length": 4}],
+            "grids": {"targets": ["hind"], "activities": [{"uniform": {"lambda": huge}}]},
+            "propositions": ["weighted-ub"]}))
+        argv = ["certify", "--config", path]
+    start = time.perf_counter()
+    code, out = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and json.loads(out)["error"]["code"] == "input-error"
+
+
 @pytest.mark.parametrize("command, upper", [
     (("restricted", "-g", FIX / "knn.json", "--n", "1"), [0.0]),
     (("knn", "--n", "1"), [[0]]),

@@ -249,6 +249,16 @@ def test_instance_spec_rejects(doc):
         parse_instance_spec(doc)
 
 
+def test_unions_nest_at_most_100_deep():
+    # each union level is a frame of the recursive reader and builder
+    spec = {"family": "cycle", "length": 4}
+    for _ in range(100):
+        spec = {"family": "union", "parts": [spec]}
+    assert build_instance(spec).vertex_count == 4
+    with pytest.raises(GraphFormatError, match="nested too deeply"):
+        parse_instance_spec({"family": "union", "parts": [spec]})
+
+
 def test_random_regular_spec_requires_seed():
     spec = parse_instance_spec({"family": "random-regular", "degree": 2, "half": 3})
     with pytest.raises(GraphFormatError):

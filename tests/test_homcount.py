@@ -24,7 +24,7 @@ from homcert import (
     parse_activities,
     partition_fn,
 )
-from homcert.homcount import partition_grid
+from homcert.homcount import as_fraction, partition_grid, resolve_activities
 from helpers import (
     hom_count_by_enumeration,
     independent_set_count_by_bitmask,
@@ -412,6 +412,32 @@ def test_activity_systems_hash_by_value():
     a = ActivitySystem.from_mapping(3, {0: ("1/2", "3")})
     b = ActivitySystem.from_pairs([("1/2", "3"), (1, 1), (1, 1)])
     assert a == b and hash(a) == hash(b) and len({a, b, ActivitySystem.unit(3)}) == 2
+
+
+_RATIONALS = st.fractions(min_value=Fraction(1, 9), max_value=9, max_denominator=9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 4), st.sampled_from(["unit", "uniform", "vertex"]), st.data())
+def test_resolve_activities_reads_what_describe_writes(k, kind, data):
+    if kind == "unit":
+        acts = ActivitySystem.unit(k)
+    elif kind == "uniform":
+        acts = ActivitySystem.uniform(k, data.draw(_RATIONALS), data.draw(_RATIONALS))
+    else:
+        pairs = st.lists(st.tuples(_RATIONALS, _RATIONALS), min_size=k, max_size=k)
+        acts = ActivitySystem.from_pairs(data.draw(pairs))
+    assert resolve_activities(acts.describe(), k) == acts
+
+
+def test_as_fraction_refuses_exponent_notation_at_once():
+    start = time.perf_counter()
+    for text in ("1e10000000", "1E5", "2.5e-3"):
+        with pytest.raises(GraphFormatError, match="exponent"):
+            as_fraction(text)
+    assert time.perf_counter() - start < 1
+    assert [as_fraction(x) for x in (3, "3", "-0.25", "3/4")] == [3, 3, Fraction(-1, 4),
+                                                                   Fraction(3, 4)]
 
 
 def test_partition_grid_rejects_a_system_of_the_wrong_size():
