@@ -20,7 +20,8 @@ from . import certify as certify_mod
 from .certify import DEFAULT_SEED, campaign_exit_code, load_campaign, run_campaign
 from .constructions import blowup, double
 from .closedform import kab_partition, knn_partition, knn_restricted_count, surjection_count
-from .errors import BudgetExceededError, GraphFormatError, HomcertError, input_limit
+from .errors import (
+    BudgetExceededError, GraphFormatError, HomcertError, input_digits, input_limit, shown)
 from .eta import eta_two_sided
 from .graphs import (
     GENERATED_FAMILIES,
@@ -101,9 +102,10 @@ def _budget(args) -> int:
             return DEFAULT_BUDGET
         source = BUDGET_ENV
         try:
-            value = int(env)
+            with input_digits():
+                value = int(env)
         except ValueError:
-            raise GraphFormatError(f"{BUDGET_ENV} must be an integer, got {env!r}") from None
+            raise GraphFormatError(f"{BUDGET_ENV} must be an integer, got {shown(env)}") from None
     if value < 0:
         raise GraphFormatError(f"{source} must be nonnegative")
     return value
@@ -414,7 +416,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)  # exact answers print at any length
+        # exact answers print at any length; the readers still refuse an
+        # input integer past the default limit (errors.input_digits)
+        sys.set_int_max_str_digits(0)
     try:
         result = args.fn(args)
         if isinstance(result, dict):  # every handler but certify's returns its answer

@@ -10,7 +10,7 @@ same sum with unit weights over the lower side.  Both are accepted only
 through oracle equivalence with the counters, never on derivation alone.
 
 kab_partition keys its states by orbit of the target's twin swaps
-(ActivitySystem.twin_prev): swapping twins maps the maps of one common
+(ActivitySystem.twin_classes): swapping twins maps the maps of one common
 neighbourhood onto those of its image with the same weight and lambda-sum,
 so each state is kept as the member that takes the lowest vertices of each
 twin class, and K_m has at most m states per step instead of up to
@@ -56,29 +56,25 @@ def surjection_count(n: int, a: int, budget: int = DEFAULT_BUDGET) -> int:
     return sum((-1) ** i * comb(a, i) * (a - i) ** n for i in range(a + 1))
 
 
-def _twin_classes(prev) -> list[tuple[int, list[int]]]:
-    """(class mask, [mask of its k lowest members for k = 0..size]) for each
-    twin class of two or more vertices, from ActivitySystem.twin_prev."""
-    lows_of = {}  # keyed by the largest member so far of each class
-    for i, j in enumerate(prev):
-        lows = lows_of.pop(j, [0])
-        lows.append(lows[-1] | 1 << i)
-        lows_of[i] = lows
-    return [(lows[-1], lows) for lows in lows_of.values() if len(lows) > 2]
-
-
 def _common_neighbourhoods(b: int, vertices, masks, full: int, weight, budget: int,
                            twins=()) -> dict:
     """{c: w} over the maps of b labelled items into ``vertices``: w sums,
     over the maps whose images have common neighbourhood c (a nonempty
     bitmask within ``full``), the product of weight[j] over the images j.
 
-    With ``twins`` (from _twin_classes) each c is an orbit of the twin swaps
-    instead, kept as its canonical member: the one that takes the lowest
-    members of each class.  The fold commutes with the swaps, so the merged
-    weights are exact for any sum over c that the swaps leave unchanged."""
+    With ``twins`` (ActivitySystem.twin_classes) each c is an orbit of the
+    twin swaps instead, kept as its canonical member: the one that takes the
+    lowest members of each class.  The fold commutes with the swaps, so the
+    merged weights are exact for any sum over c that the swaps leave
+    unchanged."""
     states = {full: 1}
     meter = 0
+    lows_of = []  # (class, [mask of its k lowest members for k = 0..size])
+    for cls in twins:
+        lows = [0]
+        for j in mask_vertices(cls):
+            lows.append(lows[-1] | 1 << j)
+        lows_of.append((cls, lows))
     for _ in range(b):
         new = {}
         for cn, w in states.items():
@@ -92,7 +88,7 @@ def _common_neighbourhoods(b: int, vertices, masks, full: int, weight, budget: i
         if twins:
             states = {}
             for c, w in new.items():
-                for cls, lows in twins:
+                for cls, lows in lows_of:
                     c = c & ~cls | lows[(c & cls).bit_count()]
                 states[c] = states.get(c, 0) + w
         else:
@@ -134,7 +130,7 @@ def kab_partition(
                        + b * (sum(mu).bit_length() + (d_mu - 1).bit_length()), budget)
     m = h.vertex_count
     states = _common_neighbourhoods(b, range(m), h.neighbor_masks(), (1 << m) - 1, mu, budget,
-                                    _twin_classes(acts.twin_prev(h)))
+                                    acts.twin_classes(h))
     total = sum(w * sum(lam[i] for i in mask_vertices(c)) ** a for c, w in states.items())
     return Fraction(total, d_mu**b * d_lam**a)
 

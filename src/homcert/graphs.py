@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 from pathlib import Path
 from typing import Callable, NamedTuple
 
 from .errors import (
-    DEFAULT_BUDGET, BudgetExceededError, GenerationError, GraphFormatError, input_limit)
+    DEFAULT_BUDGET, BudgetExceededError, GenerationError, GraphFormatError, input_digits,
+    input_limit)
 
 _MATCHING_RESAMPLE_CAP = 10_000
 
@@ -192,12 +194,17 @@ def load_doc(data, path=None) -> dict:
         data = data.decode("utf-8")
     if isinstance(data, str):
         try:
-            data = json.loads(data)
+            with input_digits():
+                data = json.loads(data)
         except json.JSONDecodeError as exc:
             where = "" if path is None else f" in {path}"
             raise GraphFormatError(f"invalid JSON{where}: {exc}") from None
         except RecursionError:
             raise GraphFormatError(f"{path or 'document'} is nested too deeply") from None
+        except ValueError:  # an integer literal past the digit limit
+            raise GraphFormatError(
+                f"{path or 'document'} has an integer of more than "
+                f"{sys.int_info.default_max_str_digits} digits") from None
     if not isinstance(data, dict):
         raise GraphFormatError("document must be a JSON object" if path is None
                                else f"{path} must contain a JSON object")

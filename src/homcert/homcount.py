@@ -1,25 +1,24 @@
 """Exact counting of homomorphisms and weighted partition values.
 
-This module is the ground-truth counter for everything else in the package:
-component-wise dynamic programming over a vertex order, merging the partial
-maps that agree on the frontier (the placed vertices with unplaced
-neighbours), with incremental candidate intersection, big integers
+This module is the ground-truth counter for everything else in the package.
+Its walks run on the frontier kernel (``frontier._hom_sum``): big integers
 throughout, and a hard node-expansion budget that turns oversized instances
 into an explicit error rather than a wrong answer.  Weighted sums run on
 integers (activities scaled by their denominator lcm) and reduce to one
-exact rational at the end; no floating point anywhere.
+exact rational at the end; no floating point anywhere.  ``ActivitySystem``
+owns the activities: their integer rows and the target's twin classes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from heapq import heappop, heappush
+from functools import cache, cached_property
 from math import lcm
 
-from .errors import DEFAULT_BUDGET, BudgetExceededError, GraphFormatError
-from .graphs import BipartiteGraph, Graph, load_doc, mask_of, mask_vertices
+from .errors import DEFAULT_BUDGET, BudgetExceededError, GraphFormatError, input_digits, shown
+from .frontier import _hom_sum
+from .graphs import BipartiteGraph, Graph, load_doc, mask_of
 
 _ONE = Fraction(1)
 
@@ -42,12 +41,13 @@ def as_fraction(value) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         if "e" in value or "E" in value:
-            raise GraphFormatError(f"not a rational (exponent notation): {value!r}")
+            raise GraphFormatError(f"not a rational (exponent notation): {shown(value)}")
         try:
-            return Fraction(value)
+            with input_digits():
+                return Fraction(value)
         except (ValueError, ZeroDivisionError):
-            raise GraphFormatError(f"not a rational: {value!r}") from None
-    raise GraphFormatError(f"not a rational: {value!r}")
+            raise GraphFormatError(f"not a rational: {shown(value)}") from None
+    raise GraphFormatError(f"not a rational: {shown(value)}")
 
 
 @dataclass(frozen=True)
@@ -80,6 +80,7 @@ class ActivitySystem:
         return len(self.lambdas)
 
     @classmethod
+    @cache  # one per size: count_homs asks for the unit system's twin classes
     def unit(cls, k: int) -> "ActivitySystem":
         ones = (_ONE,) * k
         return cls(ones, ones)
@@ -101,9 +102,13 @@ class ActivitySystem:
         lams = [_ONE] * k
         mus = [_ONE] * k
         for key, (lam, mu) in mapping.items():
-            v = int(key)
+            try:
+                with input_digits():
+                    v = int(key)
+            except ValueError:
+                raise GraphFormatError(f"activity vertex {shown(key)} is not an index") from None
             if not 0 <= v < k:
-                raise GraphFormatError(f"activity vertex {key!r} out of range")
+                raise GraphFormatError(f"activity vertex {shown(key)} out of range")
             lams[v] = as_fraction(lam)
             mus[v] = as_fraction(mu)
         return cls(tuple(lams), tuple(mus))
@@ -143,6 +148,14 @@ class ActivitySystem:
                 last.append(i)
                 prev.append(-1)
         return prev
+
+    def twin_classes(self, h: Graph) -> list[int]:
+        """The masks of h's twin classes (see twin_prev) of two or more
+        vertices, in the order of their largest members."""
+        classes = {}  # keyed by the largest member so far of each class
+        for i, j in enumerate(self.twin_prev(h)):
+            classes[i] = classes.pop(j, 0) | 1 << i
+        return [c for c in classes.values() if c & c - 1]
 
     def is_unit(self) -> bool:
         return all(x == 1 for x in self.lambdas + self.mus)
@@ -209,148 +222,6 @@ def resolve_activities(entry, vertex_count: int) -> ActivitySystem:
 
 
 # ---------------------------------------------------------------------------
-# Frontier kernel
-#
-# Each connected component is counted by dynamic programming over a vertex
-# order.  The frontier is the placed vertices that still have unplaced
-# neighbours; the state maps the frontier's images, packed into one int with
-# a fixed bit slot per frontier vertex, to the summed weight of the partial
-# maps that agree on them.  A vertex's image leaves the key once its last
-# neighbour is placed, so those maps merge and the cost follows
-# |V(h)|^frontier rather than the number of homomorphisms.  Candidate sets
-# are bitmasks over the target's vertices.  The budget is charged one unit
-# per candidate image per state, before the new state is inserted, so a
-# budget of 0 refuses any nonempty instance and the state dict never holds
-# more entries than the budget has seen.
-
-
-def _frontier_order(nbrs, start: int, seen: list[bool]) -> list[int]:
-    """The component of ``start`` in greedy order: each next vertex is the
-    unplaced neighbour of the placed set that leaves the fewest placed
-    vertices with unplaced neighbours; ties go to the most placed
-    neighbours, then to the lowest index.  ``nbrs`` excludes loops."""
-    placed_nbrs = {start: 0}  # unplaced vertex -> placed neighbours
-    open_nbrs = {}  # placed vertex -> unplaced neighbours
-    closes = {start: 0}  # unplaced vertex -> placed neighbours it would close
-
-    def key(v):
-        p = placed_nbrs[v]
-        return ((len(nbrs[v]) > p) - closes[v], -p, v)
-
-    # A vertex's key only ever changes to one it never had before, so a heap
-    # entry is current exactly when it equals the vertex's key.
-    heap = [key(start)]
-    order = []
-    while heap:
-        entry = heappop(heap)
-        v = entry[2]
-        if seen[v] or entry != key(v):
-            continue
-        seen[v] = True
-        order.append(v)
-        changed = set()
-        unplaced = 0
-        for w in nbrs[v]:
-            if seen[w]:
-                open_nbrs[w] -= 1
-                if open_nbrs[w] == 1:
-                    (u,) = (u for u in nbrs[w] if not seen[u])
-                    closes[u] += 1
-                    changed.add(u)
-            else:
-                unplaced += 1
-                placed_nbrs[w] = placed_nbrs.get(w, 0) + 1
-                closes.setdefault(w, 0)
-                changed.add(w)
-        open_nbrs[v] = unplaced
-        if unplaced == 1:
-            (u,) = (u for u in nbrs[v] if not seen[u])
-            closes[u] += 1
-        for u in changed:
-            heappush(heap, key(u))
-    return order
-
-
-def _component_sum(order, nbrs, base_of, h_masks, rows_of, bits, meter, budget) -> int:
-    """Weighted sum over the maps of one component, placed in ``order``;
-    each image takes ``bits`` bits of a state key."""
-    pos ={v: t for t, v in enumerate(order)}
-    last = {v: max((pos[w] for w in nbrs[v]), default=t) for t, v in enumerate(order)}
-    field = (1 << bits) - 1
-    slot = {}  # frontier vertex -> bit offset of its image in a state key
-    free = []
-    used = 0
-    states = {0: 1}
-    for t, v in enumerate(order):
-        earlier = [w for w in nbrs[v] if pos[w] < t]
-        shifts = [slot[w] for w in earlier]
-        keep = -1
-        for w in earlier:
-            if last[w] == t:
-                free.append(slot.pop(w))
-                keep &= ~(field << free[-1])
-        if last[v] > t:
-            if not free:
-                free.append(used)
-                used += bits
-            shift = slot[v] = free.pop()
-        else:
-            shift = None
-        base = base_of[v]
-        row = None if rows_of is None else rows_of[v]
-        new = {}
-        for key, weight in states.items():
-            m = base
-            for s in shifts:
-                m &= h_masks[key >> s & field]
-            if not m:
-                continue
-            meter[0] += m.bit_count()
-            if meter[0] > budget:
-                raise BudgetExceededError(f"node-expansion budget {budget} exceeded")
-            key &= keep
-            if shift is None:
-                if row is None:
-                    weight *= m.bit_count()
-                else:
-                    weight *= sum(row[j] for j in mask_vertices(m))
-                new[key] = new.get(key, 0) + weight
-                continue
-            while m:
-                low = m & -m
-                m ^= low
-                j = low.bit_length() - 1
-                k = key | j << shift
-                new[k] = new.get(k, 0) + (weight if row is None else weight * row[j])
-        if not new:
-            return 0
-        states = new
-    return states[0]
-
-
-def _hom_sum(g: Graph, base_of, h_masks, rows_of, budget: int) -> int:
-    """Product over connected components of the per-component assignment sums.
-
-    ``rows_of[v]`` is an integer weight row for vertex v, or None overall for
-    plain counting.  An empty graph contributes the empty product 1.
-    """
-    nbrs = [tuple(w for w in ws if w != v) for v, ws in enumerate(g.neighbors)]
-    bits = max(1, (len(h_masks) - 1).bit_length())
-    meter = [0]
-    total = 1
-    seen = [False] * g.vertex_count
-    for s in range(g.vertex_count):
-        if seen[s]:
-            continue
-        order = _frontier_order(nbrs, s, seen)
-        comp = _component_sum(order, nbrs, base_of, h_masks, rows_of, bits, meter, budget)
-        if comp == 0:
-            return 0
-        total *= comp
-    return total
-
-
-# ---------------------------------------------------------------------------
 # Operations
 
 
@@ -364,7 +235,8 @@ def count_homs(g: Graph, h: Graph, budget: int = DEFAULT_BUDGET) -> int:
     full = (1 << h.vertex_count) - 1
     loop_mask = h.loop_mask()
     base = [loop_mask if v in g.loops else full for v in range(g.vertex_count)]
-    return _hom_sum(g, base, h_masks, None, budget)
+    return _hom_sum(g, base, h_masks, None, budget,
+                    ActivitySystem.unit(h.vertex_count).twin_classes(h))
 
 
 def count_homs_restricted(
@@ -391,11 +263,12 @@ def partition_fn(
     return partition_grid(g, h, [acts], budget)[0]
 
 
-def _walk(g: BipartiteGraph, h_masks, row_e, row_o, budget: int) -> int:
+def _walk(g: BipartiteGraph, h_masks, row_e, row_o, budget: int, twins) -> int:
     """One weighted kernel walk over the maps of g into the target:
     E-vertices weigh row_e, O-vertices row_o."""
     rows = [row_e if v in g.class_e else row_o for v in range(g.vertex_count)]
-    return _hom_sum(g.graph, [(1 << len(h_masks)) - 1] * g.vertex_count, h_masks, rows, budget)
+    return _hom_sum(g.graph, [(1 << len(h_masks)) - 1] * g.vertex_count, h_masks, rows, budget,
+                    twins)
 
 
 # What one kernel step costs besides its weight arithmetic, in bits of
@@ -405,7 +278,7 @@ def _walk(g: BipartiteGraph, h_masks, row_e, row_o, budget: int) -> int:
 _STEP_BITS = 2048
 
 
-def _packed_sums(g: BipartiteGraph, h_masks, systems, v: int, budget: int):
+def _packed_sums(g: BipartiteGraph, h, h_masks, systems, v: int, budget: int):
     """Z for activity systems that agree everywhere but at target vertex v,
     from one walk with Kronecker-packed weights, or None when that walk would
     cost more than one walk per system.
@@ -431,7 +304,9 @@ def _packed_sums(g: BipartiteGraph, h_masks, systems, v: int, budget: int):
     if _STEP_BITS + s * (ne + 1) * (no + 1) > len(systems) * (_STEP_BITS + s):
         return None
     row_e[v], row_o[v] = 1 << s, 1 << s * (ne + 1)
-    packed = _walk(g, h_masks, row_e, row_o, budget)
+    # v leaves its twin class: the packed weights set it apart
+    twins = [c for c in (c & ~(1 << v) for c in common.twin_classes(h)) if c & c - 1]
+    packed = _walk(g, h_masks, row_e, row_o, budget, twins)
     digit = (1 << s) - 1
     coeffs = [[packed >> s * (j + k * (ne + 1)) & digit for j in range(ne + 1)]
               for k in range(no + 1)]
@@ -462,9 +337,12 @@ def partition_grid(
       weights (see _packed_sums);
     - otherwise each distinct system takes one weighted walk.
 
-    Every walk charges its own meter up to ``budget``, and the meter counts
-    candidate images, not weights, so every walk charges alike: the grid is
-    refused exactly when partition_fn, a one-system grid, refuses its systems.
+    Every walk charges its own meter up to ``budget``.  The meter counts
+    candidate orbits, not weights, and a walk's twin classes depend on the
+    activities it carries, so the grid's walks need not charge what
+    partition_fn's do; each charges at most what it would with exact images,
+    so the grid answers wherever those walks answer without twins, and
+    otherwise answers partition_fn's values or refuses.
     """
     rows = {acts: acts.integer_rows(h) for acts in systems}  # the distinct systems
     h_masks = h.neighbor_masks()
@@ -480,13 +358,13 @@ def partition_grid(
     differ = [v for v in range(h.vertex_count)
               if any(acts.lambdas[v] != first.lambdas[v] or acts.mus[v] != first.mus[v]
                      for acts in rest)]
-    packed = _packed_sums(g, h_masks, rest, differ[0], budget) if len(differ) == 1 else None
+    packed = _packed_sums(g, h, h_masks, rest, differ[0], budget) if len(differ) == 1 else None
     if packed is not None:
         values.update(zip(rest, packed))
     else:
         for acts in rest:
             d_lam, row_e, d_mu, row_o = rows[acts]
-            num = _walk(g, h_masks, row_e, row_o, budget)
+            num = _walk(g, h_masks, row_e, row_o, budget, acts.twin_classes(h))
             values[acts] = Fraction(num, d_lam ** len(g.class_e) * d_mu ** len(g.class_o))
     return [values[acts] for acts in systems]
 

@@ -440,10 +440,10 @@ def _counted_campaign(monkeypatch, config):
     walks, builds = Counter(), Counter()
     kernel, build = homcount._hom_sum, certify_mod.build_instance
 
-    def counting_kernel(g, base_of, h_masks, rows_of, budget):
+    def counting_kernel(g, base_of, h_masks, rows_of, budget, twins=()):
         if rows_of is not None:
             walks[id(g), tuple(h_masks)] += 1
-        return kernel(g, base_of, h_masks, rows_of, budget)
+        return kernel(g, base_of, h_masks, rows_of, budget, twins)
 
     def counting_build(spec, *args):
         builds[repr(spec)] += 1

@@ -439,6 +439,31 @@ def test_exact_answers_print_at_any_length(capsys, tmp_path):
     assert str(2**20000 + 2) in out
 
 
+def test_long_integer_literals_are_input_errors_at_once(capsys, tmp_path):
+    # answers print at any length, but an input integer past the default
+    # 4,300 digits is refused before it is converted, and the message does
+    # not repeat it (a 300,000-digit vertex count took seconds to convert
+    # and came back as budget-exceeded with every digit in the message)
+    big = "9" * 300_000
+    graph = tmp_path / "big.json"
+    graph.write_text('{"vertices": ' + big + ', "edges": [], "class_e": []}')
+    acts = tmp_path / "acts.json"
+    acts.write_text(json.dumps({"activities": {"0": {"lambda": big}}}))
+    keyed = tmp_path / "keyed.json"
+    keyed.write_text(json.dumps({"activities": {big: {"lambda": "2"}}}))
+    for argv in (["count", "-g", graph, "-H", FIX / "k3.json"],
+                 ["partition", "-g", FIX / "knn.json", "--n", "2", "-H", FIX / "k3.json",
+                  "-a", acts],
+                 ["partition", "-g", FIX / "knn.json", "--n", "2", "-H", FIX / "k3.json",
+                  "-a", keyed]):
+        start = time.perf_counter()
+        code, out = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        error = json.loads(out)["error"]
+        assert code == 2 and error["code"] == "input-error"
+        assert len(error["message"]) < 200
+
+
 def test_negative_budget_flag_is_input_error(capsys):
     code, out = run_cli(capsys, "count", "-g", FIX / "knn.json", "--n", "3", "-H", FIX / "hind.json",
                         "--budget", "-5")

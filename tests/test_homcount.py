@@ -1,11 +1,14 @@
 import random
 import time
+from contextlib import contextmanager
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from homcert import (
+    DEFAULT_BUDGET,
     ActivitySystem,
     BipartiteGraph,
     BudgetExceededError,
@@ -19,6 +22,7 @@ from homcert import (
     double,
     gen_complete_bipartite,
     gen_even_cycle,
+    gen_hypercube,
     gen_union,
     independence_target,
     parse_activities,
@@ -160,6 +164,92 @@ def test_frontier_count_matches_independent_sets(seed):
     rng = random.Random(seed)
     g = random_graph(rng, max_vertices=20, p=rng.choice([0.15, 0.3, 0.5]), loop_p=0.1)
     assert count_homs(g, HIND) == count_independent_sets(g)
+
+
+# --- orbit states: targets with twins ------------------------------------------
+
+
+def _least_budget(answer):
+    """The least budget at which ``answer(budget)`` is not refused, by bisection."""
+    low, high = -1, 1
+    while True:
+        try:
+            answer(high)
+            break
+        except BudgetExceededError:
+            low, high = high, 2 * high
+    while high - low > 1:
+        mid = (low + high) // 2
+        try:
+            answer(mid)
+            high = mid
+        except BudgetExceededError:
+            low = mid
+    return high
+
+
+@contextmanager
+def _exact_images():
+    """Inside, every kernel walk keeps exact images: no target has twins."""
+    with mock.patch.object(ActivitySystem, "twin_classes", lambda self, h: []):
+        yield
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32))
+def test_orbit_walks_match_exact_walks_on_twin_targets(seed):
+    # one state per orbit of the twin swaps: the same values as exact
+    # images, for at most their charge
+    rng = random.Random(seed)
+    h, acts = random_twin_target(rng)
+    g = _grid_source(rng)
+    walks = [lambda budget: count_homs(g.graph, h, budget),
+             lambda budget: partition_fn(g, h, acts, budget)]
+    orbits = [(walk(DEFAULT_BUDGET), _least_budget(walk)) for walk in walks]
+    with _exact_images():
+        exact = [(walk(DEFAULT_BUDGET), _least_budget(walk)) for walk in walks]
+    for (value, meter), (exact_value, exact_meter) in zip(orbits, exact):
+        assert value == exact_value
+        assert meter <= exact_meter
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 20), st.integers(0, 2**32))
+def test_complete_graph_counts_are_chromatic_polynomials(q, n, seed):
+    # proper q-colourings: q(q-1)^(n-1) of a tree on n vertices and
+    # (q-1)^l + (q-1) of an even cycle of length l
+    rng = random.Random(seed)
+    tree = Graph(n, [(v, rng.randrange(v)) for v in range(1, n)])
+    assert count_homs(tree, complete_graph(q)) == q * (q - 1) ** (n - 1)
+    length = 2 * n + 2
+    assert count_homs(gen_even_cycle(length).graph, complete_graph(q)) == (
+        (q - 1) ** length + (q - 1))
+
+
+def test_hypercube_colourings_answer_at_the_default_budget():
+    # with exact images Q4 into K6 took over a second and Q4 into K8 was refused
+    q4 = gen_hypercube(4).graph
+    assert count_homs(q4, complete_graph(6)) == 10_199_069_190
+    start = time.perf_counter()
+    assert count_homs(q4, complete_graph(8)) == 4_221_404_762_120
+    assert time.perf_counter() - start < 5
+    # the orbits of K4's 24 swaps cost 2,495 units where exact images cost 59,548
+    assert _least_budget(lambda budget: count_homs(q4, complete_graph(4), budget)) == 2495
+
+
+def test_walks_without_orbits_charge_one_unit_per_candidate_image():
+    # the exact-image meter: hind has no twins, distinct lambdas leave K3
+    # none, one pair of twins (K3 weighted at vertex 0) walks exact images,
+    # and restricted counts never use twins
+    k3 = complete_graph(3)
+    c8 = gen_even_cycle(8)
+    distinct = ActivitySystem.from_pairs([(1, 1), (2, "1/2"), (3, 3)])
+    pair = ActivitySystem.from_mapping(3, {0: ("1/2", "2")})
+    assert _least_budget(lambda budget: count_homs(gen_hypercube(4).graph, HIND, budget)) == 557
+    assert _least_budget(lambda budget: partition_fn(c8, k3, distinct, budget)) == 105
+    assert _least_budget(lambda budget: partition_fn(c8, k3, pair, budget)) == 105
+    assert _least_budget(lambda budget: count_homs_restricted(
+        gen_hypercube(3), double(complete_graph(4)), budget)) == 1060
 
 
 # --- restricted counts -------------------------------------------------------
@@ -319,52 +409,52 @@ def test_partition_grid_matches_partition_fn(seed):
     assert partition_grid(g, h, systems) == [partition_fn(g, h, acts) for acts in systems]
 
 
-def _least_budget(g, h, acts):
-    """The least budget at which partition_fn answers, by bisection."""
-    low, high = -1, 1
-    while True:
-        try:
-            partition_fn(g, h, acts, budget=high)
-            break
-        except BudgetExceededError:
-            low, high = high, 2 * high
-    while high - low > 1:
-        mid = (low + high) // 2
-        try:
-            partition_fn(g, h, acts, budget=mid)
-            high = mid
-        except BudgetExceededError:
-            low = mid
-    return high
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32))
-def test_partition_grid_refuses_exactly_when_partition_fn_does(seed):
+def test_partition_grid_answers_wherever_its_exact_walks_do(seed):
+    # A walk's charge depends on its twin classes, and they depend on the
+    # activities the walk carries, so the grid's walks need not charge what
+    # partition_fn's do.  With exact images every walk charges alike, and the
+    # grid is refused exactly when partition_fn refuses; with twins the grid
+    # answers partition_fn's values or refuses, and it answers at every
+    # budget at which its walks answer with exact images.
     rng = random.Random(seed)
     g = _grid_source(rng)
-    h = random_graph(rng, max_vertices=5, p=0.5, loop_p=0.4)
+    if rng.random() < 0.5:
+        h = random_graph(rng, max_vertices=5, p=0.5, loop_p=0.4)
+    else:
+        h = random_twin_target(rng)[0]
     if h.vertex_count == 0:
         h = LOOP
     systems = _grid_systems(rng, h.vertex_count)
-    least = _least_budget(g, h, systems[0])
-    for budget in {0, least - 1, least}:
+    values = [partition_fn(g, h, acts) for acts in systems]
+    with _exact_images():
+        least = _least_budget(lambda budget: partition_fn(g, h, systems[0], budget))
+        for budget in {0, least - 1, least}:
+            if budget < 0:
+                continue
+            refused = []
+            for acts in systems:
+                try:
+                    partition_fn(g, h, acts, budget)
+                    refused.append(False)
+                except BudgetExceededError:
+                    refused.append(True)
+            assert refused == [budget < least] * len(systems)
+            if budget < least:
+                with pytest.raises(BudgetExceededError):
+                    partition_grid(g, h, systems, budget)
+            else:
+                assert partition_grid(g, h, systems, budget) == values
+    for budget in {0, least // 2, least - 1, least}:
         if budget < 0:
             continue
-        refused = []
-        for acts in systems:
-            try:
-                partition_fn(g, h, acts, budget)
-                refused.append(False)
-            except BudgetExceededError:
-                refused.append(True)
-        assert refused == [budget < least] * len(systems)
-        if budget < least:
-            with pytest.raises(BudgetExceededError):
-                partition_grid(g, h, systems, budget)
+        try:
+            answer = partition_grid(g, h, systems, budget)
+        except BudgetExceededError:
+            assert budget < least
         else:
-            assert partition_grid(g, h, systems, budget) == [
-                partition_fn(g, h, acts) for acts in systems]
+            assert answer == values
 
 
 def test_partition_grid_packs_one_vertex_grids_into_one_walk(monkeypatch):
