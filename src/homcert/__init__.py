@@ -14,10 +14,12 @@ from .certify import (
     certify_lift_identity,
     certify_sandwich,
     certify_weighted_ub,
+    iter_campaign,
     load_campaign,
     report_stream,
     run_campaign,
     sandwich_nonbipartite_demo,
+    write_reports,
 )
 from .closedform import kab_partition, knn_partition, knn_restricted_count, surjection_count
 from .constructions import BlowupMeta, blowup, double, scale_constant

@@ -4,7 +4,7 @@ concrete instances, plus the campaign driver.
 Every comparison is power-normalized: a claimed bound X <= Y^(p/q) is checked
 as X^q <= Y^p between exact integers or rationals, so no verdict ever touches
 floating point.  Campaign reports are JSON lines ordered by (proposition,
-trial index) and are byte-identical across runs.
+trial index), written as they are judged, and byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -15,8 +15,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
 from math import comb, gcd
+from operator import attrgetter
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from . import closedform
 from .constructions import blowup, double
@@ -615,15 +616,17 @@ def _instance_specs(families, master_seed, trials, budget) -> list[tuple[dict, d
     return out
 
 
-def run_campaign(config, base_dir=None) -> list[CertReport]:
-    """Deterministic sweep over (proposition, instance, target, activities).
+def iter_campaign(config, base_dir=None) -> Iterator[CertReport]:
+    """Plan the campaign now and return the generator of its reports.
 
-    The whole config is resolved before the first check runs, each distinct
-    families list, source, target and (target, activity entry) once, through
-    the run's one memo; each check is a job of the resolved objects, and the
-    jobs run together, so a number they share is computed once.  Reports come
-    in plan order and are the ones the public certify_* functions give one at
-    a time.
+    The whole config is resolved before this returns, each distinct families
+    list, source, target and (target, activity entry) once, through the run's
+    one memo, so every input or budget error is raised here, before any
+    report.  Each check is a job of the resolved objects, and the jobs are
+    made together, so every Z grid is known and a number they share is
+    computed once.  The generator judges one job per report, in plan order;
+    the reports are the ones the public certify_* functions give one at a
+    time, and the run holds only the memo, the jobs and the report drawn.
     """
     config, base_dir = load_campaign(config, base_dir)
     budget = config.get("budget", DEFAULT_BUDGET)
@@ -664,26 +667,53 @@ def run_campaign(config, base_dir=None) -> list[CertReport]:
                     acts = q.once(("system", id(h), repr(entry)),
                                   lambda: resolve_activities(entry, h.vertex_count))
                     jobs.append(q.job(pid, g, h, acts, fields, info))
-    return [sandwich_nonbipartite_demo(budget) if job is None else q.report(job) for job in jobs]
+    return (sandwich_nonbipartite_demo(budget) if job is None else q.report(job) for job in jobs)
+
+
+def run_campaign(config, base_dir=None) -> list[CertReport]:
+    """Deterministic sweep over (proposition, instance, target, activities):
+    every report of iter_campaign, in plan order."""
+    return list(iter_campaign(config, base_dir))
+
+
+# what campaign_exit_code reads of a report; map() drops each report once
+# read, so a stream holds no report past its line
+_verdict_facts = attrgetter("expected_violation", "verdict")
 
 
 def campaign_exit_code(reports, strict: bool = False) -> int:
     """0 all hold or expected; 1 unexpected violation (or a missing expected
-    one); 3 budget exhaustion under strict mode."""
-    for r in reports:
-        if r.expected_violation:
-            if r.verdict not in (VIOLATED, SKIPPED_BUDGET):
-                return 1
-        elif r.verdict == VIOLATED:
-            return 1
-    if strict and any(r.verdict == SKIPPED_BUDGET for r in reports):
+    one); 3 budget exhaustion under strict mode.  Reads every report, so a
+    stream that writes its lines as they are read is written to its end."""
+    facts = set(map(_verdict_facts, reports))
+    if any(verdict not in (VIOLATED, SKIPPED_BUDGET) if expected else verdict == VIOLATED
+           for expected, verdict in facts):
+        return 1
+    if strict and any(verdict == SKIPPED_BUDGET for _, verdict in facts):
         return 3
     return 0
 
 
-def report_stream(reports) -> str:
-    """One JSON line per report.  The stream shares one memo, so a document
-    that many reports hold (a source, a target, a system, a spec) is encoded
-    once; the bytes are those of each report's to_dict()."""
+def write_reports(reports, write: Callable[[str], object], strict: bool = False) -> int:
+    """Pass each report's JSON line, newline included, to ``write`` as the
+    report is drawn, and return the campaign exit code of the reports.
+
+    The stream shares one memo, so a document that many reports hold (a
+    source, a target, a system, a spec) is encoded once; the bytes are those
+    of each report's to_dict().  No report is kept once its line is written.
+    """
     encoded = {}
-    return "".join(r.to_json_line(encoded) + "\n" for r in reports)
+
+    def written():
+        for r in reports:
+            write(r.to_json_line(encoded) + "\n")
+            yield r
+
+    return campaign_exit_code(written(), strict)
+
+
+def report_stream(reports) -> str:
+    """The lines write_reports writes, joined."""
+    lines = []
+    write_reports(reports, lines.append)
+    return "".join(lines)

@@ -13,11 +13,12 @@ import json
 import os
 import sys
 import traceback
+from contextlib import contextmanager
 from importlib.resources import files
 from pathlib import Path
 
 from . import certify as certify_mod
-from .certify import DEFAULT_SEED, campaign_exit_code, load_campaign, run_campaign
+from .certify import DEFAULT_SEED, iter_campaign, load_campaign, write_reports
 from .constructions import blowup, double
 from .closedform import kab_partition, knn_partition, knn_restricted_count, surjection_count
 from .errors import (
@@ -70,6 +71,7 @@ SUBCOMMAND_OPERATIONS = {
         "certify_double_identity",
         "sandwich_nonbipartite_demo",
         "run_campaign",
+        "iter_campaign",
     ),
     "generate": (
         "gen_complete_bipartite",
@@ -156,15 +158,19 @@ def _load_acts(args, vertex_count: int) -> ActivitySystem:
     return parse_activities(read_doc(args.activities), vertex_count)
 
 
+@contextmanager
+def _output(path: str | None):
+    """The -o file, opened for writing and closed on leaving, else stdout."""
+    if not path:
+        yield sys.stdout
+        return
+    with open(path, "w", encoding="utf-8") as fh:
+        yield fh
+
+
 def _emit(doc, output: str | None) -> None:
-    _emit_stream(json.dumps(doc, sort_keys=True, indent=2) + "\n", output)
-
-
-def _emit_stream(text: str, output: str | None) -> None:
-    if output:
-        Path(output).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    with _output(output) as out:
+        out.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
 def _reject_unread(args, names, mode: str) -> None:
@@ -276,7 +282,8 @@ def _cmd_generate(args) -> dict:
 
 
 def _cmd_certify(args) -> int:
-    """Writes its report stream itself and returns the campaign exit code."""
+    """Writes its report stream itself, each line as its report is judged,
+    and returns the campaign exit code."""
     instance_flags = ["graph", "target", "activities", *_SPEC_FLAGS]
     if args.check is not None:
         if args.config is not None:
@@ -305,9 +312,11 @@ def _cmd_certify(args) -> int:
         # environment override of the built-in default
         if args.budget is not None or "budget" not in config:
             config["budget"] = _budget(args)
-        reports = run_campaign(config, base_dir=base_dir)
-    _emit_stream(certify_mod.report_stream(reports), args.output)
-    return campaign_exit_code(reports, strict=args.strict)
+        reports = iter_campaign(config, base_dir=base_dir)
+    # opened once the run is planned, so an input or budget error leaves an
+    # existing output file as it was
+    with _output(args.output) as out:
+        return write_reports(reports, out.write, strict=args.strict)
 
 
 # ---------------------------------------------------------------------------

@@ -310,17 +310,20 @@ def _packed_sums(g: BipartiteGraph, h, h_masks, systems, v: int, budget: int):
     digit = (1 << s) - 1
     coeffs = [[packed >> s * (j + k * (ne + 1)) & digit for j in range(ne + 1)]
               for k in range(no + 1)]
+    inner = {}  # lambda_v -> [sum over j of c_jk * lam_num^j * lam_den^(|E|-j) for each k]
     out = []
     for acts in systems:
         # multiplied through by (q_lam * d_lam)^|E| * (q_mu * d_mu)^|O|,
         # where lambda_v = p_lam / q_lam and mu_v = p_mu / q_mu
         lam, mu = acts.lambdas[v], acts.mus[v]
-        lam_num, lam_den = lam.numerator * d_lam, lam.denominator
+        sums = inner.get(lam)
+        if sums is None:
+            lam_num, lam_den = lam.numerator * d_lam, lam.denominator
+            e_terms = [lam_num**j * lam_den ** (ne - j) for j in range(ne + 1)]
+            sums = inner[lam] = [sum(c * t for c, t in zip(row, e_terms)) for row in coeffs]
         mu_num, mu_den = mu.numerator * d_mu, mu.denominator
-        e_terms = [lam_num**j * lam_den ** (ne - j) for j in range(ne + 1)]
-        num = sum(mu_num**k * mu_den ** (no - k) * sum(c * t for c, t in zip(row, e_terms))
-                  for k, row in enumerate(coeffs))
-        out.append(Fraction(num, (lam_den * d_lam) ** ne * (mu_den * d_mu) ** no))
+        num = sum(mu_num**k * mu_den ** (no - k) * row_sum for k, row_sum in enumerate(sums))
+        out.append(Fraction(num, (lam.denominator * d_lam) ** ne * (mu_den * d_mu) ** no))
     return out
 
 

@@ -27,11 +27,13 @@ from homcert import (
     gen_random_regular_bipartite,
     gen_union,
     independence_target,
+    iter_campaign,
     load_campaign,
     parse_bipartite,
     report_stream,
     run_campaign,
     sandwich_nonbipartite_demo,
+    write_reports,
 )
 from homcert import certify as certify_mod, homcount
 from homcert.certify import (
@@ -343,6 +345,20 @@ def test_campaign_rejects_bad_config():
         run_campaign(_small_config(trials=-1))
 
 
+def test_campaign_errors_are_raised_when_it_is_planned():
+    # iter_campaign plans the whole run before it returns its generator, so
+    # no input or budget error waits for a report to be drawn
+    with pytest.raises(GraphFormatError):
+        iter_campaign(_small_config(propositions=["hom-ub", "nope"]))
+    with pytest.raises(GraphFormatError):
+        iter_campaign(_small_config(grids={"targets": ["hind", "k0"]}))
+    with pytest.raises(BudgetExceededError):
+        iter_campaign(_small_config(families=[{"family": "hypercube", "dim": 40}]))
+    reports = iter_campaign(_small_config())
+    assert report_stream(reports) == report_stream(run_campaign(_small_config()))
+    assert next(reports, None) is None
+
+
 def test_campaign_skips_inapplicable_instances():
     config = _small_config(
         families=[{"family": "complete-bipartite", "a": 1, "b": 2}],
@@ -514,6 +530,17 @@ def test_exit_code_on_synthetic_reports():
     assert campaign_exit_code([missing]) == 1
     assert campaign_exit_code([ok, skipped]) == 0
     assert campaign_exit_code([ok, skipped], strict=True) == 3
+    for reports in ([bad, ok, skipped], [skipped, ok, expected], [missing, skipped], [ok]):
+        for strict in (False, True):
+            code = campaign_exit_code(reports, strict)
+            assert campaign_exit_code(iter(reports), strict) == code
+            # the writer reads the whole stream, whatever the code
+            lines = []
+            assert write_reports(iter(reports), lines.append, strict) == code
+            assert "".join(lines) == report_stream(reports)
+            assert len(lines) == len(reports)
+    assert write_reports(iter([bad, ok, skipped]), [].append) == 1
+    assert write_reports(iter([ok, skipped, expected]), [].append, strict=True) == 3
 
 
 def test_report_lines_are_valid_json_with_string_numbers():

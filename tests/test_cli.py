@@ -5,6 +5,7 @@ import resource
 import subprocess
 import sys
 import time
+import weakref
 
 import pytest
 
@@ -272,13 +273,42 @@ def test_check_prints_the_line_of_its_certifier(capsys, tmp_path, pid):
     assert {r.to_json_line() + "\n" for r in expected} == {out}
 
 
-def test_certify_default_campaign(capsys):
+def test_certify_default_campaign(capsys, tmp_path):
     code, out = run_cli(capsys, "certify", "--config", "default")
     assert code == 0
     lines = out.strip().splitlines()
     assert len(lines) > 300
     verdicts = {json.loads(line)["verdict"] for line in lines}
     assert verdicts == {"holds", "violated"}
+    # one writer: stdout, the -o file and report_stream print the same bytes
+    expected = certify_mod.report_stream(certify_mod.run_campaign(FIX / "default-campaign.json"))
+    assert out.encode() == expected.encode()
+    path = tmp_path / "reports.jsonl"
+    code, out = run_cli(capsys, "certify", "--config", "default", "-o", path)
+    assert code == 0 and out == ""
+    assert path.read_bytes() == expected.encode()
+
+
+def test_certify_keeps_no_report_past_its_line(capsys, monkeypatch):
+    # at each line written, count the reports still alive: the CLI drops a
+    # report once its line is out, a campaign's list keeps every one
+    refs, alive = [], []
+    line = certify_mod.CertReport.to_json_line
+
+    def spy(self, encoded=None):
+        refs[:] = [ref for ref in refs if ref() is not None]
+        refs.append(weakref.ref(self))
+        alive.append(len(refs))
+        return line(self, encoded)
+
+    monkeypatch.setattr(certify_mod.CertReport, "to_json_line", spy)
+    assert main(["certify", "--config", "default"]) == 0
+    capsys.readouterr()
+    assert len(alive) == 383 and max(alive) == 1
+    refs.clear()
+    alive.clear()
+    certify_mod.report_stream(certify_mod.run_campaign(FIX / "default-campaign.json"))
+    assert max(alive) == 383
 
 
 def test_certify_strict_budget(capsys):
@@ -288,6 +318,48 @@ def test_certify_strict_budget(capsys):
     assert code == 3
     assert all(json.loads(l)["verdict"] in ("skipped-budget", "violated") or json.loads(l)["expected_violation"]
                for l in out.strip().splitlines())
+    # every line is written, not only those up to the first skipped report
+    config, base_dir = certify_mod.load_campaign(FIX / "default-campaign.json")
+    config["budget"] = 0
+    assert out == certify_mod.report_stream(certify_mod.run_campaign(config, base_dir))
+
+
+@pytest.mark.parametrize("config, code, error", [
+    ({"propositions": ["hom-ub", "nope"]}, 2, "input-error"),
+    ({"grids": {"activities": ["unit", {"lambda": "0"}]}, "propositions": ["weighted-ub"]},
+     2, "input-error"),
+    ({"families": [{"family": "cycle", "length": 4},
+                   {"family": "complete-bipartite", "a": 60000, "b": 60000}],
+      "propositions": ["double-identity"]}, 1, "budget-exceeded"),
+])
+def test_a_planning_error_leaves_the_output_file_as_it_was(capsys, tmp_path, config, code, error):
+    path = tmp_path / "camp.json"
+    path.write_text(json.dumps({"families": [{"family": "cycle", "length": 4}], **config}))
+    output = tmp_path / "reports.jsonl"
+    output.write_text("an earlier run\n")
+    got, out = run_cli(capsys, "certify", "--config", path, "-o", output)
+    assert got == code
+    assert json.loads(out)["error"]["code"] == error  # the error document alone
+    assert output.read_text() == "an earlier run\n"
+
+
+def test_an_internal_error_mid_run_follows_the_lines_written(capsys, monkeypatch):
+    line = certify_mod.CertReport.to_json_line
+    calls = itertools.count()
+
+    def failing(self, encoded=None):
+        if next(calls) == 2:
+            raise RuntimeError("injected")
+        return line(self, encoded)
+
+    monkeypatch.setattr(certify_mod.CertReport, "to_json_line", failing)
+    code = main(["certify", "--config", "default"])
+    captured = capsys.readouterr()
+    assert code == 4
+    first, second, rest = captured.out.split("\n", 2)
+    assert json.loads(first)["check"] == json.loads(second)["check"] == "hom-ub"
+    assert json.loads(rest)["error"]["code"] == "internal-error"
+    assert "injected" in captured.err
 
 
 def test_budget_env_override(capsys, monkeypatch):

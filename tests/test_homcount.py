@@ -479,6 +479,27 @@ def test_partition_grid_packs_one_vertex_grids_into_one_walk(monkeypatch):
     assert len(walks) == 2 + len(grid) + len(uniform)
 
 
+@pytest.mark.parametrize("pairs", [
+    [("2/3", mu) for mu in ("1/3", "1/2", "2", "7/5")],  # one lambda_v, many mu_v
+    [(lam, "2/3") for lam in ("1/3", "1/2", "2", "7/5")],  # many lambda_v, one mu_v
+    [(lam, mu) for lam in ("1/3", "2") for mu in ("1/2", "3")],
+])
+def test_packed_grids_sharing_one_side_match_partition_fn(monkeypatch, pairs):
+    # a packed walk's sums over lambda_v are made once per distinct lambda_v
+    from homcert import homcount
+
+    walks = []
+    kernel = homcount._hom_sum
+    monkeypatch.setattr(homcount, "_hom_sum", lambda *args: walks.append(args[3]) or kernel(*args))
+    g = gen_union([gen_complete_bipartite(3, 3), gen_even_cycle(4)])
+    for h in (complete_graph(3), HIND):
+        grid = [ActivitySystem.from_mapping(h.vertex_count, {1: pair}) for pair in pairs]
+        walks.clear()
+        values = partition_grid(g, h, grid)
+        assert len(walks) == 1  # the packed walk
+        assert values == [partition_fn(g, h, acts) for acts in grid]
+
+
 def test_partition_grid_walks_a_long_cycle_once_per_system(monkeypatch):
     # packed, C1000's weights would be about 1585 * 501 * 501 bits wide
     from homcert import homcount
