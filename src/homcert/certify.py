@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
 from math import comb, gcd
@@ -72,26 +71,55 @@ def _bound_frame(name: str, relation: str, lhs_label: str, rhs_label: str) -> tu
             f'","rhs_label":{_json(rhs_label)},"slack":')
 
 
-@dataclass(frozen=True)
 class BoundCheck:
     """One exact comparison between two power-normalized values, judged once
     on construction: the cross products lhs.n * rhs.d and rhs.n * lhs.d
-    decide the verdict and the equality, and their quotient is the slack."""
+    decide the verdict and the equality, and their quotient is the slack.
+    Immutable; equal and hashed by its six arguments."""
 
-    name: str
-    relation: str  # "<=" or "=="
-    lhs_label: str
-    rhs_label: str
-    lhs: Fraction
-    rhs: Fraction
-    verdict: str = field(init=False, compare=False)
-    equality: bool = field(init=False, compare=False)
+    __slots__ = ("name", "relation", "lhs_label", "rhs_label", "lhs", "rhs",
+                 "verdict", "equality")
 
-    def __post_init__(self):
+    def __init__(self, name: str, relation: str, lhs_label: str, rhs_label: str,
+                 lhs: Fraction, rhs: Fraction):
+        put = object.__setattr__
+        put(self, "name", name)
+        put(self, "relation", relation)  # "<=" or "=="
+        put(self, "lhs_label", lhs_label)
+        put(self, "rhs_label", rhs_label)
+        put(self, "lhs", lhs)
+        put(self, "rhs", rhs)
         low, high = self._cross()
-        ok = low == high if self.relation == "==" else low <= high
-        object.__setattr__(self, "verdict", HOLDS if ok else VIOLATED)
-        object.__setattr__(self, "equality", low == high)
+        ok = low == high if relation == "==" else low <= high
+        put(self, "verdict", HOLDS if ok else VIOLATED)
+        put(self, "equality", low == high)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"BoundCheck is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"BoundCheck is immutable: cannot delete {name!r}")
+
+    def _args(self) -> tuple:
+        return (self.name, self.relation, self.lhs_label, self.rhs_label, self.lhs, self.rhs)
+
+    def __reduce__(self):
+        # copies and pickles are built, and so judged, by the constructor
+        return BoundCheck, self._args()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._args() == other._args()
+
+    def __hash__(self) -> int:
+        return hash(self._args())
+
+    def __repr__(self) -> str:
+        return (f"BoundCheck(name={self.name!r}, relation={self.relation!r}, "
+                f"lhs_label={self.lhs_label!r}, rhs_label={self.rhs_label!r}, "
+                f"lhs={self.lhs!r}, rhs={self.rhs!r}, verdict={self.verdict!r}, "
+                f"equality={self.equality!r})")
 
     def _cross(self) -> tuple[int, int]:
         """(lhs, rhs) over the common denominator lhs.d * rhs.d; not kept,
@@ -144,17 +172,29 @@ def _shared_json(value, encoded: dict) -> str:
     return hit[1]
 
 
-@dataclass
 class CertReport:
-    """One proposition check on one instance."""
+    """One proposition check on one instance; equal to a report with equal
+    fields."""
 
-    check: str
-    instance: dict
-    bounds: tuple[BoundCheck, ...]
-    verdict: str
-    expected_violation: bool = False
-    details: dict = field(default_factory=dict)
-    note: str | None = None
+    def __init__(self, check: str, instance: dict, bounds: tuple[BoundCheck, ...],
+                 verdict: str, expected_violation: bool = False, details: dict | None = None,
+                 note: str | None = None):
+        self.check = check
+        self.instance = instance
+        self.bounds = bounds
+        self.verdict = verdict
+        self.expected_violation = expected_violation
+        self.details = {} if details is None else details
+        self.note = note
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{key}={value!r}" for key, value in vars(self).items())
+        return f"CertReport({fields})"
 
     @property
     def equality(self) -> bool:

@@ -12,9 +12,7 @@ import argparse
 import json
 import os
 import sys
-import traceback
 from contextlib import contextmanager
-from importlib.resources import files
 from pathlib import Path
 
 from . import certify as certify_mod
@@ -49,6 +47,10 @@ from .homcount import (
 )
 
 BUDGET_ENV = "HOMCERT_BUDGET"
+
+# the exit code of a run whose reader closed the output early: 128 + SIGPIPE,
+# the status a shell reports for `yes | head`
+EXIT_CLOSED_PIPE = 141
 
 # Coverage contract: each library operation is reachable from exactly one
 # subcommand (parsing/validation ops ride on `generate`, which re-emits any
@@ -92,6 +94,8 @@ _SPEC_FLAGS = ("n", *_OVERRIDE_KEYS)
 
 
 def _fixture_path(name: str) -> Path:
+    from importlib.resources import files  # only fixture names read it
+
     return Path(str(files("homcert").joinpath("fixtures", name)))
 
 
@@ -169,8 +173,16 @@ def _output(path: str | None):
 
 
 def _emit(doc, output: str | None) -> None:
+    """Write ``doc`` as bytes to the -o file, else to stdout after the text
+    written there before.  An unbuffered stdout is a raw file, whose write
+    may take only part of the bytes when the reader closes: the rest is
+    written again, so the closed pipe raises BrokenPipeError instead of
+    cutting the answer silently."""
+    data = memoryview((json.dumps(doc, sort_keys=True, indent=2) + "\n").encode())
     with _output(output) as out:
-        out.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+        out.flush()
+        while data:
+            data = data[out.buffer.write(data):]
 
 
 def _reject_unread(args, names, mode: str) -> None:
@@ -429,6 +441,18 @@ def main(argv=None) -> int:
         # input integer past the default limit (errors.input_digits)
         sys.set_int_max_str_digits(0)
     try:
+        return _run(args)
+    except BrokenPipeError:
+        # the reader closed the output: nothing more can reach it, so the
+        # run ends quietly, and stdout goes to devnull so that its flush at
+        # exit raises nothing (the idiom of the signal module's SIGPIPE note)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_PIPE
+
+
+def _run(args) -> int:
+    """The exit code of the subcommand, with its answer or error written."""
+    try:
         result = args.fn(args)
         if isinstance(result, dict):  # every handler but certify's returns its answer
             _emit(result, args.output)
@@ -444,8 +468,12 @@ def main(argv=None) -> int:
     except HomcertError as exc:
         _emit({"error": {"code": "operation-error", "message": str(exc)}}, None)
         return 1
+    except BrokenPipeError:
+        raise  # not a defect: main ends the run
     except Exception as exc:
         # a defect of the program, not a verdict: OSError on output, ...
+        import traceback
+
         traceback.print_exc()
         try:
             _emit({"error": {"code": "internal-error", "message": repr(exc)}}, None)

@@ -13,17 +13,16 @@ number of vertices of g.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 from math import lcm
+from typing import NamedTuple
 
 from .errors import BudgetExceededError
 from .graphs import BipartiteGraph, Graph
 from .homcount import DEFAULT_BUDGET, ActivitySystem
 
 
-@dataclass(frozen=True)
-class BlowupMeta:
+class BlowupMeta(NamedTuple):
     """Scale constant and per-origin copy counts of a blow-up."""
 
     scale: int

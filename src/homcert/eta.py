@@ -16,16 +16,15 @@ set of its complex.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import BudgetExceededError
 from .graphs import Graph, mask_vertices
 from .homcount import DEFAULT_BUDGET, ActivitySystem, as_fraction
 
 
-@dataclass(frozen=True)
-class EtaWitness:
+class EtaWitness(NamedTuple):
     """An optimal cross-complete pair and its exact value.
 
     Returned witnesses are closed: set_b is the full common neighbourhood of

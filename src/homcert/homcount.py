@@ -11,7 +11,6 @@ owns the activities: their integer rows and the target's twin classes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from math import lcm
@@ -50,30 +49,43 @@ def as_fraction(value) -> Fraction:
     raise GraphFormatError(f"not a rational: {shown(value)}")
 
 
-@dataclass(frozen=True)
 class ActivitySystem:
     """Per-target-vertex pair of strictly positive rational activities.
 
     ``lambdas[i]`` weighs E-class images, ``mus[i]`` weighs O-class images;
-    lambda == mu everywhere is the one-sided model.
+    lambda == mu everywhere is the one-sided model.  Immutable, equal and
+    hashed by value: a system keys the memos of a run.
     """
 
-    lambdas: tuple[Fraction, ...]
-    mus: tuple[Fraction, ...]
+    def __init__(self, lambdas: tuple[Fraction, ...], mus: tuple[Fraction, ...]):
+        if len(lambdas) != len(mus):
+            raise GraphFormatError("lambda and mu tuples must have equal length")
+        if any(x <= 0 for x in lambdas + mus):
+            raise GraphFormatError("activities must be strictly positive")
+        object.__setattr__(self, "lambdas", lambdas)
+        object.__setattr__(self, "mus", mus)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"ActivitySystem is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"ActivitySystem is immutable: cannot delete {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.lambdas == other.lambdas and self.mus == other.mus
 
     def __hash__(self) -> int:
         return self._hash
 
     @cached_property
     def _hash(self) -> int:
-        # frozen, so the Fractions are hashed once per system, not per lookup
+        # immutable, so the Fractions are hashed once per system, not per lookup
         return hash((self.lambdas, self.mus))
 
-    def __post_init__(self):
-        if len(self.lambdas) != len(self.mus):
-            raise GraphFormatError("lambda and mu tuples must have equal length")
-        if any(x <= 0 for x in self.lambdas + self.mus):
-            raise GraphFormatError("activities must be strictly positive")
+    def __repr__(self) -> str:
+        return f"ActivitySystem(lambdas={self.lambdas!r}, mus={self.mus!r})"
 
     @property
     def vertex_count(self) -> int:

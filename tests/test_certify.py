@@ -599,6 +599,16 @@ def test_bound_checks_are_judged_once_and_written_as_their_dicts():
         assert b.to_json() == json.dumps(b.to_dict(), sort_keys=True, separators=(",", ":"))
 
 
+def test_bound_checks_keep_their_verdict_equality_and_slack():
+    b = BoundCheck("upper", "<=", "x", "y", Fraction(1, 3), Fraction(1, 2))
+    for name in ("verdict", "equality", "lhs"):
+        with pytest.raises(AttributeError):
+            setattr(b, name, None)
+    for twin in (b, copy.deepcopy(b)):
+        assert twin == b and hash(twin) == hash(b)
+        assert (twin.verdict, twin.equality, twin.slack) == (HOLDS, False, Fraction(3, 2))
+
+
 def test_report_stream_of_a_generator_equals_that_of_a_list():
     # each report is a fresh copy, dropped once written, so a stream memo
     # that did not hold its values would meet their ids again in later copies

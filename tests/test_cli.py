@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import os
 import resource
 import subprocess
 import sys
@@ -12,7 +13,8 @@ import pytest
 import homcert
 from homcert import certify as certify_mod
 from homcert.certify import DEFAULT_SEED
-from homcert.cli import SUBCOMMAND_OPERATIONS, _fixture_path, build_parser, main
+from homcert.cli import (
+    EXIT_CLOSED_PIPE, SUBCOMMAND_OPERATIONS, _fixture_path, build_parser, main)
 from homcert.graphs import (
     GENERATED_FAMILIES,
     build_instance,
@@ -737,6 +739,38 @@ def test_module_entry_point_byte_identical():
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
     assert json.loads(first.stdout) == {"count": "7"}
+
+
+def test_startup_imports_only_what_every_run_needs():
+    # every run is a fresh interpreter: dataclasses (with inspect, ast, dis,
+    # tokenize) would cost each one milliseconds, traceback serves only an
+    # internal error and importlib.resources only a fixture name; -S keeps
+    # site hooks from loading any of them first
+    absent = ("dataclasses", "inspect", "traceback", "importlib.resources")
+    code = "import homcert.cli, sys; print(sorted(set(sys.argv[1:]) & set(sys.modules)))"
+    run = subprocess.run([sys.executable, "-S", "-c", code, *absent],
+                         capture_output=True, text=True)
+    assert (run.returncode, run.stdout, run.stderr) == (0, "[]\n", "")
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [
+    ["certify", "--config", "default"],  # a stream of lines, 269 KB
+    ["generate", "--family", "cycle", "--length", "5000"],  # one write of 202 KB
+], ids=["stream", "one-answer"])
+def test_a_reader_that_closes_early_ends_the_run_quietly(argv, unbuffered):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen([sys.executable, "-m", "homcert", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    # the output outgrows the pipe, so the run is still writing when its
+    # reader closes
+    assert proc.stdout.read(100)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(), err) == (EXIT_CLOSED_PIPE, b"")
 
 
 # --- coverage contract -------------------------------------------------------------

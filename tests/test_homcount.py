@@ -523,6 +523,16 @@ def test_activity_systems_hash_by_value():
     a = ActivitySystem.from_mapping(3, {0: ("1/2", "3")})
     b = ActivitySystem.from_pairs([("1/2", "3"), (1, 1), (1, 1)])
     assert a == b and hash(a) == hash(b) and len({a, b, ActivitySystem.unit(3)}) == 2
+    c = ActivitySystem.uniform(3, "1/2")
+    d = ActivitySystem.from_pairs([("1/2", "1/2")] * 3)
+    assert c == d and hash(c) == hash(d)
+
+
+def test_activity_systems_are_immutable():
+    acts = ActivitySystem.uniform(2, "1/2", 3)
+    with pytest.raises(AttributeError):
+        acts.lambdas = acts.mus
+    assert acts.lambdas == (Fraction(1, 2),) * 2
 
 
 _RATIONALS = st.fractions(min_value=Fraction(1, 9), max_value=9, max_denominator=9)
