@@ -40,9 +40,9 @@ from .graphs import (
 from .homcount import (
     DEFAULT_BUDGET,
     ActivitySystem,
+    GridPlan,
     count_homs,
     count_homs_restricted,
-    partition_grid,
     resolve_activities,
 )
 
@@ -124,8 +124,9 @@ class BoundCheck:
     def _cross(self) -> tuple[int, int]:
         """(lhs, rhs) over the common denominator lhs.d * rhs.d; not kept,
         as the products are as large as the sides."""
-        return (self.lhs.numerator * self.rhs.denominator,
-                self.rhs.numerator * self.lhs.denominator)
+        lhs_n, lhs_d = self.lhs.as_integer_ratio()
+        rhs_n, rhs_d = self.rhs.as_integer_ratio()
+        return lhs_n * rhs_d, rhs_n * lhs_d
 
     @property
     def slack(self) -> Fraction | None:
@@ -160,16 +161,6 @@ class BoundCheck:
         return "".join(('{"equality":', "true" if self.equality else "false", ',"lhs":"',
                         str(self.lhs), mid, str(self.rhs), tail, slack,
                         ',"verdict":"', self.verdict, '"}'))
-
-
-def _shared_json(value, encoded: dict) -> str:
-    """The JSON text of ``value``, encoded once per memo ``encoded``
-    (id(value) -> (value, text)); the memo holds the value, so its id is not
-    reused while the memo lives."""
-    hit = encoded.get(id(value))
-    if hit is None:
-        hit = encoded[id(value)] = (value, _json(value))
-    return hit[1]
 
 
 class CertReport:
@@ -216,37 +207,46 @@ class CertReport:
 
     def to_json_line(self, encoded: dict | None = None) -> str:
         """to_dict() as compact JSON with sorted keys, written key by key.
-        ``encoded`` is a stream's memo (see _shared_json) for what reports
-        share: the instance keys and values other than ints, the check and
-        the verdict.  The bounds, details and note are this report's own."""
+        ``encoded`` is a stream's memo, id(value) -> (value, JSON text), for
+        what reports share: the instance keys and values other than ints, the
+        check and the verdict.  The memo holds each value, so its id is not
+        reused while the memo lives.  The bounds, details and note are this
+        report's own."""
         if encoded is None:
             encoded = {}
+        get = encoded.get
         instance = []
         for key, value in sorted(self.instance.items()):
-            text = str(value) if type(value) is int else _shared_json(value, encoded)
-            instance.append(_shared_json(key, encoded) + ":" + text)
+            text = str(value) if type(value) is int else (
+                get(id(value)) or encoded.setdefault(id(value), (value, _json(value))))[1]
+            instance.append(
+                (get(id(key)) or encoded.setdefault(id(key), (key, _json(key))))[1] + ":" + text)
+        check, verdict = [get(id(value)) or encoded.setdefault(id(value), (value, _json(value)))
+                          for value in (self.check, self.verdict)]
         parts = ['{"bounds":[', ",".join([b.to_json() for b in self.bounds]),
-                 '],"check":', _shared_json(self.check, encoded)]
+                 '],"check":', check[1]]
         if self.details:
             parts += (',"details":', _json(self.details))
         parts += (',"expected_violation":', "true" if self.expected_violation else "false",
                   ',"instance":{', ",".join(instance), "}")
         if self.note is not None:
             parts += (',"note":', _json(self.note))
-        parts += (',"verdict":', _shared_json(self.verdict, encoded), "}")
+        parts += (',"verdict":', verdict[1], "}")
         return "".join(parts)
 
 
 class _Quantities:
     """The one memo of a run: every number its reports ask for, computed once
-    on first use.  These are Z per (source, target) in one partition_grid call
-    over every system the run's jobs ask of the pair (an unweighted
-    proposition's system is the unit one, so its count is a Z of denominator
-    1), the closed forms per (sizes, target, system), eta, the double and the
-    blow-up per target or (target, system), the serialized source, target and
-    system of each report, and a campaign's resolved sources, targets and
-    systems.  Each computation charges its own meter up to the run's budget,
-    as a direct call would; a refusal is kept and raised again at every use.
+    on first use.  These are Z per (source, target), from one run of the
+    GridPlan of the target and every system the run's jobs ask of the pair
+    (an unweighted proposition's system is the unit one, so its count is a Z
+    of denominator 1), that plan per (target, systems), the twin classes per
+    (target, system), the closed forms per (sizes, target, system), eta, the
+    double and the blow-up per target or (target, system), the serialized
+    source, target and system of each report, and a campaign's resolved
+    sources, targets and systems.  Each computation charges its own meter up
+    to the run's budget, as a direct call would; a refusal is kept and raised
+    again at every use.
 
     A job is (proposition id, source, target, system, hypothesis fields,
     instance info), the objects themselves.  Memo keys use the objects' id(),
@@ -257,6 +257,7 @@ class _Quantities:
         self.budget = budget
         self._values: dict = {}
         self._grids: dict = {}  # (id(g), id(h)) -> {id(acts): acts}, in job order
+        self._docs: dict = {}  # id(source, target or system) -> its report document
 
     def job(self, pid, g, h, acts, fields, info) -> tuple:
         """The job tuple; its system joins the Z grid of (g, h), so a run
@@ -277,16 +278,22 @@ class _Quantities:
             raise value.with_traceback(None)
         return value
 
+    def twins(self, h: Graph, acts: ActivitySystem) -> list[int]:
+        return self.once(("twins", id(h), id(acts)), lambda: acts.twin_classes(h))
+
     def z(self, g: BipartiteGraph, h: Graph, acts: ActivitySystem) -> Fraction:
         def compute():
             grid = self._grids[id(g), id(h)]
-            return dict(zip(grid, partition_grid(g, h, list(grid.values()), self.budget)))
+            plan = self.once(("plan", id(h), *grid),
+                             lambda: GridPlan(h, grid.values(), partial(self.twins, h)))
+            return dict(zip(grid, plan.run(g, self.budget)))
 
         return self.once(("z", id(g), id(h)), compute)[id(acts)]
 
     def kab(self, a: int, b: int, h: Graph, acts: ActivitySystem) -> Fraction:
         return self.once(("kab", a, b, id(h), id(acts)),
-                         lambda: closedform.kab_partition(a, b, h, acts, self.budget))
+                         lambda: closedform.kab_partition(a, b, h, acts, self.budget,
+                                                          self.twins(h, acts)))
 
     def knn_count(self, n: int, h: Graph) -> int:
         doubled = self.once(("double", id(h)), lambda: double(h))
@@ -296,15 +303,20 @@ class _Quantities:
     def eta(self, h: Graph, acts: ActivitySystem) -> EtaWitness:
         return self.once(("eta", id(h), id(acts)), lambda: eta_two_sided(h, acts, self.budget))
 
+    def _doc(self, obj, write) -> dict:
+        doc = self._docs.get(id(obj))
+        if doc is None:
+            doc = self._docs[id(obj)] = write(obj)
+        return doc
+
     def report(self, job: tuple) -> CertReport:
         """Describe the job's instance and judge its proposition."""
         pid, g, h, acts, fields, info = job
         _, weighted, evaluate = _PROPOSITIONS[pid]
-        inst = {"g": self.once(("g_doc", id(g)), lambda: serialize_bipartite(g)),
-                "h": self.once(("h_doc", id(h)), lambda: serialize_graph(h)),
+        inst = {"g": self._doc(g, serialize_bipartite), "h": self._doc(h, serialize_graph),
                 "N": g.vertex_count}
         if weighted:
-            inst["activities"] = self.once(("acts_doc", id(acts)), acts.describe)
+            inst["activities"] = self._doc(acts, ActivitySystem.describe)
         inst.update(info or {})
         inst.update(fields)
         return _judge(pid, inst, lambda: evaluate(self, g, h, acts, **fields))
@@ -700,12 +712,15 @@ def iter_campaign(config, base_dir=None) -> Iterator[CertReport]:
         targets = [q.once(("target", repr(entry)),
                           lambda: (entry, resolve_target(entry, base_dir, build_budget)))
                    for entry in plan["targets"]]
+        # each target's systems; none is resolved for a plan without instances
+        entries = (plan["activities"] if weighted else [None]) if instances else []
+        systems = [[q.once(("system", id(h), repr(entry)),
+                           lambda: resolve_activities(entry, h.vertex_count))
+                    for entry in entries] for _, h in targets]
         for trial, (desc, g, fields) in enumerate(instances):
-            for h_spec, h in targets:
+            for (h_spec, h), target_systems in zip(targets, systems):
                 info = {"g_spec": desc, "h_spec": h_spec, "trial": trial}
-                for entry in plan["activities"] if weighted else [None]:
-                    acts = q.once(("system", id(h), repr(entry)),
-                                  lambda: resolve_activities(entry, h.vertex_count))
+                for acts in target_systems:
                     jobs.append(q.job(pid, g, h, acts, fields, info))
     return (sandwich_nonbipartite_demo(budget) if job is None else q.report(job) for job in jobs)
 

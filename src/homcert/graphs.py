@@ -365,17 +365,28 @@ def gen_random_regular_bipartite(n: int, half: int, seed: int) -> BipartiteGraph
     """n-regular bipartite graph on 2*half vertices: the union of n uniformly
     random perfect matchings, resampled from scratch until simple.
 
-    Deterministic for a fixed seed.
+    Deterministic for a fixed seed.  K_{half,half} is the only such graph of
+    degree half, and rejection almost never draws it, so it is returned
+    without drawing; degrees close to half can still exhaust the resamples.
     """
     if not 1 <= n <= half:
         raise ValueError("need 1 <= n <= half")
-    rng = random.Random(seed)
+    if n == half:
+        return gen_complete_bipartite(half, half)
+    getrandbits = random.Random(seed).getrandbits
     for _ in range(_MATCHING_RESAMPLE_CAP):
         used: set[tuple[int, int]] = set()
         ok = True
         for _ in range(n):
             perm = list(range(half))
-            rng.shuffle(perm)
+            # random.shuffle(perm) as CPython 3.10-3.13 writes it, inline:
+            # the same draws, so the same graph for every seed
+            for i in range(half - 1, 0, -1):
+                k = (i + 1).bit_length()
+                j = getrandbits(k)
+                while j > i:
+                    j = getrandbits(k)
+                perm[i], perm[j] = perm[j], perm[i]
             pairs = [(i, perm[i]) for i in range(half)]
             if any(p in used for p in pairs):
                 ok = False

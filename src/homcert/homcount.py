@@ -14,6 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache, cached_property
 from math import lcm
+from operator import mul
 
 from .errors import DEFAULT_BUDGET, BudgetExceededError, GraphFormatError, input_digits, shown
 from .frontier import _hom_sum
@@ -237,18 +238,20 @@ def resolve_activities(entry, vertex_count: int) -> ActivitySystem:
 # Operations
 
 
-def count_homs(g: Graph, h: Graph, budget: int = DEFAULT_BUDGET) -> int:
+def count_homs(g: Graph, h: Graph, budget: int = DEFAULT_BUDGET, twins=None) -> int:
     """Exact number of maps V(g) -> V(h) with u~v implying f(u)~f(v).
 
     g need not be bipartite or regular; a looped g-vertex must land on a
-    looped h-vertex.
+    looped h-vertex.  ``twins`` is the unit system's twin_classes(h), for a
+    caller that already has them.
     """
+    if twins is None:
+        twins = ActivitySystem.unit(h.vertex_count).twin_classes(h)
     h_masks = h.neighbor_masks()
     full = (1 << h.vertex_count) - 1
     loop_mask = h.loop_mask()
     base = [loop_mask if v in g.loops else full for v in range(g.vertex_count)]
-    return _hom_sum(g, base, h_masks, None, budget,
-                    ActivitySystem.unit(h.vertex_count).twin_classes(h))
+    return _hom_sum(g, base, h_masks, None, budget, twins)
 
 
 def count_homs_restricted(
@@ -290,67 +293,139 @@ def _walk(g: BipartiteGraph, h_masks, row_e, row_o, budget: int, twins) -> int:
 _STEP_BITS = 2048
 
 
-def _packed_sums(g: BipartiteGraph, h, h_masks, systems, v: int, budget: int):
-    """Z for activity systems that agree everywhere but at target vertex v,
-    from one walk with Kronecker-packed weights, or None when that walk would
-    cost more than one walk per system.
+class GridPlan:
+    """What partition_grid's walks into one target share for one list of
+    systems, whatever the source: made once per (target, systems), ``run``
+    once per source.
 
-    Z = sum over j, k of c_jk * lambda_v^j * mu_v^k, where c_jk sums the
-    common (denominators-cleared) weights of the homomorphisms sending j
-    E-vertices and k O-vertices to v.  The walk gives v the weight X = 2^s on
-    the E side and Y = 2^(s(|E|+1)) on the O side, so c_jk is the base-2^s
-    digit of index j + k(|E|+1) of the sum; 2^s exceeds the total weight of
-    all maps with v weighing 1, hence every c_jk.  (Kronecker substitution:
-    von zur Gathen and Gerhard, Modern Computer Algebra, section 8.4.)
+    - uniform systems (unit included) share one count_homs walk, as
+      Z = lambda^|E| * mu^|O| * hom(g, h);
+    - the others, when they differ at one target vertex v only and the packed
+      weights stay narrow enough to pay off, share one walk with packed
+      weights (see _packed);
+    - otherwise each distinct system takes one weighted walk.
 
-    The packed weights are s(|E|+1)(|O|+1) bits wide where one system's are
-    about s, so a large source (a long cycle, say) is not packed.
+    The plan holds that split, v and the common rows, every walk's twin
+    classes and, per source sizes (|E|, |O|), the packing decision, the powers
+    of lambda_v and mu_v and the denominators.  ``twin_classes(acts)`` gives a
+    system's twin classes on h (acts.twin_classes(h) by default), so a caller
+    that keeps them per (system, target) computes each once.
     """
-    ne, no = len(g.class_e), len(g.class_o)
-    common = systems[0]
-    d_lam, row_e = clear_denominators(common.lambdas[:v] + common.lambdas[v + 1:])
-    d_mu, row_o = clear_denominators(common.mus[:v] + common.mus[v + 1:])
-    row_e.insert(v, 1)
-    row_o.insert(v, 1)
-    s = (sum(row_e) ** ne * sum(row_o) ** no).bit_length()
-    if _STEP_BITS + s * (ne + 1) * (no + 1) > len(systems) * (_STEP_BITS + s):
-        return None
-    row_e[v], row_o[v] = 1 << s, 1 << s * (ne + 1)
-    # v leaves its twin class: the packed weights set it apart
-    twins = [c for c in (c & ~(1 << v) for c in common.twin_classes(h)) if c & c - 1]
-    packed = _walk(g, h_masks, row_e, row_o, budget, twins)
-    digit = (1 << s) - 1
-    coeffs = [[packed >> s * (j + k * (ne + 1)) & digit for j in range(ne + 1)]
-              for k in range(no + 1)]
-    inner = {}  # lambda_v -> [sum over j of c_jk * lam_num^j * lam_den^(|E|-j) for each k]
-    out = []
-    for acts in systems:
-        # multiplied through by (q_lam * d_lam)^|E| * (q_mu * d_mu)^|O|,
-        # where lambda_v = p_lam / q_lam and mu_v = p_mu / q_mu
-        lam, mu = acts.lambdas[v], acts.mus[v]
-        sums = inner.get(lam)
-        if sums is None:
-            lam_num, lam_den = lam.numerator * d_lam, lam.denominator
-            e_terms = [lam_num**j * lam_den ** (ne - j) for j in range(ne + 1)]
-            sums = inner[lam] = [sum(c * t for c, t in zip(row, e_terms)) for row in coeffs]
-        mu_num, mu_den = mu.numerator * d_mu, mu.denominator
-        num = sum(mu_num**k * mu_den ** (no - k) * row_sum for k, row_sum in enumerate(sums))
-        out.append(Fraction(num, (lam.denominator * d_lam) ** ne * (mu_den * d_mu) ** no))
-    return out
+
+    def __init__(self, h: Graph, systems, twin_classes=None):
+        if twin_classes is None:
+            def twin_classes(acts):
+                return acts.twin_classes(h)
+        self.h = h
+        self.h_masks = h.neighbor_masks()
+        self.systems = list(systems)
+        rows = {acts: acts.integer_rows(h) for acts in self.systems}  # the distinct systems
+        self.uniform = [acts for acts in rows if acts.is_uniform()]
+        self.unit_twins = (twin_classes(ActivitySystem.unit(h.vertex_count))
+                           if self.uniform else None)
+        rest = [acts for acts in rows if not acts.is_uniform()]
+        self.separate = [(acts, rows[acts], twin_classes(acts)) for acts in rest]
+        first = rest[0] if rest else None
+        differ = [v for v in range(h.vertex_count)
+                  if any(acts.lambdas[v] != first.lambdas[v] or acts.mus[v] != first.mus[v]
+                         for acts in rest)]
+        self.v = v = differ[0] if len(differ) == 1 else None
+        if v is not None:
+            d_lam, row_e = clear_denominators(first.lambdas[:v] + first.lambdas[v + 1:])
+            d_mu, row_o = clear_denominators(first.mus[:v] + first.mus[v + 1:])
+            row_e.insert(v, 1)
+            row_o.insert(v, 1)
+            self.common = d_lam, row_e, d_mu, row_o
+            # first's twin classes, less v: the packed weights set it apart
+            self.packed_twins = [c for c in (c & ~(1 << v) for c in self.separate[0][2])
+                                 if c & c - 1]
+        self._sizes = {}  # (|E|, |O|) -> _tables(|E|, |O|)
+
+    def _tables(self, ne: int, no: int):
+        """(uniform, packed, separate) for sources of |E| = ne and |O| = no:
+        each uniform system's factor over hom(g, h) (None for the unit
+        system), the packed walk's tables (see _packed) or None, and each
+        system's own walk when there is no packed one."""
+        uniform = [(acts, None if acts.is_unit() else acts.lambdas[0] ** ne * acts.mus[0] ** no)
+                   for acts in self.uniform]
+        packed = None if self.v is None else self._packed(ne, no)
+        separate = [] if packed else [
+            (acts, (row_e, row_o, twins, d_lam**ne * d_mu**no))
+            for acts, (d_lam, row_e, d_mu, row_o), twins in self.separate]
+        return uniform, packed, separate
+
+    def _packed(self, ne: int, no: int):
+        """The tables of one walk with Kronecker-packed weights for the
+        systems that agree everywhere but at v, or None when that walk would
+        cost more than one walk per system.
+
+        Z = sum over j, k of c_jk * lambda_v^j * mu_v^k, where c_jk sums the
+        common (denominators-cleared) weights of the homomorphisms sending j
+        E-vertices and k O-vertices to v.  The walk gives v the weight X = 2^s
+        on the E side and Y = 2^(s(|E|+1)) on the O side, so c_jk is the
+        base-2^s digit of index j + k(|E|+1) of the sum; 2^s exceeds the
+        total weight of all maps with v weighing 1, hence every c_jk.
+        (Kronecker substitution: von zur Gathen and Gerhard, Modern Computer
+        Algebra, section 8.4.)  The packed weights are s(|E|+1)(|O|+1) bits
+        wide where one system's are about s, so a large source (a long cycle,
+        say) is not packed.
+        """
+        v = self.v
+        d_lam, row_e, d_mu, row_o = self.common
+        s = (sum(row_e) ** ne * sum(row_o) ** no).bit_length()
+        if _STEP_BITS + s * (ne + 1) * (no + 1) > len(self.separate) * (_STEP_BITS + s):
+            return None
+        row_e, row_o = row_e.copy(), row_o.copy()
+        row_e[v], row_o[v] = 1 << s, 1 << s * (ne + 1)
+        # Z multiplied through by (q_lam * d_lam)^|E| * (q_mu * d_mu)^|O|, where
+        # lambda_v = p_lam / q_lam and mu_v = p_mu / q_mu; the lambda_v powers
+        # are made once per distinct lambda_v
+        e_tables, e_index, systems = [], {}, []
+        for acts, _, _ in self.separate:
+            lam, mu = acts.lambdas[v], acts.mus[v]
+            i = e_index.get(lam)
+            if i is None:
+                i = e_index[lam] = len(e_tables)
+                lam_num, lam_den = lam.numerator * d_lam, lam.denominator
+                e_tables.append([lam_num**j * lam_den ** (ne - j) for j in range(ne + 1)])
+            mu_num, mu_den = mu.numerator * d_mu, mu.denominator
+            o_terms = [mu_num**k * mu_den ** (no - k) for k in range(no + 1)]
+            systems.append((acts, i, o_terms,
+                            (lam.denominator * d_lam) ** ne * (mu_den * d_mu) ** no))
+        return s, row_e, row_o, e_tables, systems
+
+    def run(self, g: BipartiteGraph, budget: int = DEFAULT_BUDGET) -> list[Fraction]:
+        """Z(g, h, acts) for every system of the plan, in its order."""
+        ne, no = len(g.class_e), len(g.class_o)
+        tables = self._sizes.get((ne, no))
+        if tables is None:
+            tables = self._sizes[ne, no] = self._tables(ne, no)
+        uniform, packed, separate = tables
+        values = {}
+        if uniform:
+            count = Fraction(count_homs(g.graph, self.h, budget, self.unit_twins))
+            for acts, factor in uniform:
+                values[acts] = count if factor is None else count * factor
+        if packed is not None:
+            s, row_e, row_o, e_tables, systems = packed
+            total = _walk(g, self.h_masks, row_e, row_o, budget, self.packed_twins)
+            digit = (1 << s) - 1
+            coeffs = [[total >> s * (j + k * (ne + 1)) & digit for j in range(ne + 1)]
+                      for k in range(no + 1)]
+            # for each lambda_v, [sum over j of c_jk * lam_num^j * lam_den^(|E|-j) for each k]
+            sums = [[sum(map(mul, row, e_terms)) for row in coeffs] for e_terms in e_tables]
+            for acts, i, o_terms, den in systems:
+                values[acts] = Fraction(sum(map(mul, o_terms, sums[i])), den)
+        for acts, (row_e, row_o, twins, den) in separate:
+            values[acts] = Fraction(_walk(g, self.h_masks, row_e, row_o, budget, twins), den)
+        return [values[acts] for acts in self.systems]
 
 
 def partition_grid(
     g: BipartiteGraph, h: Graph, systems, budget: int = DEFAULT_BUDGET
 ) -> list[Fraction]:
     """Z(g, h, acts) for every system in ``systems``, from as few kernel walks
-    as the systems allow:
-
-    - uniform systems (unit included) share one count_homs walk, as
-      Z = lambda^|E| * mu^|O| * hom(g, h);
-    - the others, when they differ at one target vertex only and the packed
-      weights stay narrow enough to pay off, share one walk with packed
-      weights (see _packed_sums);
-    - otherwise each distinct system takes one weighted walk.
+    as the systems allow: a one-off GridPlan (see there) run on g.
 
     Every walk charges its own meter up to ``budget``.  The meter counts
     candidate orbits, not weights, and a walk's twin classes depend on the
@@ -359,29 +434,7 @@ def partition_grid(
     so the grid answers wherever those walks answer without twins, and
     otherwise answers partition_fn's values or refuses.
     """
-    rows = {acts: acts.integer_rows(h) for acts in systems}  # the distinct systems
-    h_masks = h.neighbor_masks()
-    uniform = [acts for acts in rows if acts.is_uniform()]
-    rest = [acts for acts in rows if not acts.is_uniform()]
-    values = {}
-    if uniform:
-        count = Fraction(count_homs(g.graph, h, budget))
-        for acts in uniform:
-            values[acts] = count if acts.is_unit() else (
-                count * acts.lambdas[0] ** len(g.class_e) * acts.mus[0] ** len(g.class_o))
-    first = rest[0] if rest else None
-    differ = [v for v in range(h.vertex_count)
-              if any(acts.lambdas[v] != first.lambdas[v] or acts.mus[v] != first.mus[v]
-                     for acts in rest)]
-    packed = _packed_sums(g, h, h_masks, rest, differ[0], budget) if len(differ) == 1 else None
-    if packed is not None:
-        values.update(zip(rest, packed))
-    else:
-        for acts in rest:
-            d_lam, row_e, d_mu, row_o = rows[acts]
-            num = _walk(g, h_masks, row_e, row_o, budget, acts.twin_classes(h))
-            values[acts] = Fraction(num, d_lam ** len(g.class_e) * d_mu ** len(g.class_o))
-    return [values[acts] for acts in systems]
+    return GridPlan(h, systems).run(g, budget)
 
 
 def count_independent_sets(g: Graph, budget: int = DEFAULT_BUDGET) -> int:

@@ -12,6 +12,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -42,6 +43,7 @@ from homcert.cli import _fixture_path
 from helpers import is_union_of_balanced_complete_bipartite, random_two_sorted
 
 HIND = independence_target()
+_WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads"
 K3 = complete_graph(3)
 
 _RESULTS = []
@@ -237,12 +239,23 @@ def test_criterion_10_campaign_determinism_across_runs():
 # that alters a stream on purpose updates its digest and says so.
 CUBIC_STREAM_SHA256 = "81a039b098814f00210e1ab090482de6110a8c8dc2e2428cfc940052174ed1c9"
 DEFAULT_STREAM_SHA256 = "79783be118bd15216ef88a3c160168b12e61cf6867fd99575ee6ab7dadb40226"
+# the benchmark's two other workloads (perfbench/workloads/): dense 16- and
+# 18-vertex targets, and sources whose walks cost the most
+WIDE_TARGETS_STREAM_SHA256 = "e057fd01158bdbfd6a72f30efcdd2bb8a35f8791b7d139d20333cca34b58fd36"
+LARGE_SOURCES_STREAM_SHA256 = "bed936b14f3f098505c9557d7a06b3bd58a70cae6e082461ea0b308d18ed6590"
 
 
 def test_full_report_streams_are_pinned(cubic_campaign, default_campaign):
     for reports, digest in ((cubic_campaign[0], CUBIC_STREAM_SHA256),
                             (default_campaign[0], DEFAULT_STREAM_SHA256)):
         assert hashlib.sha256(report_stream(reports).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("workload, digest", [("wide-targets", WIDE_TARGETS_STREAM_SHA256),
+                                               ("large-sources", LARGE_SOURCES_STREAM_SHA256)])
+def test_benchmark_workload_streams_are_pinned(workload, digest):
+    reports = run_campaign(_WORKLOADS / f"{workload}.json")
+    assert hashlib.sha256(report_stream(reports).encode()).hexdigest() == digest
 
 
 def test_report_lines_are_their_dicts(cubic_campaign, default_campaign):

@@ -501,6 +501,37 @@ def test_cubic_campaign_makes_one_z_walk_per_source_and_target(monkeypatch):
     assert len(builds) == 100 and set(builds.values()) == {1}
 
 
+def test_campaigns_plan_each_grid_once_and_each_twin_class_list_once(monkeypatch):
+    # what depends only on the target and its systems is made once per run,
+    # not once per source or per job
+    plans, twins = Counter(), Counter()
+    plan, twin_classes = homcount.GridPlan, ActivitySystem.twin_classes
+
+    def counting_plan(h, systems, *args):
+        systems = list(systems)
+        plans[id(h), tuple(map(id, systems))] += 1
+        return plan(h, systems, *args)
+
+    def counting_twin_classes(acts, h):
+        twins[id(acts), id(h)] += 1
+        return twin_classes(acts, h)
+
+    monkeypatch.setattr(certify_mod, "GridPlan", counting_plan)
+    monkeypatch.setattr(ActivitySystem, "twin_classes", counting_twin_classes)
+    cubic = _cubic_config((4, 5, 6, 7, 8), 20, 50_000_000,
+                          ["weighted-ub", "eta-sandwich", "nonbipartite-lower-bound-failure"])
+    assert len(run_campaign(cubic)) == 3601
+    # one plan per target: both propositions ask the same nine systems
+    assert len(plans) == 2 and set(plans.values()) == {1}
+    # the 18 (system, target) pairs, and the demo's count into K2
+    assert len(twins) == 19 and set(twins.values()) == {1}
+    for counter in (plans, twins):
+        counter.clear()
+    run_campaign(_fixture_path("default-campaign.json"))
+    assert len(plans) == 4 and set(plans.values()) == {1}
+    assert set(twins.values()) == {1}
+
+
 def test_campaign_on_a_long_cycle_with_a_vertex0_grid():
     # a grid a campaign would pack, on a source too large to pack
     systems = [{"vertex": {"0": {"lambda": lam}}} for lam in ("1/2", "2")]

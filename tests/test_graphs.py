@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -177,7 +178,48 @@ def test_random_regular_degrees_and_determinism():
 
 
 def test_random_regular_full_degree_gives_complete():
-    assert gen_random_regular_bipartite(3, 3, 5) == gen_complete_bipartite(3, 3)
+    # rejection sampling almost never tiles K_{n,n}: it is returned undrawn
+    for n in range(1, 9):
+        for seed in range(5):
+            assert gen_random_regular_bipartite(n, n, seed) == gen_complete_bipartite(n, n)
+
+
+def _random_regular_by_shuffle(n, half, seed, cap):
+    """The sampler as first written, on random.Random.shuffle: the edges of
+    the graph, or None when ``cap`` resamples run out."""
+    rng = random.Random(seed)
+    for _ in range(cap):
+        used = set()
+        for _ in range(n):
+            perm = list(range(half))
+            rng.shuffle(perm)
+            pairs = [(i, perm[i]) for i in range(half)]
+            if any(p in used for p in pairs):
+                break
+            used.update(pairs)
+        else:
+            return [(i, half + j) for i, j in sorted(used)]
+    return None
+
+
+@pytest.mark.parametrize("cap, degrees, seeds", [
+    (10_000, range(1, 4), range(30)),  # degrees that succeed within a few resamples
+    (30, range(1, 12), range(30)),  # every degree below half, on a short cap
+])
+def test_random_regular_draws_the_graphs_random_shuffle_draws(monkeypatch, cap, degrees, seeds):
+    monkeypatch.setattr(graphs_mod, "_MATCHING_RESAMPLE_CAP", cap)
+    for half in range(1, 13):
+        for n in degrees:
+            if n >= half:
+                continue
+            for seed in seeds:
+                edges = _random_regular_by_shuffle(n, half, seed, cap)
+                if edges is None:
+                    with pytest.raises(GenerationError):
+                        gen_random_regular_bipartite(n, half, seed)
+                else:
+                    assert gen_random_regular_bipartite(n, half, seed) == BipartiteGraph(
+                        Graph(2 * half, edges), range(half)), (n, half, seed)
 
 
 def test_random_regular_matching():

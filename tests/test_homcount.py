@@ -28,7 +28,7 @@ from homcert import (
     parse_activities,
     partition_fn,
 )
-from homcert.homcount import as_fraction, partition_grid, resolve_activities
+from homcert.homcount import GridPlan, as_fraction, partition_grid, resolve_activities
 from helpers import (
     hom_count_by_enumeration,
     independent_set_count_by_bitmask,
@@ -517,6 +517,33 @@ def test_partition_grid_walks_a_long_cycle_once_per_system(monkeypatch):
         assert time.perf_counter() - start < 5
         assert len(walks) == 2 and None not in walks
         assert values == [partition_fn(g, k3, acts) for acts in grid]
+
+
+def test_one_grid_plan_serves_sources_of_every_size(monkeypatch):
+    # the plan keeps its tables per (|E|, |O|): packed for the small sources,
+    # one walk per system for the long cycle, the uniform systems counted
+    from homcert import homcount
+
+    kernel = homcount._hom_sum
+    k3 = complete_graph(3)
+    grid = [ActivitySystem.from_mapping(3, {0: (lam, mu), 2: ("3/2", "1")})
+            for lam in ("1/3", "2") for mu in ("1/2", "7")]
+    systems = [*grid, ActivitySystem.unit(3), ActivitySystem.uniform(3, "1/2", "3"), grid[0]]
+    plan = GridPlan(k3, systems)
+    sources = [gen_complete_bipartite(2, 3), gen_even_cycle(6), gen_even_cycle(400),
+               gen_union([gen_even_cycle(4), gen_complete_bipartite(3, 2)]),
+               gen_complete_bipartite(2, 3).swapped(), gen_even_cycle(6)]
+    walks, values = [], []
+    monkeypatch.setattr(homcount, "_hom_sum",
+                        lambda *args: walks[-1].append(args[3]) or kernel(*args))
+    for g in sources:
+        walks.append([])
+        values.append(plan.run(g))
+    monkeypatch.undo()
+    # per source: one count walk, then one packed walk or, on C400, one per system
+    assert [len(w) for w in walks] == [2, 2, 1 + len(grid), 2, 2, 2]
+    assert values == [[partition_fn(g, k3, acts) for acts in systems] for g in sources]
+    assert values == [partition_grid(g, k3, systems) for g in sources]
 
 
 def test_activity_systems_hash_by_value():
