@@ -9,12 +9,10 @@ trial index), written as they are judged, and byte-identical across runs.
 
 from __future__ import annotations
 
-import json
 import re
 from fractions import Fraction
-from functools import lru_cache, partial
-from math import comb, gcd
-from operator import attrgetter
+from functools import partial
+from math import comb
 from pathlib import Path
 from typing import Callable, Iterator, NamedTuple
 
@@ -45,194 +43,28 @@ from .homcount import (
     count_homs_restricted,
     resolve_activities,
 )
+# the report records and the stream writer, importable from here as well
+from .reports import (
+    HOLDS,
+    SKIPPED_BUDGET,
+    VACUOUS,
+    VIOLATED,
+    BoundCheck,
+    CertReport,
+    campaign_exit_code,
+    report_stream,
+    write_reports,
+)
 
 DEFAULT_SEED = 2004
-
-HOLDS = "holds"
-VIOLATED = "violated"
-VACUOUS = "vacuous"
-SKIPPED_BUDGET = "skipped-budget"
 
 # the one check that is not a _PROPOSITIONS row: it has no instance to take
 _DEMO = "nonbipartite-lower-bound-failure"
 
 _SEED_RULE = "master_seed+index"
 
-# a report's JSON is json.dumps(to_dict(), sort_keys=True, separators=(",", ":"))
-_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-
-
-@lru_cache(maxsize=64)  # this module makes eight kinds of bound
-def _bound_frame(name: str, relation: str, lhs_label: str, rhs_label: str) -> tuple[str, str]:
-    """The JSON text of a bound's fixed fields: what comes between its lhs
-    and rhs values, and what comes between its rhs value and its slack."""
-    return (f'","lhs_label":{_json(lhs_label)},"name":{_json(name)},'
-            f'"relation":{_json(relation)},"rhs":"',
-            f'","rhs_label":{_json(rhs_label)},"slack":')
-
-
-class BoundCheck:
-    """One exact comparison between two power-normalized values, judged once
-    on construction: the cross products lhs.n * rhs.d and rhs.n * lhs.d
-    decide the verdict and the equality, and their quotient is the slack.
-    Immutable; equal and hashed by its six arguments."""
-
-    __slots__ = ("name", "relation", "lhs_label", "rhs_label", "lhs", "rhs",
-                 "verdict", "equality")
-
-    def __init__(self, name: str, relation: str, lhs_label: str, rhs_label: str,
-                 lhs: Fraction, rhs: Fraction):
-        put = object.__setattr__
-        put(self, "name", name)
-        put(self, "relation", relation)  # "<=" or "=="
-        put(self, "lhs_label", lhs_label)
-        put(self, "rhs_label", rhs_label)
-        put(self, "lhs", lhs)
-        put(self, "rhs", rhs)
-        low, high = self._cross()
-        ok = low == high if relation == "==" else low <= high
-        put(self, "verdict", HOLDS if ok else VIOLATED)
-        put(self, "equality", low == high)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"BoundCheck is immutable: cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"BoundCheck is immutable: cannot delete {name!r}")
-
-    def _args(self) -> tuple:
-        return (self.name, self.relation, self.lhs_label, self.rhs_label, self.lhs, self.rhs)
-
-    def __reduce__(self):
-        # copies and pickles are built, and so judged, by the constructor
-        return BoundCheck, self._args()
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._args() == other._args()
-
-    def __hash__(self) -> int:
-        return hash(self._args())
-
-    def __repr__(self) -> str:
-        return (f"BoundCheck(name={self.name!r}, relation={self.relation!r}, "
-                f"lhs_label={self.lhs_label!r}, rhs_label={self.rhs_label!r}, "
-                f"lhs={self.lhs!r}, rhs={self.rhs!r}, verdict={self.verdict!r}, "
-                f"equality={self.equality!r})")
-
-    def _cross(self) -> tuple[int, int]:
-        """(lhs, rhs) over the common denominator lhs.d * rhs.d; not kept,
-        as the products are as large as the sides."""
-        lhs_n, lhs_d = self.lhs.as_integer_ratio()
-        rhs_n, rhs_d = self.rhs.as_integer_ratio()
-        return lhs_n * rhs_d, rhs_n * lhs_d
-
-    @property
-    def slack(self) -> Fraction | None:
-        """rhs / lhs, or None unless lhs > 0."""
-        low, high = self._cross()
-        return Fraction(high, low) if low > 0 else None
-
-    def to_dict(self) -> dict:
-        slack = self.slack
-        return {
-            "name": self.name,
-            "relation": self.relation,
-            "lhs_label": self.lhs_label,
-            "rhs_label": self.rhs_label,
-            "lhs": str(self.lhs),
-            "rhs": str(self.rhs),
-            "verdict": self.verdict,
-            "equality": self.equality,
-            "slack": None if slack is None else str(slack),
-        }
-
-    def to_json(self) -> str:
-        """to_dict() as compact JSON with sorted keys, written from its
-        strings: the values and the slack are digits and '/'."""
-        low, high = self._cross()
-        if low > 0:
-            d = gcd(high, low)
-            slack = f'"{high // d}"' if d == low else f'"{high // d}/{low // d}"'
-        else:
-            slack = "null"
-        mid, tail = _bound_frame(self.name, self.relation, self.lhs_label, self.rhs_label)
-        return "".join(('{"equality":', "true" if self.equality else "false", ',"lhs":"',
-                        str(self.lhs), mid, str(self.rhs), tail, slack,
-                        ',"verdict":"', self.verdict, '"}'))
-
-
-class CertReport:
-    """One proposition check on one instance; equal to a report with equal
-    fields."""
-
-    def __init__(self, check: str, instance: dict, bounds: tuple[BoundCheck, ...],
-                 verdict: str, expected_violation: bool = False, details: dict | None = None,
-                 note: str | None = None):
-        self.check = check
-        self.instance = instance
-        self.bounds = bounds
-        self.verdict = verdict
-        self.expected_violation = expected_violation
-        self.details = {} if details is None else details
-        self.note = note
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return vars(self) == vars(other)
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{key}={value!r}" for key, value in vars(self).items())
-        return f"CertReport({fields})"
-
-    @property
-    def equality(self) -> bool:
-        return bool(self.bounds) and all(b.equality for b in self.bounds)
-
-    def to_dict(self) -> dict:
-        doc = {
-            "check": self.check,
-            "instance": self.instance,
-            "bounds": [b.to_dict() for b in self.bounds],
-            "verdict": self.verdict,
-            "expected_violation": self.expected_violation,
-        }
-        if self.details:
-            doc["details"] = self.details
-        if self.note is not None:
-            doc["note"] = self.note
-        return doc
-
-    def to_json_line(self, encoded: dict | None = None) -> str:
-        """to_dict() as compact JSON with sorted keys, written key by key.
-        ``encoded`` is a stream's memo, id(value) -> (value, JSON text), for
-        what reports share: the instance keys and values other than ints, the
-        check and the verdict.  The memo holds each value, so its id is not
-        reused while the memo lives.  The bounds, details and note are this
-        report's own."""
-        if encoded is None:
-            encoded = {}
-        get = encoded.get
-        instance = []
-        for key, value in sorted(self.instance.items()):
-            text = str(value) if type(value) is int else (
-                get(id(value)) or encoded.setdefault(id(value), (value, _json(value))))[1]
-            instance.append(
-                (get(id(key)) or encoded.setdefault(id(key), (key, _json(key))))[1] + ":" + text)
-        check, verdict = [get(id(value)) or encoded.setdefault(id(value), (value, _json(value)))
-                          for value in (self.check, self.verdict)]
-        parts = ['{"bounds":[', ",".join([b.to_json() for b in self.bounds]),
-                 '],"check":', check[1]]
-        if self.details:
-            parts += (',"details":', _json(self.details))
-        parts += (',"expected_violation":', "true" if self.expected_violation else "false",
-                  ',"instance":{', ",".join(instance), "}")
-        if self.note is not None:
-            parts += (',"note":', _json(self.note))
-        parts += (',"verdict":', verdict[1], "}")
-        return "".join(parts)
+# a missing memo entry, where None may be a value
+_UNSET = object()
 
 
 class _Quantities:
@@ -242,15 +74,19 @@ class _Quantities:
     (an unweighted proposition's system is the unit one, so its count is a Z
     of denominator 1), that plan per (target, systems), the twin classes per
     (target, system), the closed forms per (sizes, target, system), eta, the
-    double and the blow-up per target or (target, system), the serialized
-    source, target and system of each report, and a campaign's resolved
-    sources, targets and systems.  Each computation charges its own meter up
-    to the run's budget, as a direct call would; a refusal is kept and raised
-    again at every use.
+    double and the blow-up per target or (target, system), the bounds' right
+    sides per (value, exponent), the serialized sources, targets and systems,
+    and a campaign's resolved sources, targets and systems.  Each computation
+    charges its own meter up to the run's budget, as a direct call would; a
+    refusal is kept and raised again at every use.
 
-    A job is (proposition id, source, target, system, hypothesis fields,
-    instance info), the objects themselves.  Memo keys use the objects' id(),
-    so the jobs and the memo keep every object alive for the run.
+    A job is a proposition on a source and a target, for each of a list of
+    systems: (proposition id, source, target, [(system, its document)],
+    hypothesis fields, instance but the activities), the objects themselves,
+    so what its reports share is made once per job.  Memo keys use the
+    objects' id(), so the jobs and the memo keep every object alive for the
+    run.  The memo holds only what reports share: nothing in it is made per
+    system of a job or per report.
     """
 
     def __init__(self, budget: int):
@@ -258,50 +94,77 @@ class _Quantities:
         self._values: dict = {}
         self._grids: dict = {}  # (id(g), id(h)) -> {id(acts): acts}, in job order
         self._docs: dict = {}  # id(source, target or system) -> its report document
+        # (id(value), exponent, shift) -> a bound's right side (power)
+        self._powers: dict = {}
 
-    def job(self, pid, g, h, acts, fields, info) -> tuple:
-        """The job tuple; its system joins the Z grid of (g, h), so a run
-        makes every job before its first report."""
-        self._grids.setdefault((id(g), id(h)), {})[id(acts)] = acts
-        return pid, g, h, acts, fields, info
+    def job(self, pid, g, h, systems: list, fields: dict, info: dict) -> tuple:
+        """The job tuple; its systems join the Z grid of (g, h), so a run
+        makes every job before its first report.  Its reports share their
+        instance but the activities: the documents of g and h, N, then the
+        info and the hypothesis fields."""
+        grid = self._grids.setdefault((id(g), id(h)), {})
+        for acts, _ in systems:
+            grid[id(acts)] = acts
+        base = {"g": self._doc(g, serialize_bipartite), "h": self._doc(h, serialize_graph),
+                "N": g.vertex_count, **info, **fields}
+        return pid, g, h, systems, fields, base
 
-    def once(self, key, compute):
-        """compute() on the first call with ``key``; later calls return its
-        value or raise its budget refusal again."""
-        if key not in self._values:
+    def system(self, acts: ActivitySystem) -> tuple[ActivitySystem, dict]:
+        """(acts, its report document), as a job lists it."""
+        return acts, self._doc(acts, ActivitySystem.describe)
+
+    def once(self, key, compute, *args):
+        """compute(*args) on the first call with ``key``; later calls return
+        its value or raise its budget refusal again."""
+        value = self._values.get(key, _UNSET)
+        if value is _UNSET:
             try:
-                self._values[key] = compute()
+                value = compute(*args)
             except BudgetExceededError as exc:
-                self._values[key] = exc
-        value = self._values[key]
+                value = exc
+            self._values[key] = value
         if isinstance(value, BudgetExceededError):
             raise value.with_traceback(None)
         return value
 
+    def power(self, value, exponent: int, shift: int = 0) -> Fraction:
+        """value^exponent * 2^shift as a Fraction, for a value this memo holds:
+        a bound's right side, made once for every report that shares it."""
+        key = id(value), exponent, shift
+        side = self._powers.get(key)
+        if side is None:
+            side = self._powers[key] = Fraction(value) ** exponent * (1 << shift)
+        return side
+
     def twins(self, h: Graph, acts: ActivitySystem) -> list[int]:
-        return self.once(("twins", id(h), id(acts)), lambda: acts.twin_classes(h))
+        return self.once(("twins", id(h), id(acts)), acts.twin_classes, h)
 
     def z(self, g: BipartiteGraph, h: Graph, acts: ActivitySystem) -> Fraction:
-        def compute():
-            grid = self._grids[id(g), id(h)]
-            plan = self.once(("plan", id(h), *grid),
-                             lambda: GridPlan(h, grid.values(), partial(self.twins, h)))
-            return dict(zip(grid, plan.run(g, self.budget)))
+        return self.once(("z", id(g), id(h)), self._grid_z, g, h)[id(acts)]
 
-        return self.once(("z", id(g), id(h)), compute)[id(acts)]
+    def _grid_z(self, g: BipartiteGraph, h: Graph) -> dict:
+        """id(system) -> Z of every system of the (g, h) grid, from one run of
+        the target's plan for the grid's systems."""
+        grid = self._grids[id(g), id(h)]
+        plan = self.once(("plan", id(h), *grid), GridPlan, h, grid.values(),
+                         partial(self.twins, h))
+        return dict(zip(grid, plan.run(g, self.budget)))
 
     def kab(self, a: int, b: int, h: Graph, acts: ActivitySystem) -> Fraction:
-        return self.once(("kab", a, b, id(h), id(acts)),
-                         lambda: closedform.kab_partition(a, b, h, acts, self.budget,
-                                                          self.twins(h, acts)))
+        return self.once(("kab", a, b, id(h), id(acts)), self._kab, a, b, h, acts)
+
+    def _kab(self, a: int, b: int, h: Graph, acts: ActivitySystem) -> Fraction:
+        return closedform.kab_partition(a, b, h, acts, self.budget, self.twins(h, acts))
 
     def knn_count(self, n: int, h: Graph) -> int:
-        doubled = self.once(("double", id(h)), lambda: double(h))
-        return self.once(("knn", n, id(h)),
-                         lambda: closedform.knn_restricted_count(n, doubled, self.budget))
+        return self.once(("knn", n, id(h)), closedform.knn_restricted_count, n,
+                         self.doubled(h), self.budget)
+
+    def doubled(self, h: Graph) -> BipartiteGraph:
+        return self.once(("double", id(h)), double, h)
 
     def eta(self, h: Graph, acts: ActivitySystem) -> EtaWitness:
-        return self.once(("eta", id(h), id(acts)), lambda: eta_two_sided(h, acts, self.budget))
+        return self.once(("eta", id(h), id(acts)), eta_two_sided, h, acts, self.budget)
 
     def _doc(self, obj, write) -> dict:
         doc = self._docs.get(id(obj))
@@ -309,24 +172,22 @@ class _Quantities:
             doc = self._docs[id(obj)] = write(obj)
         return doc
 
-    def report(self, job: tuple) -> CertReport:
-        """Describe the job's instance and judge its proposition."""
-        pid, g, h, acts, fields, info = job
+    def reports(self, job: tuple) -> Iterator[CertReport]:
+        """Judge the job's proposition on its instance, one report per system."""
+        pid, g, h, systems, fields, base = job
         _, weighted, evaluate = _PROPOSITIONS[pid]
-        inst = {"g": self._doc(g, serialize_bipartite), "h": self._doc(h, serialize_graph),
-                "N": g.vertex_count}
-        if weighted:
-            inst["activities"] = self._doc(acts, ActivitySystem.describe)
-        inst.update(info or {})
-        inst.update(fields)
-        return _judge(pid, inst, lambda: evaluate(self, g, h, acts, **fields))
+        for acts, acts_doc in systems:
+            # the activities come first, so the info and the fields override them
+            inst = {"activities": acts_doc, **base} if weighted else dict(base)
+            yield _judge(pid, inst, evaluate, (self, g, h, acts), fields)
 
 
-def _judge(check, instance, evaluate, expected=False) -> CertReport:
-    """Run one evaluation: a spent budget makes the report skipped-budget; no
-    bound makes it vacuous; otherwise it holds unless a bound is violated."""
+def _judge(check, instance, evaluate, args, fields, expected=False) -> CertReport:
+    """Run one evaluation, evaluate(*args, **fields): a spent budget makes the
+    report skipped-budget; no bound makes it vacuous; otherwise it holds
+    unless a bound is violated."""
     try:
-        bounds, details = evaluate()
+        bounds, details = evaluate(*args, **fields)
     except BudgetExceededError as exc:
         return CertReport(check, instance, (), SKIPPED_BUDGET, note=str(exc))
     if not bounds:
@@ -361,7 +222,7 @@ def _hom_ub(q, g, h, acts, n):
     lhs = q.z(g, h, acts)
     rhs = q.knn_count(n, h)
     bound = BoundCheck("upper", "<=", "count(g,h)^(2n)", "count(Knn,h)^N",
-                       lhs ** (2 * n), Fraction(rhs**g.vertex_count))
+                       lhs ** (2 * n), q.power(rhs, g.vertex_count))
     return [bound], {"count_g": str(lhs), "count_knn": str(rhs)}
 
 
@@ -369,7 +230,7 @@ def _weighted_ub(q, g, h, acts, n):
     z_g = q.z(g, h, acts)
     z_knn = q.kab(n, n, h, acts)
     bound = BoundCheck("upper", "<=", "Z(g)^(2n)", "Z(Knn)^N",
-                       z_g ** (2 * n), z_knn**g.vertex_count)
+                       z_g ** (2 * n), q.power(z_knn, g.vertex_count))
     return [bound], {"Z_g": str(z_g), "Z_knn": str(z_knn)}
 
 
@@ -377,20 +238,21 @@ def _bireg_ub(q, g, h, acts, a, b):
     z_g = q.z(g, h, acts)
     z_kab = q.kab(b, a, h, acts)
     bound = BoundCheck("upper", "<=", "Z(g)^(a+b)", "Z(Kab)^N",
-                       z_g ** (a + b), z_kab**g.vertex_count)
+                       z_g ** (a + b), q.power(z_kab, g.vertex_count))
     return [bound], {"Z_g": str(z_g), "Z_kab": str(z_kab)}
 
 
-def _sandwich_bounds(z: Fraction, eta: Fraction, n: int, big_n: int, m: int) -> list:
+def _sandwich_bounds(z: Fraction, eta: Fraction, n: int, eta_n: Fraction,
+                     eta_upper: Fraction) -> list:
     """lower: eta^N <= Z^2; upper: Z^(2n) <= eta^(nN) * 2^(mN) for an m-vertex
-    target.  With eta = 0 both degenerate: no bound when Z = 0 (the report is
-    vacuous), else the failed assertion Z == 0."""
+    target, given eta_n = eta^N and eta_upper = eta^(nN) * 2^(mN).  With eta
+    = 0 both degenerate: no bound when Z = 0 (the report is vacuous), else the
+    failed assertion Z == 0."""
     if eta == 0:
         return [BoundCheck("degenerate", "==", "Z(g)", "0", z, Fraction(0))] if z else []
     return [
-        BoundCheck("lower", "<=", "eta^N", "Z(g)^2", eta**big_n, z**2),
-        BoundCheck("upper", "<=", "Z(g)^(2n)", "eta^(nN)*2^(|V(h)|N)",
-                   z ** (2 * n), eta ** (n * big_n) * (1 << m * big_n)),
+        BoundCheck("lower", "<=", "eta^N", "Z(g)^2", eta_n, z**2),
+        BoundCheck("upper", "<=", "Z(g)^(2n)", "eta^(nN)*2^(|V(h)|N)", z ** (2 * n), eta_upper),
     ]
 
 
@@ -403,11 +265,14 @@ def _eta_sandwich(q, g, h, acts, n):
         "eta_B": list(witness.set_b),
         "Z_g": str(z_g),
     }
-    return _sandwich_bounds(z_g, witness.value, n, g.vertex_count, h.vertex_count), details
+    eta, big_n = witness.value, g.vertex_count
+    bounds = _sandwich_bounds(z_g, eta, n, q.power(eta, big_n),
+                              q.power(eta, n * big_n, h.vertex_count * big_n))
+    return bounds, details
 
 
 def _lift_identity(q, g, h, acts):
-    target, meta = q.once(("blowup", id(h), id(acts)), lambda: blowup(h, acts, q.budget))
+    target, meta = q.once(("blowup", id(h), id(acts)), blowup, h, acts, q.budget)
     z_g = q.z(g, h, acts)
     lifted = count_homs_restricted(g, target, q.budget)
     bound = BoundCheck("identity", "==", "Z(g)*C^N", "restricted-count(blowup)",
@@ -423,8 +288,7 @@ def _lift_identity(q, g, h, acts):
 
 def _double_identity(q, g, h, acts):
     plain = q.z(g, h, acts)
-    doubled = q.once(("double", id(h)), lambda: double(h))
-    restricted = count_homs_restricted(g, doubled, q.budget)
+    restricted = count_homs_restricted(g, q.doubled(h), q.budget)
     bound = BoundCheck("identity", "==", "count(g,h)", "restricted-count(double)",
                        plain, Fraction(restricted))
     return [bound], {"count": str(plain), "restricted_count": str(restricted)}
@@ -460,8 +324,9 @@ def _check(pid, g: BipartiteGraph, h: Graph, acts: ActivitySystem | None,
     is packed."""
     hypothesis, weighted, _ = _PROPOSITIONS[pid]
     q = _Quantities(budget)
-    return q.report(q.job(pid, g, h, acts if weighted else ActivitySystem.unit(h.vertex_count),
-                          hypothesis(g), instance_info))
+    system = q.system(acts if weighted else ActivitySystem.unit(h.vertex_count))
+    (report,) = q.reports(q.job(pid, g, h, [system], hypothesis(g), instance_info or {}))
+    return report
 
 
 # pid -> fn(g, h, acts, budget, instance_info); the CLI's --check dispatches here
@@ -543,9 +408,11 @@ def sandwich_nonbipartite_demo(budget: int = DEFAULT_BUDGET) -> CertReport:
     def evaluate():
         z = Fraction(count_homs(g, h, budget))
         eta = eta_unweighted(h, budget).value
-        return _sandwich_bounds(z, eta, n, big_n, h.vertex_count), {"eta": str(eta), "Z_g": str(z)}
+        bounds = _sandwich_bounds(z, eta, n, eta**big_n,
+                                  eta ** (n * big_n) * (1 << h.vertex_count * big_n))
+        return bounds, {"eta": str(eta), "Z_g": str(z)}
 
-    return _judge(_DEMO, inst, evaluate, expected=True)
+    return _judge(_DEMO, inst, evaluate, (), {}, expected=True)
 
 
 # ---------------------------------------------------------------------------
@@ -674,11 +541,12 @@ def iter_campaign(config, base_dir=None) -> Iterator[CertReport]:
     The whole config is resolved before this returns, each distinct families
     list, source, target and (target, activity entry) once, through the run's
     one memo, so every input or budget error is raised here, before any
-    report.  Each check is a job of the resolved objects, and the jobs are
-    made together, so every Z grid is known and a number they share is
-    computed once.  The generator judges one job per report, in plan order;
-    the reports are the ones the public certify_* functions give one at a
-    time, and the run holds only the memo, the jobs and the report drawn.
+    report.  Each (proposition, source, target) is a job of the resolved
+    objects with the target's systems, and the jobs are made together, so
+    every Z grid is known and a number they share is computed once.  The
+    generator judges one report per job and system, in plan order; the
+    reports are the ones the public certify_* functions give one at a time,
+    and the run holds only the memo, the jobs and the report drawn.
     """
     config, base_dir = load_campaign(config, base_dir)
     budget = config.get("budget", DEFAULT_BUDGET)
@@ -694,7 +562,7 @@ def iter_campaign(config, base_dir=None) -> Iterator[CertReport]:
                 for desc, spec in specs]
 
     # the plans' jobs in report order: instances that meet the hypothesis,
-    # then targets, then activity systems; None holds the demo's place
+    # then targets, each job listing its systems; None holds the demo's place
     jobs = []
     for plan in config["propositions"]:
         pid = plan["id"]
@@ -715,60 +583,25 @@ def iter_campaign(config, base_dir=None) -> Iterator[CertReport]:
         # each target's systems; none is resolved for a plan without instances
         entries = (plan["activities"] if weighted else [None]) if instances else []
         systems = [[q.once(("system", id(h), repr(entry)),
-                           lambda: resolve_activities(entry, h.vertex_count))
+                           lambda: q.system(resolve_activities(entry, h.vertex_count)))
                     for entry in entries] for _, h in targets]
         for trial, (desc, g, fields) in enumerate(instances):
             for (h_spec, h), target_systems in zip(targets, systems):
                 info = {"g_spec": desc, "h_spec": h_spec, "trial": trial}
-                for acts in target_systems:
-                    jobs.append(q.job(pid, g, h, acts, fields, info))
-    return (sandwich_nonbipartite_demo(budget) if job is None else q.report(job) for job in jobs)
+                jobs.append(q.job(pid, g, h, target_systems, fields, info))
+    return _reports(q, jobs, budget)
+
+
+def _reports(q: _Quantities, jobs: list, budget: int) -> Iterator[CertReport]:
+    """The reports of the jobs, in order; None is the demo's place."""
+    for job in jobs:
+        if job is None:
+            yield sandwich_nonbipartite_demo(budget)
+        else:
+            yield from q.reports(job)
 
 
 def run_campaign(config, base_dir=None) -> list[CertReport]:
     """Deterministic sweep over (proposition, instance, target, activities):
     every report of iter_campaign, in plan order."""
     return list(iter_campaign(config, base_dir))
-
-
-# what campaign_exit_code reads of a report; map() drops each report once
-# read, so a stream holds no report past its line
-_verdict_facts = attrgetter("expected_violation", "verdict")
-
-
-def campaign_exit_code(reports, strict: bool = False) -> int:
-    """0 all hold or expected; 1 unexpected violation (or a missing expected
-    one); 3 budget exhaustion under strict mode.  Reads every report, so a
-    stream that writes its lines as they are read is written to its end."""
-    facts = set(map(_verdict_facts, reports))
-    if any(verdict not in (VIOLATED, SKIPPED_BUDGET) if expected else verdict == VIOLATED
-           for expected, verdict in facts):
-        return 1
-    if strict and any(verdict == SKIPPED_BUDGET for _, verdict in facts):
-        return 3
-    return 0
-
-
-def write_reports(reports, write: Callable[[str], object], strict: bool = False) -> int:
-    """Pass each report's JSON line, newline included, to ``write`` as the
-    report is drawn, and return the campaign exit code of the reports.
-
-    The stream shares one memo, so a document that many reports hold (a
-    source, a target, a system, a spec) is encoded once; the bytes are those
-    of each report's to_dict().  No report is kept once its line is written.
-    """
-    encoded = {}
-
-    def written():
-        for r in reports:
-            write(r.to_json_line(encoded) + "\n")
-            yield r
-
-    return campaign_exit_code(written(), strict)
-
-
-def report_stream(reports) -> str:
-    """The lines write_reports writes, joined."""
-    lines = []
-    write_reports(reports, lines.append)
-    return "".join(lines)

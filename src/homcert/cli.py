@@ -42,8 +42,8 @@ from .homcount import (
     count_homs,
     count_homs_restricted,
     count_independent_sets,
-    parse_activities,
     partition_fn,
+    resolve_activities,
 )
 
 BUDGET_ENV = "HOMCERT_BUDGET"
@@ -157,9 +157,11 @@ def _load_target(args):
 
 
 def _load_acts(args, vertex_count: int) -> ActivitySystem:
+    """-a accepts an activity document or any entry a campaign grid lists,
+    so the activities of a report load as they are written."""
     if getattr(args, "activities", None) is None:
         return ActivitySystem.unit(vertex_count)
-    return parse_activities(read_doc(args.activities), vertex_count)
+    return resolve_activities(read_doc(args.activities), vertex_count)
 
 
 @contextmanager

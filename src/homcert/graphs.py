@@ -374,27 +374,31 @@ def gen_random_regular_bipartite(n: int, half: int, seed: int) -> BipartiteGraph
     if n == half:
         return gen_complete_bipartite(half, half)
     getrandbits = random.Random(seed).getrandbits
+    # random.shuffle as CPython 3.10-3.13 writes it, inline: for i from half - 1
+    # down to 1, j = getrandbits(k) with k the bit length of i + 1, drawn again
+    # while j > i; the same draws, so the same graph for every seed
+    steps = [(i, (i + 1).bit_length()) for i in range(half - 1, 0, -1)]
+    columns = range(half)
     for _ in range(_MATCHING_RESAMPLE_CAP):
-        used: set[tuple[int, int]] = set()
-        ok = True
+        rows = [0] * half  # bit j of rows[i]: the edge (i, half + j) is drawn
         for _ in range(n):
-            perm = list(range(half))
-            # random.shuffle(perm) as CPython 3.10-3.13 writes it, inline:
-            # the same draws, so the same graph for every seed
-            for i in range(half - 1, 0, -1):
-                k = (i + 1).bit_length()
+            perm = list(columns)
+            for i, k in steps:
                 j = getrandbits(k)
                 while j > i:
                     j = getrandbits(k)
                 perm[i], perm[j] = perm[j], perm[i]
-            pairs = [(i, perm[i]) for i in range(half)]
-            if any(p in used for p in pairs):
-                ok = False
-                break
-            used.update(pairs)
-        if ok:
-            edges = [(i, half + j) for i, j in sorted(used)]
-            return BipartiteGraph(Graph(2 * half, edges), range(half))
+            for i in columns:
+                bit = 1 << perm[i]
+                if rows[i] & bit:
+                    break
+                rows[i] |= bit
+            else:
+                continue
+            break  # the matching meets an earlier one: draw all n again
+        else:
+            edges = [(i, half + j) for i in columns for j in columns if rows[i] >> j & 1]
+            return BipartiteGraph(Graph(2 * half, edges), columns)
     raise GenerationError(
         f"no simple {n}-regular union of matchings on 2*{half} vertices "
         f"within {_MATCHING_RESAMPLE_CAP} resamples"

@@ -211,7 +211,7 @@ def parse_activities(data, vertex_count: int) -> ActivitySystem:
     mapping = {}
     for key, entry in entries.items():
         if not isinstance(entry, dict) or not entry or set(entry) - {"lambda", "mu"}:
-            raise GraphFormatError(f"bad activity entry for vertex {key!r}")
+            raise GraphFormatError(f"bad activity entry for vertex {shown(key)}")
         lam = entry.get("lambda", 1)
         mu = entry.get("mu", entry["lambda"] if "lambda" in entry else 1)
         mapping[key] = (lam, mu)
@@ -231,7 +231,7 @@ def resolve_activities(entry, vertex_count: int) -> ActivitySystem:
             return parse_activities({"activities": entry["vertex"]}, vertex_count)
         if set(entry) == {"activities"}:
             return parse_activities(entry, vertex_count)
-    raise GraphFormatError(f"bad activity entry {entry!r}")
+    raise GraphFormatError(f"bad activity entry {shown(entry)}")
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from homcert import (
     ActivitySystem,
@@ -638,6 +639,61 @@ def test_bound_checks_keep_their_verdict_equality_and_slack():
     for twin in (b, copy.deepcopy(b)):
         assert twin == b and hash(twin) == hash(b)
         assert (twin.verdict, twin.equality, twin.slack) == (HOLDS, False, Fraction(3, 2))
+
+
+# small denominators often meet, so both kinds of common denominator show
+_SIDES = st.builds(Fraction, st.integers(0, 10**30),
+                   st.sampled_from([1, 6, 81]) | st.integers(1, 10**12)) | st.sampled_from(
+    [Fraction(0), Fraction(1), Fraction(7, 3)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(relation=st.sampled_from(["<=", "=="]), lhs=_SIDES, rhs=_SIDES, same_side=st.booleans())
+def test_kept_cross_products_judge_and_write_as_the_sides_do(relation, lhs, rhs, same_side):
+    # the products a bound keeps, over whichever common denominator, give
+    # what the Fractions themselves give; equal sides, equal denominators
+    # and lhs = 0 included
+    if same_side:
+        rhs = lhs
+    b = BoundCheck("upper", relation, "x", "y", lhs, rhs)
+    assert b.to_json() == json.dumps(b.to_dict(), sort_keys=True, separators=(",", ":"))
+    assert b.slack == (rhs / lhs if lhs else None)
+    assert b.equality == (lhs == rhs)
+    assert b.verdict == (HOLDS if (lhs == rhs if relation == "==" else lhs <= rhs) else VIOLATED)
+
+
+def test_memos_hold_only_what_reports_share(monkeypatch):
+    # a second trial adds sources, and each source adds its own entries: its
+    # build, its document, and one Z grid and one Z memo per target.  Nothing
+    # is kept per system or per report, so the memos of the cubic campaign
+    # do not grow with its 3,600 reports (nor its peak RSS)
+    runs = []
+
+    class Spy(certify_mod._Quantities):
+        def __init__(self, budget):
+            super().__init__(budget)
+            runs.append(self)
+
+    monkeypatch.setattr(certify_mod, "_Quantities", Spy)
+
+    def memos(trials):
+        runs.clear()
+        report_stream(iter_campaign(_cubic_config(
+            (4, 5), trials, 50_000_000,
+            ["weighted-ub", "eta-sandwich", "nonbipartite-lower-bound-failure"])))
+        (q,) = runs
+        return {name: memo for name, memo in vars(q).items() if isinstance(memo, dict)}
+
+    one, two = memos(1), memos(2)
+    assert one.keys() == two.keys()
+    added = {name: len(two[name]) - len(one[name]) for name in one}
+    new_sources, targets = 2, 2
+    assert sum(added.values()) == new_sources * (2 + 2 * targets)
+    assert added["_docs"] == new_sources and added["_grids"] == new_sources * targets
+    kinds = Counter(key[0] for key in two["_values"]) - Counter(key[0] for key in one["_values"])
+    assert kinds == {"source": new_sources, "z": new_sources * targets}
+    # the bounds' right sides are shared: one per (value, sizes), not per report
+    assert one["_powers"] and added["_powers"] == 0
 
 
 def test_report_stream_of_a_generator_equals_that_of_a_list():

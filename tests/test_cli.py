@@ -275,6 +275,58 @@ def test_check_prints_the_line_of_its_certifier(capsys, tmp_path, pid):
     assert {r.to_json_line() + "\n" for r in expected} == {out}
 
 
+def test_a_report_reruns_from_its_own_documents(capsys, tmp_path):
+    # every weighted report's g, h and activities, as the report writes
+    # them (unit, uniform and vertex-wise systems), load with -g, -H and -a,
+    # and certify --check judges them as the campaign did
+    config = {
+        "seed": 5, "trials": 2,
+        "families": [{"family": "random-regular", "degree": 2, "half": 3},
+                     {"family": "cycle", "length": 6}],
+        "grids": {"targets": ["hind", "k3"],
+                  "activities": ["unit", {"uniform": {"lambda": "1/2", "mu": "3"}},
+                                 {"vertex": {"0": {"lambda": "2/3"}}},
+                                 {"activities": {"1": {"lambda": "3", "mu": "1/2"}}}]},
+        "propositions": ["weighted-ub", "eta-sandwich", "bireg-ub", "lift-identity"],
+    }
+    lines = certify_mod.report_stream(certify_mod.run_campaign(config)).splitlines()
+    assert len(lines) == 4 * 3 * 2 * 4
+    forms = set()
+    for line in lines:
+        report = json.loads(line)
+        instance = report["instance"]
+        paths = {}
+        for key in ("g", "h", "activities"):
+            paths[key] = tmp_path / f"{key}.json"
+            paths[key].write_text(json.dumps(instance[key]))
+        forms.add(next(iter(instance["activities"])))
+        code, out = run_cli(capsys, "certify", "--check", report["check"], "-g", paths["g"],
+                            "-H", paths["h"], "-a", paths["activities"])
+        assert code == 0
+        rerun = json.loads(out)
+        for key in ("check", "bounds", "verdict", "details", "expected_violation"):
+            assert rerun[key] == report[key]
+        assert rerun["instance"] == {key: value for key, value in instance.items()
+                                     if key not in ("g_spec", "h_spec", "trial")}
+    assert forms == {"unit", "uniform", "vertex"}
+
+
+def test_activity_entries_are_refused_with_a_bounded_message(capsys, tmp_path):
+    # as a -a file and as a campaign grid entry
+    entry = {"weird": "x" * 100_000}
+    path, config = tmp_path / "acts.json", tmp_path / "campaign.json"
+    path.write_text(json.dumps(entry))
+    config.write_text(json.dumps({"families": [{"family": "cycle", "length": 4}],
+                                  "grids": {"targets": ["k3"], "activities": [entry]},
+                                  "propositions": ["weighted-ub"]}))
+    for argv in (("--check", "weighted-ub", "-g", FIX / "knn.json", "--n", "2",
+                  "-H", FIX / "k3.json", "-a", path), ("--config", config)):
+        code, out = run_cli(capsys, "certify", *argv)
+        assert code == 2
+        message = json.loads(out)["error"]["message"]
+        assert message.startswith("bad activity entry") and len(message) < 200
+
+
 def test_certify_default_campaign(capsys, tmp_path):
     code, out = run_cli(capsys, "certify", "--config", "default")
     assert code == 0
