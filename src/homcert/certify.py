@@ -20,6 +20,7 @@ from . import closedform
 from .constructions import blowup, double
 from .errors import BudgetExceededError, GraphFormatError, input_limit
 from .eta import EtaWitness, eta_two_sided, eta_unweighted
+from .frontier import source_order
 from .graphs import (
     BipartiteGraph,
     Graph,
@@ -51,6 +52,7 @@ from .reports import (
     VIOLATED,
     BoundCheck,
     CertReport,
+    Frame,
     campaign_exit_code,
     report_stream,
     write_reports,
@@ -72,7 +74,8 @@ class _Quantities:
     on first use.  These are Z per (source, target), from one run of the
     GridPlan of the target and every system the run's jobs ask of the pair
     (an unweighted proposition's system is the unit one, so its count is a Z
-    of denominator 1), that plan per (target, systems), the twin classes per
+    of denominator 1), the kernel's vertex order per source, that plan per
+    (target, systems), the twin classes per
     (target, system), the closed forms per (sizes, target, system), eta, the
     double and the blow-up per target or (target, system), the bounds' right
     sides per (value, exponent), the serialized sources, targets and systems,
@@ -81,9 +84,10 @@ class _Quantities:
     refusal is kept and raised again at every use.
 
     A job is a proposition on a source and a target, for each of a list of
-    systems: (proposition id, source, target, [(system, its document)],
-    hypothesis fields, instance but the activities), the objects themselves,
-    so what its reports share is made once per job.  Memo keys use the
+    systems: (proposition id, source, target, [(system, its document)], the
+    hypothesis fields' values in the order the evaluation takes them,
+    instance but the activities), the objects themselves, so what its
+    reports share is made once per job.  Memo keys use the
     objects' id(), so the jobs and the memo keep every object alive for the
     run.  The memo holds only what reports share: nothing in it is made per
     system of a job or per report.
@@ -107,7 +111,7 @@ class _Quantities:
             grid[id(acts)] = acts
         base = {"g": self._doc(g, serialize_bipartite), "h": self._doc(h, serialize_graph),
                 "N": g.vertex_count, **info, **fields}
-        return pid, g, h, systems, fields, base
+        return pid, g, h, systems, tuple(fields.values()), base
 
     def system(self, acts: ActivitySystem) -> tuple[ActivitySystem, dict]:
         """(acts, its report document), as a job lists it."""
@@ -139,16 +143,24 @@ class _Quantities:
     def twins(self, h: Graph, acts: ActivitySystem) -> list[int]:
         return self.once(("twins", id(h), id(acts)), acts.twin_classes, h)
 
-    def z(self, g: BipartiteGraph, h: Graph, acts: ActivitySystem) -> Fraction:
-        return self.once(("z", id(g), id(h)), self._grid_z, g, h)[id(acts)]
+    def order(self, g: BipartiteGraph) -> tuple:
+        """The kernel's vertex order of g, which every walk over g shares."""
+        return self.once(("order", id(g)), source_order, g.graph)
+
+    def grid(self, g: BipartiteGraph, h: Graph) -> dict:
+        """id(system) -> Z for every system of the (g, h) grid, from one run of
+        the target's plan for the grid's systems; each Z is the grid's
+        refusal if it has one, which a report that asks for it raises (_z)."""
+        try:
+            return self.once(("z", id(g), id(h)), self._grid_z, g, h)
+        except BudgetExceededError as exc:
+            return dict.fromkeys(self._grids[id(g), id(h)], exc)
 
     def _grid_z(self, g: BipartiteGraph, h: Graph) -> dict:
-        """id(system) -> Z of every system of the (g, h) grid, from one run of
-        the target's plan for the grid's systems."""
         grid = self._grids[id(g), id(h)]
         plan = self.once(("plan", id(h), *grid), GridPlan, h, grid.values(),
                          partial(self.twins, h))
-        return dict(zip(grid, plan.run(g, self.budget)))
+        return dict(zip(grid, plan.run(g, self.budget, self.order(g))))
 
     def kab(self, a: int, b: int, h: Graph, acts: ActivitySystem) -> Fraction:
         return self.once(("kab", a, b, id(h), id(acts)), self._kab, a, b, h, acts)
@@ -173,35 +185,48 @@ class _Quantities:
         return doc
 
     def reports(self, job: tuple) -> Iterator[CertReport]:
-        """Judge the job's proposition on its instance, one report per system."""
+        """Judge the job's proposition on its instance, one report per system.
+        The reports share one Frame, and the job fetches its Z grid once."""
         pid, g, h, systems, fields, base = job
         _, weighted, evaluate = _PROPOSITIONS[pid]
+        frame = Frame(base, weighted)
+        zs = self.grid(g, h)
         for acts, acts_doc in systems:
-            # the activities come first, so the info and the fields override them
-            inst = {"activities": acts_doc, **base} if weighted else dict(base)
-            yield _judge(pid, inst, evaluate, (self, g, h, acts), fields)
+            args = (self, g, h, acts, zs[id(acts)], *fields)
+            yield _judge(pid, evaluate, args, None, False, frame, acts_doc if weighted else None)
 
 
-def _judge(check, instance, evaluate, args, fields, expected=False) -> CertReport:
-    """Run one evaluation, evaluate(*args, **fields): a spent budget makes the
-    report skipped-budget; no bound makes it vacuous; otherwise it holds
-    unless a bound is violated."""
+def _judge(check, evaluate, args, instance, expected=False, frame=None,
+           activities=None) -> CertReport:
+    """Run one evaluation, evaluate(*args): a spent budget makes the report
+    skipped-budget; no bound makes it vacuous; otherwise it holds unless a
+    bound is violated.  The report's instance is ``instance``, or that of
+    ``frame`` with ``activities`` (see CertReport)."""
     try:
-        bounds, details = evaluate(*args, **fields)
+        bounds, details = evaluate(*args)
     except BudgetExceededError as exc:
-        return CertReport(check, instance, (), SKIPPED_BUDGET, note=str(exc))
+        return CertReport(check, instance, (), SKIPPED_BUDGET, False, None, str(exc), frame,
+                          activities)
     if not bounds:
         note = "eta = 0: both bounds degenerate; asserting Z = 0"
-        return CertReport(check, instance, (), VACUOUS, details=details, note=note)
-    verdict = VIOLATED if any(b.verdict == VIOLATED for b in bounds) else HOLDS
-    return CertReport(check, instance, tuple(bounds), verdict,
-                      expected_violation=expected, details=details)
+        return CertReport(check, instance, (), VACUOUS, False, details, note, frame, activities)
+    verdict = VIOLATED if VIOLATED in [b.verdict for b in bounds] else HOLDS
+    return CertReport(check, instance, tuple(bounds), verdict, expected, details, None, frame,
+                      activities)
+
+
+def _z(z) -> Fraction:
+    """The Z a job fetched for one system: its value, or the refusal of its
+    grid raised again."""
+    if isinstance(z, BudgetExceededError):
+        raise z.with_traceback(None)
+    return z
 
 
 # The propositions.  An evaluation takes the run's quantities, the job's
-# source, target, system and hypothesis fields, and asks for every number it
-# needs in its own order, so the first refused quantity is the one its
-# report names.
+# source, target and system, the system's Z as the job fetched it (see _z)
+# and the hypothesis fields, and asks for every number it needs in its own
+# order, so the first refused quantity is the one its report names.
 
 
 def _regular(g: BipartiteGraph) -> dict:
@@ -218,24 +243,24 @@ def _biregular(g: BipartiteGraph) -> dict:
     return {"a": degrees[0], "b": degrees[1]}
 
 
-def _hom_ub(q, g, h, acts, n):
-    lhs = q.z(g, h, acts)
+def _hom_ub(q, g, h, acts, z, n):
+    lhs = _z(z)
     rhs = q.knn_count(n, h)
     bound = BoundCheck("upper", "<=", "count(g,h)^(2n)", "count(Knn,h)^N",
                        lhs ** (2 * n), q.power(rhs, g.vertex_count))
     return [bound], {"count_g": str(lhs), "count_knn": str(rhs)}
 
 
-def _weighted_ub(q, g, h, acts, n):
-    z_g = q.z(g, h, acts)
+def _weighted_ub(q, g, h, acts, z, n):
+    z_g = _z(z)
     z_knn = q.kab(n, n, h, acts)
     bound = BoundCheck("upper", "<=", "Z(g)^(2n)", "Z(Knn)^N",
                        z_g ** (2 * n), q.power(z_knn, g.vertex_count))
     return [bound], {"Z_g": str(z_g), "Z_knn": str(z_knn)}
 
 
-def _bireg_ub(q, g, h, acts, a, b):
-    z_g = q.z(g, h, acts)
+def _bireg_ub(q, g, h, acts, z, a, b):
+    z_g = _z(z)
     z_kab = q.kab(b, a, h, acts)
     bound = BoundCheck("upper", "<=", "Z(g)^(a+b)", "Z(Kab)^N",
                        z_g ** (a + b), q.power(z_kab, g.vertex_count))
@@ -256,9 +281,9 @@ def _sandwich_bounds(z: Fraction, eta: Fraction, n: int, eta_n: Fraction,
     ]
 
 
-def _eta_sandwich(q, g, h, acts, n):
+def _eta_sandwich(q, g, h, acts, z, n):
     witness = q.eta(h, acts)
-    z_g = q.z(g, h, acts)
+    z_g = _z(z)
     details = {
         "eta": str(witness.value),
         "eta_A": list(witness.set_a),
@@ -271,10 +296,10 @@ def _eta_sandwich(q, g, h, acts, n):
     return bounds, details
 
 
-def _lift_identity(q, g, h, acts):
+def _lift_identity(q, g, h, acts, z):
     target, meta = q.once(("blowup", id(h), id(acts)), blowup, h, acts, q.budget)
-    z_g = q.z(g, h, acts)
-    lifted = count_homs_restricted(g, target, q.budget)
+    z_g = _z(z)
+    lifted = count_homs_restricted(g, target, q.budget, q.order(g))
     bound = BoundCheck("identity", "==", "Z(g)*C^N", "restricted-count(blowup)",
                        z_g * meta.scale**g.vertex_count, Fraction(lifted))
     details = {
@@ -286,9 +311,9 @@ def _lift_identity(q, g, h, acts):
     return [bound], details
 
 
-def _double_identity(q, g, h, acts):
-    plain = q.z(g, h, acts)
-    restricted = count_homs_restricted(g, q.doubled(h), q.budget)
+def _double_identity(q, g, h, acts, z):
+    plain = _z(z)
+    restricted = count_homs_restricted(g, q.doubled(h), q.budget, q.order(g))
     bound = BoundCheck("identity", "==", "count(g,h)", "restricted-count(double)",
                        plain, Fraction(restricted))
     return [bound], {"count": str(plain), "restricted_count": str(restricted)}
@@ -412,7 +437,7 @@ def sandwich_nonbipartite_demo(budget: int = DEFAULT_BUDGET) -> CertReport:
                                   eta ** (n * big_n) * (1 << h.vertex_count * big_n))
         return bounds, {"eta": str(eta), "Z_g": str(z)}
 
-    return _judge(_DEMO, inst, evaluate, (), {}, expected=True)
+    return _judge(_DEMO, evaluate, (), inst, True)
 
 
 # ---------------------------------------------------------------------------

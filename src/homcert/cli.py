@@ -359,29 +359,25 @@ def _add_common(p, *, graph=False, target=False, target_required=False, acts=Fal
     p.add_argument("-o", "--output", help="write to file instead of stdout")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="homcert",
-        description="Exact homomorphism counting, closed forms, eta, and certification.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("count", help="count homomorphisms (or independent sets)")
+def _fill_count(p):
     _add_common(p, graph=True, target=True)
     p.add_argument("--independent-sets", action="store_true",
                    help="count independent sets of the source graph instead")
     p.set_defaults(fn=_cmd_count)
 
-    p = sub.add_parser("restricted", help="count class-restricted homomorphisms")
+
+def _fill_restricted(p):
     _add_common(p, graph=True)
     p.add_argument("-T", "--two-sorted", required=True, help="two-sorted target file")
     p.set_defaults(fn=_cmd_restricted)
 
-    p = sub.add_parser("partition", help="exact weighted partition value")
+
+def _fill_partition(p):
     _add_common(p, graph=True, target=True, target_required=True, acts=True)
     p.set_defaults(fn=_cmd_partition)
 
-    p = sub.add_parser("knn", help="closed form on the n-by-n complete bipartite source")
+
+def _fill_knn(p):
     p.add_argument("--n", type=int, required=True)
     p.add_argument("-H", "--target", help="target graph file (weighted form)")
     p.add_argument("-T", "--two-sorted", help="two-sorted target file (restricted count)")
@@ -391,25 +387,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output")
     p.set_defaults(fn=_cmd_knn)
 
-    p = sub.add_parser("kab", help="closed form on the a-by-b complete bipartite source")
+
+def _fill_kab(p):
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--b", type=int, required=True)
     _add_common(p, target=True, target_required=True, acts=True, budget=False)
     p.set_defaults(fn=_cmd_kab)
 
-    p = sub.add_parser("eta", help="optimal cross-complete pair")
+
+def _fill_eta(p):
     _add_common(p, target=True, target_required=True, acts=True, budget=False)
     p.set_defaults(fn=_cmd_eta)
 
-    p = sub.add_parser("double", help="bipartite double of a target")
+
+def _fill_double(p):
     _add_common(p, target=True, target_required=True, budget=False)
     p.set_defaults(fn=_cmd_double)
 
-    p = sub.add_parser("blowup", help="activity blow-up of a target")
+
+def _fill_blowup(p):
     _add_common(p, target=True, target_required=True, acts=True, budget=False)
     p.set_defaults(fn=_cmd_blowup)
 
-    p = sub.add_parser("certify", help="run certification checks or a campaign")
+
+def _fill_certify(p):
     p.add_argument("--config", help="campaign config file, or 'default'")
     p.add_argument("--check", choices=certify_mod.PROPOSITION_IDS,
                    help="run a single check instead of a campaign")
@@ -423,7 +424,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output")
     p.set_defaults(fn=_cmd_certify)
 
-    p = sub.add_parser("generate", help="emit an instance as a bipartite graph file")
+
+def _fill_generate(p):
     p.add_argument("--family", choices=(*GENERATED_FAMILIES, "union", "file"))
     p.add_argument("--spec", help="inline instance-spec JSON")
     p.add_argument("--spec-file", help="instance-spec file")
@@ -432,12 +434,46 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output")
     p.set_defaults(fn=_cmd_generate)
 
+
+# subcommand -> (its help line, what adds its arguments)
+_SUBCOMMANDS = {
+    "count": ("count homomorphisms (or independent sets)", _fill_count),
+    "restricted": ("count class-restricted homomorphisms", _fill_restricted),
+    "partition": ("exact weighted partition value", _fill_partition),
+    "knn": ("closed form on the n-by-n complete bipartite source", _fill_knn),
+    "kab": ("closed form on the a-by-b complete bipartite source", _fill_kab),
+    "eta": ("optimal cross-complete pair", _fill_eta),
+    "double": ("bipartite double of a target", _fill_double),
+    "blowup": ("activity blow-up of a target", _fill_blowup),
+    "certify": ("run certification checks or a campaign", _fill_certify),
+    "generate": ("emit an instance as a bipartite graph file", _fill_generate),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The homcert parser.  Every subcommand is listed, but with a known
+    ``command`` only that one gets its arguments, since each argument costs
+    a help formatter; otherwise all of them do."""
+    parser = argparse.ArgumentParser(
+        prog="homcert",
+        description="Exact homomorphism counting, closed forms, eta, and certification.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    fill_all = command not in _SUBCOMMANDS
+    for name, (help_line, fill) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        if fill_all or name == command:
+            fill(p)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # the top-level parser takes no option with a value, so its first
+    # non-option token names the subcommand
+    command = next((arg for arg in argv if not arg.startswith("-")), None)
+    args = build_parser(command).parse_args(argv)
     if hasattr(sys, "set_int_max_str_digits"):
         # exact answers print at any length; the readers still refuse an
         # input integer past the default limit (errors.input_digits)

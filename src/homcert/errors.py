@@ -43,7 +43,9 @@ class GraphFormatError(HomcertError, ValueError):
 
 
 class GenerationError(HomcertError):
-    """A random generator exhausted its resampling cap."""
+    """A random generator could not draw an instance.  The random-regular
+    sampler never raises it: past its resampling cap it peels its
+    matchings instead."""
 
 
 class BudgetExceededError(HomcertError):

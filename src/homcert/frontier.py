@@ -223,29 +223,41 @@ def _component_sum(order, nbrs, base_of, h_masks, rows_of, bits, meter, budget, 
     return states[0]
 
 
-def _hom_sum(g: Graph, base_of, h_masks, rows_of, budget: int, twins=()) -> int:
+def source_order(g: Graph) -> tuple[list[tuple[int, ...]], list[list[int]]]:
+    """(nbrs, orders): each vertex's neighbours less itself, and each
+    connected component of g in greedy order (_frontier_order), by lowest
+    vertex.  What every walk over g shares, whatever the target, so a caller
+    that walks g more than once makes it once."""
+    nbrs = [tuple(w for w in ws if w != v) for v, ws in enumerate(g.neighbors)]
+    seen = [False] * g.vertex_count
+    orders = []
+    for s in range(g.vertex_count):
+        if not seen[s]:
+            orders.append(_frontier_order(nbrs, s, seen))
+    return nbrs, orders
+
+
+def _hom_sum(g: Graph, base_of, h_masks, rows_of, budget: int, twins=(), order=None) -> int:
     """Product over connected components of the per-component assignment sums.
 
     ``rows_of[v]`` is an integer weight row for vertex v, or None overall for
     plain counting.  ``twins`` lists the masks of the walk's twin classes of
     two or more target vertices: swapping two members of one class must fix
-    h_masks, every base mask and every row.  An empty graph contributes the
-    empty product 1.
+    h_masks, every base mask and every row.  ``order`` is source_order(g),
+    for a caller that has it.  An empty graph contributes the empty product
+    1.
     """
     if len(twins) == 1 and twins[0].bit_count() == 2:
         # one pair of twins could at most halve the states, and relabelling
         # them costs more than that saves
         twins = ()
-    nbrs = [tuple(w for w in ws if w != v) for v, ws in enumerate(g.neighbors)]
+    nbrs, orders = source_order(g) if order is None else order
     bits = max(1, (len(h_masks) - 1).bit_length())
     meter = [0]
     total = 1
-    seen = [False] * g.vertex_count
-    for s in range(g.vertex_count):
-        if seen[s]:
-            continue
-        order = _frontier_order(nbrs, s, seen)
-        comp = _component_sum(order, nbrs, base_of, h_masks, rows_of, bits, meter, budget, twins)
+    for component in orders:
+        comp = _component_sum(component, nbrs, base_of, h_masks, rows_of, bits, meter, budget,
+                              twins)
         if comp == 0:
             return 0
         total *= comp

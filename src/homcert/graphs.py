@@ -15,8 +15,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from .errors import (
-    DEFAULT_BUDGET, BudgetExceededError, GenerationError, GraphFormatError, input_digits,
-    input_limit)
+    DEFAULT_BUDGET, BudgetExceededError, GraphFormatError, input_digits, input_limit)
 
 _MATCHING_RESAMPLE_CAP = 10_000
 
@@ -362,18 +361,22 @@ def gen_union(parts) -> BipartiteGraph:
 
 
 def gen_random_regular_bipartite(n: int, half: int, seed: int) -> BipartiteGraph:
-    """n-regular bipartite graph on 2*half vertices: the union of n uniformly
-    random perfect matchings, resampled from scratch until simple.
+    """n-regular simple bipartite graph on 2*half vertices, deterministic for
+    a fixed seed: the union of n uniformly random perfect matchings,
+    resampled from scratch until simple.
 
-    Deterministic for a fixed seed.  K_{half,half} is the only such graph of
-    degree half, and rejection almost never draws it, so it is returned
-    without drawing; degrees close to half can still exhaust the resamples.
+    K_{half,half} is the only such graph of degree half, and rejection almost
+    never draws it, so it is returned without drawing.  Degrees close to
+    half can exhaust the resamples; after _MATCHING_RESAMPLE_CAP of them the
+    same random stream peels the matchings one at a time instead (see
+    _peeled_matchings), which cannot fail.
     """
     if not 1 <= n <= half:
         raise ValueError("need 1 <= n <= half")
     if n == half:
         return gen_complete_bipartite(half, half)
-    getrandbits = random.Random(seed).getrandbits
+    rng = random.Random(seed)
+    getrandbits = rng.getrandbits
     # random.shuffle as CPython 3.10-3.13 writes it, inline: for i from half - 1
     # down to 1, j = getrandbits(k) with k the bit length of i + 1, drawn again
     # while j > i; the same draws, so the same graph for every seed
@@ -397,12 +400,54 @@ def gen_random_regular_bipartite(n: int, half: int, seed: int) -> BipartiteGraph
                 continue
             break  # the matching meets an earlier one: draw all n again
         else:
-            edges = [(i, half + j) for i in columns for j in columns if rows[i] >> j & 1]
-            return BipartiteGraph(Graph(2 * half, edges), columns)
-    raise GenerationError(
-        f"no simple {n}-regular union of matchings on 2*{half} vertices "
-        f"within {_MATCHING_RESAMPLE_CAP} resamples"
-    )
+            break
+    else:
+        rows = _peeled_matchings(n, half, rng)
+    edges = [(i, half + j) for i in columns for j in columns if rows[i] >> j & 1]
+    return BipartiteGraph(Graph(2 * half, edges), columns)
+
+
+def _peeled_matchings(n: int, half: int, rng: random.Random) -> list[int]:
+    """The rows (bit j of row i: the edge (i, half + j)) of n edge-disjoint
+    perfect matchings of K_{half,half}, peeled one at a time from the edges
+    not yet taken.  Each is grown row by row, in a random order, along
+    shortest augmenting paths that try the columns in a random order (Kuhn's
+    algorithm).  After i matchings the free edges are (half - i)-regular, so
+    by Hall's theorem a perfect matching of them exists, and Kuhn's
+    algorithm finds one: it never fails."""
+    full = (1 << half) - 1
+    rows = [0] * half
+    for _ in range(n):
+        free = [full & ~row for row in rows]
+        owner = [-1] * half  # column -> its row in this matching
+        taken = [-1] * half  # row -> its column in this matching
+        cols = list(range(half))
+        rng.shuffle(cols)
+        order = list(range(half))
+        rng.shuffle(order)
+        for start in order:
+            parent = {}  # column -> the row it was reached from
+            level, end = [start], -1
+            while end < 0:  # a shortest augmenting path from start exists
+                below = []
+                for r in level:
+                    for j in cols:
+                        if free[r] >> j & 1 and j not in parent:
+                            parent[j] = r
+                            if owner[j] < 0:
+                                end = j
+                                break
+                            below.append(owner[j])
+                    if end >= 0:
+                        break
+                level = below
+            j = end
+            while j >= 0:  # flip the path: each row on it takes its new column
+                r = parent[j]
+                owner[j], taken[r], j = r, j, taken[r]
+        for r, j in enumerate(taken):
+            rows[r] |= 1 << j
+    return rows
 
 
 # ---------------------------------------------------------------------------

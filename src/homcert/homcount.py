@@ -17,7 +17,7 @@ from math import lcm
 from operator import mul
 
 from .errors import DEFAULT_BUDGET, BudgetExceededError, GraphFormatError, input_digits, shown
-from .frontier import _hom_sum
+from .frontier import _hom_sum, source_order
 from .graphs import BipartiteGraph, Graph, load_doc, mask_of
 
 _ONE = Fraction(1)
@@ -196,39 +196,53 @@ class ActivitySystem:
         }
 
 
+def _pair(entry):
+    """(lambda, mu) of a {"lambda", "mu"} pair, or None if ``entry`` is not
+    one: lambda defaults to 1, and lambda alone sets both (one-sided model)."""
+    if not isinstance(entry, dict) or not entry or set(entry) - {"lambda", "mu"}:
+        return None
+    lam = entry.get("lambda", 1)
+    return lam, entry.get("mu", lam if "lambda" in entry else 1)
+
+
+def _vertex_pairs(entries, vertex_count: int, key: str) -> ActivitySystem:
+    """The system of a map from vertex indices to pairs, listed under ``key``."""
+    if not isinstance(entries, dict):
+        raise GraphFormatError(f"{key!r} must map vertex indices to pairs")
+    mapping = {}
+    for vertex, entry in entries.items():
+        pair = _pair(entry)
+        if pair is None:
+            raise GraphFormatError(f"bad activity entry for vertex {shown(vertex)}")
+        mapping[vertex] = pair
+    return ActivitySystem.from_mapping(vertex_count, mapping)
+
+
 def parse_activities(data, vertex_count: int) -> ActivitySystem:
     """Parse the activity file format.
 
     {"activities": {"<vertex>": {"lambda": "p/q", "mu": "p/q"}}}; omitted
-    vertices default to 1; "lambda" alone sets both (one-sided model).
+    vertices default to 1, and so does an omitted lambda; "lambda" alone sets
+    both (one-sided model).
     """
     data = load_doc(data)
     if set(data) != {"activities"}:
         raise GraphFormatError("activity document must be {'activities': {...}}")
-    entries = data["activities"]
-    if not isinstance(entries, dict):
-        raise GraphFormatError("'activities' must map vertex indices to pairs")
-    mapping = {}
-    for key, entry in entries.items():
-        if not isinstance(entry, dict) or not entry or set(entry) - {"lambda", "mu"}:
-            raise GraphFormatError(f"bad activity entry for vertex {shown(key)}")
-        lam = entry.get("lambda", 1)
-        mu = entry.get("mu", entry["lambda"] if "lambda" in entry else 1)
-        mapping[key] = (lam, mu)
-    return ActivitySystem.from_mapping(vertex_count, mapping)
+    return _vertex_pairs(data["activities"], vertex_count, "activities")
 
 
 def resolve_activities(entry, vertex_count: int) -> ActivitySystem:
     """An activity entry as describe() writes it, or as a campaign grid lists
-    it: also "unit", None, a bare {"lambda", "mu"} pair or an activity document."""
+    it: also "unit", None, a bare {"lambda", "mu"} pair or an activity
+    document.  Every pair reads as the activity document's do."""
     if entry is None or entry == "unit" or entry == {"unit": True}:
         return ActivitySystem.unit(vertex_count)
     if isinstance(entry, dict):
-        pair = entry["uniform"] if set(entry) == {"uniform"} else entry
-        if isinstance(pair, dict) and "lambda" in pair and not set(pair) - {"lambda", "mu"}:
-            return ActivitySystem.uniform(vertex_count, pair["lambda"], pair.get("mu"))
+        pair = _pair(entry["uniform"] if set(entry) == {"uniform"} else entry)
+        if pair is not None:
+            return ActivitySystem.uniform(vertex_count, *pair)
         if set(entry) == {"vertex"}:
-            return parse_activities({"activities": entry["vertex"]}, vertex_count)
+            return _vertex_pairs(entry["vertex"], vertex_count, "vertex")
         if set(entry) == {"activities"}:
             return parse_activities(entry, vertex_count)
     raise GraphFormatError(f"bad activity entry {shown(entry)}")
@@ -238,12 +252,14 @@ def resolve_activities(entry, vertex_count: int) -> ActivitySystem:
 # Operations
 
 
-def count_homs(g: Graph, h: Graph, budget: int = DEFAULT_BUDGET, twins=None) -> int:
+def count_homs(g: Graph, h: Graph, budget: int = DEFAULT_BUDGET, twins=None,
+               order=None) -> int:
     """Exact number of maps V(g) -> V(h) with u~v implying f(u)~f(v).
 
     g need not be bipartite or regular; a looped g-vertex must land on a
-    looped h-vertex.  ``twins`` is the unit system's twin_classes(h), for a
-    caller that already has them.
+    looped h-vertex.  ``twins`` is the unit system's twin_classes(h) and
+    ``order`` is frontier.source_order(g), for a caller that already has
+    them.
     """
     if twins is None:
         twins = ActivitySystem.unit(h.vertex_count).twin_classes(h)
@@ -251,20 +267,21 @@ def count_homs(g: Graph, h: Graph, budget: int = DEFAULT_BUDGET, twins=None) -> 
     full = (1 << h.vertex_count) - 1
     loop_mask = h.loop_mask()
     base = [loop_mask if v in g.loops else full for v in range(g.vertex_count)]
-    return _hom_sum(g, base, h_masks, None, budget, twins)
+    return _hom_sum(g, base, h_masks, None, budget, twins, order)
 
 
 def count_homs_restricted(
-    g: BipartiteGraph, target: BipartiteGraph, budget: int = DEFAULT_BUDGET
+    g: BipartiteGraph, target: BipartiteGraph, budget: int = DEFAULT_BUDGET, order=None
 ) -> int:
     """Exact count of homomorphisms sending g's class E into the target's
     class E (a two-sorted target's upper side) and class O into its class O
-    (the lower side)."""
+    (the lower side).  ``order`` is frontier.source_order(g.graph), for a
+    caller that already has it."""
     h_masks = target.graph.neighbor_masks()
     em = mask_of(target.class_e)
     om = mask_of(target.class_o)
     base = [em if v in g.class_e else om for v in range(g.vertex_count)]
-    return _hom_sum(g.graph, base, h_masks, None, budget)
+    return _hom_sum(g.graph, base, h_masks, None, budget, (), order)
 
 
 def partition_fn(
@@ -278,12 +295,12 @@ def partition_fn(
     return partition_grid(g, h, [acts], budget)[0]
 
 
-def _walk(g: BipartiteGraph, h_masks, row_e, row_o, budget: int, twins) -> int:
+def _walk(g: BipartiteGraph, h_masks, row_e, row_o, budget: int, twins, order) -> int:
     """One weighted kernel walk over the maps of g into the target:
     E-vertices weigh row_e, O-vertices row_o."""
     rows = [row_e if v in g.class_e else row_o for v in range(g.vertex_count)]
     return _hom_sum(g.graph, [(1 << len(h_masks)) - 1] * g.vertex_count, h_masks, rows, budget,
-                    twins)
+                    twins, order)
 
 
 # What one kernel step costs besides its weight arithmetic, in bits of
@@ -394,8 +411,12 @@ class GridPlan:
                             (lam.denominator * d_lam) ** ne * (mu_den * d_mu) ** no))
         return s, row_e, row_o, e_tables, systems
 
-    def run(self, g: BipartiteGraph, budget: int = DEFAULT_BUDGET) -> list[Fraction]:
-        """Z(g, h, acts) for every system of the plan, in its order."""
+    def run(self, g: BipartiteGraph, budget: int = DEFAULT_BUDGET,
+            order=None) -> list[Fraction]:
+        """Z(g, h, acts) for every system of the plan, in its order.  ``order``
+        is frontier.source_order(g.graph), for a caller that has it."""
+        if order is None:
+            order = source_order(g.graph)
         ne, no = len(g.class_e), len(g.class_o)
         tables = self._sizes.get((ne, no))
         if tables is None:
@@ -403,12 +424,12 @@ class GridPlan:
         uniform, packed, separate = tables
         values = {}
         if uniform:
-            count = Fraction(count_homs(g.graph, self.h, budget, self.unit_twins))
+            count = Fraction(count_homs(g.graph, self.h, budget, self.unit_twins, order))
             for acts, factor in uniform:
                 values[acts] = count if factor is None else count * factor
         if packed is not None:
             s, row_e, row_o, e_tables, systems = packed
-            total = _walk(g, self.h_masks, row_e, row_o, budget, self.packed_twins)
+            total = _walk(g, self.h_masks, row_e, row_o, budget, self.packed_twins, order)
             digit = (1 << s) - 1
             coeffs = [[total >> s * (j + k * (ne + 1)) & digit for j in range(ne + 1)]
                       for k in range(no + 1)]
@@ -417,7 +438,7 @@ class GridPlan:
             for acts, i, o_terms, den in systems:
                 values[acts] = Fraction(sum(map(mul, o_terms, sums[i])), den)
         for acts, (row_e, row_o, twins, den) in separate:
-            values[acts] = Fraction(_walk(g, self.h_masks, row_e, row_o, budget, twins), den)
+            values[acts] = Fraction(_walk(g, self.h_masks, row_e, row_o, budget, twins, order), den)
         return [values[acts] for acts in self.systems]
 
 

@@ -3,17 +3,20 @@ judged (BoundCheck), and the one writer of a report stream.
 
 A report's JSON line is json.dumps(report.to_dict(), sort_keys=True,
 separators=(",", ":")); the writer builds those bytes from what its reports
-share, encoded once per stream, and from each bound's kept cross products.
+share, encoded once per stream (the documents of their instances, and each
+job's Frame: the instance text around the activities), from each bound's
+kept cross products and from the strings of each report's details.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect
 from fractions import Fraction
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from math import gcd
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Callable
 
 HOLDS = "holds"
@@ -36,69 +39,61 @@ def _bound_frame(name: str, relation: str, lhs_label: str, rhs_label: str) -> tu
             f'","rhs_label":{_json(rhs_label)},"slack":')
 
 
-class BoundCheck:
+class BoundCheck(tuple):
     """One exact comparison between two power-normalized values, judged once
-    on construction from its cross products (_cross), which it keeps:
-    they decide the verdict and the equality, and their quotient is the
-    slack.  Immutable; equal and hashed by its six arguments."""
+    on construction from its cross products, which it keeps: they decide
+    the verdict and the equality, and their quotient is the slack.  An
+    immutable tuple of its six arguments and of what they decide, so it is
+    equal and hashed by its six arguments, and equal only to a BoundCheck."""
 
-    __slots__ = ("name", "relation", "lhs_label", "rhs_label", "lhs", "rhs",
-                 "verdict", "equality", "_low", "_high")
+    __slots__ = ()
 
-    def __init__(self, name: str, relation: str, lhs_label: str, rhs_label: str,
-                 lhs: Fraction, rhs: Fraction):
-        put = object.__setattr__
-        put(self, "name", name)
-        put(self, "relation", relation)  # "<=" or "=="
-        put(self, "lhs_label", lhs_label)
-        put(self, "rhs_label", rhs_label)
-        put(self, "lhs", lhs)
-        put(self, "rhs", rhs)
-        low, high = self._cross(lhs, rhs)
-        put(self, "_low", low)
-        put(self, "_high", high)
+    def __new__(cls, name: str, relation: str, lhs_label: str, rhs_label: str,
+                lhs: Fraction, rhs: Fraction):
+        # the cross products: (lhs, rhs) as numerators over their shared
+        # denominator when they have one (the sides of most bounds do), else
+        # over lhs.d * rhs.d; either way they compare as the sides do and
+        # have their quotient
+        low, low_d = lhs.as_integer_ratio()
+        high, high_d = rhs.as_integer_ratio()
+        if low_d != high_d:
+            low, high = low * high_d, high * low_d
         ok = low == high if relation == "==" else low <= high
-        put(self, "verdict", HOLDS if ok else VIOLATED)
-        put(self, "equality", low == high)
+        return tuple.__new__(cls, (name, relation, lhs_label, rhs_label, lhs, rhs,
+                                   HOLDS if ok else VIOLATED, low == high, low, high))
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"BoundCheck is immutable: cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"BoundCheck is immutable: cannot delete {name!r}")
-
-    def _args(self) -> tuple:
-        return (self.name, self.relation, self.lhs_label, self.rhs_label, self.lhs, self.rhs)
-
-    def __reduce__(self):
-        # copies and pickles are built, and so judged, by the constructor
-        return BoundCheck, self._args()
+    name = property(itemgetter(0))
+    relation = property(itemgetter(1))  # "<=" or "=="
+    lhs_label = property(itemgetter(2))
+    rhs_label = property(itemgetter(3))
+    lhs = property(itemgetter(4))
+    rhs = property(itemgetter(5))
+    verdict = property(itemgetter(6))
+    equality = property(itemgetter(7))
+    _low = property(itemgetter(8))
+    _high = property(itemgetter(9))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._args() == other._args()
+        return tuple.__eq__(self, other)
 
-    def __hash__(self) -> int:
-        return hash(self._args())
+    def __ne__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return tuple.__ne__(self, other)
+
+    __hash__ = tuple.__hash__
+
+    def __reduce__(self):
+        # copies and pickles are built, and so judged, by the constructor
+        return BoundCheck, self[:6]
 
     def __repr__(self) -> str:
         return (f"BoundCheck(name={self.name!r}, relation={self.relation!r}, "
                 f"lhs_label={self.lhs_label!r}, rhs_label={self.rhs_label!r}, "
                 f"lhs={self.lhs!r}, rhs={self.rhs!r}, verdict={self.verdict!r}, "
                 f"equality={self.equality!r})")
-
-    @staticmethod
-    def _cross(lhs: Fraction, rhs: Fraction) -> tuple[int, int]:
-        """(lhs, rhs) as numerators over one common denominator: their shared
-        denominator when they have one (the sides of most bounds do), else
-        lhs.d * rhs.d.  Either way the pair compares as the sides do and has
-        their quotient; a bound keeps it for its slack and its JSON."""
-        lhs_n, lhs_d = lhs.as_integer_ratio()
-        rhs_n, rhs_d = rhs.as_integer_ratio()
-        if lhs_d == rhs_d:
-            return lhs_n, rhs_n
-        return lhs_n * rhs_d, rhs_n * lhs_d
 
     @property
     def slack(self) -> Fraction | None:
@@ -122,40 +117,107 @@ class BoundCheck:
     def to_json(self) -> str:
         """to_dict() as compact JSON with sorted keys, written from its
         strings: the values and the slack are digits and '/'."""
-        low, high = self._low, self._high
+        name, relation, lhs_label, rhs_label, lhs, rhs, verdict, equality, low, high = self
         if low > 0:
             d = gcd(high, low)
             slack = f'"{high // d}"' if d == low else f'"{high // d}/{low // d}"'
         else:
             slack = "null"
-        mid, tail = _bound_frame(self.name, self.relation, self.lhs_label, self.rhs_label)
-        return "".join(('{"equality":', "true" if self.equality else "false", ',"lhs":"',
-                        str(self.lhs), mid, str(self.rhs), tail, slack,
-                        ',"verdict":"', self.verdict, '"}'))
+        mid, tail = _bound_frame(name, relation, lhs_label, rhs_label)
+        return "".join(('{"equality":', "true" if equality else "false", ',"lhs":"',
+                        str(lhs), mid, str(rhs), tail, slack, ',"verdict":"', verdict, '"}'))
+
+
+# a report's fields, as it compares and shows them
+_FIELDS = ("check", "instance", "bounds", "verdict", "expected_violation", "details", "note")
+_fields = attrgetter(*_FIELDS)
+
+
+class Frame:
+    """The instance that the reports of one job share but the activities:
+    ``base``, the instance without them, and ``weighted``, whether each
+    report adds its system's document under "activities" (a key of the
+    base's own overrides it).  The frame's JSON text on either side of that
+    document is made by the first line written and kept."""
+
+    __slots__ = ("base", "weighted", "_slot", "_text")
+
+    def __init__(self, base: dict, weighted: bool):
+        self.base = base
+        self.weighted = weighted
+        self._slot = weighted and "activities" not in base
+        self._text = None
+
+    def instance(self, activities) -> dict:
+        """A report's instance: the base, with ``activities`` when weighted."""
+        return {"activities": activities, **self.base} if self.weighted else dict(self.base)
+
+    def json(self, activities, encoded: dict) -> str:
+        """_json(self.instance(activities)), with the stream memo ``encoded``
+        (see CertReport.to_json_line)."""
+        head, tail = self._text or self._split(encoded)
+        return head + _shared_json(activities, encoded) + tail if self._slot else head
+
+    def _split(self, encoded: dict) -> tuple[str, str]:
+        base = self.base
+        if not self._slot:
+            text = _object_json(base, encoded, True), ""
+        else:
+            keys = sorted(base)  # strings, as "activities" is, or a TypeError as in _json
+            i = bisect(keys, "activities")
+            head = _object_json({key: base[key] for key in keys[:i]}, encoded, True)[:-1]
+            tail = _object_json({key: base[key] for key in keys[i:]}, encoded, True)[1:]
+            text = (head + ("," if i else "") + '"activities":',
+                    ("," if i < len(keys) else "") + tail)
+        self._text = text
+        return text
 
 
 class CertReport:
     """One proposition check on one instance; equal to a report with equal
-    fields."""
+    fields.
 
-    def __init__(self, check: str, instance: dict, bounds: tuple[BoundCheck, ...],
+    The reports of one job share a Frame.  A report made with one is given
+    its system's activity document in place of an instance, and its
+    instance is the frame's with that document, made when first read; until
+    then nothing can have changed it, so its line is the frame's text around
+    the document.  A report whose instance was read or set is written from
+    its instance."""
+
+    __slots__ = ("check", "_instance", "bounds", "verdict", "expected_violation", "details",
+                 "note", "_frame", "_activities", "__weakref__")
+
+    def __init__(self, check: str, instance: dict | None, bounds: tuple[BoundCheck, ...],
                  verdict: str, expected_violation: bool = False, details: dict | None = None,
-                 note: str | None = None):
+                 note: str | None = None, frame: Frame | None = None, activities=None):
         self.check = check
-        self.instance = instance
+        self._instance = instance
         self.bounds = bounds
         self.verdict = verdict
         self.expected_violation = expected_violation
         self.details = {} if details is None else details
         self.note = note
+        self._frame = frame
+        self._activities = activities
+
+    @property
+    def instance(self) -> dict:
+        if self._instance is None and self._frame is not None:
+            self._instance = self._frame.instance(self._activities)
+        return self._instance
+
+    @instance.setter
+    def instance(self, value: dict) -> None:
+        self._instance = value
+        self._frame = None
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return vars(self) == vars(other)
+        return _fields(self) == _fields(other)
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{key}={value!r}" for key, value in vars(self).items())
+        fields = ", ".join(f"{key}={value!r}" for key, value in zip(_FIELDS, _fields(self)))
         return f"CertReport({fields})"
 
     @property
@@ -177,44 +239,82 @@ class CertReport:
         return doc
 
     def to_json_line(self, encoded: dict | None = None) -> str:
-        """to_dict() as compact JSON with sorted keys, written key by key.
-        ``encoded`` is a stream's memo for what its reports share: the text of
-        each instance key, colon included, under the key, and id(value) ->
-        (value, JSON text) for each instance value other than a string or an
-        int (its documents and specs).  The memo holds each value, so its id
-        is not reused while the memo lives.  The bounds, details and note are
+        """to_dict() as compact JSON with sorted keys, written member by
+        member.  ``encoded`` is a stream's memo for what its reports share:
+        under the tuple of an object's keys, each key with its text, colon
+        included, in sorted order; and id(value) -> (value, JSON text) for
+        each document of an instance other than a string or an int (sources,
+        targets, systems, specs).  The memo holds each value, so its id is
+        not reused while the memo lives.  The bounds, details and note are
         this report's own."""
         if encoded is None:
             encoded = {}
         parts = ['{"bounds":[', ",".join([b.to_json() for b in self.bounds]),
-                 '],"check":', _json(self.check)]
+                 '],"check":', _scalar_json(self.check)]
         if self.details:
-            parts += (',"details":', _json(self.details))
+            parts += (',"details":', _object_json(self.details, encoded, False))
         parts += (',"expected_violation":', "true" if self.expected_violation else "false",
-                  ',"instance":', _instance_json(self.instance, encoded))
+                  ',"instance":')
+        if self._instance is None and self._frame is not None:
+            parts.append(self._frame.json(self._activities, encoded))
+        else:
+            parts.append(_object_json(self._instance, encoded, True))
         if self.note is not None:
-            parts += (',"note":', _json(self.note))
-        parts += (',"verdict":', _json(self.verdict), "}")
+            parts += (',"note":', _scalar_json(self.note))
+        parts += (',"verdict":', _scalar_json(self.verdict), "}")
         return "".join(parts)
 
 
-def _instance_json(instance: dict, encoded: dict) -> str:
-    """_json(instance), written key by key from the stream memo ``encoded``
-    (see CertReport.to_json_line); strings and ints are written directly."""
-    get = encoded.get
+def _scalar_json(value) -> str:
+    """_json(value), written directly for a string or an int."""
+    kind = type(value)
+    if kind is str:
+        return _string(value)
+    if kind is int:
+        return str(value)
+    return _json(value)
+
+
+def _shared_json(value, encoded: dict) -> str:
+    """_json(value) for a value that many reports hold: a string or an int
+    directly, else from the stream memo ``encoded``, once per stream."""
+    kind = type(value)
+    if kind is str:
+        return _string(value)
+    if kind is int:
+        return str(value)
+    return (encoded.get(id(value)) or encoded.setdefault(id(value), (value, _json(value))))[1]
+
+
+def _object_json(doc, encoded: dict, shared: bool) -> str:
+    """_json(doc), written member by member for a dict with string keys: its
+    keys' sorted texts from the stream memo ``encoded``, strings and ints
+    directly, and other values from the memo when ``shared`` (the documents
+    of an instance), else int lists directly (a report's own details).
+    Anything else is written by _json."""
+    if type(doc) is not dict:
+        return _json(doc)
+    keys = tuple(doc)
+    members = encoded.get(keys)
+    if members is None:
+        if not all([type(key) is str for key in keys]):
+            return _json(doc)
+        members = encoded[keys] = [(key, _string(key) + ":") for key in sorted(keys)]
     parts = []
-    for key in sorted(instance):
-        if type(key) is not str:  # never a memo key, which is a string or an id
-            return _json(instance)
-        value = instance[key]
+    for key, prefix in members:
+        value = doc[key]
         kind = type(value)
         if kind is str:
-            text = _string(value)
+            parts.append(prefix + _string(value))
         elif kind is int:
-            text = str(value)
+            parts.append(prefix + str(value))
+        elif shared:
+            parts.append(prefix + _shared_json(value, encoded))
+        elif kind is list and all([type(x) is int for x in value]):
+            # an int list's repr is its JSON with a space after each comma
+            parts.append(prefix + repr(value).replace(" ", ""))
         else:
-            text = (get(id(value)) or encoded.setdefault(id(value), (value, _json(value))))[1]
-        parts.append((get(key) or encoded.setdefault(key, _string(key) + ":")) + text)
+            return _json(doc)
     return "{" + ",".join(parts) + "}"
 
 

@@ -48,6 +48,7 @@ from homcert.certify import (
 )
 from homcert.cli import _fixture_path
 from homcert.graphs import Graph, serialize_bipartite
+from homcert.reports import Frame
 
 HIND = independence_target()
 K3 = complete_graph(3)
@@ -457,10 +458,10 @@ def _counted_campaign(monkeypatch, config):
     walks, builds = Counter(), Counter()
     kernel, build = homcount._hom_sum, certify_mod.build_instance
 
-    def counting_kernel(g, base_of, h_masks, rows_of, budget, twins=()):
+    def counting_kernel(g, base_of, h_masks, rows_of, budget, twins=(), order=None):
         if rows_of is not None:
             walks[id(g), tuple(h_masks)] += 1
-        return kernel(g, base_of, h_masks, rows_of, budget, twins)
+        return kernel(g, base_of, h_masks, rows_of, budget, twins, order)
 
     def counting_build(spec, *args):
         builds[repr(spec)] += 1
@@ -611,6 +612,46 @@ def test_report_lines_are_their_dicts_on_edge_reports(tmp_path):
     assert '"path":"k\\u00e9\\"\\\\22.json"' in stream
 
 
+# strings with non-ASCII characters, quotes and backslashes, and keys that
+# sort on either side of "activities"
+_TEXTS = st.text(max_size=6) | st.sampled_from(
+    ['k\u00e9"\\22', "\u2603", "N", "activitie", "activitiesz", "b", ""])
+# what a report's details hold, and one nested value that only _json writes
+_FLAT = st.one_of(_TEXTS, st.integers(-10**30, 10**30), st.lists(st.integers(-9, 10**20),
+                                                                 max_size=3))
+_NESTED = st.one_of(st.dictionaries(_TEXTS, st.integers(), min_size=1, max_size=2),
+                    st.booleans(), st.none(), st.lists(st.booleans(), min_size=1, max_size=2))
+_DOCS = st.dictionaries(_TEXTS, st.integers() | _TEXTS, max_size=2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(details=st.dictionaries(_TEXTS, _FLAT, max_size=4),
+       nested=st.none() | st.tuples(_TEXTS, _NESTED),
+       base=st.dictionaries(_TEXTS, _TEXTS | st.integers() | _DOCS, max_size=5),
+       own=st.none() | _DOCS, weighted=st.booleans(),
+       systems=st.lists(_DOCS, min_size=1, max_size=3), note=st.none() | _TEXTS)
+def test_framed_lines_are_their_dicts(details, nested, base, own, weighted, systems, note):
+    # the reports of one job share a frame; an instance_info with its own
+    # "activities" overrides the system's
+    if nested is not None:
+        details[nested[0]] = nested[1]
+    if own is not None:
+        base["activities"] = own
+    frame = Frame(base, weighted)
+    bound = BoundCheck("upper", "<=", "x", "y", Fraction(1, 3), Fraction(1, 2))
+    reports = [CertReport("weighted-ub", None, (bound,), HOLDS, False, details, note, frame, doc)
+               for doc in systems]
+    encoded = {}
+    lines = [r.to_json_line(encoded) for r in reports]  # before any instance is read
+    assert lines == [_dict_line(r) for r in reports]
+    assert [r.instance.get("activities") for r in reports] == [
+        own if own is not None else doc if weighted else None for doc in systems]
+    # a read instance is written from itself, and a set one as well
+    assert [r.to_json_line(encoded) for r in reports] == lines
+    reports[0].instance = {**reports[0].instance, "trial": 7}
+    assert reports[0].to_json_line(encoded) == _dict_line(reports[0])
+
+
 def test_bound_checks_are_judged_once_and_written_as_their_dicts():
     def bound(relation, lhs, rhs):
         return BoundCheck("upper", relation, "x", "y", Fraction(lhs), Fraction(rhs))
@@ -664,7 +705,8 @@ def test_kept_cross_products_judge_and_write_as_the_sides_do(relation, lhs, rhs,
 
 def test_memos_hold_only_what_reports_share(monkeypatch):
     # a second trial adds sources, and each source adds its own entries: its
-    # build, its document, and one Z grid and one Z memo per target.  Nothing
+    # build, its document, its kernel vertex order, and one Z grid and one Z
+    # memo per target.  Nothing
     # is kept per system or per report, so the memos of the cubic campaign
     # do not grow with its 3,600 reports (nor its peak RSS)
     runs = []
@@ -688,10 +730,10 @@ def test_memos_hold_only_what_reports_share(monkeypatch):
     assert one.keys() == two.keys()
     added = {name: len(two[name]) - len(one[name]) for name in one}
     new_sources, targets = 2, 2
-    assert sum(added.values()) == new_sources * (2 + 2 * targets)
+    assert sum(added.values()) == new_sources * (3 + 2 * targets)
     assert added["_docs"] == new_sources and added["_grids"] == new_sources * targets
     kinds = Counter(key[0] for key in two["_values"]) - Counter(key[0] for key in one["_values"])
-    assert kinds == {"source": new_sources, "z": new_sources * targets}
+    assert kinds == {"source": new_sources, "order": new_sources, "z": new_sources * targets}
     # the bounds' right sides are shared: one per (value, sizes), not per report
     assert one["_powers"] and added["_powers"] == 0
 
@@ -741,3 +783,13 @@ def test_resolve_activities_entries():
     assert bare.mus == (Fraction(1, 3),) * 2
     with pytest.raises(GraphFormatError):
         resolve_activities({"weird": 1}, 2)
+    # a mu-only pair reads as in an activity document: lambda defaults to 1
+    document = resolve_activities({"activities": {"0": {"mu": "2"}, "1": {"mu": "2"}}}, 2)
+    assert document.lambdas == (1, 1) and document.mus == (2, 2)
+    for entry in ({"uniform": {"mu": "2"}}, {"mu": "2"}):
+        assert resolve_activities(entry, 2) == document
+    # a malformed entry is named by its own key
+    with pytest.raises(GraphFormatError, match="'vertex' must map vertex indices to pairs"):
+        resolve_activities({"vertex": 5}, 2)
+    with pytest.raises(GraphFormatError, match="'activities' must map vertex indices to pairs"):
+        resolve_activities({"activities": 5}, 2)

@@ -861,6 +861,50 @@ def test_knn_surjections_mode(capsys):
     assert code == 2
 
 
+# one argument list per subcommand, with its options and overrides
+_PARSE_CASES = [
+    ["count", "-g", "g.json", "-H", "h.json", "--n", "3", "--independent-sets"],
+    ["restricted", "-g", "g.json", "-T", "t.json", "--budget", "5"],
+    ["partition", "-g", "g.json", "-H", "h.json", "-a", "a.json", "--seed", "7"],
+    ["knn", "--n", "2", "--surjections", "3"],
+    ["kab", "--a", "1", "--b", "2", "-H", "h.json", "-o", "out.json"],
+    ["eta", "-H", "h.json", "-a", "a.json"],
+    ["double", "-H", "h.json"],
+    ["blowup", "-H", "h.json", "-a", "a.json"],
+    ["certify", "--config", "default", "--strict", "--budget", "9"],
+    ["certify", "--check", "hom-ub", "-g", "g.json", "-H", "h.json", "--half", "4"],
+    ["generate", "--family", "cycle", "--length", "6"],
+]
+
+
+@pytest.mark.parametrize("argv", _PARSE_CASES, ids=lambda argv: " ".join(argv[:3]))
+def test_one_subcommand_parser_parses_as_the_full_one(argv):
+    full, one = build_parser().parse_args(argv), build_parser(argv[0]).parse_args(argv)
+    assert vars(one) == vars(full)
+
+
+def test_one_subcommand_parser_helps_as_the_full_one(capsys):
+    # compared within one interpreter: argparse's help text differs across
+    # Python versions
+    assert {argv[0] for argv in _PARSE_CASES} == set(SUBCOMMAND_OPERATIONS)
+    assert build_parser("certify").format_help() == build_parser().format_help()
+    for name in SUBCOMMAND_OPERATIONS:
+        helps = []
+        for parser in (build_parser(), build_parser(name)):
+            with pytest.raises(SystemExit):
+                parser.parse_args([name, "-h"])
+            helps.append(capsys.readouterr().out)
+        assert helps[0] == helps[1] and f"usage: homcert {name}" in helps[0]
+
+
+def test_an_unknown_subcommand_lists_every_choice(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bogus", "-g", "g.json"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2 and "invalid choice: 'bogus'" in err
+    assert all(f"'{name}'" in err for name in SUBCOMMAND_OPERATIONS)
+
+
 def test_subcommand_map_matches_parser():
     parser = build_parser()
     subparsers = parser._subparsers._group_actions[0]

@@ -8,7 +8,6 @@ import homcert.graphs as graphs_mod
 from homcert import (
     BipartiteGraph,
     BudgetExceededError,
-    GenerationError,
     Graph,
     GraphFormatError,
     build_instance,
@@ -186,7 +185,8 @@ def test_random_regular_full_degree_gives_complete():
 
 def _random_regular_by_shuffle(n, half, seed, cap):
     """The sampler as first written, on random.Random.shuffle: the edges of
-    the graph, or None when ``cap`` resamples run out."""
+    the graph, or when ``cap`` resamples run out, None and the random
+    stream as they leave it."""
     rng = random.Random(seed)
     for _ in range(cap):
         used = set()
@@ -198,8 +198,13 @@ def _random_regular_by_shuffle(n, half, seed, cap):
                 break
             used.update(pairs)
         else:
-            return [(i, half + j) for i, j in sorted(used)]
-    return None
+            return [(i, half + j) for i, j in sorted(used)], rng
+    return None, rng
+
+
+def _rows_graph(half, rows):
+    edges = [(i, half + j) for i in range(half) for j in range(half) if rows[i] >> j & 1]
+    return BipartiteGraph(Graph(2 * half, edges), range(half))
 
 
 @pytest.mark.parametrize("cap, degrees, seeds", [
@@ -213,13 +218,13 @@ def test_random_regular_draws_the_graphs_random_shuffle_draws(monkeypatch, cap, 
             if n >= half:
                 continue
             for seed in seeds:
-                edges = _random_regular_by_shuffle(n, half, seed, cap)
+                edges, rng = _random_regular_by_shuffle(n, half, seed, cap)
                 if edges is None:
-                    with pytest.raises(GenerationError):
-                        gen_random_regular_bipartite(n, half, seed)
+                    # past the cap, the same random stream peels the matchings
+                    expected = _rows_graph(half, graphs_mod._peeled_matchings(n, half, rng))
                 else:
-                    assert gen_random_regular_bipartite(n, half, seed) == BipartiteGraph(
-                        Graph(2 * half, edges), range(half)), (n, half, seed)
+                    expected = BipartiteGraph(Graph(2 * half, edges), range(half))
+                assert gen_random_regular_bipartite(n, half, seed) == expected, (n, half, seed)
 
 
 def test_random_regular_matching():
@@ -235,9 +240,25 @@ def test_random_regular_rejects_bad_params():
 
 
 def test_generation_cap(monkeypatch):
+    # with no resample left, the matchings are peeled from the seed's stream
     monkeypatch.setattr(graphs_mod, "_MATCHING_RESAMPLE_CAP", 0)
-    with pytest.raises(GenerationError):
-        gen_random_regular_bipartite(2, 3, 1)
+    g = gen_random_regular_bipartite(2, 3, 1)
+    assert g == _rows_graph(3, graphs_mod._peeled_matchings(2, 3, random.Random(1)))
+    assert g.regular_degree() == 2
+
+
+@pytest.mark.parametrize("n, half", [(5, 6), (5, 10), (9, 10)])
+def test_random_regular_degrees_close_to_half_never_fail(n, half):
+    # these exhaust the resamples on every seed below; the peeled matchings
+    # give a simple n-regular bipartite graph, the same one for a seed
+    graphs = [gen_random_regular_bipartite(n, half, seed) for seed in range(10)]
+    for g in graphs:
+        assert g.class_e == frozenset(range(half))
+        assert g.regular_degree() == n and len(g.graph.edges()) == n * half
+        assert all((u < half) != (v < half) for u, v in g.graph.edges())
+    assert [gen_random_regular_bipartite(n, half, seed) for seed in (0, 9)] == [graphs[0],
+                                                                                graphs[9]]
+    assert len(set(graphs)) > 1
 
 
 def test_biregular_degrees():
