@@ -147,16 +147,9 @@ class _Quantities:
         """The kernel's vertex order of g, which every walk over g shares."""
         return self.once(("order", id(g)), source_order, g.graph)
 
-    def grid(self, g: BipartiteGraph, h: Graph) -> dict:
-        """id(system) -> Z for every system of the (g, h) grid, from one run of
-        the target's plan for the grid's systems; each Z is the grid's
-        refusal if it has one, which a report that asks for it raises (_z)."""
-        try:
-            return self.once(("z", id(g), id(h)), self._grid_z, g, h)
-        except BudgetExceededError as exc:
-            return dict.fromkeys(self._grids[id(g), id(h)], exc)
-
     def _grid_z(self, g: BipartiteGraph, h: Graph) -> dict:
+        """id(system) -> Z of every system of the (g, h) grid, from one run of
+        the target's plan for the grid's systems."""
         grid = self._grids[id(g), id(h)]
         plan = self.once(("plan", id(h), *grid), GridPlan, h, grid.values(),
                          partial(self.twins, h))
@@ -186,13 +179,21 @@ class _Quantities:
 
     def reports(self, job: tuple) -> Iterator[CertReport]:
         """Judge the job's proposition on its instance, one report per system.
-        The reports share one Frame, and the job fetches its Z grid once."""
+        The reports share one Frame, and the job fetches its Z grid once,
+        when a report first asks for a Z."""
         pid, g, h, systems, fields, base = job
         _, weighted, evaluate = _PROPOSITIONS[pid]
         frame = Frame(base, weighted)
-        zs = self.grid(g, h)
+        grid = None
+
+        def z(acts: ActivitySystem) -> Fraction:
+            nonlocal grid
+            if grid is None:  # a refused grid raises again at each report
+                grid = self.once(("z", id(g), id(h)), self._grid_z, g, h)
+            return grid[id(acts)]
+
         for acts, acts_doc in systems:
-            args = (self, g, h, acts, zs[id(acts)], *fields)
+            args = (self, g, h, acts, z, *fields)
             yield _judge(pid, evaluate, args, None, False, frame, acts_doc if weighted else None)
 
 
@@ -215,17 +216,9 @@ def _judge(check, evaluate, args, instance, expected=False, frame=None,
                       activities)
 
 
-def _z(z) -> Fraction:
-    """The Z a job fetched for one system: its value, or the refusal of its
-    grid raised again."""
-    if isinstance(z, BudgetExceededError):
-        raise z.with_traceback(None)
-    return z
-
-
 # The propositions.  An evaluation takes the run's quantities, the job's
-# source, target and system, the system's Z as the job fetched it (see _z)
-# and the hypothesis fields, and asks for every number it needs in its own
+# source, target and system, the job's Z getter (its systems' Z on the job's
+# grid) and the hypothesis fields, and asks for every number it needs in its own
 # order, so the first refused quantity is the one its report names.
 
 
@@ -244,7 +237,7 @@ def _biregular(g: BipartiteGraph) -> dict:
 
 
 def _hom_ub(q, g, h, acts, z, n):
-    lhs = _z(z)
+    lhs = z(acts)
     rhs = q.knn_count(n, h)
     bound = BoundCheck("upper", "<=", "count(g,h)^(2n)", "count(Knn,h)^N",
                        lhs ** (2 * n), q.power(rhs, g.vertex_count))
@@ -252,7 +245,7 @@ def _hom_ub(q, g, h, acts, z, n):
 
 
 def _weighted_ub(q, g, h, acts, z, n):
-    z_g = _z(z)
+    z_g = z(acts)
     z_knn = q.kab(n, n, h, acts)
     bound = BoundCheck("upper", "<=", "Z(g)^(2n)", "Z(Knn)^N",
                        z_g ** (2 * n), q.power(z_knn, g.vertex_count))
@@ -260,7 +253,7 @@ def _weighted_ub(q, g, h, acts, z, n):
 
 
 def _bireg_ub(q, g, h, acts, z, a, b):
-    z_g = _z(z)
+    z_g = z(acts)
     z_kab = q.kab(b, a, h, acts)
     bound = BoundCheck("upper", "<=", "Z(g)^(a+b)", "Z(Kab)^N",
                        z_g ** (a + b), q.power(z_kab, g.vertex_count))
@@ -283,7 +276,7 @@ def _sandwich_bounds(z: Fraction, eta: Fraction, n: int, eta_n: Fraction,
 
 def _eta_sandwich(q, g, h, acts, z, n):
     witness = q.eta(h, acts)
-    z_g = _z(z)
+    z_g = z(acts)
     details = {
         "eta": str(witness.value),
         "eta_A": list(witness.set_a),
@@ -298,7 +291,7 @@ def _eta_sandwich(q, g, h, acts, z, n):
 
 def _lift_identity(q, g, h, acts, z):
     target, meta = q.once(("blowup", id(h), id(acts)), blowup, h, acts, q.budget)
-    z_g = _z(z)
+    z_g = z(acts)
     lifted = count_homs_restricted(g, target, q.budget, q.order(g))
     bound = BoundCheck("identity", "==", "Z(g)*C^N", "restricted-count(blowup)",
                        z_g * meta.scale**g.vertex_count, Fraction(lifted))
@@ -312,7 +305,7 @@ def _lift_identity(q, g, h, acts, z):
 
 
 def _double_identity(q, g, h, acts, z):
-    plain = _z(z)
+    plain = z(acts)
     restricted = count_homs_restricted(g, q.doubled(h), q.budget, q.order(g))
     bound = BoundCheck("identity", "==", "count(g,h)", "restricted-count(double)",
                        plain, Fraction(restricted))

@@ -73,15 +73,13 @@ class BoundCheck(tuple):
     _low = property(itemgetter(8))
     _high = property(itemgetter(9))
 
+    # not NotImplemented for another class: a plain tuple would then compare
+    # its own items with a bound's
     def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return tuple.__eq__(self, other)
+        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
 
     def __ne__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return tuple.__ne__(self, other)
+        return not self.__eq__(other)
 
     __hash__ = tuple.__hash__
 

@@ -680,6 +680,8 @@ def test_bound_checks_keep_their_verdict_equality_and_slack():
     for twin in (b, copy.deepcopy(b)):
         assert twin == b and hash(twin) == hash(b)
         assert (twin.verdict, twin.equality, twin.slack) == (HOLDS, False, Fraction(3, 2))
+    # equal only to a bound, not to a tuple of its fields
+    assert b != tuple(b) and tuple(b) != b and not b == tuple(b)
 
 
 # small denominators often meet, so both kinds of common denominator show
