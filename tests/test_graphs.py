@@ -222,6 +222,8 @@ def test_random_regular_draws_the_graphs_random_shuffle_draws(monkeypatch, cap, 
                 if edges is None:
                     # past the cap, the same random stream peels the matchings
                     expected = _rows_graph(half, graphs_mod._peeled_matchings(n, half, rng))
+                    assert expected.regular_degree() == n
+                    assert len(expected.graph.edges()) == n * half
                 else:
                     expected = BipartiteGraph(Graph(2 * half, edges), range(half))
                 assert gen_random_regular_bipartite(n, half, seed) == expected, (n, half, seed)
