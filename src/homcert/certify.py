@@ -217,9 +217,9 @@ def _judge(check, evaluate, args, instance, expected=False, frame=None,
 
 
 # The propositions.  An evaluation takes the run's quantities, the job's
-# source, target and system, the job's Z getter (its systems' Z on the job's
-# grid) and the hypothesis fields, and asks for every number it needs in its own
-# order, so the first refused quantity is the one its report names.
+# source, target and system, the job's Z getter and the hypothesis fields,
+# and asks for every number it needs in its own order, so the first refused
+# quantity is the one its report names.
 
 
 def _regular(g: BipartiteGraph) -> dict:
