@@ -274,19 +274,20 @@ def _sandwich_bounds(z: Fraction, eta: Fraction, n: int, eta_n: Fraction,
     ]
 
 
+def _eta_details(witness: EtaWitness) -> dict:
+    """The eta sandwich's details that every report of a (target, system)
+    shares: eta and its witness sets, as the witness's own tuples."""
+    return {"eta": str(witness.value), "eta_A": witness.set_a, "eta_B": witness.set_b}
+
+
 def _eta_sandwich(q, g, h, acts, z, n):
     witness = q.eta(h, acts)
+    shared = q.once(("eta details", id(h), id(acts)), _eta_details, witness)
     z_g = z(acts)
-    details = {
-        "eta": str(witness.value),
-        "eta_A": list(witness.set_a),
-        "eta_B": list(witness.set_b),
-        "Z_g": str(z_g),
-    }
     eta, big_n = witness.value, g.vertex_count
     bounds = _sandwich_bounds(z_g, eta, n, q.power(eta, big_n),
                               q.power(eta, n * big_n, h.vertex_count * big_n))
-    return bounds, details
+    return bounds, {**shared, "Z_g": str(z_g)}
 
 
 def _lift_identity(q, g, h, acts, z):

@@ -450,20 +450,30 @@ _SUBCOMMANDS = {
 }
 
 
+def _subparser(fill=None, **kwargs):
+    """A subcommand's parser with its arguments (``fill`` adds them), or
+    None for a subcommand that the run does not invoke."""
+    if fill is None:
+        return None
+    p = argparse.ArgumentParser(**kwargs)
+    fill(p)
+    return p
+
+
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The homcert parser.  Every subcommand is listed, but with a known
-    ``command`` only that one gets its arguments, since each argument costs
-    a help formatter; otherwise all of them do."""
+    ``command`` only that one gets a parser, since each parser and each
+    argument costs a help formatter; otherwise all of them do.  The parser
+    helps and fails alike either way, so long as the first token that is not
+    an option is ``command``."""
     parser = argparse.ArgumentParser(
         prog="homcert",
         description="Exact homomorphism counting, closed forms, eta, and certification.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_subparser)
     fill_all = command not in _SUBCOMMANDS
     for name, (help_line, fill) in _SUBCOMMANDS.items():
-        p = sub.add_parser(name, help=help_line)
-        if fill_all or name == command:
-            fill(p)
+        sub.add_parser(name, help=help_line, fill=fill if fill_all or name == command else None)
     return parser
 
 

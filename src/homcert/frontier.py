@@ -16,13 +16,17 @@ under the twin swaps and holds the orbit's summed weight.  This is the
 transfer-matrix method for chromatic polynomials (Biggs, Algebraic Graph
 Theory) on the twin reduction of Lovász (Large Networks and Graph Limits):
 into K_q the states are the set partitions of the frontier, not its
-q^frontier colourings.  A walk without twins keeps exact images, and so
-does one whose only twins are a pair, which could at most halve its states.
+q^frontier colourings.  A walk without twins keeps exact images.  One whose
+only twins are a pair keeps one state per orbit of their swap, which about
+halves its states.
 
-The budget is charged one unit per candidate orbit per state (a candidate
-image, without twins), before the new state is inserted, so a budget of 0
+The budget is charged before the new state is inserted, so a budget of 0
 refuses any nonempty instance and the state dict never holds more entries
-than the budget has seen.
+than the budget has seen.  A walk with twins of three or more, or with two
+or more classes, charges one unit per candidate orbit per state; any other
+walk charges one unit per candidate image of each exact state it stands
+for: a pair's orbit state charges its candidates once per member of its
+orbit.
 """
 
 from __future__ import annotations
@@ -80,34 +84,32 @@ def _frontier_order(nbrs, start: int, seen: list[bool]) -> list[int]:
     return order
 
 
-def _component_sum(order, nbrs, base_of, h_masks, rows_of, bits, meter, budget, twins) -> int:
-    """Weighted sum over the maps of one component, placed in ``order``;
-    each image takes ``bits`` bits of a state key.  With ``twins`` (the masks
-    of the twin classes) a key also has a bit per twin, below the images,
-    that marks the twins in use, and a bit above each image that marks its
-    twin's first appearance."""
+def _schedule(order, nbrs, bits, width, top):
+    """The slot schedule of a walk over one component in ``order``, whose
+    image fields are ``width`` bits wide from bit ``top`` up.  For each vertex
+    v in turn: (v, shifts, keep, forgot, stays, shift), where shifts are the
+    slots of v's placed neighbours, keep masks off the fields of the placed
+    neighbours that v was the last to wait for, forgot has bit s + bits for
+    each such slot s, stays lists the slots left after them, in placement
+    order, and shift is v's own slot, or None when v has no unplaced
+    neighbour."""
     pos = {v: t for t, v in enumerate(order)}
     last = {v: max((pos[w] for w in nbrs[v]), default=t) for t, v in enumerate(order)}
-    field = (1 << bits) - 1
-    twin_mask = sum(twins)
-    class_of = {j: c for c in twins for j in mask_vertices(c)}
-    width = bits + 1 if twins else bits
+    field = (1 << width) - 1
     slot = {}  # frontier vertex -> bit offset of its image, in placement order
     free = []
-    top = twin_mask.bit_length()
-    states = {0: 1}
     for t, v in enumerate(order):
         earlier = [w for w in nbrs[v] if pos[w] < t]
         shifts = [slot[w] for w in earlier]
         keep = -1
-        firsts = 0  # the flags of the forgotten images (a walk with twins has them)
+        forgot = 0
         for w in earlier:
             if last[w] == t:
-                free.append(slot.pop(w))
-                keep &= ~(((1 << width) - 1) << free[-1])
-                firsts |= 1 << free[-1] + bits
-        if twins:
-            stays = list(slot.values())
+                s = slot.pop(w)
+                free.append(s)
+                keep &= ~(field << s)
+                forgot |= 1 << s + bits
+        stays = list(slot.values())
         if last[v] > t:
             if not free:
                 free.append(top)
@@ -115,41 +117,158 @@ def _component_sum(order, nbrs, base_of, h_masks, rows_of, bits, meter, budget, 
             shift = slot[v] = free.pop()
         else:
             shift = None
+        yield v, shifts, keep, forgot, stays, shift
+
+
+def _component_sum(order, nbrs, base_of, h_masks, rows_of, bits, meter, budget, twins) -> int:
+    """Weighted sum over the maps of one component, placed in ``order``;
+    each image takes ``bits`` bits of a state key, and ``twins`` are the
+    masks of the walk's twin classes.  A walk without twins keeps exact
+    images (_exact_sum), one whose only twins are a pair keeps one state per
+    orbit of their swap (_pair_sum), and any other keeps one per orbit of
+    all the twin swaps (_orbit_sum)."""
+    if not twins:
+        return _exact_sum(order, nbrs, base_of, h_masks, rows_of, bits, meter, budget)
+    if len(twins) == 1 and twins[0].bit_count() == 2:
+        return _pair_sum(order, nbrs, base_of, h_masks, rows_of, bits, meter, budget, twins[0])
+    return _orbit_sum(order, nbrs, base_of, h_masks, rows_of, bits, meter, budget, twins)
+
+
+def _exact_sum(order, nbrs, base_of, h_masks, rows_of, bits, meter, budget) -> int:
+    """_component_sum with exact images: each state charges its candidates."""
+    field = (1 << bits) - 1
+    states = {0: 1}
+    for v, shifts, keep, _, _, shift in _schedule(order, nbrs, bits, bits, 0):
         base = base_of[v]
         row = None if rows_of is None else rows_of[v]
         new = {}
-        if not twins:
-            for key, weight in states.items():
-                m = base
-                for s in shifts:
-                    m &= h_masks[key >> s & field]
-                if not m:
-                    continue
-                meter[0] += m.bit_count()
-                if meter[0] > budget:
-                    raise BudgetExceededError(f"node-expansion budget {budget} exceeded")
-                key &= keep
-                if shift is None:
-                    if row is None:
-                        weight *= m.bit_count()
-                    else:
-                        weight *= sum(row[j] for j in mask_vertices(m))
-                    new[key] = new.get(key, 0) + weight
-                    continue
-                while m:
-                    low = m & -m
-                    m ^= low
-                    j = low.bit_length() - 1
-                    k = key | j << shift
-                    new[k] = new.get(k, 0) + (weight if row is None else weight * row[j])
-            if not new:
-                return 0
-            states = new
-            continue
-        # Orbit states: a key stands for its orbit under the twin swaps, as the
-        # member whose twins are numbered by first appearance in placement
-        # order.  A new image comes last, so only forgetting a first
-        # appearance (a flagged image) relabels, once per frontier that stays.
+        for key, weight in states.items():
+            m = base
+            for s in shifts:
+                m &= h_masks[key >> s & field]
+            if not m:
+                continue
+            meter[0] += m.bit_count()
+            if meter[0] > budget:
+                raise BudgetExceededError(f"node-expansion budget {budget} exceeded")
+            key &= keep
+            if shift is None:
+                if row is None:
+                    weight *= m.bit_count()
+                else:
+                    weight *= sum(row[j] for j in mask_vertices(m))
+                new[key] = new.get(key, 0) + weight
+                continue
+            while m:
+                low = m & -m
+                m ^= low
+                j = low.bit_length() - 1
+                k = key | j << shift
+                new[k] = new.get(k, 0) + (weight if row is None else weight * row[j])
+        if not new:
+            return 0
+        states = new
+    return states[0]
+
+
+def _pair_sum(order, nbrs, base_of, h_masks, rows_of, bits, meter, budget, pair) -> int:
+    """_component_sum with one state per orbit of the swap of the twins a < b
+    of ``pair``, holding the orbit's summed weight.  A field is bits + 1
+    wide: its top bit flags a pair member, and then its lowest bit tells a
+    (0) from b (1), so the swap of a key is ``key ^ (key & flags) >> bits``.
+    Of the two members of an orbit the key is the one whose lowest flagged
+    field holds a.  A state whose key holds a pair member stands for two
+    exact states, and charges its candidates twice, so the meter is the
+    exact walk's."""
+    bit_a = pair & -pair
+    bit_b = pair ^ bit_a
+    a = bit_a.bit_length() - 1
+    b = bit_b.bit_length() - 1
+    width = bits + 1
+    field = (1 << width) - 1
+    member = 1 << bits  # a's field; b's is member | 1
+    h_masks = [*h_masks, *[0] * (member - len(h_masks)), h_masks[a], h_masks[b]]  # by field
+    flags = sum(member << s for s in range(0, len(order) * width, width))
+    states = {0: 1}
+    for v, shifts, keep, forgot, _, shift in _schedule(order, nbrs, bits, width, 0):
+        base = base_of[v]
+        row = None if rows_of is None else rows_of[v]
+        if shift is not None:
+            below = flags & (1 << shift) - 1
+            new_a = member << shift
+            new_b = new_a | 1 << shift
+        new = {}
+        for key, weight in states.items():
+            m = base
+            for s in shifts:
+                m &= h_masks[key >> s & field]
+            if not m:
+                continue
+            n = m.bit_count()
+            meter[0] += n + n if key & flags else n
+            if meter[0] > budget:
+                raise BudgetExceededError(f"node-expansion budget {budget} exceeded")
+            relabel = key & forgot
+            key &= keep
+            if relabel:
+                # a's lowest field may be forgotten: if b's is now the lowest,
+                # the orbit's key is the swap, and its candidates swap with it
+                f = key & flags
+                if key & (f & -f) >> bits:
+                    key ^= f >> bits
+                    if (m >> a ^ m >> b) & 1:
+                        m ^= pair
+            if shift is None:
+                if row is None:
+                    weight *= n
+                else:
+                    weight *= sum(row[j] for j in mask_vertices(m))
+                new[key] = new.get(key, 0) + weight
+                continue
+            p = m & pair
+            m ^= p
+            while m:
+                low = m & -m
+                m ^= low
+                j = low.bit_length() - 1
+                k = key | j << shift
+                new[k] = new.get(k, 0) + (weight if row is None else weight * row[j])
+            if p:
+                if row is not None:
+                    weight *= row[a]
+                if p & bit_a:
+                    k = key | new_a
+                    new[k] = new.get(k, 0) + weight
+                if p & bit_b:
+                    # b's child keeps b behind a lower flagged field; else its
+                    # orbit's key is the swap, with a in the new field
+                    k = key | new_b if key & below else key ^ (key & flags) >> bits | new_a
+                    new[k] = new.get(k, 0) + weight
+        if not new:
+            return 0
+        states = new
+    return states[0]
+
+
+def _orbit_sum(order, nbrs, base_of, h_masks, rows_of, bits, meter, budget, twins) -> int:
+    """_component_sum with one state per orbit of all the twin swaps,
+    holding the orbit's summed weight: a key also has a bit per twin, below
+    the images, that marks the twins in use, and a bit above each image that
+    marks its twin's first appearance.  Each state charges its candidate
+    orbits."""
+    field = (1 << bits) - 1
+    twin_mask = sum(twins)
+    class_of = {j: c for c in twins for j in mask_vertices(c)}
+    states = {0: 1}
+    for v, shifts, keep, firsts, stays, shift in _schedule(order, nbrs, bits, bits + 1,
+                                                           twin_mask.bit_length()):
+        base = base_of[v]
+        row = None if rows_of is None else rows_of[v]
+        new = {}
+        # A key stands for its orbit as the member whose twins are numbered
+        # by first appearance in placement order.  A new image comes last,
+        # so only forgetting a first appearance (a flagged image) relabels,
+        # once per frontier that stays.
         images = sum(field << s for s in stays)
         relabelled = {}
         for key, weight in states.items():
@@ -247,10 +366,6 @@ def _hom_sum(g: Graph, base_of, h_masks, rows_of, budget: int, twins=(), order=N
     for a caller that has it.  An empty graph contributes the empty product
     1.
     """
-    if len(twins) == 1 and twins[0].bit_count() == 2:
-        # one pair of twins could at most halve the states, and relabelling
-        # them costs more than that saves
-        twins = ()
     nbrs, orders = source_order(g) if order is None else order
     bits = max(1, (len(h_masks) - 1).bit_length())
     meter = [0]

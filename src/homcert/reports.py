@@ -242,9 +242,10 @@ class CertReport:
         under the tuple of an object's keys, each key with its text, colon
         included, in sorted order; and id(value) -> (value, JSON text) for
         each document of an instance other than a string or an int (sources,
-        targets, systems, specs).  The memo holds each value, so its id is
-        not reused while the memo lives.  The bounds, details and note are
-        this report's own."""
+        targets, systems, specs) and each tuple in details (which many
+        reports share).  The memo holds each value, so its id is not reused
+        while the memo lives.  The bounds, the rest of the details and the
+        note are this report's own."""
         if encoded is None:
             encoded = {}
         parts = ['{"bounds":[', ",".join([b.to_json() for b in self.bounds]),
@@ -288,8 +289,9 @@ def _object_json(doc, encoded: dict, shared: bool) -> str:
     """_json(doc), written member by member for a dict with string keys: its
     keys' sorted texts from the stream memo ``encoded``, strings and ints
     directly, and other values from the memo when ``shared`` (the documents
-    of an instance), else int lists directly (a report's own details).
-    Anything else is written by _json."""
+    of an instance), else tuples from the memo (details that many reports
+    share, such as eta's witness sets).  Anything else is written by
+    _json."""
     if type(doc) is not dict:
         return _json(doc)
     keys = tuple(doc)
@@ -306,11 +308,8 @@ def _object_json(doc, encoded: dict, shared: bool) -> str:
             parts.append(prefix + _string(value))
         elif kind is int:
             parts.append(prefix + str(value))
-        elif shared:
+        elif shared or kind is tuple:
             parts.append(prefix + _shared_json(value, encoded))
-        elif kind is list and all([type(x) is int for x in value]):
-            # an int list's repr is its JSON with a space after each comma
-            parts.append(prefix + repr(value).replace(" ", ""))
         else:
             return _json(doc)
     return "{" + ",".join(parts) + "}"

@@ -617,8 +617,8 @@ def test_report_lines_are_their_dicts_on_edge_reports(tmp_path):
 _TEXTS = st.text(max_size=6) | st.sampled_from(
     ['k\u00e9"\\22', "\u2603", "N", "activitie", "activitiesz", "b", ""])
 # what a report's details hold, and one nested value that only _json writes
-_FLAT = st.one_of(_TEXTS, st.integers(-10**30, 10**30), st.lists(st.integers(-9, 10**20),
-                                                                 max_size=3))
+_INTS = st.lists(st.integers(-9, 10**20), max_size=3)
+_FLAT = st.one_of(_TEXTS, st.integers(-10**30, 10**30), _INTS, _INTS.map(tuple))
 _NESTED = st.one_of(st.dictionaries(_TEXTS, st.integers(), min_size=1, max_size=2),
                     st.booleans(), st.none(), st.lists(st.booleans(), min_size=1, max_size=2))
 _DOCS = st.dictionaries(_TEXTS, st.integers() | _TEXTS, max_size=2)

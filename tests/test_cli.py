@@ -897,6 +897,26 @@ def test_one_subcommand_parser_helps_as_the_full_one(capsys):
         assert helps[0] == helps[1] and f"usage: homcert {name}" in helps[0]
 
 
+def _parsed(parser, argv, capsys):
+    """(the parsed namespace or the exit code, stdout, stderr)."""
+    try:
+        result = vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        result = exc.code
+    return (result, *capsys.readouterr())
+
+
+@pytest.mark.parametrize("name", SUBCOMMAND_OPERATIONS)
+def test_one_subcommand_parser_fails_as_the_full_one(capsys, name):
+    # main builds the parser of the first token that is not an option: its
+    # usage, its help and every error it prints are the full parser's
+    one = build_parser(name)
+    assert one.format_usage() == build_parser().format_usage()
+    for argv in ([name], [name, "-h"], ["-h", name], [name, "--bogus"], [name, "stray"],
+                 [name, "--budget"], [name, "--budget", "x"], [name, "-o"], ["--bogus", name]):
+        assert _parsed(one, argv, capsys) == _parsed(build_parser(), argv, capsys)
+
+
 def test_an_unknown_subcommand_lists_every_choice(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bogus", "-g", "g.json"])

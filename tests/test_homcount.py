@@ -36,6 +36,7 @@ from helpers import (
     random_activities,
     random_bipartite,
     random_graph,
+    random_pair_target,
     random_twin_target,
     restricted_count_by_enumeration,
 )
@@ -213,6 +214,70 @@ def test_orbit_walks_match_exact_walks_on_twin_targets(seed):
         assert meter <= exact_meter
 
 
+def _pair_systems(rng, h, pair):
+    """A system equal on the pair, and 2-4 that differ from it at one vertex,
+    off the pair when h has a vertex there."""
+    m = h.vertex_count
+    a, b = (j for j in range(m) if pair >> j & 1)
+    acts = random_activities(rng, m)
+    lams, mus = list(acts.lambdas), list(acts.mus)
+    lams[b], mus[b] = lams[a], mus[a]
+    acts = ActivitySystem(tuple(lams), tuple(mus))
+    v = rng.choice([j for j in range(m) if not pair >> j & 1] or range(m))
+    systems = []
+    for _ in range(rng.randint(2, 4)):
+        lams[v], mus[v] = _rational(rng), _rational(rng)
+        systems.append(ActivitySystem(tuple(lams), tuple(mus)))
+    return acts, systems
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32))
+def test_pair_orbit_walks_charge_what_exact_walks_charge(seed):
+    # one state per orbit of a lone pair's swap, and each charges once per
+    # exact state it stands for: the values and the least budgets of exact
+    # images, not just at most them
+    rng = random.Random(seed)
+    h, pair = random_pair_target(rng)
+    g, bipartite = _source(rng, max_vertices=10), _grid_source(rng)
+    acts, systems = _pair_systems(rng, h, pair)
+    assert acts.twin_classes(h) == [pair]
+    walks = [lambda budget: count_homs(g, h, budget),
+             lambda budget: partition_fn(bipartite, h, acts, budget),
+             lambda budget: partition_grid(bipartite, h, systems, budget)]
+    pairs = [(walk(DEFAULT_BUDGET), _least_budget(walk)) for walk in walks]
+    with _exact_images():
+        exact = [(walk(DEFAULT_BUDGET), _least_budget(walk)) for walk in walks]
+    assert pairs == exact
+
+
+# the least source that needs each of the pair walk's relabelling steps
+_RELABELS = BipartiteGraph(Graph(7, [(0, 3), (0, 4), (0, 6), (1, 3), (1, 4), (1, 5), (1, 6),
+                                     (2, 3), (2, 5)]), range(3))
+
+
+@pytest.mark.parametrize("g", [gen_complete_bipartite(2, 2),
+                               BipartiteGraph(Graph(3, [(0, 1), (1, 2)]), [1]), _RELABELS],
+                         ids=["K22", "P3", "relabels"])
+def test_pair_orbit_walks_match_exact_walks_on_small_sources(g):
+    # K3 weighted at vertex 0 leaves the pair {1, 2}.  A member's image at
+    # the lowest flagged slot may be forgotten while the other's stays (the
+    # state and its candidates swap), and a new image may take a slot below
+    # a flagged one (b's child is the swapped key)
+    k3 = complete_graph(3)
+    acts = ActivitySystem.from_mapping(3, {0: ("1/2", "2")})
+    assert acts.twin_classes(k3) == [0b110]
+
+    def walk(budget):
+        return partition_fn(g, k3, acts, budget)
+
+    pair = walk(DEFAULT_BUDGET), _least_budget(walk)
+    with _exact_images():
+        exact = walk(DEFAULT_BUDGET), _least_budget(walk)
+    assert pair == exact
+    assert pair[0] == partition_by_enumeration(g, k3, acts)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 12), st.integers(1, 20), st.integers(0, 2**32))
 def test_complete_graph_counts_are_chromatic_polynomials(q, n, seed):
@@ -239,8 +304,8 @@ def test_hypercube_colourings_answer_at_the_default_budget():
 
 def test_walks_without_orbits_charge_one_unit_per_candidate_image():
     # the exact-image meter: hind has no twins, distinct lambdas leave K3
-    # none, one pair of twins (K3 weighted at vertex 0) walks exact images,
-    # and restricted counts never use twins
+    # none, one pair of twins (K3 weighted at vertex 0) keeps orbit states
+    # that charge once per exact state, and restricted counts never use twins
     k3 = complete_graph(3)
     c8 = gen_even_cycle(8)
     distinct = ActivitySystem.from_pairs([(1, 1), (2, "1/2"), (3, 3)])
