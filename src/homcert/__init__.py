@@ -21,15 +21,14 @@ from .certify import (
     sandwich_nonbipartite_demo,
     write_reports,
 )
-from .closedform import kab_partition, knn_partition, knn_restricted_count, surjection_count
+from .closedform import kab_partition, knn_restricted_count, surjection_count
 from .constructions import BlowupMeta, blowup, double, scale_constant
-from .errors import BudgetExceededError, GenerationError, GraphFormatError, HomcertError
-from .eta import EtaWitness, eta_one_sided, eta_two_sided, eta_unweighted, validate_witness
+from .errors import BudgetExceededError, GraphFormatError, HomcertError
+from .eta import EtaWitness, eta_two_sided, validate_witness
 from .graphs import (
     BipartiteGraph,
     Graph,
     build_instance,
-    check_bipartition,
     complete_graph,
     gen_complete_bipartite,
     gen_even_cycle,
@@ -51,8 +50,8 @@ from .homcount import (
     count_homs,
     count_homs_restricted,
     count_independent_sets,
-    parse_activities,
     partition_fn,
+    resolve_activities,
 )
 
 __version__ = "0.1.0"

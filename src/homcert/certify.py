@@ -19,7 +19,7 @@ from typing import Callable, Iterator, NamedTuple
 from . import closedform
 from .constructions import blowup, double
 from .errors import BudgetExceededError, GraphFormatError, input_limit
-from .eta import EtaWitness, eta_two_sided, eta_unweighted
+from .eta import EtaWitness, eta_two_sided
 from .frontier import source_order
 from .graphs import (
     BipartiteGraph,
@@ -426,7 +426,7 @@ def sandwich_nonbipartite_demo(budget: int = DEFAULT_BUDGET) -> CertReport:
 
     def evaluate():
         z = Fraction(count_homs(g, h, budget))
-        eta = eta_unweighted(h, budget).value
+        eta = eta_two_sided(h, ActivitySystem.unit(h.vertex_count), budget).value
         bounds = _sandwich_bounds(z, eta, n, eta**big_n,
                                   eta ** (n * big_n) * (1 << h.vertex_count * big_n))
         return bounds, {"eta": str(eta), "Z_g": str(z)}

@@ -18,7 +18,7 @@ from pathlib import Path
 from . import certify as certify_mod
 from .certify import DEFAULT_SEED, iter_campaign, load_campaign, write_reports
 from .constructions import blowup, double
-from .closedform import kab_partition, knn_partition, knn_restricted_count, surjection_count
+from .closedform import kab_partition, knn_restricted_count, surjection_count
 from .errors import (
     BudgetExceededError, GraphFormatError, HomcertError, input_digits, input_limit, shown)
 from .eta import eta_two_sided
@@ -59,9 +59,9 @@ SUBCOMMAND_OPERATIONS = {
     "count": ("count_homs", "count_independent_sets"),
     "restricted": ("count_homs_restricted",),
     "partition": ("partition_fn",),
-    "knn": ("knn_partition", "knn_restricted_count", "surjection_count"),
+    "knn": ("knn_restricted_count", "surjection_count"),
     "kab": ("kab_partition",),
-    "eta": ("eta_two_sided", "eta_unweighted", "eta_one_sided"),
+    "eta": ("eta_two_sided",),
     "double": ("double",),
     "blowup": ("blowup", "scale_constant"),
     "certify": (
@@ -82,7 +82,6 @@ SUBCOMMAND_OPERATIONS = {
         "gen_union",
         "gen_random_regular_bipartite",
         "parse_graph",
-        "check_bipartition",
     ),
 }
 
@@ -243,7 +242,7 @@ def _cmd_knn(args) -> dict:
         return {"count": str(knn_restricted_count(args.n, target, _budget(args)))}
     h = _load_target(args)
     acts = _load_acts(args, h.vertex_count)
-    return {"value": str(knn_partition(args.n, h, acts, _budget(args)))}
+    return {"value": str(kab_partition(args.n, args.n, h, acts, _budget(args)))}
 
 
 def _cmd_kab(args) -> dict:
@@ -303,7 +302,7 @@ def _cmd_certify(args) -> int:
         if args.config is not None:
             raise GraphFormatError("--check and --config exclude each other")
         budget = _budget(args)
-        if args.check == "nonbipartite-lower-bound-failure":
+        if args.check == certify_mod._DEMO:
             _reject_unread(args, instance_flags, f"--check {args.check}")
             reports = [certify_mod.sandwich_nonbipartite_demo(budget)]
         else:

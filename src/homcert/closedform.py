@@ -137,8 +137,3 @@ def kab_partition(
     total = sum(w * sum(lam[i] for i in mask_vertices(c)) ** a for c, w in states.items())
     return Fraction(total, d_mu**b * d_lam**a)
 
-
-def knn_partition(n: int, h: Graph, acts: ActivitySystem,
-                  budget: int = DEFAULT_BUDGET) -> Fraction:
-    """Symmetric special case of kab_partition with both sides of size n."""
-    return kab_partition(n, n, h, acts, budget)

@@ -42,12 +42,6 @@ class GraphFormatError(HomcertError, ValueError):
     """Malformed graph, activity, or config input."""
 
 
-class GenerationError(HomcertError):
-    """A random generator could not draw an instance.  The random-regular
-    sampler never raises it: past its resampling cap it peels its
-    matchings instead."""
-
-
 class BudgetExceededError(HomcertError):
     """A counting operation exceeded its node-expansion budget.
 

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 from .errors import BudgetExceededError
 from .graphs import Graph, mask_vertices
-from .homcount import DEFAULT_BUDGET, ActivitySystem, as_fraction
+from .homcount import DEFAULT_BUDGET, ActivitySystem
 
 
 class EtaWitness(NamedTuple):
@@ -78,17 +78,6 @@ def eta_two_sided(h: Graph, acts: ActivitySystem, budget: int = DEFAULT_BUDGET) 
         return EtaWitness((), (), Fraction(0))
     return EtaWitness(mask_vertices(best[0]), mask_vertices(best[1]),
                       Fraction(best_val, d_lam * d_mu))
-
-
-def eta_unweighted(h: Graph, budget: int = DEFAULT_BUDGET) -> EtaWitness:
-    """Plain biclique optimum |A|*|B| (unit activities)."""
-    return eta_two_sided(h, ActivitySystem.unit(h.vertex_count), budget)
-
-
-def eta_one_sided(h: Graph, lambdas, budget: int = DEFAULT_BUDGET) -> EtaWitness:
-    """One-sided model: the same weights on both sides of the pair."""
-    lams = tuple(as_fraction(x) for x in lambdas)
-    return eta_two_sided(h, ActivitySystem(lams, lams), budget)
 
 
 def validate_witness(h: Graph, acts: ActivitySystem, witness: EtaWitness) -> bool:

@@ -177,11 +177,6 @@ class BipartiteGraph:
         )
 
 
-def check_bipartition(g: Graph, class_e) -> BipartiteGraph:
-    """Validate an explicit bipartition; never inferred from the graph."""
-    return BipartiteGraph(g, class_e)
-
-
 # ---------------------------------------------------------------------------
 # JSON file format
 

@@ -18,7 +18,7 @@ from operator import mul
 
 from .errors import DEFAULT_BUDGET, BudgetExceededError, GraphFormatError, input_digits, shown
 from .frontier import _hom_sum, source_order
-from .graphs import BipartiteGraph, Graph, load_doc, mask_of
+from .graphs import BipartiteGraph, Graph, mask_of
 
 _ONE = Fraction(1)
 
@@ -218,23 +218,12 @@ def _vertex_pairs(entries, vertex_count: int, key: str) -> ActivitySystem:
     return ActivitySystem.from_mapping(vertex_count, mapping)
 
 
-def parse_activities(data, vertex_count: int) -> ActivitySystem:
-    """Parse the activity file format.
-
-    {"activities": {"<vertex>": {"lambda": "p/q", "mu": "p/q"}}}; omitted
-    vertices default to 1, and so does an omitted lambda; "lambda" alone sets
-    both (one-sided model).
-    """
-    data = load_doc(data)
-    if set(data) != {"activities"}:
-        raise GraphFormatError("activity document must be {'activities': {...}}")
-    return _vertex_pairs(data["activities"], vertex_count, "activities")
-
-
 def resolve_activities(entry, vertex_count: int) -> ActivitySystem:
-    """An activity entry as describe() writes it, or as a campaign grid lists
-    it: also "unit", None, a bare {"lambda", "mu"} pair or an activity
-    document.  Every pair reads as the activity document's do."""
+    """The one reader of the activity format: an entry as describe() writes
+    it or a campaign grid lists it, also "unit", None, a bare {"lambda",
+    "mu"} pair or an activity document {"activities": {"<vertex>": pair}}.
+    Omitted vertices and an omitted lambda default to 1; "lambda" alone sets
+    both (one-sided model)."""
     if entry is None or entry == "unit" or entry == {"unit": True}:
         return ActivitySystem.unit(vertex_count)
     if isinstance(entry, dict):
@@ -244,7 +233,7 @@ def resolve_activities(entry, vertex_count: int) -> ActivitySystem:
         if set(entry) == {"vertex"}:
             return _vertex_pairs(entry["vertex"], vertex_count, "vertex")
         if set(entry) == {"activities"}:
-            return parse_activities(entry, vertex_count)
+            return _vertex_pairs(entry["activities"], vertex_count, "activities")
     raise GraphFormatError(f"bad activity entry {shown(entry)}")
 
 
@@ -292,7 +281,7 @@ def partition_fn(
 
     With all activities 1 this equals count_homs exactly.
     """
-    return partition_grid(g, h, [acts], budget)[0]
+    return GridPlan(h, [acts]).run(g, budget)[0]
 
 
 def _walk(g: BipartiteGraph, h_masks, row_e, row_o, budget: int, twins, order) -> int:
@@ -311,8 +300,8 @@ _STEP_BITS = 2048
 
 
 class GridPlan:
-    """What partition_grid's walks into one target share for one list of
-    systems, whatever the source: made once per (target, systems), ``run``
+    """What the walks of Z(g, h, acts) into one target h share for one list
+    of systems, whatever the source: made once per (target, systems), ``run``
     once per source.
 
     - uniform systems (unit included) share one count_homs walk, as
@@ -414,7 +403,14 @@ class GridPlan:
     def run(self, g: BipartiteGraph, budget: int = DEFAULT_BUDGET,
             order=None) -> list[Fraction]:
         """Z(g, h, acts) for every system of the plan, in its order.  ``order``
-        is frontier.source_order(g.graph), for a caller that has it."""
+        is frontier.source_order(g.graph), for a caller that has it.
+
+        Every walk charges its own meter up to ``budget``.  The meter counts
+        candidate orbits, not weights, and a walk's twin classes depend on
+        the activities it carries, so a plan's walks need not charge what
+        partition_fn's do; each charges at most what it would with exact
+        images, so the plan answers wherever those walks answer without
+        twins, and otherwise answers partition_fn's values or refuses."""
         if order is None:
             order = source_order(g.graph)
         ne, no = len(g.class_e), len(g.class_o)
@@ -440,22 +436,6 @@ class GridPlan:
         for acts, (row_e, row_o, twins, den) in separate:
             values[acts] = Fraction(_walk(g, self.h_masks, row_e, row_o, budget, twins, order), den)
         return [values[acts] for acts in self.systems]
-
-
-def partition_grid(
-    g: BipartiteGraph, h: Graph, systems, budget: int = DEFAULT_BUDGET
-) -> list[Fraction]:
-    """Z(g, h, acts) for every system in ``systems``, from as few kernel walks
-    as the systems allow: a one-off GridPlan (see there) run on g.
-
-    Every walk charges its own meter up to ``budget``.  The meter counts
-    candidate orbits, not weights, and a walk's twin classes depend on the
-    activities it carries, so the grid's walks need not charge what
-    partition_fn's do; each charges at most what it would with exact images,
-    so the grid answers wherever those walks answer without twins, and
-    otherwise answers partition_fn's values or refuses.
-    """
-    return GridPlan(h, systems).run(g, budget)
 
 
 def count_independent_sets(g: Graph, budget: int = DEFAULT_BUDGET) -> int:

@@ -135,8 +135,9 @@ class Frame:
     """The instance that the reports of one job share but the activities:
     ``base``, the instance without them, and ``weighted``, whether each
     report adds its system's document under "activities" (a key of the
-    base's own overrides it).  The frame's JSON text on either side of that
-    document is made by the first line written and kept."""
+    base's own overrides it); unweighted, it is a plain instance.  The frame's
+    JSON text on either side of that document is made by the first line
+    written and kept."""
 
     __slots__ = ("base", "weighted", "_slot", "_text")
 
@@ -147,7 +148,8 @@ class Frame:
         self._text = None
 
     def instance(self, activities) -> dict:
-        """A report's instance: the base, with ``activities`` when weighted."""
+        """A report's instance: the base, with ``activities`` when weighted;
+        a new dict at each call."""
         return {"activities": activities, **self.base} if self.weighted else dict(self.base)
 
     def json(self, activities, encoded: dict) -> str:
@@ -175,39 +177,30 @@ class CertReport:
     """One proposition check on one instance; equal to a report with equal
     fields.
 
-    The reports of one job share a Frame.  A report made with one is given
-    its system's activity document in place of an instance, and its
-    instance is the frame's with that document, made when first read; until
-    then nothing can have changed it, so its line is the frame's text around
-    the document.  A report whose instance was read or set is written from
-    its instance."""
+    Every report is written through a Frame: the reports of one job share
+    one, each with its system's activity document, and a report made from a
+    plain ``instance`` gets Frame(instance, False).  The instance is
+    read-only: each read makes it anew from the frame, so changing what a
+    read returns changes no line."""
 
-    __slots__ = ("check", "_instance", "bounds", "verdict", "expected_violation", "details",
-                 "note", "_frame", "_activities", "__weakref__")
+    __slots__ = ("check", "bounds", "verdict", "expected_violation", "details", "note",
+                 "_frame", "_activities", "__weakref__")
 
     def __init__(self, check: str, instance: dict | None, bounds: tuple[BoundCheck, ...],
                  verdict: str, expected_violation: bool = False, details: dict | None = None,
                  note: str | None = None, frame: Frame | None = None, activities=None):
         self.check = check
-        self._instance = instance
         self.bounds = bounds
         self.verdict = verdict
         self.expected_violation = expected_violation
         self.details = {} if details is None else details
         self.note = note
-        self._frame = frame
+        self._frame = Frame(instance, False) if frame is None else frame
         self._activities = activities
 
     @property
     def instance(self) -> dict:
-        if self._instance is None and self._frame is not None:
-            self._instance = self._frame.instance(self._activities)
-        return self._instance
-
-    @instance.setter
-    def instance(self, value: dict) -> None:
-        self._instance = value
-        self._frame = None
+        return self._frame.instance(self._activities)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -253,11 +246,7 @@ class CertReport:
         if self.details:
             parts += (',"details":', _object_json(self.details, encoded, False))
         parts += (',"expected_violation":', "true" if self.expected_violation else "false",
-                  ',"instance":')
-        if self._instance is None and self._frame is not None:
-            parts.append(self._frame.json(self._activities, encoded))
-        else:
-            parts.append(_object_json(self._instance, encoded, True))
+                  ',"instance":', self._frame.json(self._activities, encoded))
         if self.note is not None:
             parts += (',"note":', _scalar_json(self.note))
         parts += (',"verdict":', _scalar_json(self.verdict), "}")

@@ -16,7 +16,6 @@ from homcert import (
     BipartiteGraph,
     EtaWitness,
     Graph,
-    check_bipartition,
 )
 
 
@@ -284,7 +283,7 @@ def random_two_sorted(rng: random.Random, max_side: int = 5, p: float = 0.5) -> 
     u = rng.randint(1, max_side)
     l = rng.randint(1, max_side)
     edges = [(i, u + j) for i in range(u) for j in range(l) if rng.random() < p]
-    return check_bipartition(Graph(u + l, edges), range(u))
+    return BipartiteGraph(Graph(u + l, edges), range(u))
 
 
 def random_activities(rng: random.Random, k: int, max_num: int = 3, max_den: int = 3) -> ActivitySystem:

@@ -26,12 +26,12 @@ from homcert import (
     count_homs,
     count_homs_restricted,
     count_independent_sets,
-    eta_unweighted,
+    eta_two_sided,
     gen_complete_bipartite,
     gen_even_cycle,
     gen_hypercube,
     independence_target,
-    knn_partition,
+    kab_partition,
     knn_restricted_count,
     parse_bipartite,
     report_stream,
@@ -84,7 +84,7 @@ def test_criterion_02_weighted_knn_closed_form():
             for lam in values:
                 for mu in values:
                     acts = ActivitySystem.from_mapping(2, {0: (lam, mu)})
-                    got = knn_partition(n, HIND, acts)
+                    got = kab_partition(n, n, HIND, acts)
                     assert got == (1 + lam) ** n + (1 + mu) ** n - 1, (n, lam, mu)
 
 
@@ -92,7 +92,7 @@ def test_criterion_03_eta_of_complete_graphs():
     with _criterion(3, "eta of complete graphs", limit=1.0):
         for k in range(2, 9):
             h = complete_graph(k)
-            w = eta_unweighted(h)
+            w = eta_two_sided(h, ActivitySystem.unit(k))
             assert w.value == (k // 2) * ((k + 1) // 2), k
             assert validate_witness(h, ActivitySystem.unit(k), w), k
 

@@ -22,6 +22,7 @@ from homcert import (
     certify_weighted_ub,
     complete_graph,
     count_homs,
+    eta_two_sided,
     gen_complete_bipartite,
     gen_even_cycle,
     gen_hypercube,
@@ -185,11 +186,9 @@ def test_bireg_incidence_graph_strict():
 def test_sandwich_pins_coloring_counts():
     # with a complete-graph target the sandwich pins the count between the
     # exact powers of the balanced-biclique value
-    from homcert import eta_unweighted
-
     for k in (2, 3, 4, 5):
         h = complete_graph(k)
-        assert eta_unweighted(h).value == (k // 2) * ((k + 1) // 2)
+        assert eta_two_sided(h, ActivitySystem.unit(k)).value == (k // 2) * ((k + 1) // 2)
         for g in (gen_even_cycle(6), gen_hypercube(3)):
             report = certify_sandwich(g, h, ActivitySystem.unit(k))
             assert report.verdict == HOLDS, (k, g)
@@ -646,10 +645,28 @@ def test_framed_lines_are_their_dicts(details, nested, base, own, weighted, syst
     assert lines == [_dict_line(r) for r in reports]
     assert [r.instance.get("activities") for r in reports] == [
         own if own is not None else doc if weighted else None for doc in systems]
-    # a read instance is written from itself, and a set one as well
+    # reading an instance changes no line
     assert [r.to_json_line(encoded) for r in reports] == lines
-    reports[0].instance = {**reports[0].instance, "trial": 7}
-    assert reports[0].to_json_line(encoded) == _dict_line(reports[0])
+
+
+def test_instances_are_read_only():
+    # changing what a read returns changes neither the line nor the dict of
+    # a framed report or of an unframed one (a plain instance, as the demo's),
+    # and an unframed report is written as its dict too
+    bound = BoundCheck("upper", "<=", "x", "y", Fraction(1, 3), Fraction(1, 2))
+    frame = Frame({"g": {"vertices": 2}, "N": 3}, True)
+    framed = CertReport("weighted-ub", None, (bound,), HOLDS, False, None, None, frame,
+                        {"unit": True})
+    plain = CertReport("hom-ub", {}, (), HOLDS)
+    for report in (framed, plain, sandwich_nonbipartite_demo()):
+        line, doc = report.to_json_line(), report.to_dict()
+        assert line == _dict_line(report)
+        instance = report.instance
+        instance["trial"] = 7
+        instance.pop("g", None)
+        assert report.to_json_line() == line and report.to_dict() == doc
+    with pytest.raises(AttributeError):
+        plain.instance = {"trial": 7}
 
 
 def test_bound_checks_are_judged_once_and_written_as_their_dicts():

@@ -76,6 +76,15 @@ def test_knn_weighted_and_restricted(capsys, tmp_path):
     assert code == 0 and json.loads(out) == {"count": "7"}
     code, out = run_cli(capsys, "knn", "--n", "2", "-H", FIX / "hind.json", "-T", target)
     assert code == 2  # exactly one of -H / -T
+    # knn -H is kab on square sides, error included
+    acts = tmp_path / "acts.json"
+    acts.write_text(json.dumps({"activities": {"1": {"lambda": "3", "mu": "1/2"}}}))
+    for n in ("0", "1", "3"):
+        for weights in ((), ("-a", acts)):
+            knn = run_cli(capsys, "knn", "--n", n, "-H", FIX / "hind.json", *weights)
+            assert knn == run_cli(capsys, "kab", "--a", n, "--b", n, "-H", FIX / "hind.json",
+                                  *weights)
+            assert knn[0] == (2 if n == "0" else 0)
 
 
 def test_kab(capsys):
@@ -269,7 +278,7 @@ def test_check_prints_the_line_of_its_certifier(capsys, tmp_path, pid):
         expected = [homcert.sandwich_nonbipartite_demo()]
     else:
         h = homcert.parse_graph(json.loads((FIX / "k3.json").read_text()))
-        acts = homcert.parse_activities(acts_doc, h.vertex_count)
+        acts = homcert.resolve_activities(acts_doc, h.vertex_count)
         expected = [certify_mod._CERTIFIERS[pid](g, h, acts, homcert.DEFAULT_BUDGET, None),
                     _PUBLIC_CERTIFIERS[pid](g, h, acts)]
     assert {r.to_json_line() + "\n" for r in expected} == {out}
@@ -830,13 +839,12 @@ def test_a_reader_that_closes_early_ends_the_run_quietly(argv, unbuffered):
 # the package's operation inventory: everything here must be reachable from
 # exactly one subcommand
 PUBLIC_OPERATIONS = (
-    "parse_graph", "check_bipartition",
+    "parse_graph",
     "gen_complete_bipartite", "gen_even_cycle", "gen_hypercube", "gen_union",
     "gen_random_regular_bipartite",
     "double", "scale_constant", "blowup",
     "count_homs", "count_homs_restricted", "partition_fn", "count_independent_sets",
-    "surjection_count", "knn_restricted_count", "knn_partition", "kab_partition",
-    "eta_two_sided", "eta_unweighted", "eta_one_sided",
+    "surjection_count", "knn_restricted_count", "kab_partition", "eta_two_sided",
     "certify_hom_ub", "certify_sandwich", "certify_weighted_ub", "certify_bireg",
     "certify_lift_identity", "certify_double_identity", "run_campaign",
 )

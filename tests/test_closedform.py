@@ -15,13 +15,12 @@ from homcert import (
     gen_complete_bipartite,
     independence_target,
     kab_partition,
-    knn_partition,
     knn_restricted_count,
     partition_fn,
     surjection_count,
 )
 from homcert.errors import DEFAULT_BUDGET
-from homcert.graphs import Graph, check_bipartition
+from homcert.graphs import BipartiteGraph, Graph
 from helpers import (
     kab_partition_by_subsets,
     knn_restricted_by_subsets,
@@ -85,7 +84,7 @@ def test_knn_restricted_examples():
     assert knn_restricted_count(2, double(HIND)) == 7
     # doubled triangle: |A|=1 gives 3*1*2^2 = 12, |A|=2 gives 3*2*1^2 = 6
     assert knn_restricted_count(2, double(complete_graph(3))) == 18
-    empty_lower = check_bipartition(Graph(3), (0, 1, 2))
+    empty_lower = BipartiteGraph(Graph(3), (0, 1, 2))
     assert knn_restricted_count(2, empty_lower) == 0
     with pytest.raises(ValueError):
         knn_restricted_count(0, double(HIND))
@@ -137,9 +136,8 @@ def test_knn_partition_unit_equals_restricted_count():
     for _ in range(20):
         h = random_graph(rng, max_vertices=4)
         for n in (1, 2, 3):
-            assert knn_partition(n, h, ActivitySystem.unit(h.vertex_count)) == knn_restricted_count(
-                n, double(h)
-            )
+            assert kab_partition(n, n, h, ActivitySystem.unit(h.vertex_count)) == (
+                knn_restricted_count(n, double(h)))
 
 
 def test_knn_partition_independence_closed_form():
@@ -147,11 +145,11 @@ def test_knn_partition_independence_closed_form():
         for lam in (Fraction(1, 2), Fraction(1), Fraction(2)):
             for mu in (Fraction(1, 2), Fraction(1), Fraction(2)):
                 acts = ActivitySystem.from_mapping(2, {0: (lam, mu)})
-                assert knn_partition(n, HIND, acts) == (1 + lam) ** n + (1 + mu) ** n - 1
+                assert kab_partition(n, n, HIND, acts) == (1 + lam) ** n + (1 + mu) ** n - 1
 
 
 def test_knn_partition_triangle_unit():
-    assert knn_partition(2, complete_graph(3), ActivitySystem.unit(3)) == 18
+    assert kab_partition(2, 2, complete_graph(3), ActivitySystem.unit(3)) == 18
 
 
 @settings(max_examples=50, deadline=None)
@@ -161,7 +159,7 @@ def test_knn_partition_matches_oracle(seed):
     h = random_graph(rng, max_vertices=3)
     acts = random_activities(rng, h.vertex_count)
     n = rng.randint(1, 3)
-    assert knn_partition(n, h, acts) == partition_fn(gen_complete_bipartite(n, n), h, acts)
+    assert kab_partition(n, n, h, acts) == partition_fn(gen_complete_bipartite(n, n), h, acts)
 
 
 def test_knn_partition_swap_symmetry():
@@ -170,7 +168,7 @@ def test_knn_partition_swap_symmetry():
         h = random_graph(rng, max_vertices=4)
         acts = random_activities(rng, h.vertex_count)
         n = rng.randint(1, 3)
-        assert knn_partition(n, h, acts) == knn_partition(n, h, acts.swapped())
+        assert kab_partition(n, n, h, acts) == kab_partition(n, n, h, acts.swapped())
 
 
 # --- biregular closed form -------------------------------------------------------
@@ -191,7 +189,7 @@ def test_kab_equals_knn_on_square_sides():
         h = random_graph(rng, max_vertices=3)
         acts = random_activities(rng, h.vertex_count)
         n = rng.randint(1, 3)
-        assert kab_partition(n, n, h, acts) == knn_partition(n, h, acts)
+        assert kab_partition(n, n, h, acts) == kab_partition_by_subsets(n, n, h, acts)
 
 
 @settings(max_examples=40, deadline=None)
@@ -266,7 +264,7 @@ def test_closed_forms_refuse_a_huge_answer_before_counting():
     with pytest.raises(BudgetExceededError, match="bits"):
         kab_partition(a + 1, 1, k3, unit)
     with pytest.raises(BudgetExceededError, match="bits"):
-        knn_partition(a, k3, unit)
+        kab_partition(a, a, k3, unit)
     # lambda = 1/1000 everywhere: 3 / 500^a, whose denominator counts too, so
     # the bound is a * (bitlen(3) + bitlen(999)) + bitlen(3) = 12a + 2 bits
     small = ActivitySystem.from_mapping(3, {v: ("1/1000", "1") for v in range(3)})

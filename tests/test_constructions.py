@@ -8,10 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from homcert import (
     ActivitySystem,
+    BipartiteGraph,
     Graph,
     GraphFormatError,
     blowup,
-    check_bipartition,
     complete_graph,
     count_homs,
     count_homs_restricted,
@@ -157,11 +157,11 @@ def test_lift_counts_partition_by_projection():
 
 def test_two_sorted_validation():
     with pytest.raises(GraphFormatError, match="does not cross the bipartition"):
-        check_bipartition(Graph(2, [(0, 1)]), (0, 1))  # edge inside upper
+        BipartiteGraph(Graph(2, [(0, 1)]), (0, 1))  # edge inside upper
     with pytest.raises(GraphFormatError, match="does not cross the bipartition"):
-        check_bipartition(Graph(3, [(1, 2)]), (0,))  # edge inside lower
+        BipartiteGraph(Graph(3, [(1, 2)]), (0,))  # edge inside lower
     with pytest.raises(GraphFormatError):
-        check_bipartition(Graph(2, [], [0]), (0,))  # loop
+        BipartiteGraph(Graph(2, [], [0]), (0,))  # loop
 
 
 def test_two_sorted_file_round_trip():

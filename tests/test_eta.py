@@ -10,12 +10,11 @@ from homcert import (
     EtaWitness,
     Graph,
     complete_graph,
-    eta_one_sided,
     eta_two_sided,
-    eta_unweighted,
     independence_target,
     validate_witness,
 )
+from homcert.homcount import resolve_activities
 from helpers import (eta_by_pair_enumeration, eta_by_subsets, random_activities, random_graph,
                      random_twin_target)
 
@@ -31,13 +30,13 @@ def _common_neighbors(h, members):
 
 def test_complete_graph_values():
     for k in range(2, 9):
-        w = eta_unweighted(complete_graph(k))
+        w = eta_two_sided(complete_graph(k), ActivitySystem.unit(k))
         assert w.value == (k // 2) * ((k + 1) // 2)
         assert validate_witness(complete_graph(k), ActivitySystem.unit(k), w)
 
 
 def test_independence_target_witness():
-    w = eta_unweighted(HIND)
+    w = eta_two_sided(HIND, ActivitySystem.unit(2))
     assert w.value == 2
     assert w.set_a == (0, 1) and w.set_b == (1,)
     assert eta_by_pair_enumeration(HIND, ActivitySystem.unit(2)) == 2
@@ -45,7 +44,7 @@ def test_independence_target_witness():
 
 def test_single_looped_vertex():
     loop = complete_graph(1, loops=True)
-    w = eta_unweighted(loop)
+    w = eta_two_sided(loop, ActivitySystem.unit(1))
     assert w.value == 1 and w.set_a == (0,) and w.set_b == (0,)
 
 
@@ -58,19 +57,19 @@ def test_weighted_independence_target():
 
 
 def test_loopless_edge():
-    w = eta_unweighted(complete_graph(2))
+    w = eta_two_sided(complete_graph(2), ActivitySystem.unit(2))
     assert w.value == 1
     assert (w.set_a, w.set_b) in {((0,), (1,)), ((1,), (0,))}
 
 
 def test_five_cycle():
     c5 = Graph(5, [(i, (i + 1) % 5) for i in range(5)])
-    w = eta_unweighted(c5)
+    w = eta_two_sided(c5, ActivitySystem.unit(5))
     assert w.value == eta_by_pair_enumeration(c5, ActivitySystem.unit(5)) == 2
 
 
 def test_no_edges_gives_empty_witness():
-    w = eta_unweighted(Graph(3))
+    w = eta_two_sided(Graph(3), ActivitySystem.unit(3))
     assert w.value == 0 and w.set_a == () and w.set_b == ()
 
 
@@ -78,17 +77,21 @@ def test_positive_iff_some_edge_or_loop():
     rng = random.Random(21)
     for _ in range(30):
         h = random_graph(rng, max_vertices=5)
-        assert (eta_unweighted(h).value >= 1) == h.has_any_edge()
+        w = eta_two_sided(h, ActivitySystem.unit(h.vertex_count))
+        assert (w.value >= 1) == h.has_any_edge()
 
 
 def test_one_sided_is_two_sided_with_equal_weights():
+    # "lambda" alone sets both sides of a vertex (the one-sided model)
     rng = random.Random(3)
     for _ in range(10):
         h = random_graph(rng, max_vertices=5)
         lams = [Fraction(rng.randint(1, 3), rng.randint(1, 2)) for _ in range(h.vertex_count)]
-        one = eta_one_sided(h, lams)
-        two = eta_two_sided(h, ActivitySystem(tuple(lams), tuple(lams)))
-        assert one == two
+        doc = {"activities": {str(v): {"lambda": str(lam)} for v, lam in enumerate(lams)}}
+        one = eta_two_sided(h, resolve_activities(doc, h.vertex_count))
+        two = ActivitySystem(tuple(lams), tuple(lams))
+        assert one == eta_two_sided(h, two)
+        assert one.value == eta_by_pair_enumeration(h, two)
 
 
 @settings(max_examples=60, deadline=None)
@@ -140,9 +143,10 @@ def test_validate_witness_rejects_wrong_claims():
 def test_subset_budget():
     # K4's vertices are twins, so the walk visits {}, {0}, {0, 1} and
     # {0, 1, 2} and tries 4 + 3 + 2 + 1 candidate vertices
+    k4, unit = complete_graph(4), ActivitySystem.unit(4)
     with pytest.raises(BudgetExceededError):
-        eta_unweighted(complete_graph(4), budget=9)
-    assert eta_unweighted(complete_graph(4), budget=10).value == 4
+        eta_two_sided(k4, unit, budget=9)
+    assert eta_two_sided(k4, unit, budget=10).value == 4
 
 
 def test_twin_free_target_walks_every_set():
@@ -171,7 +175,7 @@ def test_witness_matches_subset_oracle(seed, weights):
 def test_eta_on_a_target_past_any_subset_table():
     # 2^200 subsets; the walk of the 200-cycle's neighbourhood complex is short
     c200 = Graph(200, [(i, (i + 1) % 200) for i in range(200)])
-    assert eta_unweighted(c200) == EtaWitness((0,), (1, 199), 2)
+    assert eta_two_sided(c200, ActivitySystem.unit(200)) == EtaWitness((0,), (1, 199), 2)
 
 
 @settings(max_examples=150, deadline=None)
@@ -184,10 +188,11 @@ def test_twin_targets_match_subset_oracle(seed):
 def test_unit_k25_answers_at_once():
     # one twin class: 25 + 24 + ... + 1 candidate vertices, not 2^25 - 1
     expected = EtaWitness(tuple(range(12)), tuple(range(12, 25)), 156)
-    assert eta_unweighted(complete_graph(25)) == expected
-    assert eta_unweighted(complete_graph(25), budget=325) == expected
+    k25, unit = complete_graph(25), ActivitySystem.unit(25)
+    assert eta_two_sided(k25, unit) == expected
+    assert eta_two_sided(k25, unit, budget=325) == expected
     with pytest.raises(BudgetExceededError):
-        eta_unweighted(complete_graph(25), budget=324)
+        eta_two_sided(k25, unit, budget=324)
 
 
 def test_complete_target_with_one_weighted_vertex():

@@ -11,7 +11,6 @@ from homcert import (
     Graph,
     GraphFormatError,
     build_instance,
-    check_bipartition,
     complete_graph,
     gen_complete_bipartite,
     gen_even_cycle,
@@ -92,31 +91,31 @@ def test_serialize_parse_round_trip(doc):
 
 def test_check_bipartition_path():
     path = Graph(3, [(0, 1), (1, 2)])
-    bg = check_bipartition(path, {0, 2})
+    bg = BipartiteGraph(path, {0, 2})
     assert bg.class_o == frozenset({1})
 
 
 def test_check_bipartition_rejects_odd_cycle():
     with pytest.raises(GraphFormatError):
-        check_bipartition(complete_graph(3), {0})
+        BipartiteGraph(complete_graph(3), {0})
 
 
 def test_check_bipartition_rejects_loops():
     with pytest.raises(GraphFormatError):
-        check_bipartition(Graph(2, [(0, 1)], [0]), {0})
+        BipartiteGraph(Graph(2, [(0, 1)], [0]), {0})
 
 
 def test_check_bipartition_c4():
     c4 = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-    bg = check_bipartition(c4, {0, 2})
+    bg = BipartiteGraph(c4, {0, 2})
     assert bg.regular_degree() == 2
 
 
 def test_bipartition_not_inferred():
     # the same graph admits several orientations; the caller's choice stands
     matching = Graph(4, [(0, 1), (2, 3)])
-    one = check_bipartition(matching, {0, 2})
-    other = check_bipartition(matching, {0, 3})
+    one = BipartiteGraph(matching, {0, 2})
+    other = BipartiteGraph(matching, {0, 3})
     assert one != other
 
 
@@ -164,7 +163,7 @@ def test_generators_pass_their_own_bipartition():
         gen_union([gen_even_cycle(4), gen_complete_bipartite(1, 2)]),
         gen_random_regular_bipartite(2, 4, 9),
     ):
-        again = check_bipartition(bg.graph, bg.class_e)
+        again = BipartiteGraph(bg.graph, bg.class_e)
         assert again == bg
 
 

@@ -14,7 +14,6 @@ from homcert import (
     BudgetExceededError,
     Graph,
     GraphFormatError,
-    check_bipartition,
     complete_graph,
     count_homs,
     count_homs_restricted,
@@ -25,10 +24,10 @@ from homcert import (
     gen_hypercube,
     gen_union,
     independence_target,
-    parse_activities,
     partition_fn,
 )
-from homcert.homcount import GridPlan, as_fraction, partition_grid, resolve_activities
+from homcert.graphs import load_doc
+from homcert.homcount import GridPlan, as_fraction, resolve_activities
 from helpers import (
     hom_count_by_enumeration,
     independent_set_count_by_bitmask,
@@ -155,7 +154,7 @@ def test_frontier_restricted_matches_enumeration(seed):
     upper = rng.randint(1, 2)
     size = upper + rng.randint(1, 3 - upper)
     edges = [(u, v) for u in range(upper) for v in range(upper, size) if rng.random() < 0.6]
-    target = check_bipartition(Graph(size, edges), range(upper))
+    target = BipartiteGraph(Graph(size, edges), range(upper))
     assert count_homs_restricted(g, target) == restricted_count_by_enumeration(g, target)
 
 
@@ -244,7 +243,7 @@ def test_pair_orbit_walks_charge_what_exact_walks_charge(seed):
     assert acts.twin_classes(h) == [pair]
     walks = [lambda budget: count_homs(g, h, budget),
              lambda budget: partition_fn(bipartite, h, acts, budget),
-             lambda budget: partition_grid(bipartite, h, systems, budget)]
+             lambda budget: GridPlan(h, systems).run(bipartite, budget)]
     pairs = [(walk(DEFAULT_BUDGET), _least_budget(walk)) for walk in walks]
     with _exact_images():
         exact = [(walk(DEFAULT_BUDGET), _least_budget(walk)) for walk in walks]
@@ -330,7 +329,7 @@ def test_restricted_single_edge_into_doubled_edge():
 
 
 def test_restricted_empty_upper_side():
-    target = check_bipartition(Graph(2), ())
+    target = BipartiteGraph(Graph(2), ())
     g = gen_complete_bipartite(1, 1)
     assert count_homs_restricted(g, target) == 0
 
@@ -349,7 +348,7 @@ def test_restriction_consistency():
 def test_restriction_vacuous_equality():
     # all-upper edgeless target with an all-E source: restriction adds nothing
     g = BipartiteGraph(Graph(1), class_e={0})
-    target = check_bipartition(Graph(3), (0, 1, 2))
+    target = BipartiteGraph(Graph(3), (0, 1, 2))
     assert count_homs_restricted(g, target) == count_homs(g.graph, target.graph) == 3
 
 
@@ -426,7 +425,7 @@ def test_monotone_in_target():
         assert count_homs(g, grown) >= base
 
 
-# --- partition_grid ----------------------------------------------------------
+# --- GridPlan ----------------------------------------------------------------
 
 
 def _grid_source(rng):
@@ -444,7 +443,7 @@ def _rational(rng):
 
 def _grid_systems(rng, m):
     """1-5 systems that agree off some vertices; the shape decides which of
-    partition_grid's routes they take."""
+    GridPlan's routes they take."""
     shape = rng.choice(["one-vertex", "two-vertex", "uniform", "mixed"])
     if shape == "uniform":
         return [ActivitySystem.uniform(m, _rational(rng), _rational(rng))
@@ -471,7 +470,7 @@ def test_partition_grid_matches_partition_fn(seed):
     if h.vertex_count == 0:
         h = LOOP
     systems = _grid_systems(rng, h.vertex_count)
-    assert partition_grid(g, h, systems) == [partition_fn(g, h, acts) for acts in systems]
+    assert GridPlan(h, systems).run(g) == [partition_fn(g, h, acts) for acts in systems]
 
 
 @settings(max_examples=40, deadline=None)
@@ -508,14 +507,14 @@ def test_partition_grid_answers_wherever_its_exact_walks_do(seed):
             assert refused == [budget < least] * len(systems)
             if budget < least:
                 with pytest.raises(BudgetExceededError):
-                    partition_grid(g, h, systems, budget)
+                    GridPlan(h, systems).run(g, budget)
             else:
-                assert partition_grid(g, h, systems, budget) == values
+                assert GridPlan(h, systems).run(g, budget) == values
     for budget in {0, least // 2, least - 1, least}:
         if budget < 0:
             continue
         try:
-            answer = partition_grid(g, h, systems, budget)
+            answer = GridPlan(h, systems).run(g, budget)
         except BudgetExceededError:
             assert budget < least
         else:
@@ -532,11 +531,11 @@ def test_partition_grid_packs_one_vertex_grids_into_one_walk(monkeypatch):
     k3 = complete_graph(3)
     grid = [ActivitySystem.from_mapping(3, {0: (lam, mu), 2: ("3/2", "1/5")})
             for lam in ("1/3", "2") for mu in ("1/2", "7")]
-    assert partition_grid(g, k3, grid) == [partition_fn(g, k3, acts) for acts in grid]
+    assert GridPlan(k3, grid).run(g) == [partition_fn(g, k3, acts) for acts in grid]
     uniform = [ActivitySystem.unit(3), ActivitySystem.uniform(3, "1/2"),
                ActivitySystem.uniform(3, "3/2", "1")]
     walks.clear()
-    assert partition_grid(g, k3, grid + uniform) == [
+    assert GridPlan(k3, grid + uniform).run(g) == [
         partition_fn(g, k3, acts) for acts in grid + uniform]
     # one plain count walk for the uniform systems, one packed walk for the rest;
     # then one walk per partition_fn call
@@ -560,7 +559,7 @@ def test_packed_grids_sharing_one_side_match_partition_fn(monkeypatch, pairs):
     for h in (complete_graph(3), HIND):
         grid = [ActivitySystem.from_mapping(h.vertex_count, {1: pair}) for pair in pairs]
         walks.clear()
-        values = partition_grid(g, h, grid)
+        values = GridPlan(h, grid).run(g)
         assert len(walks) == 1  # the packed walk
         assert values == [partition_fn(g, h, acts) for acts in grid]
 
@@ -578,7 +577,7 @@ def test_partition_grid_walks_a_long_cycle_once_per_system(monkeypatch):
         g = gen_even_cycle(length)
         walks.clear()
         start = time.perf_counter()
-        values = partition_grid(g, k3, grid)
+        values = GridPlan(k3, grid).run(g)
         assert time.perf_counter() - start < 5
         assert len(walks) == 2 and None not in walks
         assert values == [partition_fn(g, k3, acts) for acts in grid]
@@ -608,7 +607,7 @@ def test_one_grid_plan_serves_sources_of_every_size(monkeypatch):
     # per source: one count walk, then one packed walk or, on C400, one per system
     assert [len(w) for w in walks] == [2, 2, 1 + len(grid), 2, 2, 2]
     assert values == [[partition_fn(g, k3, acts) for acts in systems] for g in sources]
-    assert values == [partition_grid(g, k3, systems) for g in sources]
+    assert values == [GridPlan(k3, systems).run(g) for g in sources]
 
 
 def test_activity_systems_hash_by_value():
@@ -655,7 +654,7 @@ def test_as_fraction_refuses_exponent_notation_at_once():
 
 def test_partition_grid_rejects_a_system_of_the_wrong_size():
     with pytest.raises(GraphFormatError):
-        partition_grid(gen_even_cycle(4), HIND, [ActivitySystem.unit(2), ActivitySystem.unit(3)])
+        GridPlan(HIND, [ActivitySystem.unit(2), ActivitySystem.unit(3)]).run(gen_even_cycle(4))
 
 
 # --- independent sets ----------------------------------------------------------
@@ -714,14 +713,14 @@ def test_budget_zero_refuses_everything_nonempty():
 
 
 def test_parse_activities_defaults_and_one_sided():
-    acts = parse_activities('{"activities": {"1": {"lambda": "3/2"}}}', 3)
+    acts = resolve_activities(load_doc('{"activities": {"1": {"lambda": "3/2"}}}'), 3)
     assert acts.lambdas == (1, Fraction(3, 2), 1)
     assert acts.mus == (1, Fraction(3, 2), 1)  # lambda alone sets both
-    acts = parse_activities({"activities": {"0": {"lambda": "1/3", "mu": "2"}}}, 2)
+    acts = resolve_activities({"activities": {"0": {"lambda": "1/3", "mu": "2"}}}, 2)
     assert acts.lambdas == (Fraction(1, 3), 1) and acts.mus == (2, 1)
-    acts = parse_activities({"activities": {"0": {"mu": "2"}}}, 2)
+    acts = resolve_activities({"activities": {"0": {"mu": "2"}}}, 2)
     assert acts.lambdas == (1, 1) and acts.mus == (2, 1)
-    acts = parse_activities({"activities": {}}, 2)
+    acts = resolve_activities({"activities": {}}, 2)
     assert acts.is_unit()
 
 
@@ -739,7 +738,7 @@ def test_parse_activities_defaults_and_one_sided():
 )
 def test_parse_activities_rejects(doc):
     with pytest.raises(GraphFormatError):
-        parse_activities(doc, 2)
+        resolve_activities(load_doc(doc), 2)
 
 
 def test_activity_describe_shapes():
