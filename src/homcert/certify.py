@@ -71,17 +71,24 @@ _UNSET = object()
 
 class _Quantities:
     """The one memo of a run: every number its reports ask for, computed once
-    on first use.  These are Z per (source, target), from one run of the
-    GridPlan of the target and every system the run's jobs ask of the pair
-    (an unweighted proposition's system is the unit one, so its count is a Z
-    of denominator 1), the kernel's vertex order per source, that plan per
-    (target, systems), the twin classes per
+    on first use.  These are Z per (source class, target), from one run of
+    the GridPlan of the target and every system the run's jobs ask of the
+    class's sources (an unweighted proposition's system is the unit one, so
+    its count is a Z of denominator 1), the kernel's vertex order per source
+    that walks, that plan per (target, systems), the twin classes per
     (target, system), the closed forms per (sizes, target, system), eta, the
     double and the blow-up per target or (target, system), the bounds' right
     sides per (value, exponent), the serialized sources, targets and systems,
     and a campaign's resolved sources, targets and systems.  Each computation
     charges its own meter up to the run's budget, as a direct call would; a
     refusal is kept and raised again at every use.
+
+    A source class is the sources that classify() finds side-preserving
+    isomorphic, and its first source walks for all of them: Z is an
+    invariant of such an isomorphism, but a walk's meter is not.  So a
+    refused class walk is not shared: each member then walks its own grid
+    (the systems of its own jobs), as a run without classes would, and a
+    report that answers alone answers here too.
 
     A job is a proposition on a source and a target, for each of a list of
     systems: (proposition id, source, target, [(system, its document)], the
@@ -96,19 +103,41 @@ class _Quantities:
     def __init__(self, budget: int):
         self.budget = budget
         self._values: dict = {}
-        self._grids: dict = {}  # (id(g), id(h)) -> {id(acts): acts}, in job order
+        # (id(g), id(h)) -> {id(acts): acts}, in job order: g's own Z grid
+        self._grids: dict = {}
+        # (id(first), id(h)) -> {id(acts): acts}, in job order: the Z grid of
+        # the class whose first source is ``first``, every member's systems
+        self._shared: dict = {}
+        self._firsts: dict = {}  # id(source) -> the first source of its class
+        # a source's invariant() -> the first sources of its classes, in plan order
+        self._buckets: dict = {}
         self._docs: dict = {}  # id(source, target or system) -> its report document
         # (id(value), exponent, shift) -> a bound's right side (power)
         self._powers: dict = {}
 
+    def classify(self, g: BipartiteGraph) -> BipartiteGraph:
+        """g, now a member of its class: the class of the first source before
+        it with a side-preserving isomorphism onto it, else a class of its
+        own.  Only the first sources of g's invariant() are tried, in plan
+        order."""
+        firsts = self._buckets.setdefault(g.invariant(), [])
+        first = next((f for f in firsts if g.isomorphism(f) is not None), None)
+        if first is None:
+            firsts.append(g)
+            first = g
+        self._firsts[id(g)] = first
+        return g
+
     def job(self, pid, g, h, systems: list, fields: dict, info: dict) -> tuple:
-        """The job tuple; its systems join the Z grid of (g, h), so a run
-        makes every job before its first report.  Its reports share their
-        instance but the activities: the documents of g and h, N, then the
-        info and the hypothesis fields."""
+        """The job tuple; its systems join the Z grid of (g, h) and that of
+        (the first source of g's class, h), so a run makes every job before
+        its first report.  Its reports share their instance but the
+        activities: the documents of g and h, N, then the info and the
+        hypothesis fields."""
         grid = self._grids.setdefault((id(g), id(h)), {})
+        shared = self._shared.setdefault((id(self._firsts.get(id(g), g)), id(h)), {})
         for acts, _ in systems:
-            grid[id(acts)] = acts
+            grid[id(acts)] = shared[id(acts)] = acts
         base = {"g": self._doc(g, serialize_bipartite), "h": self._doc(h, serialize_graph),
                 "N": g.vertex_count, **info, **fields}
         return pid, g, h, systems, tuple(fields.values()), base
@@ -148,9 +177,22 @@ class _Quantities:
         return self.once(("order", id(g)), source_order, g.graph)
 
     def _grid_z(self, g: BipartiteGraph, h: Graph) -> dict:
-        """id(system) -> Z of every system of the (g, h) grid, from one run of
-        the target's plan for the grid's systems."""
-        grid = self._grids[id(g), id(h)]
+        """id(system) -> Z of every system of g's grid into h, from the walk of
+        its class's grid over the class's first source.  Z is an invariant of
+        a side-preserving isomorphism, so the class shares it; a refusal is
+        not shared: then g walks its own grid."""
+        first = self._firsts.get(id(g), g)
+        try:
+            return self._walk(first, h, self._shared[id(first), id(h)])
+        except BudgetExceededError:
+            return self._walk(g, h, self._grids[id(g), id(h)])
+
+    def _walk(self, g: BipartiteGraph, h: Graph, grid: dict) -> dict:
+        """id(system) -> Z of every system of ``grid`` over g, from one run of
+        the target's plan for them; once per (g, h, systems)."""
+        return self.once(("z", id(g), id(h), *grid), self._run, g, h, grid)
+
+    def _run(self, g: BipartiteGraph, h: Graph, grid: dict) -> dict:
         plan = self.once(("plan", id(h), *grid), GridPlan, h, grid.values(),
                          partial(self.twins, h))
         return dict(zip(grid, plan.run(g, self.budget, self.order(g))))
@@ -189,7 +231,7 @@ class _Quantities:
         def z(acts: ActivitySystem) -> Fraction:
             nonlocal grid
             if grid is None:  # a refused grid raises again at each report
-                grid = self.once(("z", id(g), id(h)), self._grid_z, g, h)
+                grid = self._grid_z(g, h)
             return grid[id(acts)]
 
         for acts, acts_doc in systems:
@@ -563,9 +605,14 @@ def iter_campaign(config, base_dir=None) -> Iterator[CertReport]:
     report.  Each (proposition, source, target) is a job of the resolved
     objects with the target's systems, and the jobs are made together, so
     every Z grid is known and a number they share is computed once.  The
-    generator judges one report per job and system, in plan order; the
-    reports are the ones the public certify_* functions give one at a time,
-    and the run holds only the memo, the jobs and the report drawn.
+    generator judges one report per job and system, in plan order, and the
+    run holds only the memo, the jobs and the report drawn.
+
+    Each source joins its class (_Quantities.classify) when it is built, in
+    plan order, so every run picks the same first source per class, which
+    walks the class's Z grid (every system its members' jobs ask) once per
+    target.  A report that the public certify_* functions answer one at a
+    time is the same here; one they refuse may answer from its class's walk.
     """
     config, base_dir = load_campaign(config, base_dir)
     budget = config.get("budget", DEFAULT_BUDGET)
@@ -577,7 +624,7 @@ def iter_campaign(config, base_dir=None) -> Iterator[CertReport]:
     def sources(families):
         specs = _instance_specs(families, config["seed"], config["trials"], build_budget)
         return [q.once(("source", repr(desc)),
-                       lambda: (desc, build_instance(spec, base_dir, build_budget)))
+                       lambda: (desc, q.classify(build_instance(spec, base_dir, build_budget))))
                 for desc, spec in specs]
 
     # the plans' jobs in report order: instances that meet the hypothesis,

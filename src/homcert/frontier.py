@@ -16,9 +16,9 @@ under the twin swaps and holds the orbit's summed weight.  This is the
 transfer-matrix method for chromatic polynomials (Biggs, Algebraic Graph
 Theory) on the twin reduction of Lovász (Large Networks and Graph Limits):
 into K_q the states are the set partitions of the frontier, not its
-q^frontier colourings.  A walk without twins keeps exact images.  One whose
-only twins are a pair keeps one state per orbit of their swap, which about
-halves its states.
+q^frontier colourings.  A walk without twins, or into a two-vertex target,
+keeps exact images.  One whose only twins are a pair keeps one state per
+orbit of their swap, which about halves its states.
 
 The budget is charged before the new state is inserted, so a budget of 0
 refuses any nonempty instance and the state dict never holds more entries
@@ -123,11 +123,12 @@ def _schedule(order, nbrs, bits, width, top):
 def _component_sum(order, nbrs, base_of, h_masks, rows_of, bits, meter, budget, twins) -> int:
     """Weighted sum over the maps of one component, placed in ``order``;
     each image takes ``bits`` bits of a state key, and ``twins`` are the
-    masks of the walk's twin classes.  A walk without twins keeps exact
-    images (_exact_sum), one whose only twins are a pair keeps one state per
-    orbit of their swap (_pair_sum), and any other keeps one per orbit of
-    all the twin swaps (_orbit_sum)."""
-    if not twins:
+    masks of the walk's twin classes.  A walk without twins, or into a
+    target of two vertices (where a pair's orbits save less than they cost),
+    keeps exact images (_exact_sum), one whose only twins are a pair keeps
+    one state per orbit of their swap (_pair_sum), and any other keeps one
+    per orbit of all the twin swaps (_orbit_sum)."""
+    if not twins or len(h_masks) == 2:
         return _exact_sum(order, nbrs, base_of, h_masks, rows_of, bits, meter, budget)
     if len(twins) == 1 and twins[0].bit_count() == 2:
         return _pair_sum(order, nbrs, base_of, h_masks, rows_of, bits, meter, budget, twins[0])

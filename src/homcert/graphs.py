@@ -19,6 +19,9 @@ from .errors import (
 
 _MATCHING_RESAMPLE_CAP = 10_000
 
+# BipartiteGraph.isomorphism tries at most this many images per vertex
+_ISO_TRIES = 16
+
 _GRAPH_KEYS = {"vertices", "edges", "loops"}
 
 
@@ -122,7 +125,7 @@ class BipartiteGraph:
     side class O, and a restricted homomorphism maps E into E and O into O.
     """
 
-    __slots__ = ("graph", "class_e", "class_o")
+    __slots__ = ("graph", "class_e", "class_o", "_labels")
 
     def __init__(self, graph: Graph, class_e):
         class_e = frozenset(_check_index(v, graph.vertex_count) for v in class_e)
@@ -135,6 +138,7 @@ class BipartiteGraph:
         self.graph = graph
         self.class_e = class_e
         self.class_o = class_o
+        self._labels = None
 
     @property
     def vertex_count(self) -> int:
@@ -159,6 +163,124 @@ class BipartiteGraph:
 
     def swapped(self) -> "BipartiteGraph":
         return BipartiteGraph(self.graph, self.class_o)
+
+    def invariant(self) -> tuple:
+        """The sorted (side, degree) pairs of the vertices, side 0 for class
+        E: equal for two graphs that have a side-preserving isomorphism, and
+        cheap, so a caller can bucket graphs by it before any search."""
+        return tuple(sorted((int(v in self.class_o), len(ws))
+                            for v, ws in enumerate(self.graph.neighbors)))
+
+    def _vertex_labels(self) -> tuple[list[tuple], tuple]:
+        """(labels, their sorted tuple), made once.  A vertex's label, which
+        every side-preserving isomorphism keeps, is (its side, its degree,
+        the number of 4-cycles through it).  Costs one step per path of two
+        edges."""
+        if self._labels is None:
+            nbrs = self.graph.neighbors
+            triples = []
+            for v, ws in enumerate(nbrs):
+                # a 4-cycle through v is v, two of its neighbours and another
+                # vertex both are adjacent to
+                shared = {}
+                for u in ws:
+                    for w in nbrs[u]:
+                        shared[w] = shared.get(w, 0) + 1
+                shared[v] = 0
+                cycles = sum([c * (c - 1) for c in shared.values()]) // 2
+                triples.append((int(v in self.class_o), len(ws), cycles))
+            self._labels = triples, tuple(sorted(triples))
+        return self._labels
+
+    def isomorphism(self, other: "BipartiteGraph") -> tuple[int, ...] | None:
+        """A side-preserving isomorphism f onto ``other`` (f[v] is v's image),
+        checked edge by edge and side by side, or None.
+
+        Graphs whose sorted vertex labels (_vertex_labels) differ, so in
+        particular graphs of other vertex counts, side sizes or degrees, are
+        not searched.  The search places the vertices in breadth-first order
+        from the rarest label, each on an unused vertex of its label whose
+        placed neighbours are exactly the images of its own, and backtracks.
+        It gives up (None) after _ISO_TRIES images per vertex, so a None may
+        miss an isomorphism, but the search costs at most that."""
+        n = self.vertex_count
+        if (n != other.vertex_count or len(self.class_e) != len(other.class_e)
+                or self._vertex_labels()[1] != other._vertex_labels()[1]):
+            return None
+        labels, other_labels = self._vertex_labels()[0], other._vertex_labels()[0]
+        nbrs, other_nbrs = self.graph.neighbors, other.graph.neighbors
+        adjacent = [frozenset(ws) for ws in other_nbrs]
+        of_label = {}  # label -> other's vertices with it
+        for w, label in enumerate(other_labels):
+            of_label.setdefault(label, []).append(w)
+        order = []
+        seen = [False] * n
+        for root in sorted(range(n), key=lambda v: (len(of_label[labels[v]]), v)):
+            if seen[root]:
+                continue
+            seen[root] = True
+            level = [root]
+            while level:
+                order.extend(level)
+                below = []
+                for v in level:
+                    for u in nbrs[v]:
+                        if not seen[u]:
+                            seen[u] = True
+                            below.append(u)
+                level = below
+        pos = [0] * n
+        for t, v in enumerate(order):
+            pos[v] = t
+        earlier = [[u for u in nbrs[v] if pos[u] < t] for t, v in enumerate(order)]
+        image = [-1] * n
+        used = [False] * n  # other's vertices in use
+        used_nbrs = [0] * n  # per vertex of other, its neighbours in use
+
+        def candidates(t: int) -> list[int]:
+            """Position t's images, the lowest last."""
+            label = labels[order[t]]
+            placed = [image[u] for u in earlier[t]]
+            pool = (adjacent[placed[0]].intersection(*[adjacent[p] for p in placed[1:]])
+                    if placed else of_label[label])
+            k = len(placed)
+            return sorted([w for w in pool if not used[w] and used_nbrs[w] == k
+                           and other_labels[w] == label], reverse=True)
+
+        left = _ISO_TRIES * n
+        todo = [[] for _ in range(n)]  # per position, the images not yet tried
+        t = 0
+        if n:
+            todo[0] = candidates(0)
+        while 0 <= t < n:
+            v = order[t]
+            w = image[v]
+            if w >= 0:
+                used[w] = False
+                for x in other_nbrs[w]:
+                    used_nbrs[x] -= 1
+                image[v] = -1
+            if not todo[t]:
+                t -= 1
+                continue
+            left -= 1
+            if left < 0:
+                return None
+            image[v] = w = todo[t].pop()
+            used[w] = True
+            for x in other_nbrs[w]:
+                used_nbrs[x] += 1
+            t += 1
+            if t < n:
+                todo[t] = candidates(t)
+        if t < 0:
+            return None
+        f = tuple(image)
+        # equal labels give both graphs the same number of edges
+        if (len(set(f)) == n and {f[v] for v in self.class_e} == other.class_e
+                and all([f[v] in adjacent[f[u]] for u, v in self.graph.edges()])):
+            return f
+        return None
 
     def __eq__(self, other) -> bool:
         return (

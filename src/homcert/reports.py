@@ -149,8 +149,9 @@ class Frame:
 
     def instance(self, activities) -> dict:
         """A report's instance: the base, with ``activities`` when weighted;
-        a new dict at each call."""
-        return {"activities": activities, **self.base} if self.weighted else dict(self.base)
+        made anew at each call, every dict and list in it too."""
+        base = {"activities": activities, **self.base} if self.weighted else self.base
+        return _copied(base)
 
     def json(self, activities, encoded: dict) -> str:
         """_json(self.instance(activities)), with the stream memo ``encoded``
@@ -171,6 +172,16 @@ class Frame:
                     ("," if i < len(keys) else "") + tail)
         self._text = text
         return text
+
+
+def _copied(value):
+    """A copy of ``value`` that shares no dict or list with it."""
+    kind = type(value)
+    if kind is dict:
+        return {key: _copied(item) for key, item in value.items()}
+    if kind is list or kind is tuple:
+        return kind(map(_copied, value))
+    return value
 
 
 class CertReport:

@@ -323,3 +323,23 @@ def is_union_of_balanced_complete_bipartite(g: BipartiteGraph) -> bool:
                 if not g.graph.adjacent(u, w):
                     return False
     return True
+
+
+def side_preserving_isomorphic(a: BipartiteGraph, b: BipartiteGraph) -> bool:
+    """Whether some bijection that maps class E onto class E and class O
+    onto class O maps a's edges onto b's: every such bijection is tried."""
+    if (len(a.class_e), len(a.class_o)) != (len(b.class_e), len(b.class_o)):
+        return False
+    edges_b = {frozenset(e) for e in b.graph.edges()}
+    for images_e in itertools.permutations(sorted(b.class_e)):
+        for images_o in itertools.permutations(sorted(b.class_o)):
+            f = {**dict(zip(sorted(a.class_e), images_e)), **dict(zip(sorted(a.class_o), images_o))}
+            if {frozenset((f[u], f[v])) for u, v in a.graph.edges()} == edges_b:
+                return True
+    return False
+
+
+def relabelled(g: BipartiteGraph, perm) -> BipartiteGraph:
+    """g with each vertex v renamed perm[v], its sides kept."""
+    edges = [(perm[u], perm[v]) for u, v in g.graph.edges()]
+    return BipartiteGraph(Graph(g.vertex_count, edges), [perm[v] for v in g.class_e])

@@ -37,7 +37,7 @@ from homcert import (
     sandwich_nonbipartite_demo,
     write_reports,
 )
-from homcert import certify as certify_mod, homcount
+from homcert import certify as certify_mod, graphs as graphs_mod, homcount
 from homcert.certify import (
     HOLDS,
     SKIPPED_BUDGET,
@@ -48,7 +48,7 @@ from homcert.certify import (
     resolve_target,
 )
 from homcert.cli import _fixture_path
-from homcert.graphs import Graph, serialize_bipartite
+from homcert.graphs import Graph, needs_seed, parse_instance_spec, serialize_bipartite
 from homcert.reports import Frame
 
 HIND = independence_target()
@@ -433,12 +433,17 @@ _ONE_AT_A_TIME = {
 
 
 def _reports_one_at_a_time(config):
-    """The reports of a campaign of random cubic sources (every one meets
-    every hypothesis), one public certify_* call each."""
+    """The reports of a campaign of cubic sources (every one meets every
+    hypothesis), one public certify_* call each."""
     sources = []
+    seed = config["seed"]
     for family in config["families"]:
+        if not needs_seed(parse_instance_spec(family)):
+            sources.append((family, build_instance(family)))
+            continue
         for _ in range(config["trials"]):
-            seeded = {**family, "seed": config["seed"] + len(sources)}
+            seeded = {**family, "seed": seed}
+            seed += 1
             sources.append(({**seeded, "seed_rule": "master_seed+index"}, build_instance(seeded)))
     targets = [(entry, resolve_target(entry)) for entry in config["grids"]["targets"]]
     return [
@@ -491,15 +496,71 @@ def test_campaign_equals_one_report_at_a_time(monkeypatch, budget, verdicts):
     assert len(builds) == 4 and set(builds.values()) == {1}
 
 
-def test_cubic_campaign_makes_one_z_walk_per_source_and_target(monkeypatch):
+def test_cubic_campaign_makes_one_z_walk_per_class_and_target(monkeypatch):
     config = _cubic_config((4, 5, 6, 7, 8), 20, 50_000_000,
                            ["weighted-ub", "eta-sandwich", "nonbipartite-lower-bound-failure"])
     reports, walks, builds = _counted_campaign(monkeypatch, config)
     assert len(reports) == 3601
-    # 100 sources x 2 targets, one packed walk each, where one walk per
-    # report took 3,600
-    assert len(walks) == 200 and set(walks.values()) == {1}
+    # the 100 sources fall into 1, 2, 6, 10 and 15 side-preserving
+    # isomorphism classes for half 4 to 8: 34 classes x 2 targets, one packed
+    # walk each, where one walk per source took 200 and one per report 3,600
+    assert len(walks) == 68 and set(walks.values()) == {1}
     assert len(builds) == 100 and set(builds.values()) == {1}
+
+
+def _refusals_not_shared(config, budgets) -> int:
+    """At each budget, every report that answers alone has its line in the
+    campaign, and one refused alone is refused there or has its line at a
+    budget that refuses nothing; the number of the latter, over all budgets."""
+    unrefused = [r.to_json_line() for r in _reports_one_at_a_time({**config, "budget": 10**9})]
+    decided = 0
+    for budget in budgets:
+        config = {**config, "budget": budget}
+        for shared, alone, line in zip(run_campaign(config), _reports_one_at_a_time(config),
+                                       unrefused, strict=True):
+            if alone.verdict != SKIPPED_BUDGET:
+                assert shared.to_json_line() == alone.to_json_line()
+            elif shared.verdict != SKIPPED_BUDGET:
+                assert shared.to_json_line() == line
+                decided += 1
+    return decided
+
+
+def test_a_campaign_never_refuses_what_one_report_answers():
+    # isomorphic sources share their class's walk, but not its refusal
+    cubic = _cubic_config((4, 5, 6), 3, 0, ["weighted-ub", "eta-sandwich"])
+    _refusals_not_shared(cubic, [0, 80, 160, 320, 480, 640])
+    # half 6 from seed 3: seeds 3, 6, 7 and 8 are one class whose first walk
+    # (3's) costs the least, so at 140 and 530 the class answers what 6, 7
+    # and 8 refuse alone; seeds 4 and 5 are one class whose first walk costs
+    # more, so at 110 (into hind) 4's walk is refused and 5 walks its own
+    labelled = {**_cubic_config((6,), 6, 0, ["weighted-ub", "eta-sandwich"]), "seed": 3}
+    assert _refusals_not_shared(labelled, [110, 140, 530]) > 0
+
+
+def test_isomorphic_sources_of_two_families_share_one_walk(monkeypatch):
+    # K_{4,4} less a perfect matching is Q3
+    config = {**_cubic_config((4,), 1, 50_000_000, ["weighted-ub", "eta-sandwich"]),
+              "families": [{"family": "hypercube", "dim": 3},
+                           {"family": "random-regular", "degree": 3, "half": 4}]}
+    reports, walks, builds = _counted_campaign(monkeypatch, config)
+    assert len(walks) == 2 and set(walks.values()) == {1}
+    assert len(builds) == 2
+    assert [r.to_json_line() for r in reports] == [
+        r.to_json_line() for r in _reports_one_at_a_time(config)]
+    assert {r.verdict for r in reports} == {HOLDS}
+
+
+def test_a_source_past_the_search_limit_walks_alone(monkeypatch):
+    # a search that gives up costs only a walk: one class per source, the
+    # same lines.  The two draws of half 4 are one class, those of half 5 two
+    config = _cubic_config((4, 5), 2, 50_000_000, ["weighted-ub"])
+    shared, walks, _ = _counted_campaign(monkeypatch, config)
+    assert len(walks) == 3 * 2
+    monkeypatch.setattr(graphs_mod, "_ISO_TRIES", 0)
+    alone, walks, _ = _counted_campaign(monkeypatch, config)
+    assert len(walks) == 4 * 2
+    assert [r.to_json_line() for r in alone] == [r.to_json_line() for r in shared]
 
 
 def test_campaigns_plan_each_grid_once_and_each_twin_class_list_once(monkeypatch):
@@ -654,7 +715,7 @@ def test_instances_are_read_only():
     # a framed report or of an unframed one (a plain instance, as the demo's),
     # and an unframed report is written as its dict too
     bound = BoundCheck("upper", "<=", "x", "y", Fraction(1, 3), Fraction(1, 2))
-    frame = Frame({"g": {"vertices": 2}, "N": 3}, True)
+    frame = Frame({"g": {"vertices": 2, "edges": [[0, 1]]}, "N": 3}, True)
     framed = CertReport("weighted-ub", None, (bound,), HOLDS, False, None, None, frame,
                         {"unit": True})
     plain = CertReport("hom-ub", {}, (), HOLDS)
@@ -665,6 +726,11 @@ def test_instances_are_read_only():
         instance["trial"] = 7
         instance.pop("g", None)
         assert report.to_json_line() == line and report.to_dict() == doc
+        # nested too: an edge appended to a read's source document
+        edges = report.instance.get("g", {}).get("edges")
+        if edges is not None:
+            edges.append([0, 0])
+        assert report.to_json_line() == line == _dict_line(report)
     with pytest.raises(AttributeError):
         plain.instance = {"trial": 7}
 
@@ -724,10 +790,11 @@ def test_kept_cross_products_judge_and_write_as_the_sides_do(relation, lhs, rhs,
 
 def test_memos_hold_only_what_reports_share(monkeypatch):
     # a second trial adds sources, and each source adds its own entries: its
-    # build, its document, its kernel vertex order, and one Z grid and one Z
-    # memo per target.  Nothing
-    # is kept per system or per report, so the memos of the cubic campaign
-    # do not grow with its 3,600 reports (nor its peak RSS)
+    # build, its document, its class entry and one Z grid per target.  Each
+    # new class adds the entries of its first source's walks: its kernel
+    # vertex order, and one shared Z grid and one Z memo per target.  Nothing
+    # is kept per system or per report, so the memos of the cubic campaign do
+    # not grow with its 3,600 reports (nor its peak RSS)
     runs = []
 
     class Spy(certify_mod._Quantities):
@@ -748,11 +815,17 @@ def test_memos_hold_only_what_reports_share(monkeypatch):
     one, two = memos(1), memos(2)
     assert one.keys() == two.keys()
     added = {name: len(two[name]) - len(one[name]) for name in one}
-    new_sources, targets = 2, 2
-    assert sum(added.values()) == new_sources * (3 + 2 * targets)
-    assert added["_docs"] == new_sources and added["_grids"] == new_sources * targets
+    # one trial draws a class per half; two draw one class of half 4 (K_{4,4}
+    # less a perfect matching) and two of half 5, in the buckets of one
+    # trial's (side, degree) pairs
+    new_sources, new_classes, targets = 2, 1, 2
+    assert sum(added.values()) == (new_sources * (3 + targets)
+                                   + new_classes * (1 + 2 * targets))
+    assert added["_docs"] == added["_firsts"] == new_sources
+    assert added["_grids"] == new_sources * targets
+    assert added["_buckets"] == 0 and added["_shared"] == new_classes * targets
     kinds = Counter(key[0] for key in two["_values"]) - Counter(key[0] for key in one["_values"])
-    assert kinds == {"source": new_sources, "order": new_sources, "z": new_sources * targets}
+    assert kinds == {"source": new_sources, "order": new_classes, "z": new_classes * targets}
     # the bounds' right sides are shared: one per (value, sizes), not per report
     assert one["_powers"] and added["_powers"] == 0
 

@@ -2,7 +2,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import homcert.graphs as graphs_mod
 from homcert import (
@@ -21,8 +21,16 @@ from homcert import (
     parse_bipartite,
     parse_graph,
     parse_instance_spec,
+    partition_fn,
     serialize_bipartite,
     serialize_graph,
+)
+from helpers import (
+    random_activities,
+    random_bipartite,
+    random_graph,
+    relabelled,
+    side_preserving_isomorphic,
 )
 
 
@@ -353,3 +361,74 @@ def test_build_instance_charges_vertices_plus_edges(doc):
     assert build_instance(doc, budget=size) == g
     with pytest.raises(BudgetExceededError):
         build_instance(doc, budget=size - 1)
+
+
+# --- side-preserving isomorphism ---------------------------------------------------
+
+
+def _assert_isomorphism(f, a: BipartiteGraph, b: BipartiteGraph):
+    """f is a bijection that maps class E onto class E and a's edges onto b's."""
+    assert sorted(f) == list(range(a.vertex_count))
+    assert {f[v] for v in a.class_e} == b.class_e
+    assert ({frozenset((f[u], f[v])) for u, v in a.graph.edges()}
+            == {frozenset(e) for e in b.graph.edges()})
+
+
+def _shuffled(rng, n: int) -> list[int]:
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return perm
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32), st.sampled_from(["relabelled", "side-swapped", "edge moved"]))
+def test_isomorphism_agrees_with_every_side_preserving_bijection(seed, kind):
+    # at most 4 + 4 vertices, the sides at random indices; a map found is
+    # one, and Z agrees on every pair it maps
+    rng = random.Random(seed)
+    g = random_bipartite(rng, max_half=4, p=rng.choice([0.3, 0.5, 0.8]))
+    a = relabelled(g, _shuffled(rng, g.vertex_count))
+    b = relabelled(a, _shuffled(rng, a.vertex_count))
+    if kind == "side-swapped":
+        b = b.swapped()
+    elif kind == "edge moved":
+        edges = b.graph.edges()
+        free = [(u, v) for u in sorted(b.class_e) for v in sorted(b.class_o)
+                if not b.graph.adjacent(u, v)]
+        if edges and free:
+            edges.remove(rng.choice(edges))
+            edges.append(rng.choice(free))
+        b = BipartiteGraph(Graph(b.vertex_count, edges), b.class_e)
+    f = a.isomorphism(b)
+    assert (f is not None) == side_preserving_isomorphic(a, b)
+    if kind == "relabelled":
+        assert f is not None
+    if f is not None:
+        _assert_isomorphism(f, a, b)
+        h = random_graph(rng, max_vertices=3)
+        acts = random_activities(rng, h.vertex_count)
+        assert partition_fn(a, h, acts) == partition_fn(b, h, acts)
+
+
+def test_isomorphism_keeps_the_sides():
+    q3 = gen_hypercube(3)
+    # K_{4,4} less a perfect matching is Q3, whichever side holds the even vertices
+    for seed in range(5):
+        other = gen_random_regular_bipartite(3, 4, seed)
+        _assert_isomorphism(q3.isomorphism(other), q3, other)
+    c6 = gen_even_cycle(6)
+    _assert_isomorphism(c6.isomorphism(c6.swapped()), c6, c6.swapped())
+    # the same graph, but class E of 2 vertices against one of 3
+    assert gen_complete_bipartite(2, 3).isomorphism(gen_complete_bipartite(3, 2)) is None
+    # same sides and degrees, but C8 is connected and 2C4 is not
+    two_c4 = gen_union([gen_even_cycle(4)] * 2)
+    assert gen_even_cycle(8).isomorphism(two_c4) is None
+    empty = BipartiteGraph(Graph(0), [])
+    assert empty.isomorphism(empty) == ()
+
+
+def test_isomorphism_gives_up_past_its_limit(monkeypatch):
+    # with no image to try, no search finds a map: the answer is None
+    q3 = gen_hypercube(3)
+    monkeypatch.setattr(graphs_mod, "_ISO_TRIES", 0)
+    assert q3.isomorphism(q3) is None

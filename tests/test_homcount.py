@@ -26,6 +26,7 @@ from homcert import (
     independence_target,
     partition_fn,
 )
+from homcert import frontier
 from homcert.graphs import load_doc
 from homcert.homcount import GridPlan, as_fraction, resolve_activities
 from helpers import (
@@ -275,6 +276,24 @@ def test_pair_orbit_walks_match_exact_walks_on_small_sources(g):
         exact = walk(DEFAULT_BUDGET), _least_budget(walk)
     assert pair == exact
     assert pair[0] == partition_by_enumeration(g, k3, acts)
+
+
+@pytest.mark.parametrize("g", [gen_even_cycle(6).graph, gen_hypercube(4).graph],
+                         ids=["C6", "Q4"])
+def test_walks_into_two_vertices_keep_exact_images(monkeypatch, g):
+    # K2's two vertices are a lone pair, but a walk into it keeps exact
+    # images, which cost less there: the value and the least budget of
+    # twins=[], and no pair walk
+    k2 = complete_graph(2)
+    assert ActivitySystem.unit(2).twin_classes(k2) == [0b11]
+
+    def walk(budget):
+        return count_homs(g, k2, budget)
+
+    with _exact_images():
+        exact = walk(DEFAULT_BUDGET), _least_budget(walk)
+    monkeypatch.setattr(frontier, "_pair_sum", None)
+    assert (walk(DEFAULT_BUDGET), _least_budget(walk)) == exact == (2, exact[1])
 
 
 @settings(max_examples=60, deadline=None)
