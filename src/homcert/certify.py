@@ -119,7 +119,11 @@ class _Quantities:
         """g, now a member of its class: the class of the first source before
         it with a side-preserving isomorphism onto it, else a class of its
         own.  Only the first sources of g's invariant() are tried, in plan
-        order."""
+        order.  The matcher's labels cost one step per path of two edges,
+        the sum of deg(v)^2, uncharged, so past the budget g keeps a class
+        of its own, as a lone source does."""
+        if sum([len(ws) ** 2 for ws in g.graph.neighbors]) > self.budget:
+            return g
         firsts = self._buckets.setdefault(g.invariant(), [])
         first = next((f for f in firsts if g.isomorphism(f) is not None), None)
         if first is None:

@@ -11,22 +11,18 @@ neighbour is placed, so those maps merge and the cost follows
 are bitmasks over the target's vertices.
 
 Twin target vertices, whose swap fixes h, every base mask and every weight
-row of the walk, are interchangeable: a state stands for its whole orbit
-under the twin swaps and holds the orbit's summed weight.  This is the
-transfer-matrix method for chromatic polynomials (Biggs, Algebraic Graph
-Theory) on the twin reduction of Lovász (Large Networks and Graph Limits):
-into K_q the states are the set partitions of the frontier, not its
-q^frontier colourings.  A walk without twins, or into a two-vertex target,
-keeps exact images.  One whose only twins are a pair keeps one state per
-orbit of their swap, which about halves its states.
+row of the walk, are interchangeable.  A walk whose twins are more than one
+pair keeps one state per orbit under the twin swaps, holding the orbit's
+summed weight.  This is the transfer-matrix method for chromatic
+polynomials (Biggs, Algebraic Graph Theory) on the twin reduction of Lovász
+(Large Networks and Graph Limits): into K_q the states are the set
+partitions of the frontier, not its q^frontier colourings.  Any other walk
+keeps exact images.
 
 The budget is charged before the new state is inserted, so a budget of 0
 refuses any nonempty instance and the state dict never holds more entries
-than the budget has seen.  A walk with twins of three or more, or with two
-or more classes, charges one unit per candidate orbit per state; any other
-walk charges one unit per candidate image of each exact state it stands
-for: a pair's orbit state charges its candidates once per member of its
-orbit.
+than the budget has seen.  Orbit walks charge one unit per candidate orbit
+of each state, and every other walk one unit per candidate image.
 """
 
 from __future__ import annotations
@@ -123,16 +119,12 @@ def _schedule(order, nbrs, bits, width, top):
 def _component_sum(order, nbrs, base_of, h_masks, rows_of, bits, meter, budget, twins) -> int:
     """Weighted sum over the maps of one component, placed in ``order``;
     each image takes ``bits`` bits of a state key, and ``twins`` are the
-    masks of the walk's twin classes.  A walk without twins, or into a
-    target of two vertices (where a pair's orbits save less than they cost),
-    keeps exact images (_exact_sum), one whose only twins are a pair keeps
-    one state per orbit of their swap (_pair_sum), and any other keeps one
-    per orbit of all the twin swaps (_orbit_sum)."""
-    if not twins or len(h_masks) == 2:
-        return _exact_sum(order, nbrs, base_of, h_masks, rows_of, bits, meter, budget)
-    if len(twins) == 1 and twins[0].bit_count() == 2:
-        return _pair_sum(order, nbrs, base_of, h_masks, rows_of, bits, meter, budget, twins[0])
-    return _orbit_sum(order, nbrs, base_of, h_masks, rows_of, bits, meter, budget, twins)
+    masks of the walk's twin classes.  A walk whose twins are more than one
+    pair keeps one state per orbit of the twin swaps (_orbit_sum); any other,
+    a lone pair's included, keeps exact images (_exact_sum)."""
+    if len(twins) > 1 or twins and twins[0].bit_count() > 2:
+        return _orbit_sum(order, nbrs, base_of, h_masks, rows_of, bits, meter, budget, twins)
+    return _exact_sum(order, nbrs, base_of, h_masks, rows_of, bits, meter, budget)
 
 
 def _exact_sum(order, nbrs, base_of, h_masks, rows_of, bits, meter, budget) -> int:
@@ -166,85 +158,6 @@ def _exact_sum(order, nbrs, base_of, h_masks, rows_of, bits, meter, budget) -> i
                 j = low.bit_length() - 1
                 k = key | j << shift
                 new[k] = new.get(k, 0) + (weight if row is None else weight * row[j])
-        if not new:
-            return 0
-        states = new
-    return states[0]
-
-
-def _pair_sum(order, nbrs, base_of, h_masks, rows_of, bits, meter, budget, pair) -> int:
-    """_component_sum with one state per orbit of the swap of the twins a < b
-    of ``pair``, holding the orbit's summed weight.  A field is bits + 1
-    wide: its top bit flags a pair member, and then its lowest bit tells a
-    (0) from b (1), so the swap of a key is ``key ^ (key & flags) >> bits``.
-    Of the two members of an orbit the key is the one whose lowest flagged
-    field holds a.  A state whose key holds a pair member stands for two
-    exact states, and charges its candidates twice, so the meter is the
-    exact walk's."""
-    bit_a = pair & -pair
-    bit_b = pair ^ bit_a
-    a = bit_a.bit_length() - 1
-    b = bit_b.bit_length() - 1
-    width = bits + 1
-    field = (1 << width) - 1
-    member = 1 << bits  # a's field; b's is member | 1
-    h_masks = [*h_masks, *[0] * (member - len(h_masks)), h_masks[a], h_masks[b]]  # by field
-    flags = sum(member << s for s in range(0, len(order) * width, width))
-    states = {0: 1}
-    for v, shifts, keep, forgot, _, shift in _schedule(order, nbrs, bits, width, 0):
-        base = base_of[v]
-        row = None if rows_of is None else rows_of[v]
-        if shift is not None:
-            below = flags & (1 << shift) - 1
-            new_a = member << shift
-            new_b = new_a | 1 << shift
-        new = {}
-        for key, weight in states.items():
-            m = base
-            for s in shifts:
-                m &= h_masks[key >> s & field]
-            if not m:
-                continue
-            n = m.bit_count()
-            meter[0] += n + n if key & flags else n
-            if meter[0] > budget:
-                raise BudgetExceededError(f"node-expansion budget {budget} exceeded")
-            relabel = key & forgot
-            key &= keep
-            if relabel:
-                # a's lowest field may be forgotten: if b's is now the lowest,
-                # the orbit's key is the swap, and its candidates swap with it
-                f = key & flags
-                if key & (f & -f) >> bits:
-                    key ^= f >> bits
-                    if (m >> a ^ m >> b) & 1:
-                        m ^= pair
-            if shift is None:
-                if row is None:
-                    weight *= n
-                else:
-                    weight *= sum(row[j] for j in mask_vertices(m))
-                new[key] = new.get(key, 0) + weight
-                continue
-            p = m & pair
-            m ^= p
-            while m:
-                low = m & -m
-                m ^= low
-                j = low.bit_length() - 1
-                k = key | j << shift
-                new[k] = new.get(k, 0) + (weight if row is None else weight * row[j])
-            if p:
-                if row is not None:
-                    weight *= row[a]
-                if p & bit_a:
-                    k = key | new_a
-                    new[k] = new.get(k, 0) + weight
-                if p & bit_b:
-                    # b's child keeps b behind a lower flagged field; else its
-                    # orbit's key is the swap, with a in the new field
-                    k = key | new_b if key & below else key ^ (key & flags) >> bits | new_a
-                    new[k] = new.get(k, 0) + weight
         if not new:
             return 0
         states = new

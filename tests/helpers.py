@@ -250,28 +250,6 @@ def random_twin_target(rng: random.Random, max_classes: int = 4,
     return Graph(len(labels), sorted(edges), loops), ActivitySystem(tuple(lams), tuple(mus))
 
 
-def random_pair_target(rng: random.Random, max_vertices: int = 6) -> tuple[Graph, int]:
-    """A random target whose only twins are one pair, planted at random
-    labels, and the pair's mask.  Loops are random, equal on the pair."""
-    while True:
-        n = rng.randint(2, max_vertices)
-        a, b = rng.sample(range(n), 2)
-        p = rng.choice([0.3, 0.6])
-        edges = {(u, v) for u in range(n) for v in range(u + 1, n)
-                 if b not in (u, v) and rng.random() < p}
-        edges |= {(min(b, w), max(b, w)) for w in range(n)
-                  if w not in (a, b) and (min(a, w), max(a, w)) in edges}
-        if rng.random() < 0.5:
-            edges.add((min(a, b), max(a, b)))
-        loops = [v for v in range(n) if v != b and rng.random() < 0.4]
-        if a in loops:
-            loops.append(b)
-        h = Graph(n, sorted(edges), loops)
-        pair = 1 << a | 1 << b
-        if ActivitySystem.unit(n).twin_classes(h) == [pair]:
-            return h, pair
-
-
 def random_bipartite(rng: random.Random, max_half: int = 4, p: float = 0.5) -> BipartiteGraph:
     a = rng.randint(1, max_half)
     b = rng.randint(1, max_half)

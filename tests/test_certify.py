@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from homcert import (
     ActivitySystem,
+    BipartiteGraph,
     BudgetExceededError,
     CertReport,
     build_instance,
@@ -561,6 +562,23 @@ def test_a_source_past_the_search_limit_walks_alone(monkeypatch):
     alone, walks, _ = _counted_campaign(monkeypatch, config)
     assert len(walks) == 4 * 2
     assert [r.to_json_line() for r in alone] == [r.to_json_line() for r in shared]
+
+
+def test_sources_past_the_budget_are_never_matched(monkeypatch):
+    # K_{200,200}'s labels would cost 16,000,000 steps, past the budget: each
+    # copy keeps a class of its own, unlabelled, and walks its own grid
+    k = {"family": "complete-bipartite", "a": 200, "b": 200}
+    config = {**_cubic_config((), 1, 100_000, ["weighted-ub"]),
+              "families": [k, {"family": "union", "parts": [k]}],
+              "grids": {"targets": ["k3"], "activities": _VERTEX0_GRID[:1]}}
+    labelled = []
+    labels = BipartiteGraph._vertex_labels
+    monkeypatch.setattr(BipartiteGraph, "_vertex_labels",
+                        lambda self: labelled.append(self) or labels(self))
+    reports = run_campaign(config)
+    assert labelled == []
+    assert [r.to_json_line() for r in reports] == [
+        r.to_json_line() for r in _reports_one_at_a_time(config)]
 
 
 def test_campaigns_plan_each_grid_once_and_each_twin_class_list_once(monkeypatch):

@@ -5,7 +5,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from homcert import (
     DEFAULT_BUDGET,
@@ -36,7 +36,6 @@ from helpers import (
     random_activities,
     random_bipartite,
     random_graph,
-    random_pair_target,
     random_twin_target,
     restricted_count_by_enumeration,
 )
@@ -123,13 +122,24 @@ def test_frontier_count_matches_enumeration(seed):
     assert count_homs(g, h) == hom_count_by_enumeration(g, h)
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.integers(0, 2**32))
-def test_frontier_partition_matches_enumeration(seed):
+def _partition_case(seed):
+    """(g, h, acts): a random bipartite source, target and system."""
     rng = random.Random(seed)
     g = random_bipartite(rng, max_half=4, p=rng.choice([0.3, 0.6]))
     h = random_graph(rng, max_vertices=3, p=0.5)
-    acts = random_activities(rng, h.vertex_count)
+    return g, h, random_activities(rng, h.vertex_count)
+
+
+# K3 weighted at vertex 0: its walks keep the twin pair {1, 2}
+_K3_AT_0 = complete_graph(3), ActivitySystem.from_mapping(3, {0: ("1/2", "2")})
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32).map(_partition_case))
+@example((gen_complete_bipartite(2, 2), *_K3_AT_0))
+@example((BipartiteGraph(Graph(3, [(0, 1), (1, 2)]), [1]), *_K3_AT_0))
+def test_frontier_partition_matches_enumeration(case):
+    g, h, acts = case
     assert partition_fn(g, h, acts) == partition_by_enumeration(g, h, acts)
 
 
@@ -214,86 +224,45 @@ def test_orbit_walks_match_exact_walks_on_twin_targets(seed):
         assert meter <= exact_meter
 
 
-def _pair_systems(rng, h, pair):
-    """A system equal on the pair, and 2-4 that differ from it at one vertex,
-    off the pair when h has a vertex there."""
-    m = h.vertex_count
-    a, b = (j for j in range(m) if pair >> j & 1)
-    acts = random_activities(rng, m)
-    lams, mus = list(acts.lambdas), list(acts.mus)
-    lams[b], mus[b] = lams[a], mus[a]
-    acts = ActivitySystem(tuple(lams), tuple(mus))
-    v = rng.choice([j for j in range(m) if not pair >> j & 1] or range(m))
-    systems = []
-    for _ in range(rng.randint(2, 4)):
-        lams[v], mus[v] = _rational(rng), _rational(rng)
-        systems.append(ActivitySystem(tuple(lams), tuple(mus)))
-    return acts, systems
+# targets whose walks have one pair of twins, each with a system that keeps it
+_PAIR_TARGETS = {
+    "K2": (complete_graph(2), ActivitySystem.uniform(2, "1/2", "2")),
+    "looped-K2": (complete_graph(2, loops=True), ActivitySystem.uniform(2, "1/2", "2")),
+    "K3": _K3_AT_0,
+}
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.integers(0, 2**32))
-def test_pair_orbit_walks_charge_what_exact_walks_charge(seed):
-    # one state per orbit of a lone pair's swap, and each charges once per
-    # exact state it stands for: the values and the least budgets of exact
-    # images, not just at most them
-    rng = random.Random(seed)
-    h, pair = random_pair_target(rng)
-    g, bipartite = _source(rng, max_vertices=10), _grid_source(rng)
-    acts, systems = _pair_systems(rng, h, pair)
-    assert acts.twin_classes(h) == [pair]
-    walks = [lambda budget: count_homs(g, h, budget),
-             lambda budget: partition_fn(bipartite, h, acts, budget),
-             lambda budget: GridPlan(h, systems).run(bipartite, budget)]
-    pairs = [(walk(DEFAULT_BUDGET), _least_budget(walk)) for walk in walks]
-    with _exact_images():
-        exact = [(walk(DEFAULT_BUDGET), _least_budget(walk)) for walk in walks]
-    assert pairs == exact
-
-
-# the least source that needs each of the pair walk's relabelling steps
-_RELABELS = BipartiteGraph(Graph(7, [(0, 3), (0, 4), (0, 6), (1, 3), (1, 4), (1, 5), (1, 6),
-                                     (2, 3), (2, 5)]), range(3))
-
-
-@pytest.mark.parametrize("g", [gen_complete_bipartite(2, 2),
-                               BipartiteGraph(Graph(3, [(0, 1), (1, 2)]), [1]), _RELABELS],
-                         ids=["K22", "P3", "relabels"])
-def test_pair_orbit_walks_match_exact_walks_on_small_sources(g):
-    # K3 weighted at vertex 0 leaves the pair {1, 2}.  A member's image at
-    # the lowest flagged slot may be forgotten while the other's stays (the
-    # state and its candidates swap), and a new image may take a slot below
-    # a flagged one (b's child is the swapped key)
-    k3 = complete_graph(3)
-    acts = ActivitySystem.from_mapping(3, {0: ("1/2", "2")})
-    assert acts.twin_classes(k3) == [0b110]
+@pytest.mark.parametrize("route", ["partition_fn", "packed"])
+@pytest.mark.parametrize("target", list(_PAIR_TARGETS))
+@pytest.mark.parametrize("g", [gen_even_cycle(6), gen_hypercube(4)], ids=["C6", "Q4"])
+def test_lone_pair_walks_keep_exact_images(monkeypatch, g, target, route):
+    # a walk whose only twins are one pair keeps exact images: the values and
+    # the least budget of twins=[], and no orbit walk.  The packed plan adds
+    # two systems that differ at vertex 0: into K3 its packed walk keeps the
+    # pair {1, 2}; into a two-vertex target the uniform system's count walk
+    # keeps the pair and the packed walk has no twins
+    h, acts = _PAIR_TARGETS[target]
+    systems = [acts]
+    if route == "packed":
+        systems += [ActivitySystem.from_mapping(h.vertex_count, {0: pair})
+                    for pair in [("3", "1/3"), ("2/5", "4")]]
+        assert GridPlan(h, systems)._tables(len(g.class_e), len(g.class_o))[1] is not None
 
     def walk(budget):
-        return partition_fn(g, k3, acts, budget)
-
-    pair = walk(DEFAULT_BUDGET), _least_budget(walk)
-    with _exact_images():
-        exact = walk(DEFAULT_BUDGET), _least_budget(walk)
-    assert pair == exact
-    assert pair[0] == partition_by_enumeration(g, k3, acts)
-
-
-@pytest.mark.parametrize("g", [gen_even_cycle(6).graph, gen_hypercube(4).graph],
-                         ids=["C6", "Q4"])
-def test_walks_into_two_vertices_keep_exact_images(monkeypatch, g):
-    # K2's two vertices are a lone pair, but a walk into it keeps exact
-    # images, which cost less there: the value and the least budget of
-    # twins=[], and no pair walk
-    k2 = complete_graph(2)
-    assert ActivitySystem.unit(2).twin_classes(k2) == [0b11]
-
-    def walk(budget):
-        return count_homs(g, k2, budget)
+        # a plan's twin classes are read when it is made
+        if route == "partition_fn":
+            return [partition_fn(g, h, acts, budget)]
+        return GridPlan(h, systems).run(g, budget)
 
     with _exact_images():
         exact = walk(DEFAULT_BUDGET), _least_budget(walk)
-    monkeypatch.setattr(frontier, "_pair_sum", None)
-    assert (walk(DEFAULT_BUDGET), _least_budget(walk)) == exact == (2, exact[1])
+    exact_walks = []
+    kernel = frontier._exact_sum
+    monkeypatch.setattr(frontier, "_exact_sum",
+                        lambda *args: exact_walks.append(None) or kernel(*args))
+    monkeypatch.setattr(frontier, "_orbit_sum", None)
+    assert (walk(DEFAULT_BUDGET), _least_budget(walk)) == exact
+    assert exact_walks
 
 
 @settings(max_examples=60, deadline=None)
@@ -322,8 +291,8 @@ def test_hypercube_colourings_answer_at_the_default_budget():
 
 def test_walks_without_orbits_charge_one_unit_per_candidate_image():
     # the exact-image meter: hind has no twins, distinct lambdas leave K3
-    # none, one pair of twins (K3 weighted at vertex 0) keeps orbit states
-    # that charge once per exact state, and restricted counts never use twins
+    # none, one pair of twins (K3 weighted at vertex 0) keeps exact images,
+    # and restricted counts never use twins
     k3 = complete_graph(3)
     c8 = gen_even_cycle(8)
     distinct = ActivitySystem.from_pairs([(1, 1), (2, "1/2"), (3, 3)])
