@@ -5,7 +5,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from homcert import (
     DEFAULT_BUDGET,
@@ -122,24 +122,13 @@ def test_frontier_count_matches_enumeration(seed):
     assert count_homs(g, h) == hom_count_by_enumeration(g, h)
 
 
-def _partition_case(seed):
-    """(g, h, acts): a random bipartite source, target and system."""
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32))
+def test_frontier_partition_matches_enumeration(seed):
     rng = random.Random(seed)
     g = random_bipartite(rng, max_half=4, p=rng.choice([0.3, 0.6]))
     h = random_graph(rng, max_vertices=3, p=0.5)
-    return g, h, random_activities(rng, h.vertex_count)
-
-
-# K3 weighted at vertex 0: its walks keep the twin pair {1, 2}
-_K3_AT_0 = complete_graph(3), ActivitySystem.from_mapping(3, {0: ("1/2", "2")})
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.integers(0, 2**32).map(_partition_case))
-@example((gen_complete_bipartite(2, 2), *_K3_AT_0))
-@example((BipartiteGraph(Graph(3, [(0, 1), (1, 2)]), [1]), *_K3_AT_0))
-def test_frontier_partition_matches_enumeration(case):
-    g, h, acts = case
+    acts = random_activities(rng, h.vertex_count)
     assert partition_fn(g, h, acts) == partition_by_enumeration(g, h, acts)
 
 
@@ -222,6 +211,30 @@ def test_orbit_walks_match_exact_walks_on_twin_targets(seed):
     for (value, meter), (exact_value, exact_meter) in zip(orbits, exact):
         assert value == exact_value
         assert meter <= exact_meter
+
+
+# K3 weighted at vertex 0: its walks keep the twin pair {1, 2}
+_K3_AT_0 = complete_graph(3), ActivitySystem.from_mapping(3, {0: ("1/2", "2")})
+
+
+@pytest.mark.parametrize("g", [gen_complete_bipartite(2, 2),
+                               BipartiteGraph(Graph(3, [(0, 1), (1, 2)]), [1])],
+                         ids=["K22", "P3"])
+def test_pair_orbit_walks_match_exact_walks_on_small_sources(g):
+    # K3 weighted at vertex 0 leaves the pair {1, 2}; a walk whose only
+    # twins are that pair gives the value and least budget of exact images,
+    # and the value of brute-force enumeration
+    k3, acts = _K3_AT_0
+    assert acts.twin_classes(k3) == [0b110]
+
+    def walk(budget):
+        return partition_fn(g, k3, acts, budget)
+
+    pair = walk(DEFAULT_BUDGET), _least_budget(walk)
+    with _exact_images():
+        exact = walk(DEFAULT_BUDGET), _least_budget(walk)
+    assert pair == exact
+    assert pair[0] == partition_by_enumeration(g, k3, acts)
 
 
 # targets whose walks have one pair of twins, each with a system that keeps it
