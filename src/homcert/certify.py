@@ -53,6 +53,7 @@ from .reports import (
     BoundCheck,
     CertReport,
     Frame,
+    Judgement,
     campaign_exit_code,
     report_stream,
     write_reports,
@@ -97,7 +98,16 @@ class _Quantities:
     reports share is made once per job.  Memo keys use the
     objects' id(), so the jobs and the memo keep every object alive for the
     run.  The memo holds only what reports share: nothing in it is made per
-    system of a job or per report.
+    report, and only the judgements are made per system of a job.
+
+    A judgement (reports.Judgement) depends on its source only through Z,
+    N and the hypothesis fields, all invariants of the class, unless its
+    proposition reads the source itself (Proposition.reads_source).  So the
+    members of a class whose Z comes from the class walk share each answered
+    judgement per (proposition, target, system, fields), made by the first
+    job that asks, and kept until the last member's job, counted at plan
+    time.  A skipped-budget judgement is never shared, nor one made when the
+    class walk was refused.
     """
 
     def __init__(self, budget: int):
@@ -109,22 +119,26 @@ class _Quantities:
         # the class whose first source is ``first``, every member's systems
         self._shared: dict = {}
         self._firsts: dict = {}  # id(source) -> the first source of its class
-        # a source's invariant() -> the first sources of its classes, in plan order
+        # a source's sorted vertex labels -> the first sources of its classes,
+        # in plan order
         self._buckets: dict = {}
         self._docs: dict = {}  # id(source, target or system) -> its report document
         # (id(value), exponent, shift) -> a bound's right side (power)
         self._powers: dict = {}
+        # (pid, id(first), id(h), fields) -> [its jobs not yet begun, {id(system):
+        # the judgement its class's members share}]
+        self._judged: dict = {}
 
     def classify(self, g: BipartiteGraph) -> BipartiteGraph:
         """g, now a member of its class: the class of the first source before
         it with a side-preserving isomorphism onto it, else a class of its
-        own.  Only the first sources of g's invariant() are tried, in plan
-        order.  The matcher's labels cost one step per path of two edges,
-        the sum of deg(v)^2, uncharged, so past the budget g keeps a class
-        of its own, as a lone source does."""
+        own.  Only the first sources with g's sorted vertex labels, the
+        matcher's own test, are tried, in plan order.  The labels cost one
+        step per path of two edges, the sum of deg(v)^2, uncharged, so past
+        the budget g keeps a class of its own, as a lone source does."""
         if sum([len(ws) ** 2 for ws in g.graph.neighbors]) > self.budget:
             return g
-        firsts = self._buckets.setdefault(g.invariant(), [])
+        firsts = self._buckets.setdefault(g._vertex_labels()[1], [])
         first = next((f for f in firsts if g.isomorphism(f) is not None), None)
         if first is None:
             firsts.append(g)
@@ -137,14 +151,22 @@ class _Quantities:
         (the first source of g's class, h), so a run makes every job before
         its first report.  Its reports share their instance but the
         activities: the documents of g and h, N, then the info and the
-        hypothesis fields."""
+        hypothesis fields.  A job of a proposition whose judgements its
+        class shares counts itself in their memo entry."""
         grid = self._grids.setdefault((id(g), id(h)), {})
         shared = self._shared.setdefault((id(self._firsts.get(id(g), g)), id(h)), {})
         for acts, _ in systems:
             grid[id(acts)] = shared[id(acts)] = acts
         base = {"g": self._doc(g, serialize_bipartite), "h": self._doc(h, serialize_graph),
                 "N": g.vertex_count, **info, **fields}
-        return pid, g, h, systems, tuple(fields.values()), base
+        job = pid, g, h, systems, tuple(fields.values()), base
+        if not _PROPOSITIONS[pid].reads_source:
+            self._judged.setdefault(self._class_key(job), [0, {}])[0] += 1
+        return job
+
+    def _class_key(self, job: tuple) -> tuple:
+        pid, g, h, _, fields, _ = job
+        return pid, id(self._firsts.get(id(g), g)), id(h), fields
 
     def system(self, acts: ActivitySystem) -> tuple[ActivitySystem, dict]:
         """(acts, its report document), as a job lists it."""
@@ -180,16 +202,17 @@ class _Quantities:
         """The kernel's vertex order of g, which every walk over g shares."""
         return self.once(("order", id(g)), source_order, g.graph)
 
-    def _grid_z(self, g: BipartiteGraph, h: Graph) -> dict:
-        """id(system) -> Z of every system of g's grid into h, from the walk of
-        its class's grid over the class's first source.  Z is an invariant of
-        a side-preserving isomorphism, so the class shares it; a refusal is
-        not shared: then g walks its own grid."""
+    def _grid_z(self, g: BipartiteGraph, h: Graph) -> tuple[dict, bool]:
+        """(id(system) -> Z of every system of g's grid into h, whether it
+        came from the class walk): the walk of its class's grid over the
+        class's first source.  Z is an invariant of a side-preserving
+        isomorphism, so the class shares it; a refusal is not shared: then g
+        walks its own grid."""
         first = self._firsts.get(id(g), g)
         try:
-            return self._walk(first, h, self._shared[id(first), id(h)])
+            return self._walk(first, h, self._shared[id(first), id(h)]), True
         except BudgetExceededError:
-            return self._walk(g, h, self._grids[id(g), id(h)])
+            return self._walk(g, h, self._grids[id(g), id(h)]), False
 
     def _walk(self, g: BipartiteGraph, h: Graph, grid: dict) -> dict:
         """id(system) -> Z of every system of ``grid`` over g, from one run of
@@ -224,42 +247,59 @@ class _Quantities:
         return doc
 
     def reports(self, job: tuple) -> Iterator[CertReport]:
-        """Judge the job's proposition on its instance, one report per system.
-        The reports share one Frame, and the job fetches its Z grid once,
-        when a report first asks for a Z."""
+        """Judge the job's proposition on its instance, one report per system,
+        or take the judgement its class shares.  The reports share one
+        Frame, and the job fetches its Z grid once, when a report first asks
+        for a Z."""
         pid, g, h, systems, fields, base = job
-        _, weighted, evaluate = _PROPOSITIONS[pid]
+        _, weighted, evaluate, _ = _PROPOSITIONS[pid]
         frame = Frame(base, weighted)
         grid = None
+        judged = self._class_judgements(job)
 
         def z(acts: ActivitySystem) -> Fraction:
-            nonlocal grid
+            nonlocal grid, judged
             if grid is None:  # a refused grid raises again at each report
-                grid = self._grid_z(g, h)
+                grid, from_class = self._grid_z(g, h)
+                if not from_class:
+                    judged = None
             return grid[id(acts)]
 
         for acts, acts_doc in systems:
-            args = (self, g, h, acts, z, *fields)
-            yield _judge(pid, evaluate, args, None, False, frame, acts_doc if weighted else None)
+            judgement = None if judged is None else judged.get(id(acts))
+            if judgement is None:
+                judgement = _judge(pid, evaluate, (self, g, h, acts, z, *fields))
+                if judged is not None and judgement.verdict != SKIPPED_BUDGET:
+                    judged[id(acts)] = judgement
+            yield CertReport.judged(judgement, frame, acts_doc if weighted else None)
+
+    def _class_judgements(self, job: tuple) -> dict | None:
+        """id(system) -> the judgement the job's class shares, or None for a
+        proposition that reads the source itself.  The entry leaves the memo
+        at its last job."""
+        key = self._class_key(job)
+        entry = self._judged.get(key)
+        if entry is None:
+            return None
+        entry[0] -= 1
+        if not entry[0]:
+            del self._judged[key]
+        return entry[1]
 
 
-def _judge(check, evaluate, args, instance, expected=False, frame=None,
-           activities=None) -> CertReport:
-    """Run one evaluation, evaluate(*args): a spent budget makes the report
-    skipped-budget; no bound makes it vacuous; otherwise it holds unless a
-    bound is violated.  The report's instance is ``instance``, or that of
-    ``frame`` with ``activities`` (see CertReport)."""
+def _judge(check, evaluate, args, expected=False) -> Judgement:
+    """Run one evaluation, evaluate(*args): a spent budget makes the
+    judgement skipped-budget; no bound makes it vacuous; otherwise it holds
+    unless a bound is violated."""
     try:
         bounds, details = evaluate(*args)
     except BudgetExceededError as exc:
-        return CertReport(check, instance, (), SKIPPED_BUDGET, False, None, str(exc), frame,
-                          activities)
+        return Judgement(check, (), SKIPPED_BUDGET, False, None, str(exc))
     if not bounds:
         note = "eta = 0: both bounds degenerate; asserting Z = 0"
-        return CertReport(check, instance, (), VACUOUS, False, details, note, frame, activities)
+        return Judgement(check, (), VACUOUS, False, details, note)
     verdict = VIOLATED if VIOLATED in [b.verdict for b in bounds] else HOLDS
-    return CertReport(check, instance, tuple(bounds), verdict, expected, details, None, frame,
-                      activities)
+    return Judgement(check, tuple(bounds), verdict, expected, details)
 
 
 # The propositions.  An evaluation takes the run's quantities, the job's
@@ -363,11 +403,15 @@ class Proposition(NamedTuple):
     """A checkable proposition.  ``hypothesis`` takes the source and returns
     the extra instance fields or raises GraphFormatError; ``weighted`` says
     whether activities apply; ``evaluate`` returns the bounds and the report
-    details."""
+    details; ``reads_source`` says whether the evaluation reads the source
+    beyond its Z, N and hypothesis fields (a restricted count walks it with
+    its own meter), so that isomorphic sources may not share its
+    judgements."""
 
     hypothesis: Callable[[BipartiteGraph], dict]
     weighted: bool
     evaluate: Callable[..., tuple[list, dict]]
+    reads_source: bool = False
 
 
 _PROPOSITIONS = {
@@ -375,8 +419,8 @@ _PROPOSITIONS = {
     "weighted-ub": Proposition(_regular, True, _weighted_ub),
     "eta-sandwich": Proposition(_regular, True, _eta_sandwich),
     "bireg-ub": Proposition(_biregular, True, _bireg_ub),
-    "lift-identity": Proposition(lambda g: {}, True, _lift_identity),
-    "double-identity": Proposition(lambda g: {}, False, _double_identity),
+    "lift-identity": Proposition(lambda g: {}, True, _lift_identity, reads_source=True),
+    "double-identity": Proposition(lambda g: {}, False, _double_identity, reads_source=True),
 }
 
 PROPOSITION_IDS = (*_PROPOSITIONS, _DEMO)
@@ -387,7 +431,7 @@ def _check(pid, g: BipartiteGraph, h: Graph, acts: ActivitySystem | None,
     """Proposition ``pid`` on one instance, as a run of one job: it shares no
     number with another report, and its Z grid holds one system, so no walk
     is packed."""
-    hypothesis, weighted, _ = _PROPOSITIONS[pid]
+    hypothesis, weighted, _, _ = _PROPOSITIONS[pid]
     q = _Quantities(budget)
     system = q.system(acts if weighted else ActivitySystem.unit(h.vertex_count))
     (report,) = q.reports(q.job(pid, g, h, [system], hypothesis(g), instance_info or {}))
@@ -477,7 +521,7 @@ def sandwich_nonbipartite_demo(budget: int = DEFAULT_BUDGET) -> CertReport:
                                   eta ** (n * big_n) * (1 << h.vertex_count * big_n))
         return bounds, {"eta": str(eta), "Z_g": str(z)}
 
-    return _judge(_DEMO, evaluate, (), inst, True)
+    return CertReport.judged(_judge(_DEMO, evaluate, (), True), Frame(inst, False))
 
 
 # ---------------------------------------------------------------------------
@@ -615,7 +659,8 @@ def iter_campaign(config, base_dir=None) -> Iterator[CertReport]:
     Each source joins its class (_Quantities.classify) when it is built, in
     plan order, so every run picks the same first source per class, which
     walks the class's Z grid (every system its members' jobs ask) once per
-    target.  A report that the public certify_* functions answer one at a
+    target, and the class's members share their judgements (see
+    _Quantities).  A report that the public certify_* functions answer one at a
     time is the same here; one they refuse may answer from its class's walk.
     """
     config, base_dir = load_campaign(config, base_dir)
@@ -639,7 +684,7 @@ def iter_campaign(config, base_dir=None) -> Iterator[CertReport]:
         if pid == _DEMO:
             jobs.append(None)
             continue
-        hypothesis, weighted, _ = _PROPOSITIONS[pid]
+        hypothesis, weighted, _, _ = _PROPOSITIONS[pid]
         families = plan["families"]
         instances = []
         for desc, g in q.once(("families", repr(families)), lambda: sources(families)):

@@ -377,19 +377,19 @@ def _fill_partition(p):
 
 
 def _fill_knn(p):
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=int, required=True, help="side size of K_{n,n}")
     p.add_argument("-H", "--target", help="target graph file (weighted form)")
     p.add_argument("-T", "--two-sorted", help="two-sorted target file (restricted count)")
     p.add_argument("--surjections", type=int, metavar="A",
                    help="count surjections from an n-set onto an A-set instead")
-    p.add_argument("-a", "--activities")
-    p.add_argument("-o", "--output")
+    p.add_argument("-a", "--activities", help="activity file (weighted form)")
+    p.add_argument("-o", "--output", help="write to file instead of stdout")
     p.set_defaults(fn=_cmd_knn)
 
 
 def _fill_kab(p):
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
+    p.add_argument("--a", type=int, required=True, help="size of the lambda side")
+    p.add_argument("--b", type=int, required=True, help="size of the mu side")
     _add_common(p, target=True, target_required=True, acts=True, budget=False)
     p.set_defaults(fn=_cmd_kab)
 
@@ -416,21 +416,23 @@ def _fill_certify(p):
     p.add_argument("-g", "--graph", help="source graph for --check")
     _add_overrides(p, n_help=argparse.SUPPRESS)
     p.add_argument("-H", "--target", help="target graph for --check")
-    p.add_argument("-a", "--activities")
+    p.add_argument("-a", "--activities", help="activity file for --check")
     p.add_argument("--strict", action="store_true",
                    help="exit 3 when any check was skipped for budget")
-    p.add_argument("--budget", type=int)
-    p.add_argument("-o", "--output")
+    p.add_argument("--budget", type=int,
+                   help="node-expansion budget override (a campaign's own by default)")
+    p.add_argument("-o", "--output", help="write to file instead of stdout")
     p.set_defaults(fn=_cmd_certify)
 
 
 def _fill_generate(p):
-    p.add_argument("--family", choices=(*GENERATED_FAMILIES, "union", "file"))
+    p.add_argument("--family", choices=(*GENERATED_FAMILIES, "union", "file"),
+                   help="instance family (its parameters as --<param> options)")
     p.add_argument("--spec", help="inline instance-spec JSON")
     p.add_argument("--spec-file", help="instance-spec file")
     p.add_argument("--path", help="graph file for --family file")
     _add_overrides(p)
-    p.add_argument("-o", "--output")
+    p.add_argument("-o", "--output", help="write to file instead of stdout")
     p.set_defaults(fn=_cmd_generate)
 
 

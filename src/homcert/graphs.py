@@ -164,13 +164,6 @@ class BipartiteGraph:
     def swapped(self) -> "BipartiteGraph":
         return BipartiteGraph(self.graph, self.class_o)
 
-    def invariant(self) -> tuple:
-        """The sorted (side, degree) pairs of the vertices, side 0 for class
-        E: equal for two graphs that have a side-preserving isomorphism, and
-        cheap, so a caller can bucket graphs by it before any search."""
-        return tuple(sorted((int(v in self.class_o), len(ws))
-                            for v, ws in enumerate(self.graph.neighbors)))
-
     def _vertex_labels(self) -> tuple[list[tuple], tuple]:
         """(labels, their sorted tuple), made once.  A vertex's label, which
         every side-preserving isomorphism keeps, is (its side, its degree,

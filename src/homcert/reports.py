@@ -1,11 +1,14 @@
-"""Reports: the record of one check (CertReport) and of each bound it
-judged (BoundCheck), and the one writer of a report stream.
+"""Reports: the record of one check (CertReport), of what it judged
+(Judgement) and of each bound it judged (BoundCheck), and the one writer of
+a report stream.
 
-A report's JSON line is json.dumps(report.to_dict(), sort_keys=True,
-separators=(",", ":")); the writer builds those bytes from what its reports
-share, encoded once per stream (the documents of their instances, and each
-job's Frame: the instance text around the activities), from each bound's
-kept cross products and from the strings of each report's details.
+A report is a Judgement in a Frame, and its JSON line is
+json.dumps(report.to_dict(), sort_keys=True, separators=(",", ":")).  The
+writer builds those bytes from what its reports share, each encoded once:
+the documents of their instances (once per stream), each job's Frame (the
+instance text around the activities) and each Judgement (the line's text
+around the instance, from each bound's kept cross products and the strings
+of the details), which the reports of isomorphic sources share.
 """
 
 from __future__ import annotations
@@ -184,30 +187,83 @@ def _copied(value):
     return value
 
 
-class CertReport:
-    """One proposition check on one instance; equal to a report with equal
-    fields.
+class Judgement:
+    """What a report judged, its instance aside: the check, the bounds, the
+    verdict, whether a violation was expected, the details and the note.
+    The reports of isomorphic sources may share one, each in its own job's
+    Frame (certify._Quantities.reports).  Its JSON text on either side of
+    the instance is made by the first line written and kept."""
 
-    Every report is written through a Frame: the reports of one job share
-    one, each with its system's activity document, and a report made from a
-    plain ``instance`` gets Frame(instance, False).  The instance is
-    read-only: each read makes it anew from the frame, so changing what a
-    read returns changes no line."""
+    __slots__ = ("check", "bounds", "verdict", "expected_violation", "details", "note", "_text")
 
-    __slots__ = ("check", "bounds", "verdict", "expected_violation", "details", "note",
-                 "_frame", "_activities", "__weakref__")
-
-    def __init__(self, check: str, instance: dict | None, bounds: tuple[BoundCheck, ...],
-                 verdict: str, expected_violation: bool = False, details: dict | None = None,
-                 note: str | None = None, frame: Frame | None = None, activities=None):
+    def __init__(self, check: str, bounds: tuple[BoundCheck, ...], verdict: str,
+                 expected_violation: bool = False, details: dict | None = None,
+                 note: str | None = None):
         self.check = check
         self.bounds = bounds
         self.verdict = verdict
         self.expected_violation = expected_violation
         self.details = {} if details is None else details
         self.note = note
+        self._text = None
+
+    def json(self, instance: str, encoded: dict) -> str:
+        """A report's line around its instance's JSON text ``instance``, with
+        the stream memo ``encoded`` (see CertReport.to_json_line)."""
+        head, tail = self._text or self._split(encoded)
+        return head + instance + tail
+
+    def _split(self, encoded: dict) -> tuple[str, str]:
+        head = ['{"bounds":[', ",".join([b.to_json() for b in self.bounds]),
+                '],"check":', _scalar_json(self.check)]
+        if self.details:
+            head += (',"details":', _object_json(self.details, encoded, False))
+        head += (',"expected_violation":', "true" if self.expected_violation else "false",
+                 ',"instance":')
+        tail = [] if self.note is None else [',"note":', _scalar_json(self.note)]
+        tail += (',"verdict":', _scalar_json(self.verdict), "}")
+        self._text = text = "".join(head), "".join(tail)
+        return text
+
+
+class CertReport:
+    """One proposition check on one instance; equal to a report with equal
+    fields.
+
+    A report is a Judgement in a Frame: the reports of one job share a
+    frame, each with its system's activity document, and the reports of
+    isomorphic sources may share a judgement; a report made from a plain
+    ``instance`` gets Frame(instance, False).  Every field is read-only,
+    and the instance and the details are made anew at each read, so
+    changing what a read returns changes no line and no other report."""
+
+    __slots__ = ("_judgement", "_frame", "_activities", "__weakref__")
+
+    def __init__(self, check: str, instance: dict | None, bounds: tuple[BoundCheck, ...],
+                 verdict: str, expected_violation: bool = False, details: dict | None = None,
+                 note: str | None = None, frame: Frame | None = None, activities=None):
+        self._judgement = Judgement(check, bounds, verdict, expected_violation, details, note)
         self._frame = Frame(instance, False) if frame is None else frame
         self._activities = activities
+
+    @classmethod
+    def judged(cls, judgement: Judgement, frame: Frame, activities=None) -> "CertReport":
+        """The report of ``judgement`` in ``frame`` with ``activities``."""
+        report = object.__new__(cls)
+        report._judgement = judgement
+        report._frame = frame
+        report._activities = activities
+        return report
+
+    check = property(attrgetter("_judgement.check"))
+    bounds = property(attrgetter("_judgement.bounds"))
+    verdict = property(attrgetter("_judgement.verdict"))
+    expected_violation = property(attrgetter("_judgement.expected_violation"))
+    note = property(attrgetter("_judgement.note"))
+
+    @property
+    def details(self) -> dict:
+        return _copied(self._judgement.details)
 
     @property
     def instance(self) -> dict:
@@ -234,34 +290,25 @@ class CertReport:
             "verdict": self.verdict,
             "expected_violation": self.expected_violation,
         }
-        if self.details:
-            doc["details"] = self.details
+        details = self.details
+        if details:
+            doc["details"] = details
         if self.note is not None:
             doc["note"] = self.note
         return doc
 
     def to_json_line(self, encoded: dict | None = None) -> str:
-        """to_dict() as compact JSON with sorted keys, written member by
-        member.  ``encoded`` is a stream's memo for what its reports share:
-        under the tuple of an object's keys, each key with its text, colon
-        included, in sorted order; and id(value) -> (value, JSON text) for
-        each document of an instance other than a string or an int (sources,
-        targets, systems, specs) and each tuple in details (which many
-        reports share).  The memo holds each value, so its id is not reused
-        while the memo lives.  The bounds, the rest of the details and the
-        note are this report's own."""
+        """to_dict() as compact JSON with sorted keys: the judgement's text
+        around the frame's.  ``encoded`` is a stream's memo for what its
+        reports share: under the tuple of an object's keys, each key with its
+        text, colon included, in sorted order; and id(value) -> (value, JSON
+        text) for each document of an instance other than a string or an int
+        (sources, targets, systems, specs) and each tuple in details (which
+        many reports share).  The memo holds each value, so its id is not
+        reused while the memo lives."""
         if encoded is None:
             encoded = {}
-        parts = ['{"bounds":[', ",".join([b.to_json() for b in self.bounds]),
-                 '],"check":', _scalar_json(self.check)]
-        if self.details:
-            parts += (',"details":', _object_json(self.details, encoded, False))
-        parts += (',"expected_violation":', "true" if self.expected_violation else "false",
-                  ',"instance":', self._frame.json(self._activities, encoded))
-        if self.note is not None:
-            parts += (',"note":', _scalar_json(self.note))
-        parts += (',"verdict":', _scalar_json(self.verdict), "}")
-        return "".join(parts)
+        return self._judgement.json(self._frame.json(self._activities, encoded), encoded)
 
 
 def _scalar_json(value) -> str:

@@ -5,7 +5,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from homcert import (
     ActivitySystem,
@@ -426,21 +426,23 @@ def _cubic_config(halves, trials, budget, propositions):
 
 
 _ONE_AT_A_TIME = {
+    "hom-ub": lambda g, h, acts, *args: certify_hom_ub(g, h, *args),
     "weighted-ub": certify_weighted_ub,
     "eta-sandwich": certify_sandwich,
     "bireg-ub": certify_bireg,
     "lift-identity": certify_lift_identity,
+    "double-identity": lambda g, h, acts, *args: certify_double_identity(g, h, *args),
 }
 
 
-def _reports_one_at_a_time(config):
-    """The reports of a campaign of cubic sources (every one meets every
+def _reports_one_at_a_time(config, base_dir=None):
+    """The reports of a campaign of regular sources (every one meets every
     hypothesis), one public certify_* call each."""
     sources = []
     seed = config["seed"]
     for family in config["families"]:
         if not needs_seed(parse_instance_spec(family)):
-            sources.append((family, build_instance(family)))
+            sources.append((family, build_instance(family, base_dir)))
             continue
         for _ in range(config["trials"]):
             seeded = {**family, "seed": seed}
@@ -453,7 +455,8 @@ def _reports_one_at_a_time(config):
         for pid in config["propositions"]
         for trial, (desc, g) in enumerate(sources)
         for t_entry, h in targets
-        for entry in config["grids"]["activities"]
+        for entry in (config["grids"]["activities"] if certify_mod._PROPOSITIONS[pid].weighted
+                      else [None])
     ]
 
 
@@ -500,6 +503,10 @@ def test_campaign_equals_one_report_at_a_time(monkeypatch, budget, verdicts):
 def test_cubic_campaign_makes_one_z_walk_per_class_and_target(monkeypatch):
     config = _cubic_config((4, 5, 6, 7, 8), 20, 50_000_000,
                            ["weighted-ub", "eta-sandwich", "nonbipartite-lower-bound-failure"])
+    judged = Counter()
+    judge = certify_mod._judge
+    monkeypatch.setattr(certify_mod, "_judge",
+                        lambda check, *args: judged.update([check]) or judge(check, *args))
     reports, walks, builds = _counted_campaign(monkeypatch, config)
     assert len(reports) == 3601
     # the 100 sources fall into 1, 2, 6, 10 and 15 side-preserving
@@ -507,6 +514,10 @@ def test_cubic_campaign_makes_one_z_walk_per_class_and_target(monkeypatch):
     # walk each, where one walk per source took 200 and one per report 3,600
     assert len(walks) == 68 and set(walks.values()) == {1}
     assert len(builds) == 100 and set(builds.values()) == {1}
+    # and one evaluation per class, target and system of each proposition,
+    # plus the demo: 1,225, where one per report took 3,601
+    assert judged == {"weighted-ub": 34 * 2 * 9, "eta-sandwich": 34 * 2 * 9,
+                      "nonbipartite-lower-bound-failure": 1}
 
 
 def _refusals_not_shared(config, budgets) -> int:
@@ -537,6 +548,71 @@ def test_a_campaign_never_refuses_what_one_report_answers():
     # more, so at 110 (into hind) 4's walk is refused and 5 walks its own
     labelled = {**_cubic_config((6,), 6, 0, ["weighted-ub", "eta-sandwich"]), "seed": 3}
     assert _refusals_not_shared(labelled, [110, 140, 530]) > 0
+
+
+# the unit system and two systems whose lambda and mu differ at vertex 0, so
+# a judgement wrongly shared between the two sides of a source would show;
+# integers, so the blow-ups stay small
+_GRID_SYSTEMS = ["unit", {"vertex": {"0": {"lambda": "2"}}}, {"vertex": {"0": {"mu": "2"}}}]
+# a path whose end 0 is looped: no two vertices are twins, so every walk into
+# it keeps exact images, with or without the unit system in its grid
+_TWIN_FREE = {"vertices": 3, "edges": [[0, 1], [1, 2]], "loops": [0]}
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_class_judgements_equal_one_report_at_a_time(tmp_path, data):
+    # random regular sources with side-preserving relabelled copies (file
+    # documents and a one-part union), and a relabelled copy with its sides
+    # swapped, which shares nothing unless isomorphic sides kept (a third of
+    # the cubic draws of half 6 are not): at a drawn budget, every report of
+    # the six propositions that answers alone has its line in the campaign
+    families = []
+    for i in range(data.draw(st.integers(1, 2))):
+        degree, half = data.draw(st.sampled_from([(1, 2), (2, 3), (2, 4), (3, 4), (3, 5), (3, 6)]))
+        spec = {"family": "random-regular", "degree": degree, "half": half,
+                "seed": data.draw(st.integers(0, 99))}
+        g = build_instance(spec)
+        families += [spec, {"family": "union", "parts": [spec]}]
+        for j, swap in enumerate([False, True]):
+            image = data.draw(st.permutations(range(g.vertex_count)))
+            edges = [(image[u], image[v]) for u, v in g.graph.edges()]
+            side = g.class_o if swap else g.class_e
+            relabelled = BipartiteGraph(Graph(g.vertex_count, edges), [image[v] for v in side])
+            name = f"copy-{i}-{j}.json"
+            (tmp_path / name).write_text(json.dumps(serialize_bipartite(relabelled)))
+            families.append({"family": "file", "path": name})
+    config = {"seed": 0, "trials": 1,
+              "budget": data.draw(st.integers(0, 2_000) | st.just(50_000_000)),
+              "families": families,
+              "grids": {"targets": ["hind", _TWIN_FREE],
+                        "activities": data.draw(st.lists(st.sampled_from(_GRID_SYSTEMS),
+                                                         min_size=1, max_size=3))},
+              "propositions": list(_ONE_AT_A_TIME)}
+    for shared, alone in zip(run_campaign(config, tmp_path),
+                             _reports_one_at_a_time(config, tmp_path), strict=True):
+        if alone.verdict != SKIPPED_BUDGET:
+            assert shared.to_json_line() == alone.to_json_line()
+
+
+def test_reports_that_share_a_judgement_share_no_state():
+    # the two draws of half 4 are one class, so trial 1's reports take trial
+    # 0's judgements; what a read of one returns is its own
+    reports = run_campaign(_cubic_config((4,), 2, 50_000_000, ["weighted-ub", "eta-sandwich"]))
+    lines = [r.to_json_line() for r in reports]
+    assert lines == [_dict_line(r) for r in reports]
+    # per proposition: trial 0 into hind, then into K3, then trial 1; 9 systems each
+    for first, twin in ((reports[0], reports[18]), (reports[36], reports[54])):
+        assert first._judgement is twin._judgement
+        details = first.details
+        details["Z_g"] = "0"
+        details["extra"] = [1]
+        assert first.details == twin.details != details
+        for name in ("check", "bounds", "verdict", "expected_violation", "details", "note"):
+            with pytest.raises(AttributeError):
+                setattr(twin, name, None)
+    assert [r.to_json_line() for r in reports] == lines == [_dict_line(r) for r in reports]
 
 
 def test_isomorphic_sources_of_two_families_share_one_walk(monkeypatch):
@@ -810,9 +886,11 @@ def test_memos_hold_only_what_reports_share(monkeypatch):
     # a second trial adds sources, and each source adds its own entries: its
     # build, its document, its class entry and one Z grid per target.  Each
     # new class adds the entries of its first source's walks: its kernel
-    # vertex order, and one shared Z grid and one Z memo per target.  Nothing
-    # is kept per system or per report, so the memos of the cubic campaign do
-    # not grow with its 3,600 reports (nor its peak RSS)
+    # vertex order, and one shared Z grid and one Z memo per target, and a
+    # bucket when no earlier class has its sorted vertex labels.  Nothing is
+    # kept per report, and the judgements a class shares per system leave
+    # the memo at its last job, so the memos of the cubic campaign do not
+    # grow with its 3,600 reports (nor its peak RSS)
     runs = []
 
     class Spy(certify_mod._Quantities):
@@ -832,16 +910,18 @@ def test_memos_hold_only_what_reports_share(monkeypatch):
 
     one, two = memos(1), memos(2)
     assert one.keys() == two.keys()
+    # every class's judgements are dropped by the end of the run
+    assert one["_judged"] == two["_judged"] == {}
     added = {name: len(two[name]) - len(one[name]) for name in one}
     # one trial draws a class per half; two draw one class of half 4 (K_{4,4}
-    # less a perfect matching) and two of half 5, in the buckets of one
-    # trial's (side, degree) pairs
-    new_sources, new_classes, targets = 2, 1, 2
+    # less a perfect matching) and two of half 5, whose new class has sorted
+    # vertex labels (4-cycles through each vertex) of its own
+    new_sources, new_classes, new_buckets, targets = 2, 1, 1, 2
     assert sum(added.values()) == (new_sources * (3 + targets)
-                                   + new_classes * (1 + 2 * targets))
+                                   + new_classes * (1 + 2 * targets) + new_buckets)
     assert added["_docs"] == added["_firsts"] == new_sources
     assert added["_grids"] == new_sources * targets
-    assert added["_buckets"] == 0 and added["_shared"] == new_classes * targets
+    assert added["_buckets"] == new_buckets and added["_shared"] == new_classes * targets
     kinds = Counter(key[0] for key in two["_values"]) - Counter(key[0] for key in one["_values"])
     assert kinds == {"source": new_sources, "order": new_classes, "z": new_classes * targets}
     # the bounds' right sides are shared: one per (value, sizes), not per report

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import itertools
 import json
@@ -903,6 +904,15 @@ def test_one_subcommand_parser_helps_as_the_full_one(capsys):
                 parser.parse_args([name, "-h"])
             helps.append(capsys.readouterr().out)
         assert helps[0] == helps[1] and f"usage: homcert {name}" in helps[0]
+
+
+def test_every_shown_option_has_help_text():
+    parsers = build_parser()._subparsers._group_actions[0].choices
+    assert set(parsers) == set(SUBCOMMAND_OPERATIONS)
+    for name, p in parsers.items():
+        for action in p._actions:
+            if action.help is not argparse.SUPPRESS:
+                assert action.help and action.help.strip(), (name, action.option_strings)
 
 
 def _parsed(parser, argv, capsys):
