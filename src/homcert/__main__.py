@@ -1,5 +1,9 @@
+"""``python -m homcert``: the command line, ended as the ``homcert``
+script ends it (cli.entry), without the interpreter's shutdown
+collections."""
+
 import sys
 
-from .cli import main
+from .cli import entry
 
-sys.exit(main())
+sys.exit(entry())

@@ -87,9 +87,11 @@ class _Quantities:
     A source class is the sources that classify() finds side-preserving
     isomorphic, and its first source walks for all of them: Z is an
     invariant of such an isomorphism, but a walk's meter is not.  So a
-    refused class walk is not shared: each member then walks its own grid
-    (the systems of its own jobs), as a run without classes would, and a
-    report that answers alone answers here too.
+    refusal of the class walk is not shared: a member that asks for a system
+    the class walk refused walks its own grid (the systems of its own jobs),
+    as a run without classes would, and a report that answers alone answers
+    here too.  A plan refuses per walk, so a refused walk refuses only the
+    systems it carries.
 
     A job is a proposition on a source and a target, for each of a list of
     systems: (proposition id, source, target, [(system, its document)], the
@@ -106,8 +108,8 @@ class _Quantities:
     members of a class whose Z comes from the class walk share each answered
     judgement per (proposition, target, system, fields), made by the first
     job that asks, and kept until the last member's job, counted at plan
-    time.  A skipped-budget judgement is never shared, nor one made when the
-    class walk was refused.
+    time.  A skipped-budget judgement is never shared, nor one made from a
+    Z that the class walk refused.
     """
 
     def __init__(self, budget: int):
@@ -202,21 +204,18 @@ class _Quantities:
         """The kernel's vertex order of g, which every walk over g shares."""
         return self.once(("order", id(g)), source_order, g.graph)
 
-    def _grid_z(self, g: BipartiteGraph, h: Graph) -> tuple[dict, bool]:
-        """(id(system) -> Z of every system of g's grid into h, whether it
-        came from the class walk): the walk of its class's grid over the
-        class's first source.  Z is an invariant of a side-preserving
-        isomorphism, so the class shares it; a refusal is not shared: then g
-        walks its own grid."""
+    def _class_z(self, g: BipartiteGraph, h: Graph) -> dict:
+        """The walk of g's class's grid into h over the class's first source
+        (see _walk).  Z is an invariant of a side-preserving isomorphism, so
+        the class shares it; a refusal is not shared: then g walks its own
+        grid."""
         first = self._firsts.get(id(g), g)
-        try:
-            return self._walk(first, h, self._shared[id(first), id(h)]), True
-        except BudgetExceededError:
-            return self._walk(g, h, self._grids[id(g), id(h)]), False
+        return self._walk(first, h, self._shared[id(first), id(h)])
 
     def _walk(self, g: BipartiteGraph, h: Graph, grid: dict) -> dict:
-        """id(system) -> Z of every system of ``grid`` over g, from one run of
-        the target's plan for them; once per (g, h, systems)."""
+        """id(system) -> Z of every system of ``grid`` over g, or the
+        BudgetExceededError of the walk that carried it, from one run of the
+        target's plan for them; once per (g, h, systems)."""
         return self.once(("z", id(g), id(h), *grid), self._run, g, h, grid)
 
     def _run(self, g: BipartiteGraph, h: Graph, grid: dict) -> dict:
@@ -249,27 +248,35 @@ class _Quantities:
     def reports(self, job: tuple) -> Iterator[CertReport]:
         """Judge the job's proposition on its instance, one report per system,
         or take the judgement its class shares.  The reports share one
-        Frame, and the job fetches its Z grid once, when a report first asks
-        for a Z."""
+        Frame, and the job fetches its class's Z grid once, when a report
+        first asks for a Z, and its own grid once, when a report first asks
+        for a Z that the class walk refused."""
         pid, g, h, systems, fields, base = job
         _, weighted, evaluate, _ = _PROPOSITIONS[pid]
         frame = Frame(base, weighted)
-        grid = None
+        shared = own = None
         judged = self._class_judgements(job)
 
         def z(acts: ActivitySystem) -> Fraction:
-            nonlocal grid, judged
-            if grid is None:  # a refused grid raises again at each report
-                grid, from_class = self._grid_z(g, h)
-                if not from_class:
-                    judged = None
-            return grid[id(acts)]
+            nonlocal shared, own, from_class
+            if shared is None:
+                shared = self._class_z(g, h)
+            value = shared[id(acts)]
+            if isinstance(value, BudgetExceededError):
+                from_class = False
+                if own is None:
+                    own = self._walk(g, h, self._grids[id(g), id(h)])
+                value = own[id(acts)]
+                if isinstance(value, BudgetExceededError):
+                    raise value.with_traceback(None)
+            return value
 
         for acts, acts_doc in systems:
             judgement = None if judged is None else judged.get(id(acts))
             if judgement is None:
+                from_class = True  # until z takes the system's Z from g's own grid
                 judgement = _judge(pid, evaluate, (self, g, h, acts, z, *fields))
-                if judged is not None and judgement.verdict != SKIPPED_BUDGET:
+                if judged is not None and from_class and judgement.verdict != SKIPPED_BUDGET:
                     judged[id(acts)] = judgement
             yield CertReport.judged(judgement, frame, acts_doc if weighted else None)
 

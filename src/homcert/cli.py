@@ -9,6 +9,7 @@ seed is the fixed constant 2004, never wall-clock.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -499,6 +500,21 @@ def main(argv=None) -> int:
         return EXIT_CLOSED_PIPE
 
 
+def entry() -> int:
+    """The exit code of ``main`` on the program's arguments, for the program
+    entry points (``python -m homcert`` and the ``homcert`` script).  Once
+    ``main`` has returned, its output flushed, the collector freezes every
+    object tracked so far, so the interpreter's shutdown collections skip
+    them; atexit handlers, stream flushing and module teardown still run.
+    Cyclic garbage left then is never collected and its finalizers never
+    run: homcert defines no ``__del__`` and closes its own files.  ``main``
+    itself leaves the caller's collector alone."""
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 def _run(args) -> int:
     """The exit code of the subcommand, with its answer or error written."""
     try:
@@ -533,4 +549,4 @@ def _run(args) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

@@ -281,7 +281,10 @@ def partition_fn(
 
     With all activities 1 this equals count_homs exactly.
     """
-    return GridPlan(h, [acts]).run(g, budget)[0]
+    value = GridPlan(h, [acts]).run(g, budget)[0]
+    if isinstance(value, BudgetExceededError):
+        raise value
+    return value
 
 
 def _walk(g: BipartiteGraph, h_masks, row_e, row_o, budget: int, twins, order) -> int:
@@ -401,16 +404,18 @@ class GridPlan:
         return s, row_e, row_o, e_tables, systems
 
     def run(self, g: BipartiteGraph, budget: int = DEFAULT_BUDGET,
-            order=None) -> list[Fraction]:
-        """Z(g, h, acts) for every system of the plan, in its order.  ``order``
-        is frontier.source_order(g.graph), for a caller that has it.
+            order=None) -> list:
+        """Z(g, h, acts) for every system of the plan, in its order, or the
+        BudgetExceededError of the walk that carries the system: a refused
+        walk refuses only its own systems.  ``order`` is
+        frontier.source_order(g.graph), for a caller that has it.
 
         Every walk charges its own meter up to ``budget``.  The meter counts
         candidate orbits, not weights, and a walk's twin classes depend on
         the activities it carries, so a plan's walks need not charge what
         partition_fn's do; each charges at most what it would with exact
-        images, so the plan answers wherever those walks answer without
-        twins, and otherwise answers partition_fn's values or refuses."""
+        images, so a system is answered wherever those walks answer without
+        twins, and otherwise gets partition_fn's value or is refused."""
         if order is None:
             order = source_order(g.graph)
         ne, no = len(g.class_e), len(g.class_o)
@@ -420,21 +425,34 @@ class GridPlan:
         uniform, packed, separate = tables
         values = {}
         if uniform:
-            count = Fraction(count_homs(g.graph, self.h, budget, self.unit_twins, order))
-            for acts, factor in uniform:
-                values[acts] = count if factor is None else count * factor
+            try:
+                count = Fraction(count_homs(g.graph, self.h, budget, self.unit_twins, order))
+            except BudgetExceededError as exc:
+                values.update((acts, exc) for acts, _ in uniform)
+            else:
+                for acts, factor in uniform:
+                    values[acts] = count if factor is None else count * factor
         if packed is not None:
             s, row_e, row_o, e_tables, systems = packed
-            total = _walk(g, self.h_masks, row_e, row_o, budget, self.packed_twins, order)
-            digit = (1 << s) - 1
-            coeffs = [[total >> s * (j + k * (ne + 1)) & digit for j in range(ne + 1)]
-                      for k in range(no + 1)]
-            # for each lambda_v, [sum over j of c_jk * lam_num^j * lam_den^(|E|-j) for each k]
-            sums = [[sum(map(mul, row, e_terms)) for row in coeffs] for e_terms in e_tables]
-            for acts, i, o_terms, den in systems:
-                values[acts] = Fraction(sum(map(mul, o_terms, sums[i])), den)
+            try:
+                total = _walk(g, self.h_masks, row_e, row_o, budget, self.packed_twins, order)
+            except BudgetExceededError as exc:
+                values.update((acts, exc) for acts, _, _, _ in systems)
+            else:
+                digit = (1 << s) - 1
+                coeffs = [[total >> s * (j + k * (ne + 1)) & digit for j in range(ne + 1)]
+                          for k in range(no + 1)]
+                # for each lambda_v, [sum over j of c_jk * lam_num^j * lam_den^(|E|-j) for each k]
+                sums = [[sum(map(mul, row, e_terms)) for row in coeffs] for e_terms in e_tables]
+                for acts, i, o_terms, den in systems:
+                    values[acts] = Fraction(sum(map(mul, o_terms, sums[i])), den)
         for acts, (row_e, row_o, twins, den) in separate:
-            values[acts] = Fraction(_walk(g, self.h_masks, row_e, row_o, budget, twins, order), den)
+            try:
+                total = _walk(g, self.h_masks, row_e, row_o, budget, twins, order)
+            except BudgetExceededError as exc:
+                values[acts] = exc
+            else:
+                values[acts] = Fraction(total, den)
         return [values[acts] for acts in self.systems]
 
 

@@ -550,12 +550,30 @@ def test_a_campaign_never_refuses_what_one_report_answers():
     assert _refusals_not_shared(labelled, [110, 140, 530]) > 0
 
 
+def test_a_refused_walk_refuses_only_the_systems_it_carries():
+    # 2K2 into K3 at budget 4: the unit count walks K3's twin orbits and
+    # answers; the vertex-0 system's own walk keeps the pair {1, 2} and is
+    # refused, alone too.  The refusal is that system's, not the grid's
+    system = {"vertex": {"0": {"lambda": "1/3", "mu": "1/3"}}}
+    config = {"seed": 0, "trials": 1, "budget": 4,
+              "families": [{"family": "random-regular", "degree": 1, "half": 2}],
+              "grids": {"targets": ["k3"], "activities": [system]},
+              "propositions": ["hom-ub", "weighted-ub"]}
+    hom_ub, weighted_ub = run_campaign(config)
+    alone = _reports_one_at_a_time(config)
+    assert hom_ub.verdict == HOLDS
+    assert hom_ub.to_json_line() == alone[0].to_json_line()
+    assert weighted_ub.verdict == alone[1].verdict == SKIPPED_BUDGET
+    assert weighted_ub.to_json_line() == alone[1].to_json_line()
+
+
 # the unit system and two systems whose lambda and mu differ at vertex 0, so
 # a judgement wrongly shared between the two sides of a source would show;
 # integers, so the blow-ups stay small
 _GRID_SYSTEMS = ["unit", {"vertex": {"0": {"lambda": "2"}}}, {"vertex": {"0": {"mu": "2"}}}]
 # a path whose end 0 is looped: no two vertices are twins, so every walk into
-# it keeps exact images, with or without the unit system in its grid
+# it keeps exact images; K3's walks keep twins, orbits of all three vertices
+# in the unit count and the pair {1, 2} in the others
 _TWIN_FREE = {"vertices": 3, "edges": [[0, 1], [1, 2]], "loops": [0]}
 
 
@@ -586,7 +604,7 @@ def test_class_judgements_equal_one_report_at_a_time(tmp_path, data):
     config = {"seed": 0, "trials": 1,
               "budget": data.draw(st.integers(0, 2_000) | st.just(50_000_000)),
               "families": families,
-              "grids": {"targets": ["hind", _TWIN_FREE],
+              "grids": {"targets": ["hind", _TWIN_FREE, "k3"],
                         "activities": data.draw(st.lists(st.sampled_from(_GRID_SYSTEMS),
                                                          min_size=1, max_size=3))},
               "propositions": list(_ONE_AT_A_TIME)}

@@ -1,13 +1,16 @@
 import argparse
+import gc
 import hashlib
 import itertools
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
 import time
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -801,6 +804,50 @@ def test_module_entry_point_byte_identical():
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
     assert json.loads(first.stdout) == {"count": "7"}
+
+
+_COUNT_ARGV = ["count", "-g", str(FIX / "knn.json"), "--n", "2", "-H", str(FIX / "hind.json")]
+
+# a child that runs a homcert command by ``launch`` and prints from an
+# atexit hook, which runs after the entry point returns, whether the
+# collector was frozen by then
+_FROZEN_AT_EXIT = """
+import atexit, gc, sys
+atexit.register(lambda: print("frozen" if gc.get_freeze_count() else "not frozen",
+                              file=sys.stderr))
+sys.argv = ["homcert", *sys.argv[1:]]
+{launch}
+"""
+
+
+def _exit_of(launch):
+    proc = subprocess.run([sys.executable, "-c", _FROZEN_AT_EXIT.format(launch=launch),
+                           *_COUNT_ARGV], capture_output=True, timeout=60)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def _console_script():
+    """The module and function that pyproject.toml's homcert script calls."""
+    text = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    return re.search(r'^homcert = "([\w.]+):(\w+)"$', text, re.M).groups()
+
+
+def test_program_entry_points_skip_the_shutdown_collections(capsys):
+    # both entry points end with the collector frozen, so the shutdown
+    # collections skip what the run made, and print what main prints
+    code, out = run_cli(capsys, *_COUNT_ARGV)
+    assert (code, json.loads(out)) == (0, {"count": "7"})
+    module, function = _console_script()
+    for launch in ('import runpy; runpy.run_module("homcert", run_name="__main__")',
+                   f"import {module}; sys.exit({module}.{function}())"):
+        assert _exit_of(launch) == (code, out.encode(), b"frozen\n")
+
+
+def test_main_leaves_the_callers_collector_alone(capsys):
+    frozen = gc.get_freeze_count()
+    assert run_cli(capsys, *_COUNT_ARGV)[0] == 0
+    assert run_cli(capsys, "count", "-g", FIX / "missing.json", "-H", FIX / "hind.json")[0] == 2
+    assert gc.get_freeze_count() == frozen
 
 
 def test_startup_imports_only_what_every_run_needs():

@@ -169,6 +169,14 @@ def test_frontier_count_matches_independent_sets(seed):
 # --- orbit states: targets with twins ------------------------------------------
 
 
+def _answered(values):
+    """A plan's values, or the first refusal among them raised."""
+    for value in values:
+        if isinstance(value, BudgetExceededError):
+            raise value
+    return values
+
+
 def _least_budget(answer):
     """The least budget at which ``answer(budget)`` is not refused, by bisection."""
     low, high = -1, 1
@@ -265,7 +273,7 @@ def test_lone_pair_walks_keep_exact_images(monkeypatch, g, target, route):
         # a plan's twin classes are read when it is made
         if route == "partition_fn":
             return [partition_fn(g, h, acts, budget)]
-        return GridPlan(h, systems).run(g, budget)
+        return _answered(GridPlan(h, systems).run(g, budget))
 
     with _exact_images():
         exact = walk(DEFAULT_BUDGET), _least_budget(walk)
@@ -506,20 +514,35 @@ def test_partition_grid_answers_wherever_its_exact_walks_do(seed):
                 except BudgetExceededError:
                     refused.append(True)
             assert refused == [budget < least] * len(systems)
+            answer = GridPlan(h, systems).run(g, budget)
             if budget < least:
-                with pytest.raises(BudgetExceededError):
-                    GridPlan(h, systems).run(g, budget)
+                assert all(isinstance(value, BudgetExceededError) for value in answer)
             else:
-                assert GridPlan(h, systems).run(g, budget) == values
+                assert answer == values
+    # a refused walk refuses only the systems it carries
     for budget in {0, least // 2, least - 1, least}:
         if budget < 0:
             continue
-        try:
-            answer = GridPlan(h, systems).run(g, budget)
-        except BudgetExceededError:
-            assert budget < least
-        else:
-            assert answer == values
+        for value, expected in zip(GridPlan(h, systems).run(g, budget), values, strict=True):
+            if isinstance(value, BudgetExceededError):
+                assert budget < least
+            else:
+                assert value == expected
+
+
+def test_a_refused_walk_refuses_only_its_own_systems():
+    # 2K2 into K3 at budget 4: the count walk over K3's twin orbits answers
+    # for the uniform systems, the vertex-0 system's walk keeps the pair
+    # {1, 2} and is refused, as partition_fn refuses it
+    g = BipartiteGraph(Graph(4, [(0, 2), (1, 3)]), [0, 1])
+    k3, acts = _K3_AT_0
+    uniform = ActivitySystem.uniform(3, "1/2", "2")
+    unit, refused, scaled = GridPlan(k3, [ActivitySystem.unit(3), acts, uniform]).run(g, 4)
+    assert unit == count_homs(g.graph, k3) == 36
+    assert scaled == partition_fn(g, k3, uniform, 4) == 36
+    assert isinstance(refused, BudgetExceededError)
+    with pytest.raises(BudgetExceededError, match="budget 4 exceeded"):
+        partition_fn(g, k3, acts, 4)
 
 
 def test_partition_grid_packs_one_vertex_grids_into_one_walk(monkeypatch):
