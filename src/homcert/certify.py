@@ -18,9 +18,8 @@ from typing import Callable, Iterator, NamedTuple
 
 from . import closedform
 from .constructions import blowup, double
-from .errors import BudgetExceededError, GraphFormatError, input_limit
+from .errors import BudgetExceededError, GraphFormatError, input_limit, shown
 from .eta import EtaWitness, eta_two_sided
-from .frontier import source_order
 from .graphs import (
     BipartiteGraph,
     Graph,
@@ -72,26 +71,17 @@ _UNSET = object()
 
 class _Quantities:
     """The one memo of a run: every number its reports ask for, computed once
-    on first use.  These are Z per (source class, target), from one run of
-    the GridPlan of the target and every system the run's jobs ask of the
-    class's sources (an unweighted proposition's system is the unit one, so
-    its count is a Z of denominator 1), the kernel's vertex order per source
-    that walks, that plan per (target, systems), the twin classes per
-    (target, system), the closed forms per (sizes, target, system), eta, the
-    double and the blow-up per target or (target, system), the bounds' right
-    sides per (value, exponent), the serialized sources, targets and systems,
-    and a campaign's resolved sources, targets and systems.  Each computation
-    charges its own meter up to the run's budget, as a direct call would; a
-    refusal is kept and raised again at every use.
-
-    A source class is the sources that classify() finds side-preserving
-    isomorphic, and its first source walks for all of them: Z is an
-    invariant of such an isomorphism, but a walk's meter is not.  So a
-    refusal of the class walk is not shared: a member that asks for a system
-    the class walk refused walks its own grid (the systems of its own jobs),
-    as a run without classes would, and a report that answers alone answers
-    here too.  A plan refuses per walk, so a refused walk refuses only the
-    systems it carries.
+    on first use.  These are Z per (source, target), from one run of the
+    GridPlan of the target and every system the run's jobs ask of the
+    source (an unweighted proposition's system is the unit one, so its count
+    is a Z of denominator 1), that plan per (target, systems), the closed
+    forms per (sizes, target, system), eta, the double and the blow-up per
+    target or (target, system), the bounds' right sides per (value,
+    exponent), the serialized sources, targets and systems, and a campaign's
+    resolved sources, targets and systems.  (A system's twin classes and a
+    graph's kernel vertex order are memoised on the system and the graph.)
+    Each computation charges its own meter up to the run's budget, as a
+    direct call would; a refusal is kept and raised again at every use.
 
     A job is a proposition on a source and a target, for each of a list of
     systems: (proposition id, source, target, [(system, its document)], the
@@ -102,24 +92,24 @@ class _Quantities:
     run.  The memo holds only what reports share: nothing in it is made per
     report, and only the judgements are made per system of a job.
 
-    A judgement (reports.Judgement) depends on its source only through Z,
-    N and the hypothesis fields, all invariants of the class, unless its
-    proposition reads the source itself (Proposition.reads_source).  So the
-    members of a class whose Z comes from the class walk share each answered
-    judgement per (proposition, target, system, fields), made by the first
-    job that asks, and kept until the last member's job, counted at plan
-    time.  A skipped-budget judgement is never shared, nor one made from a
-    Z that the class walk refused.
+    A source class is the sources that classify() finds side-preserving
+    isomorphic.  A judgement (reports.Judgement) depends on its source only
+    up to such an isomorphism: through Z, N, the hypothesis fields and, for
+    the identities, the restricted count over the blow-up or the double.  A
+    walk's meter is not an invariant, so a refusal is not.  Hence the one
+    rule: the members of a class share each judgement that is not
+    skipped-budget, per (proposition, target, system, fields), made by the
+    first job that asks and kept until the last member's job, counted at
+    plan time.  A job without a shared judgement judges alone, from its own
+    source's Z grid, as a run without classes would, so a report that
+    answers alone answers here too.
     """
 
     def __init__(self, budget: int):
         self.budget = budget
         self._values: dict = {}
-        # (id(g), id(h)) -> {id(acts): acts}, in job order: g's own Z grid
+        # (id(g), id(h)) -> {id(acts): acts}, in job order: g's Z grid into h
         self._grids: dict = {}
-        # (id(first), id(h)) -> {id(acts): acts}, in job order: the Z grid of
-        # the class whose first source is ``first``, every member's systems
-        self._shared: dict = {}
         self._firsts: dict = {}  # id(source) -> the first source of its class
         # a source's sorted vertex labels -> the first sources of its classes,
         # in plan order
@@ -149,21 +139,18 @@ class _Quantities:
         return g
 
     def job(self, pid, g, h, systems: list, fields: dict, info: dict) -> tuple:
-        """The job tuple; its systems join the Z grid of (g, h) and that of
-        (the first source of g's class, h), so a run makes every job before
-        its first report.  Its reports share their instance but the
-        activities: the documents of g and h, N, then the info and the
-        hypothesis fields.  A job of a proposition whose judgements its
-        class shares counts itself in their memo entry."""
+        """The job tuple; its systems join the Z grid of (g, h), so a run
+        makes every job before its first report.  Its reports share their
+        instance but the activities: the documents of g and h, N, then the
+        info and the hypothesis fields.  The job counts itself in the memo
+        entry of the judgements its class shares."""
         grid = self._grids.setdefault((id(g), id(h)), {})
-        shared = self._shared.setdefault((id(self._firsts.get(id(g), g)), id(h)), {})
         for acts, _ in systems:
-            grid[id(acts)] = shared[id(acts)] = acts
+            grid[id(acts)] = acts
         base = {"g": self._doc(g, serialize_bipartite), "h": self._doc(h, serialize_graph),
                 "N": g.vertex_count, **info, **fields}
         job = pid, g, h, systems, tuple(fields.values()), base
-        if not _PROPOSITIONS[pid].reads_source:
-            self._judged.setdefault(self._class_key(job), [0, {}])[0] += 1
+        self._judged.setdefault(self._class_key(job), [0, {}])[0] += 1
         return job
 
     def _class_key(self, job: tuple) -> tuple:
@@ -197,37 +184,22 @@ class _Quantities:
             side = self._powers[key] = Fraction(value) ** exponent * (1 << shift)
         return side
 
-    def twins(self, h: Graph, acts: ActivitySystem) -> list[int]:
-        return self.once(("twins", id(h), id(acts)), acts.twin_classes, h)
+    def z(self, g: BipartiteGraph, h: Graph, acts: ActivitySystem) -> Fraction:
+        """Z(g, h, acts), or the refusal of the walk that carried it, from one
+        run of the target's plan for every system of g's grid into h."""
+        value = self.once(("z", id(g), id(h)), self._run, g, h)[id(acts)]
+        if isinstance(value, BudgetExceededError):
+            raise value.with_traceback(None)
+        return value
 
-    def order(self, g: BipartiteGraph) -> tuple:
-        """The kernel's vertex order of g, which every walk over g shares."""
-        return self.once(("order", id(g)), source_order, g.graph)
-
-    def _class_z(self, g: BipartiteGraph, h: Graph) -> dict:
-        """The walk of g's class's grid into h over the class's first source
-        (see _walk).  Z is an invariant of a side-preserving isomorphism, so
-        the class shares it; a refusal is not shared: then g walks its own
-        grid."""
-        first = self._firsts.get(id(g), g)
-        return self._walk(first, h, self._shared[id(first), id(h)])
-
-    def _walk(self, g: BipartiteGraph, h: Graph, grid: dict) -> dict:
-        """id(system) -> Z of every system of ``grid`` over g, or the
-        BudgetExceededError of the walk that carried it, from one run of the
-        target's plan for them; once per (g, h, systems)."""
-        return self.once(("z", id(g), id(h), *grid), self._run, g, h, grid)
-
-    def _run(self, g: BipartiteGraph, h: Graph, grid: dict) -> dict:
-        plan = self.once(("plan", id(h), *grid), GridPlan, h, grid.values(),
-                         partial(self.twins, h))
-        return dict(zip(grid, plan.run(g, self.budget, self.order(g))))
+    def _run(self, g: BipartiteGraph, h: Graph) -> dict:
+        grid = self._grids[id(g), id(h)]
+        plan = self.once(("plan", id(h), *grid), GridPlan, h, grid.values())
+        return dict(zip(grid, plan.run(g, self.budget)))
 
     def kab(self, a: int, b: int, h: Graph, acts: ActivitySystem) -> Fraction:
-        return self.once(("kab", a, b, id(h), id(acts)), self._kab, a, b, h, acts)
-
-    def _kab(self, a: int, b: int, h: Graph, acts: ActivitySystem) -> Fraction:
-        return closedform.kab_partition(a, b, h, acts, self.budget, self.twins(h, acts))
+        return self.once(("kab", a, b, id(h), id(acts)), closedform.kab_partition, a, b, h, acts,
+                         self.budget)
 
     def knn_count(self, n: int, h: Graph) -> int:
         return self.once(("knn", n, id(h)), closedform.knn_restricted_count, n,
@@ -248,46 +220,24 @@ class _Quantities:
     def reports(self, job: tuple) -> Iterator[CertReport]:
         """Judge the job's proposition on its instance, one report per system,
         or take the judgement its class shares.  The reports share one
-        Frame, and the job fetches its class's Z grid once, when a report
-        first asks for a Z, and its own grid once, when a report first asks
-        for a Z that the class walk refused."""
+        Frame."""
         pid, g, h, systems, fields, base = job
-        _, weighted, evaluate, _ = _PROPOSITIONS[pid]
+        _, weighted, evaluate = _PROPOSITIONS[pid]
         frame = Frame(base, weighted)
-        shared = own = None
         judged = self._class_judgements(job)
-
-        def z(acts: ActivitySystem) -> Fraction:
-            nonlocal shared, own, from_class
-            if shared is None:
-                shared = self._class_z(g, h)
-            value = shared[id(acts)]
-            if isinstance(value, BudgetExceededError):
-                from_class = False
-                if own is None:
-                    own = self._walk(g, h, self._grids[id(g), id(h)])
-                value = own[id(acts)]
-                if isinstance(value, BudgetExceededError):
-                    raise value.with_traceback(None)
-            return value
-
         for acts, acts_doc in systems:
-            judgement = None if judged is None else judged.get(id(acts))
+            judgement = judged.get(id(acts))
             if judgement is None:
-                from_class = True  # until z takes the system's Z from g's own grid
-                judgement = _judge(pid, evaluate, (self, g, h, acts, z, *fields))
-                if judged is not None and from_class and judgement.verdict != SKIPPED_BUDGET:
+                judgement = _judge(pid, evaluate, (self, g, h, acts, *fields))
+                if judgement.verdict != SKIPPED_BUDGET:
                     judged[id(acts)] = judgement
             yield CertReport.judged(judgement, frame, acts_doc if weighted else None)
 
-    def _class_judgements(self, job: tuple) -> dict | None:
-        """id(system) -> the judgement the job's class shares, or None for a
-        proposition that reads the source itself.  The entry leaves the memo
-        at its last job."""
+    def _class_judgements(self, job: tuple) -> dict:
+        """id(system) -> the judgement the job's class shares.  The entry
+        leaves the memo at its last job."""
         key = self._class_key(job)
-        entry = self._judged.get(key)
-        if entry is None:
-            return None
+        entry = self._judged[key]
         entry[0] -= 1
         if not entry[0]:
             del self._judged[key]
@@ -310,9 +260,9 @@ def _judge(check, evaluate, args, expected=False) -> Judgement:
 
 
 # The propositions.  An evaluation takes the run's quantities, the job's
-# source, target and system, the job's Z getter and the hypothesis fields,
-# and asks for every number it needs in its own order, so the first refused
-# quantity is the one its report names.
+# source, target and system and the hypothesis fields, and asks for every
+# number it needs in its own order, so the first refused quantity is the one
+# its report names.
 
 
 def _regular(g: BipartiteGraph) -> dict:
@@ -329,24 +279,24 @@ def _biregular(g: BipartiteGraph) -> dict:
     return {"a": degrees[0], "b": degrees[1]}
 
 
-def _hom_ub(q, g, h, acts, z, n):
-    lhs = z(acts)
+def _hom_ub(q, g, h, acts, n):
+    lhs = q.z(g, h, acts)
     rhs = q.knn_count(n, h)
     bound = BoundCheck("upper", "<=", "count(g,h)^(2n)", "count(Knn,h)^N",
                        lhs ** (2 * n), q.power(rhs, g.vertex_count))
     return [bound], {"count_g": str(lhs), "count_knn": str(rhs)}
 
 
-def _weighted_ub(q, g, h, acts, z, n):
-    z_g = z(acts)
+def _weighted_ub(q, g, h, acts, n):
+    z_g = q.z(g, h, acts)
     z_knn = q.kab(n, n, h, acts)
     bound = BoundCheck("upper", "<=", "Z(g)^(2n)", "Z(Knn)^N",
                        z_g ** (2 * n), q.power(z_knn, g.vertex_count))
     return [bound], {"Z_g": str(z_g), "Z_knn": str(z_knn)}
 
 
-def _bireg_ub(q, g, h, acts, z, a, b):
-    z_g = z(acts)
+def _bireg_ub(q, g, h, acts, a, b):
+    z_g = q.z(g, h, acts)
     z_kab = q.kab(b, a, h, acts)
     bound = BoundCheck("upper", "<=", "Z(g)^(a+b)", "Z(Kab)^N",
                        z_g ** (a + b), q.power(z_kab, g.vertex_count))
@@ -373,20 +323,20 @@ def _eta_details(witness: EtaWitness) -> dict:
     return {"eta": str(witness.value), "eta_A": witness.set_a, "eta_B": witness.set_b}
 
 
-def _eta_sandwich(q, g, h, acts, z, n):
+def _eta_sandwich(q, g, h, acts, n):
     witness = q.eta(h, acts)
     shared = q.once(("eta details", id(h), id(acts)), _eta_details, witness)
-    z_g = z(acts)
+    z_g = q.z(g, h, acts)
     eta, big_n = witness.value, g.vertex_count
     bounds = _sandwich_bounds(z_g, eta, n, q.power(eta, big_n),
                               q.power(eta, n * big_n, h.vertex_count * big_n))
     return bounds, {**shared, "Z_g": str(z_g)}
 
 
-def _lift_identity(q, g, h, acts, z):
+def _lift_identity(q, g, h, acts):
     target, meta = q.once(("blowup", id(h), id(acts)), blowup, h, acts, q.budget)
-    z_g = z(acts)
-    lifted = count_homs_restricted(g, target, q.budget, q.order(g))
+    z_g = q.z(g, h, acts)
+    lifted = count_homs_restricted(g, target, q.budget)
     bound = BoundCheck("identity", "==", "Z(g)*C^N", "restricted-count(blowup)",
                        z_g * meta.scale**g.vertex_count, Fraction(lifted))
     details = {
@@ -398,9 +348,9 @@ def _lift_identity(q, g, h, acts, z):
     return [bound], details
 
 
-def _double_identity(q, g, h, acts, z):
-    plain = z(acts)
-    restricted = count_homs_restricted(g, q.doubled(h), q.budget, q.order(g))
+def _double_identity(q, g, h, acts):
+    plain = q.z(g, h, acts)
+    restricted = count_homs_restricted(g, q.doubled(h), q.budget)
     bound = BoundCheck("identity", "==", "count(g,h)", "restricted-count(double)",
                        plain, Fraction(restricted))
     return [bound], {"count": str(plain), "restricted_count": str(restricted)}
@@ -410,15 +360,11 @@ class Proposition(NamedTuple):
     """A checkable proposition.  ``hypothesis`` takes the source and returns
     the extra instance fields or raises GraphFormatError; ``weighted`` says
     whether activities apply; ``evaluate`` returns the bounds and the report
-    details; ``reads_source`` says whether the evaluation reads the source
-    beyond its Z, N and hypothesis fields (a restricted count walks it with
-    its own meter), so that isomorphic sources may not share its
-    judgements."""
+    details."""
 
     hypothesis: Callable[[BipartiteGraph], dict]
     weighted: bool
     evaluate: Callable[..., tuple[list, dict]]
-    reads_source: bool = False
 
 
 _PROPOSITIONS = {
@@ -426,8 +372,8 @@ _PROPOSITIONS = {
     "weighted-ub": Proposition(_regular, True, _weighted_ub),
     "eta-sandwich": Proposition(_regular, True, _eta_sandwich),
     "bireg-ub": Proposition(_biregular, True, _bireg_ub),
-    "lift-identity": Proposition(lambda g: {}, True, _lift_identity, reads_source=True),
-    "double-identity": Proposition(lambda g: {}, False, _double_identity, reads_source=True),
+    "lift-identity": Proposition(lambda g: {}, True, _lift_identity),
+    "double-identity": Proposition(lambda g: {}, False, _double_identity),
 }
 
 PROPOSITION_IDS = (*_PROPOSITIONS, _DEMO)
@@ -438,7 +384,7 @@ def _check(pid, g: BipartiteGraph, h: Graph, acts: ActivitySystem | None,
     """Proposition ``pid`` on one instance, as a run of one job: it shares no
     number with another report, and its Z grid holds one system, so no walk
     is packed."""
-    hypothesis, weighted, _, _ = _PROPOSITIONS[pid]
+    hypothesis, weighted, _ = _PROPOSITIONS[pid]
     q = _Quantities(budget)
     system = q.system(acts if weighted else ActivitySystem.unit(h.vertex_count))
     (report,) = q.reports(q.job(pid, g, h, [system], hypothesis(g), instance_info or {}))
@@ -560,14 +506,15 @@ def resolve_target(entry, base_dir=None, budget: int = DEFAULT_BUDGET) -> Graph:
                 raise BudgetExceededError(
                     f"target {entry} of {k} vertices and {edges} edges exceeds budget {budget}")
             return complete_graph(k, loops=bool(m.group(1)))
-        raise GraphFormatError(f"unknown target shorthand {entry!r}")
+        raise GraphFormatError(f"unknown target shorthand {shown(entry)}")
     if isinstance(entry, dict) and set(entry) == {"file"}:
         if not isinstance(entry["file"], str):
-            raise GraphFormatError(f"target 'file' must be a path string, got {entry['file']!r}")
+            raise GraphFormatError(
+                f"target 'file' must be a path string, got {shown(entry['file'])}")
         return parse_graph(read_doc(entry["file"], base_dir), budget)
     if isinstance(entry, dict):
         return parse_graph(entry, budget)
-    raise GraphFormatError(f"bad target entry {entry!r}")
+    raise GraphFormatError(f"bad target entry {shown(entry)}")
 
 
 def _proposition(entry, lists: dict) -> dict:
@@ -576,13 +523,13 @@ def _proposition(entry, lists: dict) -> dict:
     if isinstance(entry, str):
         entry = {"id": entry}
     if not isinstance(entry, dict) or "id" not in entry:
-        raise GraphFormatError(f"bad proposition entry {entry!r}")
+        raise GraphFormatError(f"bad proposition entry {shown(entry)}")
     unknown = set(entry) - {"id", *lists}
     if unknown:
-        raise GraphFormatError(f"unknown proposition keys {sorted(unknown)}")
+        raise GraphFormatError(f"unknown proposition keys {shown(sorted(unknown))}")
     if entry["id"] not in PROPOSITION_IDS:
         raise GraphFormatError(
-            f"unknown proposition {entry['id']!r}; expected one of {PROPOSITION_IDS}"
+            f"unknown proposition {shown(entry['id'])}; expected one of {PROPOSITION_IDS}"
         )
     return {"id": entry["id"], **{key: list_field(entry, key, lists[key]) for key in lists}}
 
@@ -601,7 +548,7 @@ def load_campaign(source, base_dir=None) -> tuple[dict, Path | None]:
         raise GraphFormatError("campaign config must be a JSON object")
     unknown = set(raw) - _CONFIG_KEYS
     if unknown:
-        raise GraphFormatError(f"unknown campaign keys {sorted(unknown)}")
+        raise GraphFormatError(f"unknown campaign keys {shown(sorted(unknown))}")
     grids = raw.get("grids", {})
     if not isinstance(grids, dict) or set(grids) - _GRID_KEYS:
         raise GraphFormatError("'grids' must be an object with 'targets'/'activities'")
@@ -664,11 +611,10 @@ def iter_campaign(config, base_dir=None) -> Iterator[CertReport]:
     run holds only the memo, the jobs and the report drawn.
 
     Each source joins its class (_Quantities.classify) when it is built, in
-    plan order, so every run picks the same first source per class, which
-    walks the class's Z grid (every system its members' jobs ask) once per
-    target, and the class's members share their judgements (see
-    _Quantities).  A report that the public certify_* functions answer one at a
-    time is the same here; one they refuse may answer from its class's walk.
+    plan order, so every run picks the same first source per class, and the
+    class's members share their answered judgements (see _Quantities).  A
+    report that the public certify_* functions answer one at a time is the
+    same here; one they refuse may answer from a judgement its class shares.
     """
     config, base_dir = load_campaign(config, base_dir)
     budget = config.get("budget", DEFAULT_BUDGET)
@@ -691,7 +637,7 @@ def iter_campaign(config, base_dir=None) -> Iterator[CertReport]:
         if pid == _DEMO:
             jobs.append(None)
             continue
-        hypothesis, weighted, _, _ = _PROPOSITIONS[pid]
+        hypothesis, weighted, _ = _PROPOSITIONS[pid]
         families = plan["families"]
         instances = []
         for desc, g in q.once(("families", repr(families)), lambda: sources(families)):

@@ -112,15 +112,14 @@ def knn_restricted_count(n: int, target: BipartiteGraph, budget: int = DEFAULT_B
 
 
 def kab_partition(
-    a: int, b: int, h: Graph, acts: ActivitySystem, budget: int = DEFAULT_BUDGET, twins=None
+    a: int, b: int, h: Graph, acts: ActivitySystem, budget: int = DEFAULT_BUDGET
 ) -> Fraction:
     """Exact partition value on the complete bipartite graph whose E-class
     has size a (carrying lambda) and O-class size b (carrying mu).
 
     Sum over the common neighbourhoods c of the O-side images: (mu-weight of
     the maps with that c) times (lambda-sum of c)^a, on denominators-cleared
-    integers.  ``twins`` is acts.twin_classes(h), for a caller that already
-    has them.
+    integers.
     """
     if a < 1 or b < 1:
         raise ValueError("side sizes must be >= 1")
@@ -130,10 +129,8 @@ def kab_partition(
     _check_answer_bits(a * (sum(lam).bit_length() + (d_lam - 1).bit_length())
                        + b * (sum(mu).bit_length() + (d_mu - 1).bit_length()), budget)
     m = h.vertex_count
-    if twins is None:
-        twins = acts.twin_classes(h)
     states = _common_neighbourhoods(b, range(m), h.neighbor_masks(), (1 << m) - 1, mu, budget,
-                                    twins)
+                                    acts.twin_classes(h))
     total = sum(w * sum(lam[i] for i in mask_vertices(c)) ** a for c, w in states.items())
     return Fraction(total, d_mu**b * d_lam**a)
 

@@ -259,28 +259,29 @@ def _orbit_sum(order, nbrs, base_of, h_masks, rows_of, bits, meter, budget, twin
 def source_order(g: Graph) -> tuple[list[tuple[int, ...]], list[list[int]]]:
     """(nbrs, orders): each vertex's neighbours less itself, and each
     connected component of g in greedy order (_frontier_order), by lowest
-    vertex.  What every walk over g shares, whatever the target, so a caller
-    that walks g more than once makes it once."""
-    nbrs = [tuple(w for w in ws if w != v) for v, ws in enumerate(g.neighbors)]
-    seen = [False] * g.vertex_count
-    orders = []
-    for s in range(g.vertex_count):
-        if not seen[s]:
-            orders.append(_frontier_order(nbrs, s, seen))
-    return nbrs, orders
+    vertex.  What every walk over g shares, whatever the target, so it is
+    made once per graph and held on it."""
+    if g._order is None:
+        nbrs = [tuple(w for w in ws if w != v) for v, ws in enumerate(g.neighbors)]
+        seen = [False] * g.vertex_count
+        orders = []
+        for s in range(g.vertex_count):
+            if not seen[s]:
+                orders.append(_frontier_order(nbrs, s, seen))
+        g._order = nbrs, orders
+    return g._order
 
 
-def _hom_sum(g: Graph, base_of, h_masks, rows_of, budget: int, twins=(), order=None) -> int:
+def _hom_sum(g: Graph, base_of, h_masks, rows_of, budget: int, twins=()) -> int:
     """Product over connected components of the per-component assignment sums.
 
     ``rows_of[v]`` is an integer weight row for vertex v, or None overall for
     plain counting.  ``twins`` lists the masks of the walk's twin classes of
     two or more target vertices: swapping two members of one class must fix
-    h_masks, every base mask and every row.  ``order`` is source_order(g),
-    for a caller that has it.  An empty graph contributes the empty product
-    1.
+    h_masks, every base mask and every row.  An empty graph contributes the
+    empty product 1.
     """
-    nbrs, orders = source_order(g) if order is None else order
+    nbrs, orders = source_order(g)
     bits = max(1, (len(h_masks) - 1).bit_length())
     meter = [0]
     total = 1

@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from .errors import (
-    DEFAULT_BUDGET, BudgetExceededError, GraphFormatError, input_digits, input_limit)
+    DEFAULT_BUDGET, BudgetExceededError, GraphFormatError, input_digits, input_limit, shown)
 
 _MATCHING_RESAMPLE_CAP = 10_000
 
@@ -27,7 +27,7 @@ _GRAPH_KEYS = {"vertices", "edges", "loops"}
 
 def _check_index(v, n: int) -> int:
     if isinstance(v, bool) or not isinstance(v, int) or not 0 <= v < n:
-        raise GraphFormatError(f"vertex index {v!r} out of range for {n} vertices")
+        raise GraphFormatError(f"vertex index {shown(v)} out of range for {n} vertices")
     return v
 
 
@@ -53,10 +53,11 @@ class Graph:
     """Finite undirected graph on vertices 0..vertex_count-1, loops allowed.
 
     ``neighbors[v]`` is a sorted tuple that contains ``v`` itself exactly when
-    ``v`` carries a loop; parallel edges cannot be represented.
+    ``v`` carries a loop; parallel edges cannot be represented.  ``_order``
+    holds the kernel's vertex order once frontier.source_order has made it.
     """
 
-    __slots__ = ("vertex_count", "neighbors", "loops")
+    __slots__ = ("vertex_count", "neighbors", "loops", "_order")
 
     def __init__(self, vertex_count: int, edges=(), loops=()):
         if isinstance(vertex_count, bool) or not isinstance(vertex_count, int) or vertex_count < 0:
@@ -66,7 +67,7 @@ class Graph:
             try:
                 u, v = e
             except (TypeError, ValueError):
-                raise GraphFormatError(f"edge {e!r} is not a pair") from None
+                raise GraphFormatError(f"edge {shown(e)} is not a pair") from None
             _check_index(u, vertex_count)
             _check_index(v, vertex_count)
             adj[u].add(v)
@@ -77,6 +78,7 @@ class Graph:
         self.vertex_count = vertex_count
         self.neighbors = tuple(tuple(sorted(s)) for s in adj)
         self.loops = frozenset(v for v in range(vertex_count) if v in adj[v])
+        self._order = None
 
     def adjacent(self, u: int, v: int) -> bool:
         return v in self.neighbors[u]
@@ -87,9 +89,6 @@ class Graph:
     def edges(self) -> list[tuple[int, int]]:
         """Non-loop edges as sorted (u, v) pairs with u < v."""
         return [(u, v) for u in range(self.vertex_count) for v in self.neighbors[u] if u < v]
-
-    def has_any_edge(self) -> bool:
-        return any(self.neighbors)
 
     def neighbor_masks(self) -> list[int]:
         """Per-vertex neighbor bitmask; bit v set on its own mask iff loop."""
@@ -346,7 +345,7 @@ def _graph_from_doc(doc: dict, budget: int = DEFAULT_BUDGET) -> Graph:
     charged to the larger of ``budget`` and the default before it is built."""
     unknown = set(doc) - _GRAPH_KEYS
     if unknown:
-        raise GraphFormatError(f"unknown keys {sorted(unknown)}")
+        raise GraphFormatError(f"unknown keys {shown(sorted(unknown))}")
     if "vertices" not in doc:
         raise GraphFormatError("missing 'vertices'")
     vertices, edges = doc["vertices"], list_field(doc, "edges")
@@ -615,12 +614,12 @@ def parse_instance_spec(doc: dict, _depth: int = 0) -> dict:
     family = doc.get("family")
     families = (*GENERATED_FAMILIES, *_STRUCTURAL)
     if family not in families:
-        raise GraphFormatError(f"unknown family {family!r}; expected one of {families}")
+        raise GraphFormatError(f"unknown family {shown(family)}; expected one of {families}")
     row = GENERATED_FAMILIES.get(family)
     wanted = row.params if row else (_STRUCTURAL[family],)
     unknown = set(doc) - set(wanted) - {"family", "seed"}
     if unknown:
-        raise GraphFormatError(f"unknown spec keys {sorted(unknown)} for family {family!r}")
+        raise GraphFormatError(f"unknown spec keys {shown(sorted(unknown))} for family {family!r}")
     missing = [k for k in wanted if k not in doc]
     if missing:
         raise GraphFormatError(f"family {family!r} requires {missing}")
@@ -645,7 +644,7 @@ def parse_instance_spec(doc: dict, _depth: int = 0) -> dict:
     if seed is not None and not (row and row.seeded):
         raise GraphFormatError(f"family {family!r} takes no seed")
     if row and not row.valid(*params.values()):
-        raise GraphFormatError(f"invalid parameters for family {family!r}: {params}")
+        raise GraphFormatError(f"invalid parameters for family {family!r}: {shown(params)}")
     return {"family": family, **params, **({} if seed is None else {"seed": seed})}
 
 

@@ -17,7 +17,7 @@ from math import lcm
 from operator import mul
 
 from .errors import DEFAULT_BUDGET, BudgetExceededError, GraphFormatError, input_digits, shown
-from .frontier import _hom_sum, source_order
+from .frontier import _hom_sum
 from .graphs import BipartiteGraph, Graph, mask_of
 
 _ONE = Fraction(1)
@@ -55,7 +55,8 @@ class ActivitySystem:
 
     ``lambdas[i]`` weighs E-class images, ``mus[i]`` weighs O-class images;
     lambda == mu everywhere is the one-sided model.  Immutable, equal and
-    hashed by value: a system keys the memos of a run.
+    hashed by value: a system keys the memos of a run, and keeps its own
+    integer rows and its twin classes per target.
     """
 
     def __init__(self, lambdas: tuple[Fraction, ...], mus: tuple[Fraction, ...]):
@@ -111,15 +112,20 @@ class ActivitySystem:
 
     @classmethod
     def from_mapping(cls, k: int, mapping) -> "ActivitySystem":
-        """Pairs keyed by vertex index; omitted vertices default to (1, 1)."""
+        """Pairs keyed by vertex index, an int or its str(); omitted vertices
+        default to (1, 1)."""
         lams = [_ONE] * k
         mus = [_ONE] * k
         for key, (lam, mu) in mapping.items():
             try:
                 with input_digits():
-                    v = int(key)
+                    v = int(key) if isinstance(key, str) else key
             except ValueError:
-                raise GraphFormatError(f"activity vertex {shown(key)} is not an index") from None
+                v = None
+            # int() also reads "00", " 1 ", "1_0" and other scripts' digits: a
+            # key is an int or the index as str() writes it, so no two name one vertex
+            if type(v) is not int or isinstance(key, str) and key != str(v):
+                raise GraphFormatError(f"activity vertex {shown(key)} is not an index")
             if not 0 <= v < k:
                 raise GraphFormatError(f"activity vertex {shown(key)} out of range")
             lams[v] = as_fraction(lam)
@@ -164,7 +170,19 @@ class ActivitySystem:
 
     def twin_classes(self, h: Graph) -> list[int]:
         """The masks of h's twin classes (see twin_prev) of two or more
-        vertices, in the order of their largest members."""
+        vertices, in the order of their largest members: made once per
+        target, keyed by its value, and shared (callers must not change
+        the list)."""
+        classes = self._twin_memo.get(h)
+        if classes is None:
+            classes = self._twin_memo[h] = self._twin_classes(h)
+        return classes
+
+    @cached_property
+    def _twin_memo(self) -> dict:
+        return {}
+
+    def _twin_classes(self, h: Graph) -> list[int]:
         classes = {}  # keyed by the largest member so far of each class
         for i, j in enumerate(self.twin_prev(h)):
             classes[i] = classes.pop(j, 0) | 1 << i
@@ -241,36 +259,31 @@ def resolve_activities(entry, vertex_count: int) -> ActivitySystem:
 # Operations
 
 
-def count_homs(g: Graph, h: Graph, budget: int = DEFAULT_BUDGET, twins=None,
-               order=None) -> int:
+def count_homs(g: Graph, h: Graph, budget: int = DEFAULT_BUDGET) -> int:
     """Exact number of maps V(g) -> V(h) with u~v implying f(u)~f(v).
 
     g need not be bipartite or regular; a looped g-vertex must land on a
-    looped h-vertex.  ``twins`` is the unit system's twin_classes(h) and
-    ``order`` is frontier.source_order(g), for a caller that already has
-    them.
+    looped h-vertex.
     """
-    if twins is None:
-        twins = ActivitySystem.unit(h.vertex_count).twin_classes(h)
+    twins = ActivitySystem.unit(h.vertex_count).twin_classes(h)
     h_masks = h.neighbor_masks()
     full = (1 << h.vertex_count) - 1
     loop_mask = h.loop_mask()
     base = [loop_mask if v in g.loops else full for v in range(g.vertex_count)]
-    return _hom_sum(g, base, h_masks, None, budget, twins, order)
+    return _hom_sum(g, base, h_masks, None, budget, twins)
 
 
 def count_homs_restricted(
-    g: BipartiteGraph, target: BipartiteGraph, budget: int = DEFAULT_BUDGET, order=None
+    g: BipartiteGraph, target: BipartiteGraph, budget: int = DEFAULT_BUDGET
 ) -> int:
     """Exact count of homomorphisms sending g's class E into the target's
     class E (a two-sorted target's upper side) and class O into its class O
-    (the lower side).  ``order`` is frontier.source_order(g.graph), for a
-    caller that already has it."""
+    (the lower side)."""
     h_masks = target.graph.neighbor_masks()
     em = mask_of(target.class_e)
     om = mask_of(target.class_o)
     base = [em if v in g.class_e else om for v in range(g.vertex_count)]
-    return _hom_sum(g.graph, base, h_masks, None, budget, (), order)
+    return _hom_sum(g.graph, base, h_masks, None, budget)
 
 
 def partition_fn(
@@ -287,12 +300,12 @@ def partition_fn(
     return value
 
 
-def _walk(g: BipartiteGraph, h_masks, row_e, row_o, budget: int, twins, order) -> int:
+def _walk(g: BipartiteGraph, h_masks, row_e, row_o, budget: int, twins) -> int:
     """One weighted kernel walk over the maps of g into the target:
     E-vertices weigh row_e, O-vertices row_o."""
     rows = [row_e if v in g.class_e else row_o for v in range(g.vertex_count)]
     return _hom_sum(g.graph, [(1 << len(h_masks)) - 1] * g.vertex_count, h_masks, rows, budget,
-                    twins, order)
+                    twins)
 
 
 # What one kernel step costs besides its weight arithmetic, in bits of
@@ -314,26 +327,19 @@ class GridPlan:
       weights (see _packed);
     - otherwise each distinct system takes one weighted walk.
 
-    The plan holds that split, v and the common rows, every walk's twin
-    classes and, per source sizes (|E|, |O|), the packing decision, the powers
-    of lambda_v and mu_v and the denominators.  ``twin_classes(acts)`` gives a
-    system's twin classes on h (acts.twin_classes(h) by default), so a caller
-    that keeps them per (system, target) computes each once.
+    The plan holds that split, v and the common rows, the separate walks'
+    twin classes and, per source sizes (|E|, |O|), the packing decision, the
+    powers of lambda_v and mu_v and the denominators.
     """
 
-    def __init__(self, h: Graph, systems, twin_classes=None):
-        if twin_classes is None:
-            def twin_classes(acts):
-                return acts.twin_classes(h)
+    def __init__(self, h: Graph, systems):
         self.h = h
         self.h_masks = h.neighbor_masks()
         self.systems = list(systems)
         rows = {acts: acts.integer_rows(h) for acts in self.systems}  # the distinct systems
         self.uniform = [acts for acts in rows if acts.is_uniform()]
-        self.unit_twins = (twin_classes(ActivitySystem.unit(h.vertex_count))
-                           if self.uniform else None)
         rest = [acts for acts in rows if not acts.is_uniform()]
-        self.separate = [(acts, rows[acts], twin_classes(acts)) for acts in rest]
+        self.separate = [(acts, rows[acts], acts.twin_classes(h)) for acts in rest]
         first = rest[0] if rest else None
         differ = [v for v in range(h.vertex_count)
                   if any(acts.lambdas[v] != first.lambdas[v] or acts.mus[v] != first.mus[v]
@@ -403,12 +409,10 @@ class GridPlan:
                             (lam.denominator * d_lam) ** ne * (mu_den * d_mu) ** no))
         return s, row_e, row_o, e_tables, systems
 
-    def run(self, g: BipartiteGraph, budget: int = DEFAULT_BUDGET,
-            order=None) -> list:
+    def run(self, g: BipartiteGraph, budget: int = DEFAULT_BUDGET) -> list:
         """Z(g, h, acts) for every system of the plan, in its order, or the
         BudgetExceededError of the walk that carries the system: a refused
-        walk refuses only its own systems.  ``order`` is
-        frontier.source_order(g.graph), for a caller that has it.
+        walk refuses only its own systems.
 
         Every walk charges its own meter up to ``budget``.  The meter counts
         candidate orbits, not weights, and a walk's twin classes depend on
@@ -416,8 +420,6 @@ class GridPlan:
         partition_fn's do; each charges at most what it would with exact
         images, so a system is answered wherever those walks answer without
         twins, and otherwise gets partition_fn's value or is refused."""
-        if order is None:
-            order = source_order(g.graph)
         ne, no = len(g.class_e), len(g.class_o)
         tables = self._sizes.get((ne, no))
         if tables is None:
@@ -426,7 +428,7 @@ class GridPlan:
         values = {}
         if uniform:
             try:
-                count = Fraction(count_homs(g.graph, self.h, budget, self.unit_twins, order))
+                count = Fraction(count_homs(g.graph, self.h, budget))
             except BudgetExceededError as exc:
                 values.update((acts, exc) for acts, _ in uniform)
             else:
@@ -435,7 +437,7 @@ class GridPlan:
         if packed is not None:
             s, row_e, row_o, e_tables, systems = packed
             try:
-                total = _walk(g, self.h_masks, row_e, row_o, budget, self.packed_twins, order)
+                total = _walk(g, self.h_masks, row_e, row_o, budget, self.packed_twins)
             except BudgetExceededError as exc:
                 values.update((acts, exc) for acts, _, _, _ in systems)
             else:
@@ -448,7 +450,7 @@ class GridPlan:
                     values[acts] = Fraction(sum(map(mul, o_terms, sums[i])), den)
         for acts, (row_e, row_o, twins, den) in separate:
             try:
-                total = _walk(g, self.h_masks, row_e, row_o, budget, twins, order)
+                total = _walk(g, self.h_masks, row_e, row_o, budget, twins)
             except BudgetExceededError as exc:
                 values[acts] = exc
             else:

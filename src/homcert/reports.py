@@ -160,7 +160,7 @@ class Frame:
         """_json(self.instance(activities)), with the stream memo ``encoded``
         (see CertReport.to_json_line)."""
         head, tail = self._text or self._split(encoded)
-        return head + _shared_json(activities, encoded) + tail if self._slot else head
+        return head + _memo_json(activities, encoded) + tail if self._slot else head
 
     def _split(self, encoded: dict) -> tuple[str, str]:
         base = self.base
@@ -321,7 +321,7 @@ def _scalar_json(value) -> str:
     return _json(value)
 
 
-def _shared_json(value, encoded: dict) -> str:
+def _memo_json(value, encoded: dict) -> str:
     """_json(value) for a value that many reports hold: a string or an int
     directly, else from the stream memo ``encoded``, once per stream."""
     kind = type(value)
@@ -356,7 +356,7 @@ def _object_json(doc, encoded: dict, shared: bool) -> str:
         elif kind is int:
             parts.append(prefix + str(value))
         elif shared or kind is tuple:
-            parts.append(prefix + _shared_json(value, encoded))
+            parts.append(prefix + _memo_json(value, encoded))
         else:
             return _json(doc)
     return "{" + ",".join(parts) + "}"

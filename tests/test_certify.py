@@ -466,10 +466,10 @@ def _counted_campaign(monkeypatch, config):
     walks, builds = Counter(), Counter()
     kernel, build = homcount._hom_sum, certify_mod.build_instance
 
-    def counting_kernel(g, base_of, h_masks, rows_of, budget, twins=(), order=None):
+    def counting_kernel(g, base_of, h_masks, rows_of, budget, twins=()):
         if rows_of is not None:
             walks[id(g), tuple(h_masks)] += 1
-        return kernel(g, base_of, h_masks, rows_of, budget, twins, order)
+        return kernel(g, base_of, h_masks, rows_of, budget, twins)
 
     def counting_build(spec, *args):
         builds[repr(spec)] += 1
@@ -520,6 +520,37 @@ def test_cubic_campaign_makes_one_z_walk_per_class_and_target(monkeypatch):
                       "nonbipartite-lower-bound-failure": 1}
 
 
+def test_isomorphic_sources_share_answered_identity_judgements(monkeypatch):
+    # the default campaign's random-regular draws of seeds 2004 and 2005 are
+    # one class: the 2005 draw takes its class's four double-identity
+    # judgements (one per target) and walks no restricted count of its own,
+    # so the run makes 56 restricted counts where one per identity report
+    # (28 double, 32 lift) took 60
+    sources = []
+    restricted = certify_mod.count_homs_restricted
+    monkeypatch.setattr(certify_mod, "count_homs_restricted",
+                        lambda g, *args: sources.append(g) or restricted(g, *args))
+    config, base_dir = load_campaign(_fixture_path("default-campaign.json"))
+    reports = run_campaign(config, base_dir)
+    assert len(sources) == 56
+    spec = {"family": "random-regular", "degree": 3, "half": 6}
+    draws = {}
+    for report in reports:
+        if report.check == "double-identity" and report.instance["g_spec"].get("seed"):
+            draws.setdefault(report.instance["g_spec"]["seed"], []).append(report)
+    assert sorted(draws) == [2004, 2005]
+    member = build_instance({**spec, "seed": 2005})
+    assert member.graph != build_instance({**spec, "seed": 2004}).graph
+    assert all(g.graph != member.graph for g in sources)
+    for entry, first, report in zip(config["grids"]["targets"], draws[2004], draws[2005],
+                                    strict=True):
+        assert report.verdict == HOLDS and report._judgement is first._judgement
+        info = {"g_spec": {**spec, "seed": 2005, "seed_rule": "master_seed+index"},
+                "h_spec": entry, "trial": 5}
+        alone = certify_double_identity(member, resolve_target(entry), config["budget"], info)
+        assert report.to_json_line() == alone.to_json_line()
+
+
 def _refusals_not_shared(config, budgets) -> int:
     """At each budget, every report that answers alone has its line in the
     campaign, and one refused alone is refused there or has its line at a
@@ -539,13 +570,14 @@ def _refusals_not_shared(config, budgets) -> int:
 
 
 def test_a_campaign_never_refuses_what_one_report_answers():
-    # isomorphic sources share their class's walk, but not its refusal
+    # isomorphic sources share their answered judgements, never a refusal
     cubic = _cubic_config((4, 5, 6), 3, 0, ["weighted-ub", "eta-sandwich"])
     _refusals_not_shared(cubic, [0, 80, 160, 320, 480, 640])
     # half 6 from seed 3: seeds 3, 6, 7 and 8 are one class whose first walk
-    # (3's) costs the least, so at 140 and 530 the class answers what 6, 7
-    # and 8 refuse alone; seeds 4 and 5 are one class whose first walk costs
-    # more, so at 110 (into hind) 4's walk is refused and 5 walks its own
+    # (3's) costs the least, so at 140 and 530 3's judgements answer what 6,
+    # 7 and 8 refuse alone; seeds 4 and 5 are one class whose first walk
+    # costs more, so at 110 (into hind) 4's judgements are refused, not
+    # shared, and 5 walks its own grid
     labelled = {**_cubic_config((6,), 6, 0, ["weighted-ub", "eta-sandwich"]), "seed": 3}
     assert _refusals_not_shared(labelled, [110, 140, 530]) > 0
 
@@ -677,21 +709,25 @@ def test_sources_past_the_budget_are_never_matched(monkeypatch):
 
 def test_campaigns_plan_each_grid_once_and_each_twin_class_list_once(monkeypatch):
     # what depends only on the target and its systems is made once per run,
-    # not once per source or per job
+    # not once per source or per job; a system keeps its twin classes per
+    # target, so only its memo's misses compute them
     plans, twins = Counter(), Counter()
-    plan, twin_classes = homcount.GridPlan, ActivitySystem.twin_classes
+    plan, twin_classes = homcount.GridPlan, ActivitySystem._twin_classes
 
-    def counting_plan(h, systems, *args):
+    def counting_plan(h, systems):
         systems = list(systems)
         plans[id(h), tuple(map(id, systems))] += 1
-        return plan(h, systems, *args)
+        return plan(h, systems)
 
     def counting_twin_classes(acts, h):
         twins[id(acts), id(h)] += 1
         return twin_classes(acts, h)
 
     monkeypatch.setattr(certify_mod, "GridPlan", counting_plan)
-    monkeypatch.setattr(ActivitySystem, "twin_classes", counting_twin_classes)
+    monkeypatch.setattr(ActivitySystem, "_twin_classes", counting_twin_classes)
+    # the unit systems are made once per process: fresh ones hold no twin
+    # classes of an earlier test's targets
+    ActivitySystem.unit.cache_clear()
     cubic = _cubic_config((4, 5, 6, 7, 8), 20, 50_000_000,
                           ["weighted-ub", "eta-sandwich", "nonbipartite-lower-bound-failure"])
     assert len(run_campaign(cubic)) == 3601
@@ -903,8 +939,8 @@ def test_kept_cross_products_judge_and_write_as_the_sides_do(relation, lhs, rhs,
 def test_memos_hold_only_what_reports_share(monkeypatch):
     # a second trial adds sources, and each source adds its own entries: its
     # build, its document, its class entry and one Z grid per target.  Each
-    # new class adds the entries of its first source's walks: its kernel
-    # vertex order, and one shared Z grid and one Z memo per target, and a
+    # new class adds its first source's walks, one Z memo per target (the
+    # other members take the class's judgements and never walk), and a
     # bucket when no earlier class has its sorted vertex labels.  Nothing is
     # kept per report, and the judgements a class shares per system leave
     # the memo at its last job, so the memos of the cubic campaign do not
@@ -936,12 +972,12 @@ def test_memos_hold_only_what_reports_share(monkeypatch):
     # vertex labels (4-cycles through each vertex) of its own
     new_sources, new_classes, new_buckets, targets = 2, 1, 1, 2
     assert sum(added.values()) == (new_sources * (3 + targets)
-                                   + new_classes * (1 + 2 * targets) + new_buckets)
+                                   + new_classes * targets + new_buckets)
     assert added["_docs"] == added["_firsts"] == new_sources
     assert added["_grids"] == new_sources * targets
-    assert added["_buckets"] == new_buckets and added["_shared"] == new_classes * targets
+    assert added["_buckets"] == new_buckets
     kinds = Counter(key[0] for key in two["_values"]) - Counter(key[0] for key in one["_values"])
-    assert kinds == {"source": new_sources, "order": new_classes, "z": new_classes * targets}
+    assert kinds == {"source": new_sources, "z": new_classes * targets}
     # the bounds' right sides are shared: one per (value, sizes), not per report
     assert one["_powers"] and added["_powers"] == 0
 

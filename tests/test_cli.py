@@ -340,6 +340,39 @@ def test_activity_entries_are_refused_with_a_bounded_message(capsys, tmp_path):
         assert message.startswith("bad activity entry") and len(message) < 200
 
 
+_LONG = "x" * 100_000
+_CYCLE = {"family": "cycle", "length": 4}
+
+
+def _campaign(**fields):
+    return {"families": [_CYCLE], "propositions": ["hom-ub"], **fields}
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("count", {"vertices": 2, "edges": [[0, _LONG]]}),  # an edge endpoint
+    ("count", {"vertices": 2, "edges": [_LONG]}),  # an edge that is not a pair
+    ("count", {"vertices": 2, _LONG: 1}),  # a graph key
+    ("generate", {"family": _LONG}),
+    ("generate", {**_CYCLE, _LONG: 1}),  # a spec key
+    ("generate", {"family": "cycle", "length": int("9" * 4000)}),  # an invalid parameter
+    ("certify", {_LONG: 1}),  # a campaign key
+    ("certify", _campaign(propositions=[_LONG])),
+    ("certify", _campaign(propositions=[[_LONG]])),
+    ("certify", _campaign(propositions=[{"id": "hom-ub", _LONG: 1}])),
+    ("certify", _campaign(grids={"targets": [_LONG]})),  # a target shorthand
+    ("certify", _campaign(grids={"targets": [{"file": [_LONG]}]})),
+    ("certify", _campaign(grids={"targets": [[_LONG]]})),
+])
+def test_input_errors_cut_the_input_they_repeat(capsys, tmp_path, command, doc):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    argv = {"count": ("-g", path, "-H", FIX / "hind.json"), "generate": ("--spec-file", path),
+            "certify": ("--config", path)}[command]
+    code, out = run_cli(capsys, command, *argv)
+    assert code == 2
+    assert json.loads(out)["error"]["code"] == "input-error" and len(out) < 1024
+
+
 def test_certify_default_campaign(capsys, tmp_path):
     code, out = run_cli(capsys, "certify", "--config", "default")
     assert code == 0

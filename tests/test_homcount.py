@@ -166,6 +166,27 @@ def test_frontier_count_matches_independent_sets(seed):
     assert count_homs(g, HIND) == count_independent_sets(g)
 
 
+def test_source_order_is_made_once_per_graph(monkeypatch):
+    # every walk over a graph shares its kernel vertex order, whatever the
+    # target, weights or sides: the graph holds it from its first walk on
+    made = []
+    greedy = frontier._frontier_order
+    monkeypatch.setattr(frontier, "_frontier_order",
+                        lambda nbrs, start, seen: made.append(start) or greedy(nbrs, start, seen))
+    g = gen_union([gen_even_cycle(6), gen_complete_bipartite(2, 3)])
+    k3 = complete_graph(3)
+    acts = ActivitySystem.from_mapping(3, {0: ("1/2", "2")})
+    values = [count_homs(g.graph, k3), count_homs(g.graph, HIND), partition_fn(g, k3, acts),
+              partition_fn(g.swapped(), k3, acts), count_homs_restricted(g, double(k3))]
+    assert made == [0, 6]  # one greedy order per component, by lowest vertex
+    # an equal graph built anew makes its own, and walks to the same values
+    again = gen_union([gen_even_cycle(6), gen_complete_bipartite(2, 3)])
+    assert [count_homs(again.graph, k3), count_homs(again.graph, HIND),
+            partition_fn(again, k3, acts), partition_fn(again.swapped(), k3, acts),
+            count_homs_restricted(again, double(k3))] == values
+    assert made == [0, 6, 0, 6]
+
+
 # --- orbit states: targets with twins ------------------------------------------
 
 
@@ -763,6 +784,16 @@ def test_parse_activities_defaults_and_one_sided():
 def test_parse_activities_rejects(doc):
     with pytest.raises(GraphFormatError):
         resolve_activities(load_doc(doc), 2)
+
+
+@pytest.mark.parametrize("key", ["00", "1_0", "\u0663", " 1 ", 1.5, True])
+def test_activity_vertex_keys_must_be_written_as_indices(key):
+    # int() reads each of these keys ("\u0663" is an Arabic-Indic three), so
+    # "0" and "00" would both name vertex 0 and the last would win
+    for entries in ({key: {"lambda": "3"}}, {"0": {"lambda": "2"}, key: {"lambda": "3"}}):
+        with pytest.raises(GraphFormatError, match="is not an index"):
+            resolve_activities({"vertex": entries}, 11)
+    assert resolve_activities({"vertex": {"10": {"lambda": "3"}}}, 11).lambdas[10] == 3
 
 
 def test_activity_describe_shapes():
