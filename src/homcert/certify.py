@@ -78,8 +78,10 @@ class _Quantities:
     forms per (sizes, target, system), eta, the double and the blow-up per
     target or (target, system), the bounds' right sides per (value,
     exponent), the serialized sources, targets and systems, and a campaign's
-    resolved sources, targets and systems.  (A system's twin classes and a
-    graph's kernel vertex order are memoised on the system and the graph.)
+    resolved sources, targets and systems, each under a key that starts with
+    its kind.  (A graph's kernel vertex order is memoised on the graph; a
+    system's twin classes are derived by each plan, count walk, closed form
+    and eta that uses them.)
     Each computation charges its own meter up to the run's budget, as a
     direct call would; a refusal is kept and raised again at every use.
 
@@ -114,9 +116,6 @@ class _Quantities:
         # a source's sorted vertex labels -> the first sources of its classes,
         # in plan order
         self._buckets: dict = {}
-        self._docs: dict = {}  # id(source, target or system) -> its report document
-        # (id(value), exponent, shift) -> a bound's right side (power)
-        self._powers: dict = {}
         # (pid, id(first), id(h), fields) -> [its jobs not yet begun, {id(system):
         # the judgement its class's members share}]
         self._judged: dict = {}
@@ -158,7 +157,9 @@ class _Quantities:
         return pid, id(self._firsts.get(id(g), g)), id(h), fields
 
     def system(self, acts: ActivitySystem) -> tuple[ActivitySystem, dict]:
-        """(acts, its report document), as a job lists it."""
+        """(acts, its report document), as a job lists it: the run's first
+        system equal to acts, so equal systems share their memo entries."""
+        acts = self._values.setdefault(("acts", acts), acts)
         return acts, self._doc(acts, ActivitySystem.describe)
 
     def once(self, key, compute, *args):
@@ -178,11 +179,7 @@ class _Quantities:
     def power(self, value, exponent: int, shift: int = 0) -> Fraction:
         """value^exponent * 2^shift as a Fraction, for a value this memo holds:
         a bound's right side, made once for every report that shares it."""
-        key = id(value), exponent, shift
-        side = self._powers.get(key)
-        if side is None:
-            side = self._powers[key] = Fraction(value) ** exponent * (1 << shift)
-        return side
+        return self.once(("power", id(value), exponent, shift), _power, value, exponent, shift)
 
     def z(self, g: BipartiteGraph, h: Graph, acts: ActivitySystem) -> Fraction:
         """Z(g, h, acts), or the refusal of the walk that carried it, from one
@@ -212,10 +209,7 @@ class _Quantities:
         return self.once(("eta", id(h), id(acts)), eta_two_sided, h, acts, self.budget)
 
     def _doc(self, obj, write) -> dict:
-        doc = self._docs.get(id(obj))
-        if doc is None:
-            doc = self._docs[id(obj)] = write(obj)
-        return doc
+        return self.once(("doc", id(obj)), write, obj)
 
     def reports(self, job: tuple) -> Iterator[CertReport]:
         """Judge the job's proposition on its instance, one report per system,
@@ -231,7 +225,7 @@ class _Quantities:
                 judgement = _judge(pid, evaluate, (self, g, h, acts, *fields))
                 if judgement.verdict != SKIPPED_BUDGET:
                     judged[id(acts)] = judgement
-            yield CertReport.judged(judgement, frame, acts_doc if weighted else None)
+            yield CertReport(judgement, frame, acts_doc if weighted else None)
 
     def _class_judgements(self, job: tuple) -> dict:
         """id(system) -> the judgement the job's class shares.  The entry
@@ -242,6 +236,10 @@ class _Quantities:
         if not entry[0]:
             del self._judged[key]
         return entry[1]
+
+
+def _power(value, exponent: int, shift: int) -> Fraction:
+    return Fraction(value) ** exponent * (1 << shift)
 
 
 def _judge(check, evaluate, args, expected=False) -> Judgement:
@@ -471,10 +469,10 @@ def sandwich_nonbipartite_demo(budget: int = DEFAULT_BUDGET) -> CertReport:
         z = Fraction(count_homs(g, h, budget))
         eta = eta_two_sided(h, ActivitySystem.unit(h.vertex_count), budget).value
         bounds = _sandwich_bounds(z, eta, n, eta**big_n,
-                                  eta ** (n * big_n) * (1 << h.vertex_count * big_n))
+                                  _power(eta, n * big_n, h.vertex_count * big_n))
         return bounds, {"eta": str(eta), "Z_g": str(z)}
 
-    return CertReport.judged(_judge(_DEMO, evaluate, (), True), Frame(inst, False))
+    return CertReport(_judge(_DEMO, evaluate, (), True), Frame(inst, False))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ owns the activities: their integer rows and the target's twin classes.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cached_property
 from math import lcm
 from operator import mul
 
@@ -55,8 +55,9 @@ class ActivitySystem:
 
     ``lambdas[i]`` weighs E-class images, ``mus[i]`` weighs O-class images;
     lambda == mu everywhere is the one-sided model.  Immutable, equal and
-    hashed by value: a system keys the memos of a run, and keeps its own
-    integer rows and its twin classes per target.
+    hashed by value: a system keys the memos of a run and keeps its own
+    integer rows.  Its twin classes on a target are derived at each call, so
+    it holds no target.
     """
 
     def __init__(self, lambdas: tuple[Fraction, ...], mus: tuple[Fraction, ...]):
@@ -94,7 +95,6 @@ class ActivitySystem:
         return len(self.lambdas)
 
     @classmethod
-    @cache  # one per size: count_homs asks for the unit system's twin classes
     def unit(cls, k: int) -> "ActivitySystem":
         ones = (_ONE,) * k
         return cls(ones, ones)
@@ -170,19 +170,7 @@ class ActivitySystem:
 
     def twin_classes(self, h: Graph) -> list[int]:
         """The masks of h's twin classes (see twin_prev) of two or more
-        vertices, in the order of their largest members: made once per
-        target, keyed by its value, and shared (callers must not change
-        the list)."""
-        classes = self._twin_memo.get(h)
-        if classes is None:
-            classes = self._twin_memo[h] = self._twin_classes(h)
-        return classes
-
-    @cached_property
-    def _twin_memo(self) -> dict:
-        return {}
-
-    def _twin_classes(self, h: Graph) -> list[int]:
+        vertices, in the order of their largest members."""
         classes = {}  # keyed by the largest member so far of each class
         for i, j in enumerate(self.twin_prev(h)):
             classes[i] = classes.pop(j, 0) | 1 << i

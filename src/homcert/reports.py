@@ -232,28 +232,17 @@ class CertReport:
 
     A report is a Judgement in a Frame: the reports of one job share a
     frame, each with its system's activity document, and the reports of
-    isomorphic sources may share a judgement; a report made from a plain
-    ``instance`` gets Frame(instance, False).  Every field is read-only,
+    isomorphic sources may share a judgement; a report of a plain
+    ``instance`` has Frame(instance, False).  Every field is read-only,
     and the instance and the details are made anew at each read, so
     changing what a read returns changes no line and no other report."""
 
     __slots__ = ("_judgement", "_frame", "_activities", "__weakref__")
 
-    def __init__(self, check: str, instance: dict | None, bounds: tuple[BoundCheck, ...],
-                 verdict: str, expected_violation: bool = False, details: dict | None = None,
-                 note: str | None = None, frame: Frame | None = None, activities=None):
-        self._judgement = Judgement(check, bounds, verdict, expected_violation, details, note)
-        self._frame = Frame(instance, False) if frame is None else frame
+    def __init__(self, judgement: Judgement, frame: Frame, activities=None):
+        self._judgement = judgement
+        self._frame = frame
         self._activities = activities
-
-    @classmethod
-    def judged(cls, judgement: Judgement, frame: Frame, activities=None) -> "CertReport":
-        """The report of ``judgement`` in ``frame`` with ``activities``."""
-        report = object.__new__(cls)
-        report._judgement = judgement
-        report._frame = frame
-        report._activities = activities
-        return report
 
     check = property(attrgetter("_judgement.check"))
     bounds = property(attrgetter("_judgement.bounds"))

@@ -50,7 +50,7 @@ from homcert.certify import (
 )
 from homcert.cli import _fixture_path
 from homcert.graphs import Graph, needs_seed, parse_instance_spec, serialize_bipartite
-from homcert.reports import Frame
+from homcert.reports import Frame, Judgement
 
 HIND = independence_target()
 K3 = complete_graph(3)
@@ -707,39 +707,43 @@ def test_sources_past_the_budget_are_never_matched(monkeypatch):
         r.to_json_line() for r in _reports_one_at_a_time(config)]
 
 
-def test_campaigns_plan_each_grid_once_and_each_twin_class_list_once(monkeypatch):
+def test_campaigns_plan_each_grid_once_whatever_ran_before(monkeypatch):
     # what depends only on the target and its systems is made once per run,
-    # not once per source or per job; a system keeps its twin classes per
-    # target, so only its memo's misses compute them
+    # not once per source or per job, and a run's work does not depend on
+    # the runs before it in the process: a cubic run after a default one
+    # makes the same plans, derives the same twin classes and writes the
+    # same stream as the cubic run before it
     plans, twins = Counter(), Counter()
-    plan, twin_classes = homcount.GridPlan, ActivitySystem._twin_classes
+    plan, twin_classes = homcount.GridPlan, ActivitySystem.twin_classes
 
     def counting_plan(h, systems):
         systems = list(systems)
-        plans[id(h), tuple(map(id, systems))] += 1
+        plans[h, tuple(systems), id(h), tuple(map(id, systems))] += 1
         return plan(h, systems)
 
     def counting_twin_classes(acts, h):
-        twins[id(acts), id(h)] += 1
+        twins[acts, h] += 1
         return twin_classes(acts, h)
 
     monkeypatch.setattr(certify_mod, "GridPlan", counting_plan)
-    monkeypatch.setattr(ActivitySystem, "_twin_classes", counting_twin_classes)
-    # the unit systems are made once per process: fresh ones hold no twin
-    # classes of an earlier test's targets
-    ActivitySystem.unit.cache_clear()
+    monkeypatch.setattr(ActivitySystem, "twin_classes", counting_twin_classes)
     cubic = _cubic_config((4, 5, 6, 7, 8), 20, 50_000_000,
                           ["weighted-ub", "eta-sandwich", "nonbipartite-lower-bound-failure"])
-    assert len(run_campaign(cubic)) == 3601
+
+    def run(config):
+        plans.clear()
+        twins.clear()
+        stream = report_stream(iter_campaign(config))
+        # one plan per target and system list, made once
+        assert set(plans.values()) == {1}
+        return stream, Counter(key[:2] for key in plans), Counter(twins)
+
+    first = run(cubic)
+    assert first[0].count("\n") == 3601
     # one plan per target: both propositions ask the same nine systems
-    assert len(plans) == 2 and set(plans.values()) == {1}
-    # the 18 (system, target) pairs, and the demo's count into K2
-    assert len(twins) == 19 and set(twins.values()) == {1}
-    for counter in (plans, twins):
-        counter.clear()
-    run_campaign(_fixture_path("default-campaign.json"))
-    assert len(plans) == 4 and set(plans.values()) == {1}
-    assert set(twins.values()) == {1}
+    assert len(first[1]) == 2
+    assert len(run(_fixture_path("default-campaign.json"))[1]) == 4
+    assert run(cubic) == first
 
 
 def test_campaign_on_a_long_cycle_with_a_vertex0_grid():
@@ -760,12 +764,17 @@ def test_campaign_on_a_long_cycle_with_a_vertex0_grid():
     assert {r.verdict for r in reports} == {HOLDS}
 
 
+def _plain(check, verdict, expected_violation=False):
+    """A synthetic report of an empty plain instance."""
+    return CertReport(Judgement(check, (), verdict, expected_violation), Frame({}, False))
+
+
 def test_exit_code_on_synthetic_reports():
-    ok = CertReport("hom-ub", {}, (), HOLDS)
-    bad = CertReport("hom-ub", {}, (), VIOLATED)
-    expected = CertReport("nonbipartite-lower-bound-failure", {}, (), VIOLATED, expected_violation=True)
-    missing = CertReport("nonbipartite-lower-bound-failure", {}, (), HOLDS, expected_violation=True)
-    skipped = CertReport("hom-ub", {}, (), SKIPPED_BUDGET)
+    ok = _plain("hom-ub", HOLDS)
+    bad = _plain("hom-ub", VIOLATED)
+    expected = _plain("nonbipartite-lower-bound-failure", VIOLATED, expected_violation=True)
+    missing = _plain("nonbipartite-lower-bound-failure", HOLDS, expected_violation=True)
+    skipped = _plain("hom-ub", SKIPPED_BUDGET)
     assert campaign_exit_code([ok, expected]) == 0
     assert campaign_exit_code([ok, bad]) == 1
     assert campaign_exit_code([missing]) == 1
@@ -847,8 +856,8 @@ def test_framed_lines_are_their_dicts(details, nested, base, own, weighted, syst
         base["activities"] = own
     frame = Frame(base, weighted)
     bound = BoundCheck("upper", "<=", "x", "y", Fraction(1, 3), Fraction(1, 2))
-    reports = [CertReport("weighted-ub", None, (bound,), HOLDS, False, details, note, frame, doc)
-               for doc in systems]
+    judgement = Judgement("weighted-ub", (bound,), HOLDS, False, details, note)
+    reports = [CertReport(judgement, frame, doc) for doc in systems]
     encoded = {}
     lines = [r.to_json_line(encoded) for r in reports]  # before any instance is read
     assert lines == [_dict_line(r) for r in reports]
@@ -864,9 +873,8 @@ def test_instances_are_read_only():
     # and an unframed report is written as its dict too
     bound = BoundCheck("upper", "<=", "x", "y", Fraction(1, 3), Fraction(1, 2))
     frame = Frame({"g": {"vertices": 2, "edges": [[0, 1]]}, "N": 3}, True)
-    framed = CertReport("weighted-ub", None, (bound,), HOLDS, False, None, None, frame,
-                        {"unit": True})
-    plain = CertReport("hom-ub", {}, (), HOLDS)
+    framed = CertReport(Judgement("weighted-ub", (bound,), HOLDS), frame, {"unit": True})
+    plain = _plain("hom-ub", HOLDS)
     for report in (framed, plain, sandwich_nonbipartite_demo()):
         line, doc = report.to_json_line(), report.to_dict()
         assert line == _dict_line(report)
@@ -963,7 +971,9 @@ def test_memos_hold_only_what_reports_share(monkeypatch):
         return {name: memo for name, memo in vars(q).items() if isinstance(memo, dict)}
 
     one, two = memos(1), memos(2)
-    assert one.keys() == two.keys()
+    # one value memo, keyed by kind; the others hold the plan: the grids, the
+    # classes and the judgements they share
+    assert one.keys() == two.keys() == {"_values", "_grids", "_firsts", "_buckets", "_judged"}
     # every class's judgements are dropped by the end of the run
     assert one["_judged"] == two["_judged"] == {}
     added = {name: len(two[name]) - len(one[name]) for name in one}
@@ -973,13 +983,15 @@ def test_memos_hold_only_what_reports_share(monkeypatch):
     new_sources, new_classes, new_buckets, targets = 2, 1, 1, 2
     assert sum(added.values()) == (new_sources * (3 + targets)
                                    + new_classes * targets + new_buckets)
-    assert added["_docs"] == added["_firsts"] == new_sources
+    assert added["_firsts"] == new_sources
     assert added["_grids"] == new_sources * targets
     assert added["_buckets"] == new_buckets
-    kinds = Counter(key[0] for key in two["_values"]) - Counter(key[0] for key in one["_values"])
-    assert kinds == {"source": new_sources, "z": new_classes * targets}
-    # the bounds' right sides are shared: one per (value, sizes), not per report
-    assert one["_powers"] and added["_powers"] == 0
+    one_kinds = Counter(key[0] for key in one["_values"])
+    kinds = Counter(key[0] for key in two["_values"]) - one_kinds
+    assert kinds == {"source": new_sources, "doc": new_sources, "z": new_classes * targets}
+    # the bounds' right sides are shared: one per (value, sizes), not per
+    # report, so the second trial adds none
+    assert one_kinds["power"] and "power" not in kinds
 
 
 def test_report_stream_of_a_generator_equals_that_of_a_list():

@@ -827,3 +827,9 @@ def test_twin_prev_is_the_largest_smaller_twin(seed):
     expected = [max((j for j in range(i) if twins(i, j)), default=-1)
                 for i in range(h.vertex_count)]
     assert acts.twin_prev(h) == expected
+    # the classes of two or more twins, as masks in the order of their
+    # largest members
+    classes = {sum(1 << j for j in range(h.vertex_count) if j == i or twins(i, j))
+               for i in range(h.vertex_count)}
+    assert acts.twin_classes(h) == sorted((c for c in classes if c.bit_count() > 1),
+                                          key=int.bit_length)
