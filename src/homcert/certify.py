@@ -91,7 +91,10 @@ class _Quantities:
     instance but the activities), the objects themselves, so what its
     reports share is made once per job.  Memo keys use the
     objects' id(), so the jobs and the memo keep every object alive for the
-    run.  The memo holds only what reports share: nothing in it is made per
+    run.  Systems alone are also kept by value, under ("acts", system): every
+    system a job lists comes through system(), which returns the run's first
+    system of that value, so equal systems share one id and so one Z, plan
+    and closed form.  The memo holds only what reports share: nothing in it is made per
     report, and only the judgements are made per system of a job.
 
     A source class is the sources that classify() finds side-preserving

@@ -734,9 +734,11 @@ def test_campaigns_plan_each_grid_once_whatever_ran_before(monkeypatch):
         plans.clear()
         twins.clear()
         stream = report_stream(iter_campaign(config))
-        # one plan per target and system list, made once
-        assert set(plans.values()) == {1}
-        return stream, Counter(key[:2] for key in plans), Counter(twins)
+        # one plan per target and system list, made once: no object is
+        # planned twice, nor are two equal targets and system lists
+        values = Counter(key[:2] for key in plans)
+        assert set(plans.values()) == set(values.values()) == {1}
+        return stream, values, Counter(twins)
 
     first = run(cubic)
     assert first[0].count("\n") == 3601
@@ -989,6 +991,9 @@ def test_memos_hold_only_what_reports_share(monkeypatch):
     one_kinds = Counter(key[0] for key in one["_values"])
     kinds = Counter(key[0] for key in two["_values"]) - one_kinds
     assert kinds == {"source": new_sources, "doc": new_sources, "z": new_classes * targets}
+    # each resolved system is kept once by value, the one object its jobs
+    # list, so the id()-keyed entries of equal systems are one entry
+    assert one_kinds["acts"] == one_kinds["system"] == 9 * targets
     # the bounds' right sides are shared: one per (value, sizes), not per
     # report, so the second trial adds none
     assert one_kinds["power"] and "power" not in kinds
