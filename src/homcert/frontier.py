@@ -11,13 +11,14 @@ neighbour is placed, so those maps merge and the cost follows
 are bitmasks over the target's vertices.
 
 Twin target vertices, whose swap fixes h, every base mask and every weight
-row of the walk, are interchangeable.  A walk whose twins are more than one
-pair keeps one state per orbit under the twin swaps, holding the orbit's
-summed weight.  This is the transfer-matrix method for chromatic
-polynomials (Biggs, Algebraic Graph Theory) on the twin reduction of Lovász
-(Large Networks and Graph Limits): into K_q the states are the set
-partitions of the frontier, not its q^frontier colourings.  Any other walk
-keeps exact images.
+row of the walk, are interchangeable.  One walk, _component_sum, counts
+every component.  When its twins are more than one pair it keeps one state
+per orbit under the twin swaps, holding the orbit's summed weight.  This is
+the transfer-matrix method for chromatic polynomials (Biggs, Algebraic
+Graph Theory) on the twin reduction of Lovász (Large Networks and Graph
+Limits): into K_q the states are the set partitions of the frontier, not
+its q^frontier colourings.  Otherwise it keeps exact images; _hom_sum hands
+a walk whose only twins are one pair none.
 
 The budget is charged before the new state is inserted, so a budget of 0
 refuses any nonempty instance and the state dict never holds more entries
@@ -119,114 +120,77 @@ def _schedule(order, nbrs, bits, width, top):
 def _component_sum(order, nbrs, base_of, h_masks, rows_of, bits, meter, budget, twins) -> int:
     """Weighted sum over the maps of one component, placed in ``order``;
     each image takes ``bits`` bits of a state key, and ``twins`` are the
-    masks of the walk's twin classes.  A walk whose twins are more than one
-    pair keeps one state per orbit of the twin swaps (_orbit_sum); any other,
-    a lone pair's included, keeps exact images (_exact_sum)."""
-    if len(twins) > 1 or twins and twins[0].bit_count() > 2:
-        return _orbit_sum(order, nbrs, base_of, h_masks, rows_of, bits, meter, budget, twins)
-    return _exact_sum(order, nbrs, base_of, h_masks, rows_of, bits, meter, budget)
-
-
-def _exact_sum(order, nbrs, base_of, h_masks, rows_of, bits, meter, budget) -> int:
-    """_component_sum with exact images: each state charges its candidates."""
-    field = (1 << bits) - 1
-    states = {0: 1}
-    for v, shifts, keep, _, _, shift in _schedule(order, nbrs, bits, bits, 0):
-        base = base_of[v]
-        row = None if rows_of is None else rows_of[v]
-        new = {}
-        for key, weight in states.items():
-            m = base
-            for s in shifts:
-                m &= h_masks[key >> s & field]
-            if not m:
-                continue
-            meter[0] += m.bit_count()
-            if meter[0] > budget:
-                raise BudgetExceededError(f"node-expansion budget {budget} exceeded")
-            key &= keep
-            if shift is None:
-                if row is None:
-                    weight *= m.bit_count()
-                else:
-                    weight *= sum(row[j] for j in mask_vertices(m))
-                new[key] = new.get(key, 0) + weight
-                continue
-            while m:
-                low = m & -m
-                m ^= low
-                j = low.bit_length() - 1
-                k = key | j << shift
-                new[k] = new.get(k, 0) + (weight if row is None else weight * row[j])
-        if not new:
-            return 0
-        states = new
-    return states[0]
-
-
-def _orbit_sum(order, nbrs, base_of, h_masks, rows_of, bits, meter, budget, twins) -> int:
-    """_component_sum with one state per orbit of all the twin swaps,
-    holding the orbit's summed weight: a key also has a bit per twin, below
-    the images, that marks the twins in use, and a bit above each image that
-    marks its twin's first appearance.  Each state charges its candidate
-    orbits."""
+    masks of the walk's twin classes.  With twins, the walk keeps one state
+    per orbit of all the twin swaps, holding the orbit's summed weight: a key
+    also has a bit per twin, below the images, that marks the twins in use,
+    and a bit above each image that marks its twin's first appearance, and
+    each state charges its candidate orbits.  With none (_hom_sum drops a
+    lone pair), a key holds exact images and each state charges its
+    candidate images."""
     field = (1 << bits) - 1
     twin_mask = sum(twins)
     class_of = {j: c for c in twins for j in mask_vertices(c)}
     states = {0: 1}
-    for v, shifts, keep, firsts, stays, shift in _schedule(order, nbrs, bits, bits + 1,
+    for v, shifts, keep, firsts, stays, shift in _schedule(order, nbrs, bits, bits + bool(twins),
                                                            twin_mask.bit_length()):
         base = base_of[v]
         row = None if rows_of is None else rows_of[v]
         new = {}
-        # A key stands for its orbit as the member whose twins are numbered
-        # by first appearance in placement order.  A new image comes last,
-        # so only forgetting a first appearance (a flagged image) relabels,
-        # once per frontier that stays.
-        images = sum(field << s for s in stays)
-        relabelled = {}
+        if twins:
+            # A key stands for its orbit as the member whose twins are
+            # numbered by first appearance in placement order.  A new image
+            # comes last, so only forgetting a first appearance (a flagged
+            # image) relabels, once per frontier that stays.
+            images = sum(field << s for s in stays)
+            relabelled = {}
         for key, weight in states.items():
             m = base
             for s in shifts:
                 m &= h_masks[key >> s & field]
             if not m:
                 continue
-            if key & firsts:
-                key &= images
-                got = relabelled.get(key)
-                if got is None:
-                    out = was = now = 0
-                    label = {}
-                    for s in stays:
-                        j = key >> s & field
-                        r = label.get(j)
-                        if r is None:
-                            r = label[j] = j
-                            if j in class_of:
-                                low = class_of[j] & ~now
-                                low &= -low
-                                was |= 1 << j
-                                now |= low
-                                r = label[j] = low.bit_length() - 1
-                                out |= 1 << s + bits
-                        out |= r << s
-                    if out & images == key:
-                        label = None  # the frontier that stays was in order
-                    got = relabelled[key] = out | now, was, now, label
-                key, was, now, label = got
-            else:
+            if not twins:
                 key &= keep
-                was = now = key & twin_mask
-                label = None
-            # a candidate in use (``was``, before relabelling) keeps its orbit;
-            # the unused members of a class share one, the lowest not in use
-            direct = m & (was | ~twin_mask)
-            if label is not None:
-                direct = sum(1 << label.get(j, j) for j in mask_vertices(direct))
-            meter[0] += direct.bit_count()
-            for c in twins:
-                if m & c & ~was:
-                    meter[0] += 1
+                direct = m
+                meter[0] += m.bit_count()
+            else:
+                if key & firsts:
+                    key &= images
+                    got = relabelled.get(key)
+                    if got is None:
+                        out = was = now = 0
+                        label = {}
+                        for s in stays:
+                            j = key >> s & field
+                            r = label.get(j)
+                            if r is None:
+                                r = label[j] = j
+                                if j in class_of:
+                                    low = class_of[j] & ~now
+                                    low &= -low
+                                    was |= 1 << j
+                                    now |= low
+                                    r = label[j] = low.bit_length() - 1
+                                    out |= 1 << s + bits
+                            out |= r << s
+                        if out & images == key:
+                            label = None  # the frontier that stays was in order
+                        got = relabelled[key] = out | now, was, now, label
+                    key, was, now, label = got
+                else:
+                    key &= keep
+                    was = now = key & twin_mask
+                    label = None
+                # a candidate in use (``was``, before relabelling) keeps its
+                # orbit; the unused members of a class share one, the lowest
+                # not in use
+                direct = m & (was | ~twin_mask)
+                if label is not None:
+                    direct = sum(1 << label.get(j, j) for j in mask_vertices(direct))
+                meter[0] += direct.bit_count()
+                for c in twins:
+                    if m & c & ~was:
+                        meter[0] += 1
             if meter[0] > budget:
                 raise BudgetExceededError(f"node-expansion budget {budget} exceeded")
             if shift is None:
@@ -242,6 +206,8 @@ def _orbit_sum(order, nbrs, base_of, h_masks, rows_of, bits, meter, budget, twin
                 j = low.bit_length() - 1
                 k = key | j << shift
                 new[k] = new.get(k, 0) + (weight if row is None else weight * row[j])
+            if not twins:
+                continue
             for c in twins:
                 n = (m & c & ~was).bit_count()
                 if n:
@@ -278,9 +244,12 @@ def _hom_sum(g: Graph, base_of, h_masks, rows_of, budget: int, twins=()) -> int:
     ``rows_of[v]`` is an integer weight row for vertex v, or None overall for
     plain counting.  ``twins`` lists the masks of the walk's twin classes of
     two or more target vertices: swapping two members of one class must fix
-    h_masks, every base mask and every row.  An empty graph contributes the
-    empty product 1.
+    h_masks, every base mask and every row.  A walk whose only twins are one
+    pair keeps exact images, which cost it no more.  An empty graph
+    contributes the empty product 1.
     """
+    if len(twins) == 1 and twins[0].bit_count() == 2:
+        twins = ()
     nbrs, orders = source_order(g)
     bits = max(1, (len(h_masks) - 1).bit_length())
     meter = [0]

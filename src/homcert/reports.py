@@ -215,13 +215,13 @@ class Judgement:
 
     def _split(self, encoded: dict) -> tuple[str, str]:
         head = ['{"bounds":[', ",".join([b.to_json() for b in self.bounds]),
-                '],"check":', _scalar_json(self.check)]
+                '],"check":', _string(self.check)]
         if self.details:
             head += (',"details":', _object_json(self.details, encoded, False))
         head += (',"expected_violation":', "true" if self.expected_violation else "false",
                  ',"instance":')
-        tail = [] if self.note is None else [',"note":', _scalar_json(self.note)]
-        tail += (',"verdict":', _scalar_json(self.verdict), "}")
+        tail = [] if self.note is None else [',"note":', _string(self.note)]
+        tail += (',"verdict":', _string(self.verdict), "}")
         self._text = text = "".join(head), "".join(tail)
         return text
 
@@ -300,24 +300,9 @@ class CertReport:
         return self._judgement.json(self._frame.json(self._activities, encoded), encoded)
 
 
-def _scalar_json(value) -> str:
-    """_json(value), written directly for a string or an int."""
-    kind = type(value)
-    if kind is str:
-        return _string(value)
-    if kind is int:
-        return str(value)
-    return _json(value)
-
-
 def _memo_json(value, encoded: dict) -> str:
-    """_json(value) for a value that many reports hold: a string or an int
-    directly, else from the stream memo ``encoded``, once per stream."""
-    kind = type(value)
-    if kind is str:
-        return _string(value)
-    if kind is int:
-        return str(value)
+    """_json(value) for a value that many reports hold, from the stream memo
+    ``encoded``, once per stream."""
     return (encoded.get(id(value)) or encoded.setdefault(id(value), (value, _json(value))))[1]
 
 

@@ -371,6 +371,12 @@ def test_campaign_skips_inapplicable_instances():
     assert reports and all(r.check == "bireg-ub" for r in reports)
 
 
+def test_a_campaign_config_that_is_not_an_object_is_an_input_error():
+    # a file that is not an object is refused by its reader (see test_cli)
+    with pytest.raises(GraphFormatError, match="campaign config must be a JSON object"):
+        load_campaign(["hom-ub"])
+
+
 def test_an_empty_proposition_list_overrides_the_campaign_list():
     config = _small_config(propositions=[{"id": "hom-ub", "families": []}, "double-identity"])
     loaded, _ = load_campaign(config)
@@ -891,6 +897,26 @@ def test_instances_are_read_only():
         assert report.to_json_line() == line == _dict_line(report)
     with pytest.raises(AttributeError):
         plain.instance = {"trial": 7}
+
+
+def test_reports_are_equal_by_their_fields():
+    # equal fields from distinct judgements and frames make equal reports; a
+    # different verdict or activity document, or a non-report, does not
+    def report(verdict=HOLDS, activities=None):
+        bound = BoundCheck("upper", "<=", "x", "y", Fraction(1, 3), Fraction(1, 2))
+        judgement = Judgement("weighted-ub", (bound,), verdict, False, {"eta": "2"}, "a note")
+        frame = Frame({"g": {"vertices": 2, "edges": [[0, 1]]}, "N": 3}, True)
+        return CertReport(judgement, frame, activities or {"unit": True})
+
+    first, second = report(), report()
+    assert first._judgement is not second._judgement and first._frame is not second._frame
+    assert first == second and not first != second
+    assert first != report(verdict=VIOLATED)
+    assert first != report(activities={"uniform": {"lambda": "2", "mu": "2"}})
+    assert first != first.to_dict() and not first == "weighted-ub"
+    assert repr(first) == (
+        f"CertReport(check='weighted-ub', instance={first.instance!r}, bounds={first.bounds!r}, "
+        "verdict='holds', expected_violation=False, details={'eta': '2'}, note='a note')")
 
 
 def test_bound_checks_are_judged_once_and_written_as_their_dicts():

@@ -91,6 +91,15 @@ def test_knn_weighted_and_restricted(capsys, tmp_path):
             assert knn[0] == (2 if n == "0" else 0)
 
 
+def test_restricted_count(capsys, tmp_path):
+    # K_{2,2} into the double of hind, each side on its own side
+    target = tmp_path / "t.json"
+    code, _ = run_cli(capsys, "double", "-H", FIX / "hind.json", "-o", target)
+    assert code == 0
+    code, out = run_cli(capsys, "restricted", "-g", FIX / "knn.json", "--n", "2", "-T", target)
+    assert code == 0 and json.loads(out) == {"count": "7"}
+
+
 def test_kab(capsys):
     code, out = run_cli(capsys, "kab", "--a", "2", "--b", "1", "-H", FIX / "hind.json")
     assert code == 0 and json.loads(out) == {"value": "5"}
@@ -819,6 +828,50 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["not-a-command"])
     assert exc.value.code == 2
+
+
+_CYCLE_SPEC = json.dumps({"family": "cycle", "length": 4})
+
+
+@pytest.mark.parametrize("argv, config, message", [
+    (["count", "-g", FIX / "k3.json"], None, "count requires -H (or --independent-sets)"),
+    (["generate"], None, "generate requires --family, --spec, or --spec-file"),
+    (["generate", "--family", "file"], None, "--family file requires --path"),
+    (["certify"], None, "certify requires --config or --check"),
+    (["certify", "--check", "hom-ub"], None, "--check hom-ub requires -g and -H"),
+    (["generate", "--spec", _CYCLE_SPEC, "--n", "3"], None,
+     "--n only applies to complete-bipartite specs"),
+    (["knn", "--n", "2", "--surjections", "-1"], None, "--surjections must be nonnegative"),
+    (["certify", "--config"], ["hom-ub"], "{path} must contain a JSON object"),
+    (["certify", "--config"], {"grids": 5},
+     "'grids' must be an object with 'targets'/'activities'"),
+], ids=["count-without-target", "generate-without-source", "file-without-path",
+        "certify-without-mode", "check-without-instance", "n-on-a-cycle",
+        "negative-surjections", "config-not-an-object", "grids-not-an-object"])
+def test_incomplete_commands_are_input_errors(capsys, tmp_path, argv, config, message):
+    if config is not None:
+        path = tmp_path / "camp.json"
+        path.write_text(json.dumps(config))
+        argv = [*argv, path]
+    code = main([str(a) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert json.loads(captured.out) == {"error": {"code": "input-error",
+                                                  "message": message.format(path=argv[-1])}}
+    assert "Traceback" not in captured.err
+
+
+def test_graph_documents_past_the_budget_are_refused_unbuilt(capsys, tmp_path):
+    # declared vertices plus listed edges one past the input limit
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps({"vertices": homcert.DEFAULT_BUDGET, "edges": [[0, 1]]}))
+    code = main(["count", "-g", str(FIX / "k3.json"), "-H", str(big)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert json.loads(captured.out) == {"error": {"code": "budget-exceeded", "message": (
+        f"graph document of {homcert.DEFAULT_BUDGET} vertices and 1 edges exceeds budget "
+        f"{homcert.DEFAULT_BUDGET}")}}
+    assert "Traceback" not in captured.err
 
 
 def test_output_file_and_repeatability(capsys, tmp_path):

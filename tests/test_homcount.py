@@ -228,7 +228,8 @@ def _exact_images():
 @given(st.integers(0, 2**32))
 def test_orbit_walks_match_exact_walks_on_twin_targets(seed):
     # one state per orbit of the twin swaps: the same values as exact
-    # images, for at most their charge
+    # images, for at most their charge, and on small instances the values of
+    # brute-force enumeration, which shares no code with the kernel
     rng = random.Random(seed)
     h, acts = random_twin_target(rng)
     g = _grid_source(rng)
@@ -240,6 +241,9 @@ def test_orbit_walks_match_exact_walks_on_twin_targets(seed):
     for (value, meter), (exact_value, exact_meter) in zip(orbits, exact):
         assert value == exact_value
         assert meter <= exact_meter
+    if h.vertex_count ** g.vertex_count <= 20_000:
+        assert orbits[0][0] == hom_count_by_enumeration(g.graph, h)
+        assert orbits[1][0] == partition_by_enumeration(g, h, acts)
 
 
 # K3 weighted at vertex 0: its walks keep the twin pair {1, 2}
@@ -278,8 +282,9 @@ _PAIR_TARGETS = {
 @pytest.mark.parametrize("target", list(_PAIR_TARGETS))
 @pytest.mark.parametrize("g", [gen_even_cycle(6), gen_hypercube(4)], ids=["C6", "Q4"])
 def test_lone_pair_walks_keep_exact_images(monkeypatch, g, target, route):
-    # a walk whose only twins are one pair keeps exact images: the values and
-    # the least budget of twins=[], and no orbit walk.  The packed plan adds
+    # a walk whose only twins are one pair keeps exact images: every
+    # component walk gets no twins, for the values and the least budget of
+    # twins=[].  The packed plan adds
     # two systems that differ at vertex 0: into K3 its packed walk keeps the
     # pair {1, 2}; into a two-vertex target the uniform system's count walk
     # keeps the pair and the packed walk has no twins
@@ -298,13 +303,13 @@ def test_lone_pair_walks_keep_exact_images(monkeypatch, g, target, route):
 
     with _exact_images():
         exact = walk(DEFAULT_BUDGET), _least_budget(walk)
-    exact_walks = []
-    kernel = frontier._exact_sum
-    monkeypatch.setattr(frontier, "_exact_sum",
-                        lambda *args: exact_walks.append(None) or kernel(*args))
-    monkeypatch.setattr(frontier, "_orbit_sum", None)
+    walk_twins = []
+    kernel = frontier._component_sum
+    monkeypatch.setattr(frontier, "_component_sum",
+                        lambda *args: walk_twins.append(args[-1]) or kernel(*args))
     assert (walk(DEFAULT_BUDGET), _least_budget(walk)) == exact
-    assert exact_walks
+    assert walk_twins
+    assert not any(walk_twins)
 
 
 @settings(max_examples=60, deadline=None)
