@@ -79,9 +79,9 @@ class _Quantities:
     target or (target, system), the bounds' right sides per (value,
     exponent), the serialized sources, targets and systems, and a campaign's
     resolved sources, targets and systems, each under a key that starts with
-    its kind.  (A graph's kernel vertex order is memoised on the graph; a
-    system's twin classes are derived by each plan, count walk, closed form
-    and eta that uses them.)
+    its kind.  (A graph's kernel vertex order is memoised on the graph; twin
+    classes are derived by each kernel walk, closed form and eta that uses
+    them.)
     Each computation charges its own meter up to the run's budget, as a
     direct call would; a refusal is kept and raised again at every use.
 

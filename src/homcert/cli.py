@@ -21,7 +21,7 @@ from .certify import DEFAULT_SEED, iter_campaign, load_campaign, write_reports
 from .constructions import blowup, double
 from .closedform import kab_partition, knn_restricted_count, surjection_count
 from .errors import (
-    BudgetExceededError, GraphFormatError, HomcertError, input_digits, input_limit, shown)
+    BudgetExceededError, GraphFormatError, input_digits, input_limit, shown)
 from .eta import eta_two_sided
 from .graphs import (
     GENERATED_FAMILIES,
@@ -530,9 +530,6 @@ def _run(args) -> int:
     except ValueError as exc:  # GraphFormatError included
         _emit({"error": {"code": "input-error", "message": str(exc)}}, None)
         return 2
-    except HomcertError as exc:
-        _emit({"error": {"code": "operation-error", "message": str(exc)}}, None)
-        return 1
     except BrokenPipeError:
         raise  # not a defect: main ends the run
     except Exception as exc:

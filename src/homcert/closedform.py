@@ -10,11 +10,11 @@ same sum with unit weights over the lower side.  Both are accepted only
 through oracle equivalence with the counters, never on derivation alone.
 
 kab_partition keys its states by orbit of the target's twin swaps
-(ActivitySystem.twin_classes): swapping twins maps the maps of one common
-neighbourhood onto those of its image with the same weight and lambda-sum,
-so each state is kept as the member that takes the lowest vertices of each
-twin class, and K_m has at most m states per step instead of up to
-2^m - 1.  The restricted count keeps one state per common neighbourhood.
+(graphs.twin_classes under both activities): swapping twins maps the maps
+of one common neighbourhood onto those of its image with the same weight
+and lambda-sum, so each state is kept as the member that takes the lowest
+vertices of each twin class, and K_m has at most m states per step instead
+of up to 2^m - 1.  The restricted count keeps one state per common neighbourhood.
 
 The budget is charged one unit per target vertex per state before the state
 is extended, so the dict never outgrows what the budget has seen; a target
@@ -31,7 +31,7 @@ from fractions import Fraction
 from math import comb
 
 from .errors import DEFAULT_BUDGET, BudgetExceededError, input_limit
-from .graphs import BipartiteGraph, Graph, mask_of, mask_vertices
+from .graphs import BipartiteGraph, Graph, mask_of, mask_vertices, twin_classes
 from .homcount import ActivitySystem
 
 
@@ -62,9 +62,9 @@ def _common_neighbourhoods(b: int, vertices, masks, full: int, weight, budget: i
     over the maps whose images have common neighbourhood c (a nonempty
     bitmask within ``full``), the product of weight[j] over the images j.
 
-    With ``twins`` (ActivitySystem.twin_classes) each c is an orbit of the
-    twin swaps instead, kept as its canonical member: the one that takes the
-    lowest members of each class.  The fold commutes with the swaps, so the
+    With ``twins`` (twin classes whose swaps fix ``masks`` and ``weight``)
+    each c is an orbit of the twin swaps instead, kept as its canonical
+    member: the one that takes the lowest members of each class.  The fold commutes with the swaps, so the
     merged weights are exact for any sum over c that the swaps leave
     unchanged."""
     states = {full: 1}
@@ -129,8 +129,9 @@ def kab_partition(
     _check_answer_bits(a * (sum(lam).bit_length() + (d_lam - 1).bit_length())
                        + b * (sum(mu).bit_length() + (d_mu - 1).bit_length()), budget)
     m = h.vertex_count
-    states = _common_neighbourhoods(b, range(m), h.neighbor_masks(), (1 << m) - 1, mu, budget,
-                                    acts.twin_classes(h))
+    masks = h.neighbor_masks()
+    states = _common_neighbourhoods(b, range(m), masks, (1 << m) - 1, mu, budget,
+                                    twin_classes(masks, (lam, mu)))
     total = sum(w * sum(lam[i] for i in mask_vertices(c)) ** a for c, w in states.items())
     return Fraction(total, d_mu**b * d_lam**a)
 

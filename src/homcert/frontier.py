@@ -11,14 +11,16 @@ neighbour is placed, so those maps merge and the cost follows
 are bitmasks over the target's vertices.
 
 Twin target vertices, whose swap fixes h, every base mask and every weight
-row of the walk, are interchangeable.  One walk, _component_sum, counts
-every component.  When its twins are more than one pair it keeps one state
-per orbit under the twin swaps, holding the orbit's summed weight.  This is
-the transfer-matrix method for chromatic polynomials (Biggs, Algebraic
-Graph Theory) on the twin reduction of Lovász (Large Networks and Graph
-Limits): into K_q the states are the set partitions of the frontier, not
-its q^frontier colourings.  Otherwise it keeps exact images; _hom_sum hands
-a walk whose only twins are one pair none.
+row of the walk, are interchangeable; _hom_sum derives them from what it is
+handed (graphs.twin_classes), so no caller passes them.  One walk,
+_component_sum, counts every component.  When its twins are more than one
+pair it keeps one state per orbit under the twin swaps, holding the orbit's
+summed weight.  This is the transfer-matrix method for chromatic
+polynomials (Biggs, Algebraic Graph Theory) on the twin reduction of Lovász
+(Large Networks and Graph Limits): into K_q the states are the set
+partitions of the frontier, not its q^frontier colourings.  Otherwise it
+keeps exact images; _hom_sum hands a walk whose only twins are one pair
+none.
 
 The budget is charged before the new state is inserted, so a budget of 0
 refuses any nonempty instance and the state dict never holds more entries
@@ -31,7 +33,7 @@ from __future__ import annotations
 from heapq import heappop, heappush
 
 from .errors import BudgetExceededError
-from .graphs import Graph, mask_vertices
+from .graphs import Graph, mask_vertices, twin_classes
 
 
 def _frontier_order(nbrs, start: int, seen: list[bool]) -> list[int]:
@@ -238,18 +240,22 @@ def source_order(g: Graph) -> tuple[list[tuple[int, ...]], list[list[int]]]:
     return g._order
 
 
-def _hom_sum(g: Graph, base_of, h_masks, rows_of, budget: int, twins=()) -> int:
+def _hom_sum(g: Graph, base_of, h_masks, rows_of, budget: int) -> int:
     """Product over connected components of the per-component assignment sums.
 
     ``rows_of[v]`` is an integer weight row for vertex v, or None overall for
-    plain counting.  ``twins`` lists the masks of the walk's twin classes of
-    two or more target vertices: swapping two members of one class must fix
-    h_masks, every base mask and every row.  A walk whose only twins are one
-    pair keeps exact images, which cost it no more.  An empty graph
-    contributes the empty product 1.
+    plain counting.  The walk's twins are the target vertices whose swap
+    fixes h_masks, every base mask and every row (twin_classes over the
+    distinct base masks, as 0/1 columns, and the distinct rows).  A walk
+    whose only twins are one pair keeps exact images, which cost it no more.
+    An empty graph contributes the empty product 1.
     """
+    columns = [[base >> j & 1 for j in range(len(h_masks))] for base in dict.fromkeys(base_of)]
+    if rows_of is not None:
+        columns += {id(row): row for row in rows_of}.values()
+    twins = twin_classes(h_masks, columns)
     if len(twins) == 1 and twins[0].bit_count() == 2:
-        twins = ()
+        twins = []
     nbrs, orders = source_order(g)
     bits = max(1, (len(h_masks) - 1).bit_length())
     meter = [0]

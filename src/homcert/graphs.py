@@ -49,6 +49,28 @@ def mask_vertices(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def twin_classes(masks, columns) -> list[int]:
+    """The twin classes of two or more vertices, as masks in the order of
+    their largest members, of the graph whose neighbour masks are ``masks``
+    (bit i set on mask i iff i is looped) under ``columns``, each a sequence
+    of one value per vertex.
+
+    i and j are twins when swapping them fixes the graph and every column:
+    both looped or neither, equal values in each column and the same
+    neighbours outside {i, j}.  Non-adjacent twins have equal masks with
+    their own bits cleared and adjacent twins equal masks with them set, so
+    one pass groups each vertex both ways.  Twinship is an equivalence
+    relation whose classes of three or more are cliques or independent sets,
+    so no vertex is in two groups of two or more."""
+    groups = {}
+    for i, mask in enumerate(masks):
+        bit = 1 << i
+        values = (mask >> i & 1, *(column[i] for column in columns))
+        for key in ((values, mask & ~bit), (values, mask | bit)):
+            groups[key] = groups.get(key, 0) | bit
+    return sorted((c for c in groups.values() if c & c - 1), key=int.bit_length)
+
+
 class Graph:
     """Finite undirected graph on vertices 0..vertex_count-1, loops allowed.
 

@@ -6,7 +6,8 @@ throughout, and a hard node-expansion budget that turns oversized instances
 into an explicit error rather than a wrong answer.  Weighted sums run on
 integers (activities scaled by their denominator lcm) and reduce to one
 exact rational at the end; no floating point anywhere.  ``ActivitySystem``
-owns the activities: their integer rows and the target's twin classes.
+owns the activities and their integer rows; the kernel derives each walk's
+twin classes itself, restricted counts' included.
 """
 
 from __future__ import annotations
@@ -56,8 +57,7 @@ class ActivitySystem:
     ``lambdas[i]`` weighs E-class images, ``mus[i]`` weighs O-class images;
     lambda == mu everywhere is the one-sided model.  Immutable, equal and
     hashed by value: a system keys the memos of a run and keeps its own
-    integer rows.  Its twin classes on a target are derived at each call, so
-    it holds no target.
+    integer rows; it holds no target.
     """
 
     def __init__(self, lambdas: tuple[Fraction, ...], mus: tuple[Fraction, ...]):
@@ -144,38 +144,6 @@ class ActivitySystem:
     def _integer_rows(self):
         return (*clear_denominators(self.lambdas), *clear_denominators(self.mus))
 
-    def twin_prev(self, h: Graph) -> list[int]:
-        """For each vertex i of h, its largest twin j < i, or -1.
-
-        i and j are twins when swapping them is an automorphism of h that
-        keeps both activities: equal lambdas, equal mus, both looped or
-        neither, and the same neighbours outside {i, j}.  Twinship is an
-        equivalence relation, so i is compared only with the largest member
-        so far of each class."""
-        _, lam, _, mu = self.integer_rows(h)
-        masks = h.neighbor_masks()
-        prev, last = [], []
-        for i, mask in enumerate(masks):
-            for k, j in enumerate(last):
-                pair = ~(1 << i | 1 << j)
-                if (lam[i] == lam[j] and mu[i] == mu[j] and mask >> i & 1 == masks[j] >> j & 1
-                        and mask & pair == masks[j] & pair):
-                    last[k] = i
-                    prev.append(j)
-                    break
-            else:
-                last.append(i)
-                prev.append(-1)
-        return prev
-
-    def twin_classes(self, h: Graph) -> list[int]:
-        """The masks of h's twin classes (see twin_prev) of two or more
-        vertices, in the order of their largest members."""
-        classes = {}  # keyed by the largest member so far of each class
-        for i, j in enumerate(self.twin_prev(h)):
-            classes[i] = classes.pop(j, 0) | 1 << i
-        return [c for c in classes.values() if c & c - 1]
-
     def is_unit(self) -> bool:
         return all(x == 1 for x in self.lambdas + self.mus)
 
@@ -253,12 +221,11 @@ def count_homs(g: Graph, h: Graph, budget: int = DEFAULT_BUDGET) -> int:
     g need not be bipartite or regular; a looped g-vertex must land on a
     looped h-vertex.
     """
-    twins = ActivitySystem.unit(h.vertex_count).twin_classes(h)
     h_masks = h.neighbor_masks()
     full = (1 << h.vertex_count) - 1
     loop_mask = h.loop_mask()
     base = [loop_mask if v in g.loops else full for v in range(g.vertex_count)]
-    return _hom_sum(g, base, h_masks, None, budget, twins)
+    return _hom_sum(g, base, h_masks, None, budget)
 
 
 def count_homs_restricted(
@@ -288,12 +255,11 @@ def partition_fn(
     return value
 
 
-def _walk(g: BipartiteGraph, h_masks, row_e, row_o, budget: int, twins) -> int:
+def _walk(g: BipartiteGraph, h_masks, row_e, row_o, budget: int) -> int:
     """One weighted kernel walk over the maps of g into the target:
     E-vertices weigh row_e, O-vertices row_o."""
     rows = [row_e if v in g.class_e else row_o for v in range(g.vertex_count)]
-    return _hom_sum(g.graph, [(1 << len(h_masks)) - 1] * g.vertex_count, h_masks, rows, budget,
-                    twins)
+    return _hom_sum(g.graph, [(1 << len(h_masks)) - 1] * g.vertex_count, h_masks, rows, budget)
 
 
 # What one kernel step costs besides its weight arithmetic, in bits of
@@ -315,9 +281,9 @@ class GridPlan:
       weights (see _packed);
     - otherwise each distinct system takes one weighted walk.
 
-    The plan holds that split, v and the common rows, the separate walks'
-    twin classes and, per source sizes (|E|, |O|), the packing decision, the
-    powers of lambda_v and mu_v and the denominators.
+    The plan holds that split, v and the common rows and, per source sizes
+    (|E|, |O|), the packing decision, the powers of lambda_v and mu_v and the
+    denominators.
     """
 
     def __init__(self, h: Graph, systems):
@@ -327,7 +293,7 @@ class GridPlan:
         rows = {acts: acts.integer_rows(h) for acts in self.systems}  # the distinct systems
         self.uniform = [acts for acts in rows if acts.is_uniform()]
         rest = [acts for acts in rows if not acts.is_uniform()]
-        self.separate = [(acts, rows[acts], acts.twin_classes(h)) for acts in rest]
+        self.separate = [(acts, rows[acts]) for acts in rest]
         first = rest[0] if rest else None
         differ = [v for v in range(h.vertex_count)
                   if any(acts.lambdas[v] != first.lambdas[v] or acts.mus[v] != first.mus[v]
@@ -339,9 +305,6 @@ class GridPlan:
             row_e.insert(v, 1)
             row_o.insert(v, 1)
             self.common = d_lam, row_e, d_mu, row_o
-            # first's twin classes, less v: the packed weights set it apart
-            self.packed_twins = [c for c in (c & ~(1 << v) for c in self.separate[0][2])
-                                 if c & c - 1]
         self._sizes = {}  # (|E|, |O|) -> _tables(|E|, |O|)
 
     def _tables(self, ne: int, no: int):
@@ -353,8 +316,8 @@ class GridPlan:
                    for acts in self.uniform]
         packed = None if self.v is None else self._packed(ne, no)
         separate = [] if packed else [
-            (acts, (row_e, row_o, twins, d_lam**ne * d_mu**no))
-            for acts, (d_lam, row_e, d_mu, row_o), twins in self.separate]
+            (acts, (row_e, row_o, d_lam**ne * d_mu**no))
+            for acts, (d_lam, row_e, d_mu, row_o) in self.separate]
         return uniform, packed, separate
 
     def _packed(self, ne: int, no: int):
@@ -384,7 +347,7 @@ class GridPlan:
         # lambda_v = p_lam / q_lam and mu_v = p_mu / q_mu; the lambda_v powers
         # are made once per distinct lambda_v
         e_tables, e_index, systems = [], {}, []
-        for acts, _, _ in self.separate:
+        for acts, _ in self.separate:
             lam, mu = acts.lambdas[v], acts.mus[v]
             i = e_index.get(lam)
             if i is None:
@@ -404,7 +367,7 @@ class GridPlan:
 
         Every walk charges its own meter up to ``budget``.  The meter counts
         candidate orbits, not weights, and a walk's twin classes depend on
-        the activities it carries, so a plan's walks need not charge what
+        the rows it carries (the packed rows set v apart), so a plan's walks need not charge what
         partition_fn's do; each charges at most what it would with exact
         images, so a system is answered wherever those walks answer without
         twins, and otherwise gets partition_fn's value or is refused."""
@@ -425,7 +388,7 @@ class GridPlan:
         if packed is not None:
             s, row_e, row_o, e_tables, systems = packed
             try:
-                total = _walk(g, self.h_masks, row_e, row_o, budget, self.packed_twins)
+                total = _walk(g, self.h_masks, row_e, row_o, budget)
             except BudgetExceededError as exc:
                 values.update((acts, exc) for acts, _, _, _ in systems)
             else:
@@ -436,9 +399,9 @@ class GridPlan:
                 sums = [[sum(map(mul, row, e_terms)) for row in coeffs] for e_terms in e_tables]
                 for acts, i, o_terms, den in systems:
                     values[acts] = Fraction(sum(map(mul, o_terms, sums[i])), den)
-        for acts, (row_e, row_o, twins, den) in separate:
+        for acts, (row_e, row_o, den) in separate:
             try:
-                total = _walk(g, self.h_masks, row_e, row_o, budget, twins)
+                total = _walk(g, self.h_masks, row_e, row_o, budget)
             except BudgetExceededError as exc:
                 values[acts] = exc
             else:

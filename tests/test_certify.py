@@ -38,7 +38,7 @@ from homcert import (
     sandwich_nonbipartite_demo,
     write_reports,
 )
-from homcert import certify as certify_mod, graphs as graphs_mod, homcount
+from homcert import certify as certify_mod, frontier, graphs as graphs_mod, homcount
 from homcert.certify import (
     HOLDS,
     SKIPPED_BUDGET,
@@ -472,10 +472,10 @@ def _counted_campaign(monkeypatch, config):
     walks, builds = Counter(), Counter()
     kernel, build = homcount._hom_sum, certify_mod.build_instance
 
-    def counting_kernel(g, base_of, h_masks, rows_of, budget, twins=()):
+    def counting_kernel(g, base_of, h_masks, rows_of, budget):
         if rows_of is not None:
             walks[id(g), tuple(h_masks)] += 1
-        return kernel(g, base_of, h_masks, rows_of, budget, twins)
+        return kernel(g, base_of, h_masks, rows_of, budget)
 
     def counting_build(spec, *args):
         builds[repr(spec)] += 1
@@ -717,22 +717,22 @@ def test_campaigns_plan_each_grid_once_whatever_ran_before(monkeypatch):
     # what depends only on the target and its systems is made once per run,
     # not once per source or per job, and a run's work does not depend on
     # the runs before it in the process: a cubic run after a default one
-    # makes the same plans, derives the same twin classes and writes the
-    # same stream as the cubic run before it
+    # makes the same plans, its kernel walks derive the same twin classes,
+    # and it writes the same stream as the cubic run before it
     plans, twins = Counter(), Counter()
-    plan, twin_classes = homcount.GridPlan, ActivitySystem.twin_classes
+    plan, twin_classes = homcount.GridPlan, frontier.twin_classes
 
     def counting_plan(h, systems):
         systems = list(systems)
         plans[h, tuple(systems), id(h), tuple(map(id, systems))] += 1
         return plan(h, systems)
 
-    def counting_twin_classes(acts, h):
-        twins[acts, h] += 1
-        return twin_classes(acts, h)
+    def counting_twin_classes(masks, columns):
+        twins[tuple(masks), tuple(map(tuple, columns))] += 1
+        return twin_classes(masks, columns)
 
     monkeypatch.setattr(certify_mod, "GridPlan", counting_plan)
-    monkeypatch.setattr(ActivitySystem, "twin_classes", counting_twin_classes)
+    monkeypatch.setattr(frontier, "twin_classes", counting_twin_classes)
     cubic = _cubic_config((4, 5, 6, 7, 8), 20, 50_000_000,
                           ["weighted-ub", "eta-sandwich", "nonbipartite-lower-bound-failure"])
 

@@ -10,12 +10,13 @@ import subprocess
 import sys
 import time
 import weakref
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import homcert
-from homcert import certify as certify_mod
+from homcert import ActivitySystem, GraphFormatError, certify as certify_mod
 from homcert.certify import DEFAULT_SEED
 from homcert.cli import (
     EXIT_CLOSED_PIPE, SUBCOMMAND_OPERATIONS, _fixture_path, build_parser, main)
@@ -166,6 +167,42 @@ def test_generate_spec_must_be_an_object(capsys):
         code, out = run_cli(capsys, "generate", "--spec", spec)
         assert code == 2
         assert json.loads(out)["error"]["code"] == "input-error"
+
+
+_C4 = {"family": "cycle", "length": 4}
+_RR = {"family": "random-regular", "degree": 2, "half": 3}
+
+# refusals no other test reaches: (flag, the document it is given, the
+# message), where the flag None is a direct ActivitySystem call on the pair
+_REFUSALS = {
+    "parts-not-a-list": ("--spec", {"family": "union", "parts": _C4}, "'parts' must be a list"),
+    "part-not-an-object": ("--spec", {"family": "union", "parts": [_C4, [4]]},
+                           "instance spec must be a JSON object"),
+    "path-not-a-string": ("--spec", {"family": "file", "path": 4}, "'path' must be a string"),
+    "seed-a-string": ("--spec", {**_RR, "seed": "7"}, "'seed' must be an integer"),
+    "seed-true": ("--spec", {**_RR, "seed": True}, "'seed' must be an integer"),
+    "lambda-true": ("-a", {"lambda": True}, "not a rational: True"),
+    "unequal-tuples": (None, ((Fraction(1),), ()), "lambda and mu tuples must have equal length"),
+}
+
+
+@pytest.mark.parametrize("case", list(_REFUSALS))
+def test_malformed_specs_and_activities_are_input_errors(capsys, tmp_path, case):
+    flag, doc, message = _REFUSALS[case]
+    if flag is None:
+        with pytest.raises(GraphFormatError, match=message):
+            ActivitySystem(*doc)
+        return
+    if flag == "--spec":
+        argv = ("generate", "--spec", json.dumps(doc))
+    else:
+        path = tmp_path / "acts.json"
+        path.write_text(json.dumps(doc))
+        argv = ("partition", "-g", FIX / "knn.json", "--n", "2", "-H", FIX / "hind.json", "-a", path)
+    code, out = run_cli(capsys, *argv)
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["code"] == "input-error" and message in error["message"]
 
 
 def test_generate_canonicalizes_files(capsys, tmp_path):

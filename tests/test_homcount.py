@@ -14,6 +14,7 @@ from homcert import (
     BudgetExceededError,
     Graph,
     GraphFormatError,
+    blowup,
     complete_graph,
     count_homs,
     count_homs_restricted,
@@ -27,7 +28,7 @@ from homcert import (
     partition_fn,
 )
 from homcert import frontier
-from homcert.graphs import load_doc
+from homcert.graphs import load_doc, twin_classes
 from homcert.homcount import GridPlan, as_fraction, resolve_activities
 from helpers import (
     hom_count_by_enumeration,
@@ -219,8 +220,8 @@ def _least_budget(answer):
 
 @contextmanager
 def _exact_images():
-    """Inside, every kernel walk keeps exact images: no target has twins."""
-    with mock.patch.object(ActivitySystem, "twin_classes", lambda self, h: []):
+    """Inside, every kernel walk keeps exact images: it finds no twins."""
+    with mock.patch.object(frontier, "twin_classes", lambda masks, columns: []):
         yield
 
 
@@ -246,6 +247,37 @@ def test_orbit_walks_match_exact_walks_on_twin_targets(seed):
         assert orbits[1][0] == partition_by_enumeration(g, h, acts)
 
 
+_RESTRICTED_SOURCES = [gen_even_cycle(4), gen_even_cycle(6), gen_complete_bipartite(2, 3),
+                       gen_hypercube(3)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32))
+def test_restricted_orbit_walks_match_exact_walks_on_blowups_and_doubles(seed):
+    # the copies of one vertex in a blow-up are twins on their side, and so
+    # are the copies of a target's twins in its double: a restricted walk
+    # into either keeps orbit states, with the value of exact images for at
+    # most their charge, and on small instances the value of enumeration
+    rng = random.Random(seed)
+    h, acts = random_twin_target(rng, max_classes=3, max_class_size=2)
+    if rng.random() < 0.5:
+        acts = random_activities(rng, h.vertex_count, max_num=2, max_den=2)
+    target = double(h) if rng.random() < 0.3 else blowup(h, acts)[0]
+    g = rng.choice(_RESTRICTED_SOURCES)
+    if rng.random() < 0.3:
+        g = gen_union([g, rng.choice(_RESTRICTED_SOURCES)])
+
+    def walk(budget):
+        return count_homs_restricted(g, target, budget)
+
+    value, meter = walk(DEFAULT_BUDGET), _least_budget(walk)
+    with _exact_images():
+        assert walk(DEFAULT_BUDGET) == value
+        assert meter <= _least_budget(walk)
+    if target.vertex_count ** g.vertex_count <= 20_000:
+        assert value == restricted_count_by_enumeration(g, target)
+
+
 # K3 weighted at vertex 0: its walks keep the twin pair {1, 2}
 _K3_AT_0 = complete_graph(3), ActivitySystem.from_mapping(3, {0: ("1/2", "2")})
 
@@ -258,7 +290,7 @@ def test_pair_orbit_walks_match_exact_walks_on_small_sources(g):
     # twins are that pair gives the value and least budget of exact images,
     # and the value of brute-force enumeration
     k3, acts = _K3_AT_0
-    assert acts.twin_classes(k3) == [0b110]
+    assert twin_classes(k3.neighbor_masks(), (acts.lambdas, acts.mus)) == [0b110]
 
     def walk(budget):
         return partition_fn(g, k3, acts, budget)
@@ -296,7 +328,6 @@ def test_lone_pair_walks_keep_exact_images(monkeypatch, g, target, route):
         assert GridPlan(h, systems)._tables(len(g.class_e), len(g.class_o))[1] is not None
 
     def walk(budget):
-        # a plan's twin classes are read when it is made
         if route == "partition_fn":
             return [partition_fn(g, h, acts, budget)]
         return _answered(GridPlan(h, systems).run(g, budget))
@@ -339,7 +370,7 @@ def test_hypercube_colourings_answer_at_the_default_budget():
 def test_walks_without_orbits_charge_one_unit_per_candidate_image():
     # the exact-image meter: hind has no twins, distinct lambdas leave K3
     # none, one pair of twins (K3 weighted at vertex 0) keeps exact images,
-    # and restricted counts never use twins
+    # and no two vertices on one side of K4's double are twins
     k3 = complete_graph(3)
     c8 = gen_even_cycle(8)
     distinct = ActivitySystem.from_pairs([(1, 1), (2, "1/2"), (3, 3)])
@@ -812,29 +843,30 @@ def test_activity_describe_shapes():
 
 @settings(max_examples=80, deadline=None)
 @given(st.integers(0, 2**32))
-def test_twin_prev_is_the_largest_smaller_twin(seed):
+def test_twin_classes_match_the_pairwise_definition(seed):
     # the definition pair by pair: swapping i and j fixes the edges and loops
-    # of h and both activities
+    # of h and every column, here both activities and sometimes a 0/1 side
+    # column, as a restricted walk's base masks give
     rng = random.Random(seed)
     if rng.random() < 0.5:
         h, acts = random_twin_target(rng)
     else:
         h = random_graph(rng, max_vertices=7)
         acts = random_activities(rng, h.vertex_count, max_num=2, max_den=1)
+    columns = [acts.lambdas, acts.mus]
+    if rng.random() < 0.5:
+        columns.append([rng.randint(0, 1) for _ in range(h.vertex_count)])
     swap = lambda i, j: {i: j, j: i}
 
     def twins(i, j):
         s = swap(i, j)
-        return (acts.lambdas[i] == acts.lambdas[j] and acts.mus[i] == acts.mus[j]
+        return (all(column[i] == column[j] for column in columns)
                 and all(h.adjacent(u, v) == h.adjacent(s.get(u, u), s.get(v, v))
                         for u in range(h.vertex_count) for v in range(h.vertex_count)))
 
-    expected = [max((j for j in range(i) if twins(i, j)), default=-1)
-                for i in range(h.vertex_count)]
-    assert acts.twin_prev(h) == expected
     # the classes of two or more twins, as masks in the order of their
     # largest members
     classes = {sum(1 << j for j in range(h.vertex_count) if j == i or twins(i, j))
                for i in range(h.vertex_count)}
-    assert acts.twin_classes(h) == sorted((c for c in classes if c.bit_count() > 1),
-                                          key=int.bit_length)
+    assert twin_classes(h.neighbor_masks(), columns) == sorted(
+        (c for c in classes if c.bit_count() > 1), key=int.bit_length)
