@@ -86,28 +86,29 @@ class _Quantities:
     direct call would; a refusal is kept and raised again at every use.
 
     A job is a proposition on a source and a target, for each of a list of
-    systems: (proposition id, source, target, [(system, its document)], the
-    hypothesis fields' values in the order the evaluation takes them,
-    instance but the activities), the objects themselves, so what its
-    reports share is made once per job.  Memo keys use the
-    objects' id(), so the jobs and the memo keep every object alive for the
-    run.  Systems alone are also kept by value, under ("acts", system): every
-    system a job lists comes through system(), which returns the run's first
-    system of that value, so equal systems share one id and so one Z, plan
-    and closed form.  The memo holds only what reports share: nothing in it is made per
-    report, and only the judgements are made per system of a job.
+    systems: (proposition id, source, target, [(system, its document)], its
+    class key, the document its reports share: the instance but the
+    activities), the objects themselves, so what its reports share is made
+    once per job.  Memo keys use the objects' id(), so the jobs and the memo
+    keep every object alive for the run.  Systems alone are also kept by
+    value, under ("acts", system): every system a job lists comes through
+    system(), which returns the run's first system of that value, so equal
+    systems share one id and so one Z, plan and closed form.  The memo holds
+    only what reports share: nothing in it is made per report, and only the
+    judgements are made per system of a job.
 
     A source class is the sources that classify() finds side-preserving
-    isomorphic.  A judgement (reports.Judgement) depends on its source only
-    up to such an isomorphism: through Z, N, the hypothesis fields and, for
-    the identities, the restricted count over the blow-up or the double.  A
-    walk's meter is not an invariant, so a refusal is not.  Hence the one
-    rule: the members of a class share each judgement that is not
-    skipped-budget, per (proposition, target, system, fields), made by the
-    first job that asks and kept until the last member's job, counted at
-    plan time.  A job without a shared judgement judges alone, from its own
-    source's Z grid, as a run without classes would, so a report that
-    answers alone answers here too.
+    isomorphic, named by its first source.  A judgement (reports.Judgement)
+    depends on its source only up to such an isomorphism: through Z, N, the
+    hypothesis fields and, for the identities, the restricted count over the
+    blow-up or the double.  A walk's meter is not an invariant, so a refusal
+    is not.  Hence the one rule: the members of a class share each judgement
+    that is not skipped-budget, per class key (proposition, first source,
+    target, the hypothesis fields' values in the order the evaluation takes
+    them) and system, made by the first job that asks and kept until the
+    key's last job, counted at plan time.  A job without a shared judgement
+    judges alone, from its own source's Z grid, as a run without classes
+    would, so a report that answers alone answers here too.
     """
 
     def __init__(self, budget: int):
@@ -115,49 +116,43 @@ class _Quantities:
         self._values: dict = {}
         # (id(g), id(h)) -> {id(acts): acts}, in job order: g's Z grid into h
         self._grids: dict = {}
-        self._firsts: dict = {}  # id(source) -> the first source of its class
         # a source's sorted vertex labels -> the first sources of its classes,
         # in plan order
         self._buckets: dict = {}
-        # (pid, id(first), id(h), fields) -> [its jobs not yet begun, {id(system):
-        # the judgement its class's members share}]
+        # a job's class key (pid, id(first), id(h), fields) -> [its jobs not yet
+        # begun, {id(system): the judgement its class's members share}]
         self._judged: dict = {}
 
     def classify(self, g: BipartiteGraph) -> BipartiteGraph:
-        """g, now a member of its class: the class of the first source before
-        it with a side-preserving isomorphism onto it, else a class of its
-        own.  Only the first sources with g's sorted vertex labels, the
+        """The first source of g's class: the first source before g with a
+        side-preserving isomorphism onto it, else g, which starts a class of
+        its own.  Only the first sources with g's sorted vertex labels, the
         matcher's own test, are tried, in plan order.  The labels cost one
         step per path of two edges, the sum of deg(v)^2, uncharged, so past
         the budget g keeps a class of its own, as a lone source does."""
         if sum([len(ws) ** 2 for ws in g.graph.neighbors]) > self.budget:
             return g
         firsts = self._buckets.setdefault(g._vertex_labels()[1], [])
-        first = next((f for f in firsts if g.isomorphism(f) is not None), None)
-        if first is None:
-            firsts.append(g)
-            first = g
-        self._firsts[id(g)] = first
+        for first in firsts:
+            if g.isomorphism(first) is not None:
+                return first
+        firsts.append(g)
         return g
 
-    def job(self, pid, g, h, systems: list, fields: dict, info: dict) -> tuple:
-        """The job tuple; its systems join the Z grid of (g, h), so a run
-        makes every job before its first report.  Its reports share their
-        instance but the activities: the documents of g and h, N, then the
-        info and the hypothesis fields.  The job counts itself in the memo
-        entry of the judgements its class shares."""
+    def job(self, pid, g, first, h, systems: list, fields: dict, info: dict) -> tuple:
+        """The job tuple, which carries its class key (pid, id(first), id(h),
+        the hypothesis fields' values) and counts itself in the key's memo
+        entry.  Its systems join the Z grid of (g, h), so a run makes every
+        job before its first report.  Its reports share their instance but
+        the activities: the documents of g and h, N, the info and the fields."""
         grid = self._grids.setdefault((id(g), id(h)), {})
         for acts, _ in systems:
             grid[id(acts)] = acts
         base = {"g": self._doc(g, serialize_bipartite), "h": self._doc(h, serialize_graph),
                 "N": g.vertex_count, **info, **fields}
-        job = pid, g, h, systems, tuple(fields.values()), base
-        self._judged.setdefault(self._class_key(job), [0, {}])[0] += 1
-        return job
-
-    def _class_key(self, job: tuple) -> tuple:
-        pid, g, h, _, fields, _ = job
-        return pid, id(self._firsts.get(id(g), g)), id(h), fields
+        key = pid, id(first), id(h), tuple(fields.values())
+        self._judged.setdefault(key, [0, {}])[0] += 1
+        return pid, g, h, systems, key, base
 
     def system(self, acts: ActivitySystem) -> tuple[ActivitySystem, dict]:
         """(acts, its report document), as a job lists it: the run's first
@@ -216,12 +211,16 @@ class _Quantities:
 
     def reports(self, job: tuple) -> Iterator[CertReport]:
         """Judge the job's proposition on its instance, one report per system,
-        or take the judgement its class shares.  The reports share one
-        Frame."""
-        pid, g, h, systems, fields, base = job
+        or take the judgement its class shares, whose memo entry leaves at
+        the class's last job.  The reports share one Frame."""
+        pid, g, h, systems, key, base = job
         _, weighted, evaluate = _PROPOSITIONS[pid]
         frame = Frame(base, weighted)
-        judged = self._class_judgements(job)
+        entry = self._judged[key]
+        entry[0] -= 1
+        if not entry[0]:
+            del self._judged[key]
+        judged, fields = entry[1], key[3]
         for acts, acts_doc in systems:
             judgement = judged.get(id(acts))
             if judgement is None:
@@ -229,16 +228,6 @@ class _Quantities:
                 if judgement.verdict != SKIPPED_BUDGET:
                     judged[id(acts)] = judgement
             yield CertReport(judgement, frame, acts_doc if weighted else None)
-
-    def _class_judgements(self, job: tuple) -> dict:
-        """id(system) -> the judgement the job's class shares.  The entry
-        leaves the memo at its last job."""
-        key = self._class_key(job)
-        entry = self._judged[key]
-        entry[0] -= 1
-        if not entry[0]:
-            del self._judged[key]
-        return entry[1]
 
 
 def _power(value, exponent: int, shift: int) -> Fraction:
@@ -388,7 +377,7 @@ def _check(pid, g: BipartiteGraph, h: Graph, acts: ActivitySystem | None,
     hypothesis, weighted, _ = _PROPOSITIONS[pid]
     q = _Quantities(budget)
     system = q.system(acts if weighted else ActivitySystem.unit(h.vertex_count))
-    (report,) = q.reports(q.job(pid, g, h, [system], hypothesis(g), instance_info or {}))
+    (report,) = q.reports(q.job(pid, g, g, h, [system], hypothesis(g), instance_info or {}))
     return report
 
 
@@ -512,7 +501,7 @@ def resolve_target(entry, base_dir=None, budget: int = DEFAULT_BUDGET) -> Graph:
         if not isinstance(entry["file"], str):
             raise GraphFormatError(
                 f"target 'file' must be a path string, got {shown(entry['file'])}")
-        return parse_graph(read_doc(entry["file"], base_dir), budget)
+        return parse_graph(read_doc(entry["file"], base_dir, budget), budget)
     if isinstance(entry, dict):
         return parse_graph(entry, budget)
     raise GraphFormatError(f"bad target entry {shown(entry)}")
@@ -611,9 +600,9 @@ def iter_campaign(config, base_dir=None) -> Iterator[CertReport]:
     generator judges one report per job and system, in plan order, and the
     run holds only the memo, the jobs and the report drawn.
 
-    Each source joins its class (_Quantities.classify) when it is built, in
-    plan order, so every run picks the same first source per class, and the
-    class's members share their answered judgements (see _Quantities).  A
+    Each source is classified (_Quantities.classify) when it is built, in
+    plan order, so every run picks the same first source per class; the jobs
+    of one class key share their answered judgements (see _Quantities).  A
     report that the public certify_* functions answer one at a time is the
     same here; one they refuse may answer from a judgement its class shares.
     """
@@ -624,11 +613,13 @@ def iter_campaign(config, base_dir=None) -> Iterator[CertReport]:
     build_budget = input_limit(budget)
     q = _Quantities(budget)
 
+    def source(desc, spec):
+        g = build_instance(spec, base_dir, build_budget)
+        return desc, g, q.classify(g)
+
     def sources(families):
         specs = _instance_specs(families, config["seed"], config["trials"], build_budget)
-        return [q.once(("source", repr(desc)),
-                       lambda: (desc, q.classify(build_instance(spec, base_dir, build_budget))))
-                for desc, spec in specs]
+        return [q.once(("source", repr(desc)), source, desc, spec) for desc, spec in specs]
 
     # the plans' jobs in report order: instances that meet the hypothesis,
     # then targets, each job listing its systems; None holds the demo's place
@@ -641,9 +632,9 @@ def iter_campaign(config, base_dir=None) -> Iterator[CertReport]:
         hypothesis, weighted, _ = _PROPOSITIONS[pid]
         families = plan["families"]
         instances = []
-        for desc, g in q.once(("families", repr(families)), lambda: sources(families)):
+        for desc, g, first in q.once(("families", repr(families)), sources, families):
             try:
-                instances.append((desc, g, hypothesis(g)))
+                instances.append((desc, g, first, hypothesis(g)))
             except GraphFormatError:
                 continue
         targets = [q.once(("target", repr(entry)),
@@ -654,10 +645,10 @@ def iter_campaign(config, base_dir=None) -> Iterator[CertReport]:
         systems = [[q.once(("system", id(h), repr(entry)),
                            lambda: q.system(resolve_activities(entry, h.vertex_count)))
                     for entry in entries] for _, h in targets]
-        for trial, (desc, g, fields) in enumerate(instances):
+        for trial, (desc, g, first, fields) in enumerate(instances):
             for (h_spec, h), target_systems in zip(targets, systems):
                 info = {"g_spec": desc, "h_spec": h_spec, "trial": trial}
-                jobs.append(q.job(pid, g, h, target_systems, fields, info))
+                jobs.append(q.job(pid, g, first, h, target_systems, fields, info))
     return _reports(q, jobs, budget)
 
 

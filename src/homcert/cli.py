@@ -144,7 +144,7 @@ def _load_source(args, doc=None) -> BipartiteGraph:
     is charged to the larger of the budget and the default, so a spec and
     the document it generates load alike."""
     if doc is None:
-        doc = read_doc(args.graph)
+        doc = read_doc(args.graph, budget=_budget(args))
     if "family" in doc:
         return build_instance(_apply_overrides(doc, args), Path(args.graph).parent,
                               input_limit(_budget(args)))
@@ -153,7 +153,7 @@ def _load_source(args, doc=None) -> BipartiteGraph:
 
 
 def _load_target(args):
-    return parse_graph(read_doc(args.target), _budget(args))
+    return parse_graph(read_doc(args.target, budget=_budget(args)), _budget(args))
 
 
 def _load_acts(args, vertex_count: int) -> ActivitySystem:
@@ -161,7 +161,7 @@ def _load_acts(args, vertex_count: int) -> ActivitySystem:
     so the activities of a report load as they are written."""
     if getattr(args, "activities", None) is None:
         return ActivitySystem.unit(vertex_count)
-    return resolve_activities(read_doc(args.activities), vertex_count)
+    return resolve_activities(read_doc(args.activities, budget=_budget(args)), vertex_count)
 
 
 @contextmanager
@@ -201,7 +201,7 @@ def _reject_unread(args, names, mode: str) -> None:
 
 def _cmd_count(args) -> dict:
     # count_homs does not need a bipartition, so plain graph files are fine here
-    doc = read_doc(args.graph)
+    doc = read_doc(args.graph, budget=_budget(args))
     if "family" in doc or "class_e" in doc:
         g = _load_source(args, doc).graph
     else:
@@ -217,7 +217,7 @@ def _cmd_count(args) -> dict:
 
 def _cmd_restricted(args) -> dict:
     g = _load_source(args)
-    target = parse_two_sorted(read_doc(args.two_sorted), _budget(args))
+    target = parse_two_sorted(read_doc(args.two_sorted, budget=_budget(args)), _budget(args))
     return {"count": str(count_homs_restricted(g, target, _budget(args)))}
 
 
@@ -239,7 +239,7 @@ def _cmd_knn(args) -> dict:
         return {"count": str(surjection_count(args.n, args.surjections, _budget(args)))}
     if args.two_sorted is not None:
         _reject_unread(args, ["activities"], "knn -T")
-        target = parse_two_sorted(read_doc(args.two_sorted), _budget(args))
+        target = parse_two_sorted(read_doc(args.two_sorted, budget=_budget(args)), _budget(args))
         return {"count": str(knn_restricted_count(args.n, target, _budget(args)))}
     h = _load_target(args)
     acts = _load_acts(args, h.vertex_count)
@@ -281,7 +281,7 @@ def _cmd_generate(args) -> dict:
         doc = load_doc(args.spec)
     elif args.spec_file is not None:
         _reject_unread(args, ["family", "path"], "--spec-file")
-        doc = read_doc(args.spec_file)
+        doc = read_doc(args.spec_file, budget=_budget(args))
     elif args.family == "file":
         if args.path is None:
             raise GraphFormatError("--family file requires --path")

@@ -24,6 +24,11 @@ _ISO_TRIES = 16
 
 _GRAPH_KEYS = {"vertices", "edges", "loops"}
 
+# read_doc reads at most this many bytes per unit of a document's input
+# limit: generate writes 33-34 bytes per vertex plus edge (Q14 and
+# K_{700,700}), so every document the limit admits still loads
+_DOC_BYTES = 64
+
 
 def _check_index(v, n: int) -> int:
     if isinstance(v, bool) or not isinstance(v, int) or not 0 <= v < n:
@@ -341,14 +346,23 @@ def load_doc(data, path=None) -> dict:
     return data
 
 
-def read_doc(path, base_dir=None) -> dict:
+def read_doc(path, base_dir=None, budget: int = DEFAULT_BUDGET) -> dict:
     """The JSON object in the file at ``path``, resolved against ``base_dir``
-    when relative; any failure to read or decode it is a GraphFormatError."""
+    when relative; any failure to read or decode it is a GraphFormatError,
+    and so is a file longer than _DOC_BYTES per unit of input_limit(budget),
+    refused once that much is read, so even /dev/zero ends."""
     path = Path(path)
     if base_dir is not None and not path.is_absolute():
         path = Path(base_dir) / path
+    limit = _DOC_BYTES * input_limit(budget)
+    data = bytearray()
     try:
-        text = path.read_text(encoding="utf-8")
+        with path.open("rb") as f:
+            while len(data) <= limit and (chunk := f.read(1 << 20)):
+                data += chunk
+        if len(data) > limit:
+            raise GraphFormatError(f"{path} is longer than its limit of {limit} bytes")
+        text = data.decode("utf-8")
     except (OSError, UnicodeError) as exc:
         raise GraphFormatError(f"cannot read {path}: {exc}") from None
     return load_doc(text, path)
@@ -708,4 +722,4 @@ def build_instance(spec: dict, base_dir=None, budget: int = DEFAULT_BUDGET) -> B
         return row.generate(*(spec[k] for k in row.params), *seed)
     if family == "union":
         return gen_union([build_instance(part, base_dir, budget) for part in spec["parts"]])
-    return parse_bipartite(read_doc(spec["path"], base_dir), budget)
+    return parse_bipartite(read_doc(spec["path"], base_dir, budget), budget)

@@ -488,6 +488,17 @@ def _counted_campaign(monkeypatch, config):
     return reports, walks, builds
 
 
+def _campaign_jobs(monkeypatch, config):
+    """run_campaign(config) and the jobs it planned, in plan order."""
+    jobs = []
+    job = certify_mod._Quantities.job
+    with monkeypatch.context() as patch:
+        patch.setattr(certify_mod._Quantities, "job",
+                      lambda q, *args: jobs.append(job(q, *args)) or jobs[-1])
+        reports = run_campaign(config)
+    return reports, jobs
+
+
 @pytest.mark.parametrize("budget, verdicts", [
     (50_000_000, {HOLDS}), (400, {HOLDS, SKIPPED_BUDGET}), (3, {SKIPPED_BUDGET})])
 def test_campaign_equals_one_report_at_a_time(monkeypatch, budget, verdicts):
@@ -685,15 +696,21 @@ def test_isomorphic_sources_of_two_families_share_one_walk(monkeypatch):
 
 
 def test_a_source_past_the_search_limit_walks_alone(monkeypatch):
-    # a search that gives up costs only a walk: one class per source, the
-    # same lines.  The two draws of half 4 are one class, those of half 5 two
+    # a search that gives up costs only a walk: one class per source, whose
+    # jobs' class keys name the source itself, and the same lines.  The two
+    # draws of half 4 are one class, those of half 5 two
     config = _cubic_config((4, 5), 2, 50_000_000, ["weighted-ub"])
     shared, walks, _ = _counted_campaign(monkeypatch, config)
     assert len(walks) == 3 * 2
+    _, jobs = _campaign_jobs(monkeypatch, config)
+    assert len({key[1] for *_, key, _ in jobs}) == 3
     monkeypatch.setattr(graphs_mod, "_ISO_TRIES", 0)
     alone, walks, _ = _counted_campaign(monkeypatch, config)
     assert len(walks) == 4 * 2
     assert [r.to_json_line() for r in alone] == [r.to_json_line() for r in shared]
+    _, jobs = _campaign_jobs(monkeypatch, config)
+    assert [key[1] for *_, key, _ in jobs] == [id(g) for _, g, *_ in jobs]
+    assert len(jobs) == len({key[1] for *_, key, _ in jobs}) * 2 == 4 * 2
 
 
 def test_sources_past_the_budget_are_never_matched(monkeypatch):
@@ -752,6 +769,25 @@ def test_campaigns_plan_each_grid_once_whatever_ran_before(monkeypatch):
     assert len(first[1]) == 2
     assert len(run(_fixture_path("default-campaign.json"))[1]) == 4
     assert run(cubic) == first
+
+
+def test_cubic_jobs_carry_one_class_key_per_class_and_target(monkeypatch):
+    # the cubic campaign's 100 sources fall into 34 classes, so its 400 jobs
+    # carry 2 propositions x 34 classes x 2 targets keys, each
+    # (proposition, id(first source), id(target), fields), and a key's first
+    # job is that of the class's first source
+    reports, jobs = _campaign_jobs(monkeypatch, _cubic_config(
+        (4, 5, 6, 7, 8), 20, 50_000_000,
+        ["weighted-ub", "eta-sandwich", "nonbipartite-lower-bound-failure"]))
+    assert len(reports) == 3601
+    assert len(jobs) == 400
+    firsts = {}
+    for pid, g, h, _, key, base in jobs:
+        assert key[0] == pid and key[2] == id(h) and key[3] == (base["n"],)
+        firsts.setdefault(key, id(g))
+    assert len(firsts) == 136
+    assert len({key[1] for key in firsts}) == 34
+    assert all(key[1] == first for key, first in firsts.items())
 
 
 def test_campaign_on_a_long_cycle_with_a_vertex0_grid():
@@ -974,7 +1010,8 @@ def test_kept_cross_products_judge_and_write_as_the_sides_do(relation, lhs, rhs,
 
 def test_memos_hold_only_what_reports_share(monkeypatch):
     # a second trial adds sources, and each source adds its own entries: its
-    # build, its document, its class entry and one Z grid per target.  Each
+    # build, its document and one Z grid per target (its class travels on
+    # its jobs).  Each
     # new class adds its first source's walks, one Z memo per target (the
     # other members take the class's judgements and never walk), and a
     # bucket when no earlier class has its sorted vertex labels.  Nothing is
@@ -1000,8 +1037,8 @@ def test_memos_hold_only_what_reports_share(monkeypatch):
 
     one, two = memos(1), memos(2)
     # one value memo, keyed by kind; the others hold the plan: the grids, the
-    # classes and the judgements they share
-    assert one.keys() == two.keys() == {"_values", "_grids", "_firsts", "_buckets", "_judged"}
+    # classes' first sources and the judgements they share
+    assert one.keys() == two.keys() == {"_values", "_grids", "_buckets", "_judged"}
     # every class's judgements are dropped by the end of the run
     assert one["_judged"] == two["_judged"] == {}
     added = {name: len(two[name]) - len(one[name]) for name in one}
@@ -1009,9 +1046,8 @@ def test_memos_hold_only_what_reports_share(monkeypatch):
     # less a perfect matching) and two of half 5, whose new class has sorted
     # vertex labels (4-cycles through each vertex) of its own
     new_sources, new_classes, new_buckets, targets = 2, 1, 1, 2
-    assert sum(added.values()) == (new_sources * (3 + targets)
+    assert sum(added.values()) == (new_sources * (2 + targets)
                                    + new_classes * targets + new_buckets)
-    assert added["_firsts"] == new_sources
     assert added["_grids"] == new_sources * targets
     assert added["_buckets"] == new_buckets
     one_kinds = Counter(key[0] for key in one["_values"])

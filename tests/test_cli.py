@@ -17,6 +17,7 @@ import pytest
 
 import homcert
 from homcert import ActivitySystem, GraphFormatError, certify as certify_mod
+from homcert import cli as cli_mod, errors as errors_mod
 from homcert.certify import DEFAULT_SEED
 from homcert.cli import (
     EXIT_CLOSED_PIPE, SUBCOMMAND_OPERATIONS, _fixture_path, build_parser, main)
@@ -680,6 +681,20 @@ def test_long_integer_literals_are_input_errors_at_once(capsys, tmp_path):
         error = json.loads(out)["error"]
         assert code == 2 and error["code"] == "input-error"
         assert len(error["message"]) < 200
+
+
+def test_endless_documents_are_input_errors(capsys, monkeypatch):
+    # -a /dev/zero once grew until memory ran out; with a default budget of
+    # 10 a document may hold 640 bytes, and an endless one is refused after
+    # that, as an input error with no traceback
+    monkeypatch.setattr(errors_mod, "DEFAULT_BUDGET", 10)
+    monkeypatch.setattr(cli_mod, "DEFAULT_BUDGET", 10)
+    code = main(["eta", "-H", str(FIX / "k3.json"), "-a", "/dev/zero"])
+    out, err = capsys.readouterr()
+    error = json.loads(out)["error"]
+    assert code == 2 and error["code"] == "input-error"
+    assert error["message"] == "/dev/zero is longer than its limit of 640 bytes"
+    assert err == ""
 
 
 def test_negative_budget_flag_is_input_error(capsys):

@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import homcert.errors as errors_mod
 import homcert.graphs as graphs_mod
 from homcert import (
     BipartiteGraph,
@@ -25,6 +26,7 @@ from homcert import (
     serialize_bipartite,
     serialize_graph,
 )
+from homcert.graphs import read_doc
 from helpers import (
     random_activities,
     random_bipartite,
@@ -432,3 +434,21 @@ def test_isomorphism_gives_up_past_its_limit(monkeypatch):
     q3 = gen_hypercube(3)
     monkeypatch.setattr(graphs_mod, "_ISO_TRIES", 0)
     assert q3.isomorphism(q3) is None
+
+
+def test_documents_past_their_byte_limit_are_refused_once_that_much_is_read(
+        monkeypatch, tmp_path):
+    # 64 bytes per unit of the input limit: with a default budget of 10 a
+    # document may hold 640 bytes, and a larger budget raises the limit.  An
+    # endless file is refused after its first chunk, not read until memory
+    # runs out
+    monkeypatch.setattr(errors_mod, "DEFAULT_BUDGET", 10)
+    doc = tmp_path / "k1.json"
+    text = json.dumps({"vertices": 1})
+    doc.write_text(text.ljust(640))
+    assert read_doc(doc, budget=10) == {"vertices": 1}
+    doc.write_text(text.ljust(641))
+    for path in (doc, "/dev/zero"):
+        with pytest.raises(GraphFormatError, match="longer than its limit of 640 bytes"):
+            read_doc(path, budget=10)
+    assert read_doc(doc, budget=11) == {"vertices": 1}

@@ -5,7 +5,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from homcert import (
     DEFAULT_BUDGET,
@@ -225,6 +225,14 @@ def _exact_images():
         yield
 
 
+# The exact walks' least budgets have a heavy tail: over 600 draws of the
+# test below, the median was 26 units, one draw in fifty passed 4,800, and
+# the largest was 851,301, whose bisection alone took 11 s (2-vCPU VM).  A
+# draw counts only when its exact walks answer within this cap (about 98%
+# do), so no example's bisections cost more than a fraction of a second.
+_EXACT_CAP = 20_000
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 2**32))
 def test_orbit_walks_match_exact_walks_on_twin_targets(seed):
@@ -236,9 +244,13 @@ def test_orbit_walks_match_exact_walks_on_twin_targets(seed):
     g = _grid_source(rng)
     walks = [lambda budget: count_homs(g.graph, h, budget),
              lambda budget: partition_fn(g, h, acts, budget)]
-    orbits = [(walk(DEFAULT_BUDGET), _least_budget(walk)) for walk in walks]
     with _exact_images():
-        exact = [(walk(DEFAULT_BUDGET), _least_budget(walk)) for walk in walks]
+        try:
+            exact = [(walk(_EXACT_CAP), _least_budget(walk)) for walk in walks]
+        except BudgetExceededError:
+            exact = None
+    assume(exact is not None)
+    orbits = [(walk(DEFAULT_BUDGET), _least_budget(walk)) for walk in walks]
     for (value, meter), (exact_value, exact_meter) in zip(orbits, exact):
         assert value == exact_value
         assert meter <= exact_meter
