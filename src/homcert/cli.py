@@ -26,6 +26,7 @@ from .eta import eta_two_sided
 from .graphs import (
     GENERATED_FAMILIES,
     BipartiteGraph,
+    Graph,
     build_instance,
     load_doc,
     needs_seed,
@@ -138,30 +139,33 @@ def _apply_overrides(doc: dict, args) -> dict:
     return spec
 
 
-def _load_source(args, doc=None) -> BipartiteGraph:
+def _load_source(args, budget: int, doc=None) -> BipartiteGraph:
     """-g accepts a bipartite graph document or an instance-spec document;
     ``doc`` is the -g document when the caller has read it already.  Either
     is charged to the larger of the budget and the default, so a spec and
     the document it generates load alike."""
     if doc is None:
-        doc = read_doc(args.graph, budget=_budget(args))
+        doc = read_doc(args.graph, budget=budget)
     if "family" in doc:
         return build_instance(_apply_overrides(doc, args), Path(args.graph).parent,
-                              input_limit(_budget(args)))
+                              input_limit(budget))
     _reject_unread(args, _SPEC_FLAGS, "a -g graph document")
-    return parse_bipartite(doc, _budget(args))
+    return parse_bipartite(doc, budget)
 
 
-def _load_target(args):
-    return parse_graph(read_doc(args.target, budget=_budget(args)), _budget(args))
+def _load_target(args, budget: int) -> tuple[Graph, ActivitySystem]:
+    """The -H target and its -a system, the unit system without -a.  -a
+    accepts an activity document or any entry a campaign grid lists, so the
+    activities of a report load as they are written."""
+    h = parse_graph(read_doc(args.target, budget=budget), budget)
+    path = getattr(args, "activities", None)
+    entry = None if path is None else read_doc(path, budget=budget)
+    return h, resolve_activities(entry, h.vertex_count)
 
 
-def _load_acts(args, vertex_count: int) -> ActivitySystem:
-    """-a accepts an activity document or any entry a campaign grid lists,
-    so the activities of a report load as they are written."""
-    if getattr(args, "activities", None) is None:
-        return ActivitySystem.unit(vertex_count)
-    return resolve_activities(read_doc(args.activities, budget=_budget(args)), vertex_count)
+def _load_two_sorted(args, budget: int) -> BipartiteGraph:
+    """The -T two-sorted target."""
+    return parse_two_sorted(read_doc(args.two_sorted, budget=budget), budget)
 
 
 @contextmanager
@@ -199,74 +203,59 @@ def _reject_unread(args, names, mode: str) -> None:
 # Subcommand handlers
 
 
-def _cmd_count(args) -> dict:
+def _cmd_count(args, budget) -> dict:
     # count_homs does not need a bipartition, so plain graph files are fine here
-    doc = read_doc(args.graph, budget=_budget(args))
+    doc = read_doc(args.graph, budget=budget)
     if "family" in doc or "class_e" in doc:
-        g = _load_source(args, doc).graph
+        g = _load_source(args, budget, doc).graph
     else:
         _reject_unread(args, _SPEC_FLAGS, "a -g graph document")
-        g = parse_graph(doc, _budget(args))
+        g = parse_graph(doc, budget)
     if args.independent_sets:
         _reject_unread(args, ["target"], "--independent-sets")
-        return {"count": str(count_independent_sets(g, _budget(args)))}
+        return {"count": str(count_independent_sets(g, budget))}
     if args.target is None:
         raise GraphFormatError("count requires -H (or --independent-sets)")
-    return {"count": str(count_homs(g, _load_target(args), _budget(args)))}
+    h, _ = _load_target(args, budget)
+    return {"count": str(count_homs(g, h, budget))}
 
 
-def _cmd_restricted(args) -> dict:
-    g = _load_source(args)
-    target = parse_two_sorted(read_doc(args.two_sorted, budget=_budget(args)), _budget(args))
-    return {"count": str(count_homs_restricted(g, target, _budget(args)))}
+def _cmd_restricted(args, budget) -> dict:
+    g = _load_source(args, budget)
+    return {"count": str(count_homs_restricted(g, _load_two_sorted(args, budget), budget))}
 
 
-def _cmd_partition(args) -> dict:
-    g = _load_source(args)
-    h = _load_target(args)
-    acts = _load_acts(args, h.vertex_count)
-    return {"value": str(partition_fn(g, h, acts, _budget(args)))}
+def _cmd_partition(args, budget) -> dict:
+    g = _load_source(args, budget)
+    h, acts = _load_target(args, budget)
+    return {"value": str(partition_fn(g, h, acts, budget))}
 
 
-def _cmd_knn(args) -> dict:
-    modes = [args.target is not None, args.two_sorted is not None, args.surjections is not None]
-    if sum(modes) != 1:
-        raise GraphFormatError("knn requires exactly one of -H, -T, or --surjections")
+def _cmd_knn(args, budget) -> dict:
     if args.surjections is not None:
-        _reject_unread(args, ["activities"], "knn --surjections")
         if args.surjections < 0:
             raise GraphFormatError("--surjections must be nonnegative")
-        return {"count": str(surjection_count(args.n, args.surjections, _budget(args)))}
-    if args.two_sorted is not None:
-        _reject_unread(args, ["activities"], "knn -T")
-        target = parse_two_sorted(read_doc(args.two_sorted, budget=_budget(args)), _budget(args))
-        return {"count": str(knn_restricted_count(args.n, target, _budget(args)))}
-    h = _load_target(args)
-    acts = _load_acts(args, h.vertex_count)
-    return {"value": str(kab_partition(args.n, args.n, h, acts, _budget(args)))}
+        return {"count": str(surjection_count(args.n, args.surjections, budget))}
+    return {"count": str(knn_restricted_count(args.n, _load_two_sorted(args, budget), budget))}
 
 
-def _cmd_kab(args) -> dict:
-    h = _load_target(args)
-    acts = _load_acts(args, h.vertex_count)
-    return {"value": str(kab_partition(args.a, args.b, h, acts, _budget(args)))}
+def _cmd_kab(args, budget) -> dict:
+    h, acts = _load_target(args, budget)
+    return {"value": str(kab_partition(args.a, args.b, h, acts, budget))}
 
 
-def _cmd_eta(args) -> dict:
-    h = _load_target(args)
-    acts = _load_acts(args, h.vertex_count)
-    witness = eta_two_sided(h, acts, _budget(args))
+def _cmd_eta(args, budget) -> dict:
+    witness = eta_two_sided(*_load_target(args, budget), budget)
     return {"value": str(witness.value), "A": list(witness.set_a), "B": list(witness.set_b)}
 
 
-def _cmd_double(args) -> dict:
-    return serialize_two_sorted(double(_load_target(args)))
+def _cmd_double(args, budget) -> dict:
+    h, _ = _load_target(args, budget)
+    return serialize_two_sorted(double(h))
 
 
-def _cmd_blowup(args) -> dict:
-    h = _load_target(args)
-    acts = _load_acts(args, h.vertex_count)
-    target, meta = blowup(h, acts, _budget(args))
+def _cmd_blowup(args, budget) -> dict:
+    target, meta = blowup(*_load_target(args, budget), budget)
     return {
         "target": serialize_two_sorted(target),
         "scale": str(meta.scale),
@@ -275,13 +264,13 @@ def _cmd_blowup(args) -> dict:
     }
 
 
-def _cmd_generate(args) -> dict:
+def _cmd_generate(args, budget) -> dict:
     if args.spec is not None:
         _reject_unread(args, ["spec_file", "family", "path"], "--spec")
         doc = load_doc(args.spec)
     elif args.spec_file is not None:
         _reject_unread(args, ["family", "path"], "--spec-file")
-        doc = read_doc(args.spec_file, budget=_budget(args))
+        doc = read_doc(args.spec_file, budget=budget)
     elif args.family == "file":
         if args.path is None:
             raise GraphFormatError("--family file requires --path")
@@ -292,17 +281,16 @@ def _cmd_generate(args) -> dict:
     else:
         raise GraphFormatError("generate requires --family, --spec, or --spec-file")
     base = Path(args.spec_file).parent if args.spec_file else Path.cwd()
-    return serialize_bipartite(build_instance(_apply_overrides(doc, args), base, _budget(args)))
+    return serialize_bipartite(build_instance(_apply_overrides(doc, args), base, budget))
 
 
-def _cmd_certify(args) -> int:
+def _cmd_certify(args, budget) -> int:
     """Writes its report stream itself, each line as its report is judged,
     and returns the campaign exit code."""
     instance_flags = ["graph", "target", "activities", *_SPEC_FLAGS]
     if args.check is not None:
         if args.config is not None:
             raise GraphFormatError("--check and --config exclude each other")
-        budget = _budget(args)
         if args.check == certify_mod._DEMO:
             _reject_unread(args, instance_flags, f"--check {args.check}")
             reports = [certify_mod.sandwich_nonbipartite_demo(budget)]
@@ -311,9 +299,8 @@ def _cmd_certify(args) -> int:
                 _reject_unread(args, ["activities"], f"--check {args.check}")
             if args.graph is None or args.target is None:
                 raise GraphFormatError(f"--check {args.check} requires -g and -H")
-            g = _load_source(args)
-            h = _load_target(args)
-            acts = _load_acts(args, h.vertex_count)
+            g = _load_source(args, budget)
+            h, acts = _load_target(args, budget)
             fn = certify_mod._CERTIFIERS[args.check]
             reports = [fn(g, h, acts, budget, None)]
     else:
@@ -323,9 +310,10 @@ def _cmd_certify(args) -> int:
         path = _fixture_path("default-campaign.json") if args.config == "default" else Path(args.config)
         config, base_dir = load_campaign(path)
         # precedence: --budget flag, then the config's own value, then the
-        # environment override of the built-in default
+        # environment override of the built-in default (_run has checked the
+        # variable even when the config's value wins)
         if args.budget is not None or "budget" not in config:
-            config["budget"] = _budget(args)
+            config["budget"] = budget
         reports = iter_campaign(config, base_dir=base_dir)
     # opened once the run is planned, so an input or budget error leaves an
     # existing output file as it was
@@ -363,51 +351,42 @@ def _fill_count(p):
     _add_common(p, graph=True, target=True)
     p.add_argument("--independent-sets", action="store_true",
                    help="count independent sets of the source graph instead")
-    p.set_defaults(fn=_cmd_count)
 
 
 def _fill_restricted(p):
     _add_common(p, graph=True)
     p.add_argument("-T", "--two-sorted", required=True, help="two-sorted target file")
-    p.set_defaults(fn=_cmd_restricted)
 
 
 def _fill_partition(p):
     _add_common(p, graph=True, target=True, target_required=True, acts=True)
-    p.set_defaults(fn=_cmd_partition)
 
 
 def _fill_knn(p):
     p.add_argument("--n", type=int, required=True, help="side size of K_{n,n}")
-    p.add_argument("-H", "--target", help="target graph file (weighted form)")
-    p.add_argument("-T", "--two-sorted", help="two-sorted target file (restricted count)")
-    p.add_argument("--surjections", type=int, metavar="A",
-                   help="count surjections from an n-set onto an A-set instead")
-    p.add_argument("-a", "--activities", help="activity file (weighted form)")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("-T", "--two-sorted", help="two-sorted target file (restricted count)")
+    mode.add_argument("--surjections", type=int, metavar="A",
+                      help="count surjections from an n-set onto an A-set instead")
     p.add_argument("-o", "--output", help="write to file instead of stdout")
-    p.set_defaults(fn=_cmd_knn)
 
 
 def _fill_kab(p):
     p.add_argument("--a", type=int, required=True, help="size of the lambda side")
     p.add_argument("--b", type=int, required=True, help="size of the mu side")
     _add_common(p, target=True, target_required=True, acts=True, budget=False)
-    p.set_defaults(fn=_cmd_kab)
 
 
 def _fill_eta(p):
     _add_common(p, target=True, target_required=True, acts=True, budget=False)
-    p.set_defaults(fn=_cmd_eta)
 
 
 def _fill_double(p):
     _add_common(p, target=True, target_required=True, budget=False)
-    p.set_defaults(fn=_cmd_double)
 
 
 def _fill_blowup(p):
     _add_common(p, target=True, target_required=True, acts=True, budget=False)
-    p.set_defaults(fn=_cmd_blowup)
 
 
 def _fill_certify(p):
@@ -423,7 +402,6 @@ def _fill_certify(p):
     p.add_argument("--budget", type=int,
                    help="node-expansion budget override (a campaign's own by default)")
     p.add_argument("-o", "--output", help="write to file instead of stdout")
-    p.set_defaults(fn=_cmd_certify)
 
 
 def _fill_generate(p):
@@ -434,31 +412,32 @@ def _fill_generate(p):
     p.add_argument("--path", help="graph file for --family file")
     _add_overrides(p)
     p.add_argument("-o", "--output", help="write to file instead of stdout")
-    p.set_defaults(fn=_cmd_generate)
 
 
-# subcommand -> (its help line, what adds its arguments)
+# subcommand -> (its help line, what adds its arguments, its handler)
 _SUBCOMMANDS = {
-    "count": ("count homomorphisms (or independent sets)", _fill_count),
-    "restricted": ("count class-restricted homomorphisms", _fill_restricted),
-    "partition": ("exact weighted partition value", _fill_partition),
-    "knn": ("closed form on the n-by-n complete bipartite source", _fill_knn),
-    "kab": ("closed form on the a-by-b complete bipartite source", _fill_kab),
-    "eta": ("optimal cross-complete pair", _fill_eta),
-    "double": ("bipartite double of a target", _fill_double),
-    "blowup": ("activity blow-up of a target", _fill_blowup),
-    "certify": ("run certification checks or a campaign", _fill_certify),
-    "generate": ("emit an instance as a bipartite graph file", _fill_generate),
+    "count": ("count homomorphisms (or independent sets)", _fill_count, _cmd_count),
+    "restricted": ("count class-restricted homomorphisms", _fill_restricted, _cmd_restricted),
+    "partition": ("exact weighted partition value", _fill_partition, _cmd_partition),
+    "knn": ("restricted count of the n-by-n complete bipartite source, or surjections",
+            _fill_knn, _cmd_knn),
+    "kab": ("closed form on the a-by-b complete bipartite source", _fill_kab, _cmd_kab),
+    "eta": ("optimal cross-complete pair", _fill_eta, _cmd_eta),
+    "double": ("bipartite double of a target", _fill_double, _cmd_double),
+    "blowup": ("activity blow-up of a target", _fill_blowup, _cmd_blowup),
+    "certify": ("run certification checks or a campaign", _fill_certify, _cmd_certify),
+    "generate": ("emit an instance as a bipartite graph file", _fill_generate, _cmd_generate),
 }
 
 
-def _subparser(fill=None, **kwargs):
-    """A subcommand's parser with its arguments (``fill`` adds them), or
-    None for a subcommand that the run does not invoke."""
+def _subparser(fill=None, handler=None, **kwargs):
+    """A subcommand's parser with its arguments (``fill`` adds them) and its
+    handler, or None for a subcommand that the run does not invoke."""
     if fill is None:
         return None
     p = argparse.ArgumentParser(**kwargs)
     fill(p)
+    p.set_defaults(fn=handler)
     return p
 
 
@@ -474,8 +453,9 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_subparser)
     fill_all = command not in _SUBCOMMANDS
-    for name, (help_line, fill) in _SUBCOMMANDS.items():
-        sub.add_parser(name, help=help_line, fill=fill if fill_all or name == command else None)
+    for name, (help_line, fill, handler) in _SUBCOMMANDS.items():
+        sub.add_parser(name, help=help_line, handler=handler,
+                       fill=fill if fill_all or name == command else None)
     return parser
 
 
@@ -518,7 +498,7 @@ def entry() -> int:
 def _run(args) -> int:
     """The exit code of the subcommand, with its answer or error written."""
     try:
-        result = args.fn(args)
+        result = args.fn(args, _budget(args))
         if isinstance(result, dict):  # every handler but certify's returns its answer
             _emit(result, args.output)
             result = 0

@@ -106,11 +106,6 @@ class ActivitySystem:
         return cls((lam,) * k, (mu,) * k)
 
     @classmethod
-    def from_pairs(cls, pairs) -> "ActivitySystem":
-        pairs = [(as_fraction(a), as_fraction(b)) for a, b in pairs]
-        return cls(tuple(a for a, _ in pairs), tuple(b for _, b in pairs))
-
-    @classmethod
     def from_mapping(cls, k: int, mapping) -> "ActivitySystem":
         """Pairs keyed by vertex index, an int or its str(); omitted vertices
         default to (1, 1)."""

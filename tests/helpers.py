@@ -1,8 +1,9 @@
 """Independent oracles for the test suite.
 
-Everything here enumerates exhaustively, or walks all 2^m subsets of the
-target, and shares no code path with the library's counters, closed forms,
-or optimizers.
+Everything here enumerates maps vertex by vertex (dropping a partial map at
+its first edge into a non-edge), enumerates exhaustively, or walks all 2^m
+subsets of the target, and shares no code path with the library's counters,
+closed forms, or optimizers.
 """
 
 from __future__ import annotations
@@ -19,47 +20,48 @@ from homcert import (
 )
 
 
+def _sum_over_maps(g: Graph, h: Graph, images, weight):
+    """The sum, over every map f: V(g) -> V(h) with each f(v) in images[v]
+    that takes every edge (loops included) to an edge, of the product of
+    weight(v, f(v)).  A map is extended one vertex at a time in index order
+    and dropped at the first edge whose image is not an edge."""
+    n = g.vertex_count
+    earlier = [[v for v in g.neighbors[u] if v <= u] for u in range(n)]
+    f = [None] * n
+
+    def extend(u, w):
+        if u == n:
+            return w
+        total = 0
+        for x in images[u]:
+            f[u] = x
+            if all(h.adjacent(x, f[v]) for v in earlier[u]):
+                total += extend(u + 1, w * weight(u, x))
+        return total
+
+    return extend(0, 1)
+
+
 def hom_count_by_enumeration(g: Graph, h: Graph) -> int:
-    """All |V(h)|^|V(g)| maps, each checked edge by edge (loops included)."""
-    total = 0
-    for f in itertools.product(range(h.vertex_count), repeat=g.vertex_count):
-        if all(
-            h.adjacent(f[u], f[v])
-            for u in range(g.vertex_count)
-            for v in g.neighbors[u]
-            if v >= u
-        ):
-            total += 1
-    return total
+    """Every map that sends each edge of g (loops included) to an edge of h."""
+    return _sum_over_maps(g, h, [range(h.vertex_count)] * g.vertex_count, lambda v, x: 1)
 
 
 def restricted_count_by_enumeration(g: BipartiteGraph, target: BipartiteGraph) -> int:
-    total = 0
-    n = g.vertex_count
-    tg = target.graph
-    for f in itertools.product(range(tg.vertex_count), repeat=n):
-        if any(f[v] not in target.class_e for v in g.class_e):
-            continue
-        if any(f[v] not in target.class_o for v in g.class_o):
-            continue
-        if all(tg.adjacent(f[u], f[v]) for u in range(n) for v in g.graph.neighbors[u] if v > u):
-            total += 1
-    return total
+    """Every homomorphism that sends class E into the upper side and class O
+    into the lower side."""
+    sides = {v: sorted(target.class_e if v in g.class_e else target.class_o)
+             for v in range(g.vertex_count)}
+    return _sum_over_maps(g.graph, target.graph, sides, lambda v, x: 1)
 
 
 def partition_by_enumeration(g: BipartiteGraph, h: Graph, acts: ActivitySystem) -> Fraction:
-    total = Fraction(0)
-    n = g.vertex_count
-    for f in itertools.product(range(h.vertex_count), repeat=n):
-        if not all(h.adjacent(f[u], f[v]) for u in range(n) for v in g.graph.neighbors[u] if v > u):
-            continue
-        w = Fraction(1)
-        for v in g.class_e:
-            w *= acts.lambdas[f[v]]
-        for v in g.class_o:
-            w *= acts.mus[f[v]]
-        total += w
-    return total
+    """Every homomorphism, weighted by the lambdas of class E's images and
+    the mus of class O's."""
+    def weight(v, x):
+        return acts.lambdas[x] if v in g.class_e else acts.mus[x]
+
+    return Fraction(_sum_over_maps(g.graph, h, [range(h.vertex_count)] * g.vertex_count, weight))
 
 
 def independent_set_count_by_bitmask(g: Graph) -> int:
@@ -272,7 +274,12 @@ def random_activities(rng: random.Random, k: int, max_num: int = 3, max_den: int
         )
         for _ in range(k)
     ]
-    return ActivitySystem.from_pairs(pairs)
+    return activity_system(pairs)
+
+
+def activity_system(pairs) -> ActivitySystem:
+    """The system that gives vertex v the (lambda, mu) pair pairs[v]."""
+    return ActivitySystem.from_mapping(len(pairs), dict(enumerate(pairs)))
 
 
 def is_union_of_balanced_complete_bipartite(g: BipartiteGraph) -> bool:

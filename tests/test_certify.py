@@ -51,6 +51,7 @@ from homcert.certify import (
 from homcert.cli import _fixture_path
 from homcert.graphs import Graph, needs_seed, parse_instance_spec, serialize_bipartite
 from homcert.reports import Frame, Judgement
+from helpers import activity_system
 
 HIND = independence_target()
 K3 = complete_graph(3)
@@ -135,7 +136,7 @@ def test_sandwich_cube_vs_triangle():
 def test_sandwich_lower_equality_on_fully_looped_target():
     # every map is admissible, so the weighted count meets the biclique bound
     h = complete_graph(2, loops=True)
-    acts = ActivitySystem.from_pairs([("1/2", "3"), ("2", "1/3")])
+    acts = activity_system([("1/2", "3"), ("2", "1/3")])
     report = certify_sandwich(gen_complete_bipartite(2, 2), h, acts)
     lower = report.bounds[0]
     assert report.verdict == HOLDS and lower.equality
@@ -262,14 +263,14 @@ def test_lift_identity_charges_blowup_to_budget_before_building(monkeypatch):
     monkeypatch.setattr(constructions, "Graph", refuse)
     g = gen_even_cycle(4)
     loop = complete_graph(1, loops=True)
-    acts = ActivitySystem.from_pairs([("200", "1/200")])
+    acts = activity_system([("200", "1/200")])
     with pytest.raises(BudgetExceededError, match="40001 vertices and 40000 edges"):
         constructions.blowup(loop, acts, 10)
     report = certify_lift_identity(g, loop, acts, budget=10)
     assert report.verdict == SKIPPED_BUDGET
     assert "40001 vertices and 40000 edges" in report.note
     # about 1.6e9 edges: far too large to build at all
-    acts = ActivitySystem.from_pairs([("200", "1/200"), ("1/200", "200")])
+    acts = activity_system([("200", "1/200"), ("1/200", "200")])
     report = certify_lift_identity(g, complete_graph(2, loops=True), acts)
     assert report.verdict == SKIPPED_BUDGET
     assert "1600080001 edges" in report.note
@@ -730,6 +731,7 @@ def test_sources_past_the_budget_are_never_matched(monkeypatch):
         r.to_json_line() for r in _reports_one_at_a_time(config)]
 
 
+@pytest.mark.memo_counts
 def test_campaigns_plan_each_grid_once_whatever_ran_before(monkeypatch):
     # what depends only on the target and its systems is made once per run,
     # not once per source or per job, and a run's work does not depend on
@@ -1008,6 +1010,7 @@ def test_kept_cross_products_judge_and_write_as_the_sides_do(relation, lhs, rhs,
     assert b.verdict == (HOLDS if (lhs == rhs if relation == "==" else lhs <= rhs) else VIOLATED)
 
 
+@pytest.mark.memo_counts
 def test_memos_hold_only_what_reports_share(monkeypatch):
     # a second trial adds sources, and each source adds its own entries: its
     # build, its document and one Z grid per target (its class travels on

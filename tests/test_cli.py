@@ -72,25 +72,30 @@ def test_partition_with_activity_file(capsys, tmp_path):
     assert code == 0 and json.loads(out) == {"value": "17"}
 
 
-def test_knn_weighted_and_restricted(capsys, tmp_path):
-    code, out = run_cli(capsys, "knn", "--n", "2", "-H", FIX / "hind.json")
-    assert code == 0 and json.loads(out) == {"value": "7"}
+def test_knn_restricted_mode(capsys, tmp_path):
     target = tmp_path / "t.json"
     code, out = run_cli(capsys, "double", "-H", FIX / "hind.json", "-o", target)
     assert code == 0
     code, out = run_cli(capsys, "knn", "--n", "2", "-T", target)
     assert code == 0 and json.loads(out) == {"count": "7"}
-    code, out = run_cli(capsys, "knn", "--n", "2", "-H", FIX / "hind.json", "-T", target)
-    assert code == 2  # exactly one of -H / -T
-    # knn -H is kab on square sides, error included
+    # knn reads exactly one of -T and --surjections, and no weighted target:
+    # kab --a n --b n is the one route to Z(K_{n,n})
     acts = tmp_path / "acts.json"
     acts.write_text(json.dumps({"activities": {"1": {"lambda": "3", "mu": "1/2"}}}))
-    for n in ("0", "1", "3"):
-        for weights in ((), ("-a", acts)):
-            knn = run_cli(capsys, "knn", "--n", n, "-H", FIX / "hind.json", *weights)
-            assert knn == run_cli(capsys, "kab", "--a", n, "--b", n, "-H", FIX / "hind.json",
-                                  *weights)
-            assert knn[0] == (2 if n == "0" else 0)
+    for argv in (("-T", target, "--surjections", "2"), (), ("-H", FIX / "hind.json"),
+                 ("-T", target, "-a", acts), ("--surjections", "2", "-a", acts)):
+        with pytest.raises(SystemExit) as exc:
+            main([str(a) for a in ("knn", "--n", "2", *argv)])
+        assert exc.value.code == 2
+    capsys.readouterr()
+    for n, unit, weighted in (("0", None, None), ("1", "3", "5"), ("3", "15", "383/4")):
+        for weights, value in (((), unit), (("-a", acts), weighted)):
+            code, out = run_cli(capsys, "kab", "--a", n, "--b", n, "-H", FIX / "hind.json",
+                                *weights)
+            if value is None:
+                assert code == 2 and json.loads(out)["error"]["code"] == "input-error"
+            else:
+                assert code == 0 and json.loads(out) == {"value": value}
 
 
 def test_restricted_count(capsys, tmp_path):
@@ -712,6 +717,20 @@ def test_independent_sets_stop_on_budget_not_recursion(capsys, tmp_path):
     assert json.loads(out)["error"]["code"] == "budget-exceeded"
 
 
+def test_a_bad_budget_variable_is_an_input_error_under_a_config_budget(capsys, monkeypatch):
+    # the default config carries its own budget, yet the variable is still read
+    for env in ("-1", "junk"):
+        monkeypatch.setenv("HOMCERT_BUDGET", env)
+        code, out = run_cli(capsys, "certify", "--config", "default")
+        assert code == 2 and json.loads(out)["error"]["code"] == "input-error"
+    # the flag wins over the variable, which is then never read
+    code, out = run_cli(capsys, "certify", "--config", "default", "--budget", "5")
+    assert code == 0
+    reports = [json.loads(line) for line in out.splitlines()]
+    assert reports and all("error" not in r for r in reports)
+    assert any(r["verdict"] == "skipped-budget" for r in reports)
+
+
 def test_budget_env_does_not_override_explicit_config(capsys, monkeypatch, tmp_path):
     # the env var replaces only the built-in default; an explicit config wins
     config = json.loads((FIX / "default-campaign.json").read_text())
@@ -839,8 +858,8 @@ def test_two_sorted_upper_entries_are_vertex_indices(capsys, tmp_path, command, 
         ("-g", FIX / "knn.json"), ("-H", FIX / "k3.json"), ("-a", "/nonexistent.json"),
         ("--n", "3"), ("--half", "4"), ("--seed", "1"))],
     ("certify", "--config", "default", "-g", FIX / "knn.json", "--n", "3", "-H", FIX / "k3.json"),
-    ("knn", "--n", "2", "--surjections", "2", "-a", "/nonexistent.json"),
-    ("knn", "--n", "2", "-T", FIX / "k2.json", "-a", "/nonexistent.json"),
+    ("certify", "--check", "hom-ub", "-g", FIX / "knn.json", "--n", "2", "-H", FIX / "k3.json",
+     "-a", "/nonexistent.json"),
     ("count", "-g", FIX / "knn.json", "--n", "2", "--independent-sets",
      "-H", "/nonexistent.json"),
     # spec override flags with a graph document, bipartite or plain
@@ -851,6 +870,7 @@ def test_two_sorted_upper_entries_are_vertex_indices(capsys, tmp_path, command, 
     ("generate", "--family", "hypercube", "--spec", '{"family": "cycle", "length": 4}',
      "--spec-file", "/nonexistent.json"),
     ("generate", "--spec-file", FIX / "knn.json", "--family", "cycle"),
+    ("generate", "--spec", '{"family": "cycle", "length": 4}', "--path", "/nonexistent.json"),
     ("generate", "--family", "cycle", "--length", "6", "--path", "/nonexistent.json"),
 ])
 def test_flags_the_mode_does_not_read_are_input_errors(capsys, argv):
@@ -1048,11 +1068,24 @@ def test_every_operation_reachable_from_exactly_one_subcommand():
     assert not missing, f"operations without a subcommand: {missing}"
 
 
+def test_every_handler_names_only_its_own_operations():
+    # the contract holds in the handlers' code, not only in the table; every
+    # reader uses generate's parsers, so its row is left out
+    owner = {op: sub for sub, ops in SUBCOMMAND_OPERATIONS.items() if sub != "generate"
+             for op in ops}
+    for sub in SUBCOMMAND_OPERATIONS:
+        if sub != "generate":
+            named = getattr(cli_mod, f"_cmd_{sub}").__code__.co_names
+            strays = [op for op in named if owner.get(op, sub) != sub]
+            assert not strays, f"_cmd_{sub} names {strays}, mapped to other subcommands"
+
+
 def test_knn_surjections_mode(capsys):
     code, out = run_cli(capsys, "knn", "--n", "3", "--surjections", "2")
     assert code == 0 and json.loads(out) == {"count": "6"}
-    code, _ = run_cli(capsys, "knn", "--n", "3", "--surjections", "2", "-H", FIX / "hind.json")
-    assert code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["knn", "--n", "3", "--surjections", "2", "-H", str(FIX / "hind.json")])
+    assert exc.value.code == 2
 
 
 # one argument list per subcommand, with its options and overrides

@@ -22,6 +22,7 @@ from homcert import (
 from homcert.errors import DEFAULT_BUDGET
 from homcert.graphs import BipartiteGraph, Graph
 from helpers import (
+    activity_system,
     kab_partition_by_subsets,
     knn_restricted_by_subsets,
     partition_by_enumeration,
@@ -229,7 +230,7 @@ def test_kab_keeps_one_state_per_twin_orbit():
     # they extend 1, 4 and 10
     k4 = complete_graph(4)
     for acts, cost in ((ActivitySystem.unit(4), 16),
-                       (ActivitySystem.from_pairs([(1, 1), (2, 1), (3, 1), (4, 1)]), 60)):
+                       (activity_system([(1, 1), (2, 1), (3, 1), (4, 1)]), 60)):
         with pytest.raises(BudgetExceededError):
             kab_partition(1, 3, k4, acts, budget=cost - 1)
         assert kab_partition(1, 3, k4, acts, budget=cost) == kab_partition_by_subsets(1, 3, k4, acts)

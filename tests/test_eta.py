@@ -16,8 +16,8 @@ from homcert import (
 )
 from homcert.graphs import twin_classes
 from homcert.homcount import resolve_activities
-from helpers import (eta_by_pair_enumeration, eta_by_subsets, random_activities, random_graph,
-                     random_twin_target)
+from helpers import (activity_system, eta_by_pair_enumeration, eta_by_subsets, random_activities,
+                     random_graph, random_twin_target)
 
 HIND = independence_target()
 
@@ -153,7 +153,7 @@ def test_subset_budget():
 def test_twin_free_target_walks_every_set():
     # distinct lambdas leave K4 twin-free: the walk visits all 15 sets of its
     # complex and tries 4 + 3 + 2 + 1 + 2 + 1 + 1 + 1 candidate vertices
-    acts = ActivitySystem.from_pairs([(1, 1), (2, 1), (3, 1), (4, 1)])
+    acts = activity_system([(1, 1), (2, 1), (3, 1), (4, 1)])
     assert twin_classes(complete_graph(4).neighbor_masks(), (acts.lambdas, acts.mus)) == []
     with pytest.raises(BudgetExceededError):
         eta_two_sided(complete_graph(4), acts, budget=14)
