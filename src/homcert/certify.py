@@ -38,9 +38,10 @@ from .graphs import (
 from .homcount import (
     DEFAULT_BUDGET,
     ActivitySystem,
-    GridPlan,
     count_homs,
     count_homs_restricted,
+    grid_values,
+    grid_walks,
     resolve_activities,
 )
 # the report records and the stream writer, importable from here as well
@@ -71,13 +72,14 @@ _UNSET = object()
 
 class _Quantities:
     """The one memo of a run: every number its reports ask for, computed once
-    on first use.  These are Z per (source, target), from one run of the
-    GridPlan of the target and every system the run's jobs ask of the
-    source (an unweighted proposition's system is the unit one, so its count
-    is a Z of denominator 1), that plan per (target, systems), the closed
-    forms per (sizes, target, system), eta, the double and the blow-up per
-    target or (target, system), the bounds' right sides per (value,
-    exponent), the serialized sources, targets and systems, and a campaign's
+    on first use.  These are Z per (source, target), from one run
+    (homcount.grid_values) of the walks that answer every system the run's
+    jobs ask of the source into the target (an unweighted proposition's
+    system is the unit one, so its count is a Z of denominator 1), those
+    walks (homcount.grid_walks) per (target, source side sizes, systems),
+    the closed forms per (sizes, target, system), eta, the double and the
+    blow-up per target or (target, system), the bounds' right sides per
+    (value, exponent), the serialized sources, targets and systems, and a campaign's
     resolved sources, targets and systems, each under a key that starts with
     its kind.  (A graph's kernel vertex order is memoised on the graph; twin
     classes are derived by each kernel walk, closed form and eta that uses
@@ -93,9 +95,9 @@ class _Quantities:
     keep every object alive for the run.  Systems alone are also kept by
     value, under ("acts", system): every system a job lists comes through
     system(), which returns the run's first system of that value, so equal
-    systems share one id and so one Z, plan and closed form.  The memo holds
-    only what reports share: nothing in it is made per report, and only the
-    judgements are made per system of a job.
+    systems share one id and so one Z, walk list and closed form.  The memo
+    holds only what reports share: nothing in it is made per report, and
+    only the judgements are made per system of a job.
 
     A source class is the sources that classify() finds side-preserving
     isomorphic, named by its first source.  A judgement (reports.Judgement)
@@ -181,7 +183,7 @@ class _Quantities:
 
     def z(self, g: BipartiteGraph, h: Graph, acts: ActivitySystem) -> Fraction:
         """Z(g, h, acts), or the refusal of the walk that carried it, from one
-        run of the target's plan for every system of g's grid into h."""
+        run of the walks for every system of g's grid into h."""
         value = self.once(("z", id(g), id(h)), self._run, g, h)[id(acts)]
         if isinstance(value, BudgetExceededError):
             raise value.with_traceback(None)
@@ -189,8 +191,10 @@ class _Quantities:
 
     def _run(self, g: BipartiteGraph, h: Graph) -> dict:
         grid = self._grids[id(g), id(h)]
-        plan = self.once(("plan", id(h), *grid), GridPlan, h, grid.values())
-        return dict(zip(grid, plan.run(g, self.budget)))
+        ne, no = len(g.class_e), len(g.class_o)
+        walks = self.once(("walks", id(h), ne, no, *grid), grid_walks, h, grid.values(), ne, no)
+        values = grid_values(g, h, walks, self.budget)
+        return {key: values[acts] for key, acts in grid.items()}
 
     def kab(self, a: int, b: int, h: Graph, acts: ActivitySystem) -> Fraction:
         return self.once(("kab", a, b, id(h), id(acts)), closedform.kab_partition, a, b, h, acts,

@@ -187,9 +187,6 @@ class BipartiteGraph:
             return deg_e.pop(), deg_o.pop()
         return None
 
-    def swapped(self) -> "BipartiteGraph":
-        return BipartiteGraph(self.graph, self.class_o)
-
     def _vertex_labels(self) -> tuple[list[tuple], tuple]:
         """(labels, their sorted tuple), made once.  A vertex's label, which
         every side-preserving isomorphism keeps, is (its side, its degree,
@@ -323,10 +320,8 @@ class BipartiteGraph:
 
 
 def load_doc(data, path=None) -> dict:
-    """The JSON object of ``data``: text, bytes or an already decoded object.
+    """The JSON object of ``data``: text or an already decoded object.
     ``path`` names the file the text was read from, in messages."""
-    if isinstance(data, (bytes, bytearray)):
-        data = data.decode("utf-8")
     if isinstance(data, str):
         try:
             with input_digits():

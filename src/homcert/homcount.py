@@ -13,7 +13,7 @@ twin classes itself, restricted counts' included.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from math import lcm
 from operator import mul
 
@@ -145,9 +145,6 @@ class ActivitySystem:
     def is_uniform(self) -> bool:
         return all(row.count(row[0]) == len(row) for row in (self.lambdas, self.mus) if row)
 
-    def swapped(self) -> "ActivitySystem":
-        return ActivitySystem(self.mus, self.lambdas)
-
     def describe(self) -> dict:
         """Canonical JSON-ready description (all rationals as strings)."""
         if self.is_unit():
@@ -242,9 +239,11 @@ def partition_fn(
     """Exact weighted homomorphism sum: each map contributes the product of
     lambda over its E-images times mu over its O-images.
 
-    With all activities 1 this equals count_homs exactly.
+    With all activities 1 this equals count_homs exactly.  A one-system
+    grid: grid_values of grid_walks(h, [acts], |E|, |O|), its refusal raised.
     """
-    value = GridPlan(h, [acts]).run(g, budget)[0]
+    walks = grid_walks(h, [acts], len(g.class_e), len(g.class_o))
+    value = grid_values(g, h, walks, budget)[acts]
     if isinstance(value, BudgetExceededError):
         raise value
     return value
@@ -264,144 +263,126 @@ def _walk(g: BipartiteGraph, h_masks, row_e, row_o, budget: int) -> int:
 _STEP_BITS = 2048
 
 
-class GridPlan:
-    """What the walks of Z(g, h, acts) into one target h share for one list
-    of systems, whatever the source: made once per (target, systems), ``run``
-    once per source.
+def _scaled(factors, total: int) -> list[Fraction]:
+    return [total * factor for factor in factors]
+
+
+def grid_walks(h: Graph, systems, ne: int, no: int) -> list[tuple]:
+    """The walks that answer Z(g, h, acts) for every system in ``systems``
+    and every source g with |E| = ne and |O| = no, in the order they run:
 
     - uniform systems (unit included) share one count_homs walk, as
       Z = lambda^|E| * mu^|O| * hom(g, h);
-    - the others, when they differ at one target vertex v only and the packed
+    - the others, when they differ at one target vertex only and the packed
       weights stay narrow enough to pay off, share one walk with packed
       weights (see _packed);
     - otherwise each distinct system takes one weighted walk.
 
-    The plan holds that split, v and the common rows and, per source sizes
-    (|E|, |O|), the packing decision, the powers of lambda_v and mu_v and the
-    denominators.
+    Each walk is (rows, its systems, finish): rows is (row_e, row_o), or
+    None for the count walk, and finish(total) turns the walk's total into
+    its systems' values, in their order.  A GraphFormatError unless every
+    system fits h.
     """
+    rows = {acts: acts.integer_rows(h) for acts in systems}  # the distinct systems
+    uniform = [acts for acts in rows if acts.is_uniform()]
+    rest = [acts for acts in rows if not acts.is_uniform()]
+    walks = []
+    if uniform:
+        factors = [_ONE if acts.is_unit() else acts.lambdas[0] ** ne * acts.mus[0] ** no
+                   for acts in uniform]
+        walks.append((None, uniform, partial(_scaled, factors)))
+    packed = _packed(h, rest, ne, no)
+    if packed is not None:
+        walks.append(packed)
+    else:
+        for acts in rest:
+            d_lam, row_e, d_mu, row_o = rows[acts]
+            walks.append(((row_e, row_o), [acts],
+                          partial(_scaled, [Fraction(1, d_lam**ne * d_mu**no)])))
+    return walks
 
-    def __init__(self, h: Graph, systems):
-        self.h = h
-        self.h_masks = h.neighbor_masks()
-        self.systems = list(systems)
-        rows = {acts: acts.integer_rows(h) for acts in self.systems}  # the distinct systems
-        self.uniform = [acts for acts in rows if acts.is_uniform()]
-        rest = [acts for acts in rows if not acts.is_uniform()]
-        self.separate = [(acts, rows[acts]) for acts in rest]
-        first = rest[0] if rest else None
-        differ = [v for v in range(h.vertex_count)
-                  if any(acts.lambdas[v] != first.lambdas[v] or acts.mus[v] != first.mus[v]
-                         for acts in rest)]
-        self.v = v = differ[0] if len(differ) == 1 else None
-        if v is not None:
-            d_lam, row_e = clear_denominators(first.lambdas[:v] + first.lambdas[v + 1:])
-            d_mu, row_o = clear_denominators(first.mus[:v] + first.mus[v + 1:])
-            row_e.insert(v, 1)
-            row_o.insert(v, 1)
-            self.common = d_lam, row_e, d_mu, row_o
-        self._sizes = {}  # (|E|, |O|) -> _tables(|E|, |O|)
 
-    def _tables(self, ne: int, no: int):
-        """(uniform, packed, separate) for sources of |E| = ne and |O| = no:
-        each uniform system's factor over hom(g, h) (None for the unit
-        system), the packed walk's tables (see _packed) or None, and each
-        system's own walk when there is no packed one."""
-        uniform = [(acts, None if acts.is_unit() else acts.lambdas[0] ** ne * acts.mus[0] ** no)
-                   for acts in self.uniform]
-        packed = None if self.v is None else self._packed(ne, no)
-        separate = [] if packed else [
-            (acts, (row_e, row_o, d_lam**ne * d_mu**no))
-            for acts, (d_lam, row_e, d_mu, row_o) in self.separate]
-        return uniform, packed, separate
+def _packed(h: Graph, systems: list, ne: int, no: int):
+    """One walk with Kronecker-packed weights for ``systems`` when they
+    agree everywhere but at one vertex v, or None when they do not or that
+    walk would cost more than one walk per system.
 
-    def _packed(self, ne: int, no: int):
-        """The tables of one walk with Kronecker-packed weights for the
-        systems that agree everywhere but at v, or None when that walk would
-        cost more than one walk per system.
+    Z = sum over j, k of c_jk * lambda_v^j * mu_v^k, where c_jk sums the
+    common (denominators-cleared) weights of the homomorphisms sending j
+    E-vertices and k O-vertices to v.  The walk gives v the weight X = 2^s
+    on the E side and Y = 2^(s(|E|+1)) on the O side, so c_jk is the
+    base-2^s digit of index j + k(|E|+1) of the sum; 2^s exceeds the
+    total weight of all maps with v weighing 1, hence every c_jk.
+    (Kronecker substitution: von zur Gathen and Gerhard, Modern Computer
+    Algebra, section 8.4.)  The packed weights are s(|E|+1)(|O|+1) bits
+    wide where one system's are about s, so a large source (a long cycle,
+    say) is not packed.
+    """
+    if not systems:
+        return None
+    first = systems[0]
+    differ = [v for v in range(h.vertex_count)
+              if any(acts.lambdas[v] != first.lambdas[v] or acts.mus[v] != first.mus[v]
+                     for acts in systems)]
+    if len(differ) != 1:
+        return None
+    v = differ[0]
+    d_lam, row_e = clear_denominators(first.lambdas[:v] + first.lambdas[v + 1:])
+    d_mu, row_o = clear_denominators(first.mus[:v] + first.mus[v + 1:])
+    row_e.insert(v, 1)
+    row_o.insert(v, 1)
+    s = (sum(row_e) ** ne * sum(row_o) ** no).bit_length()
+    if _STEP_BITS + s * (ne + 1) * (no + 1) > len(systems) * (_STEP_BITS + s):
+        return None
+    row_e[v], row_o[v] = 1 << s, 1 << s * (ne + 1)
+    # Z multiplied through by (q_lam * d_lam)^|E| * (q_mu * d_mu)^|O|, where
+    # lambda_v = p_lam / q_lam and mu_v = p_mu / q_mu; the lambda_v powers
+    # are made once per distinct lambda_v
+    e_tables, e_index, terms = [], {}, []
+    for acts in systems:
+        lam, mu = acts.lambdas[v], acts.mus[v]
+        i = e_index.get(lam)
+        if i is None:
+            i = e_index[lam] = len(e_tables)
+            lam_num, lam_den = lam.numerator * d_lam, lam.denominator
+            e_tables.append([lam_num**j * lam_den ** (ne - j) for j in range(ne + 1)])
+        mu_num, mu_den = mu.numerator * d_mu, mu.denominator
+        o_terms = [mu_num**k * mu_den ** (no - k) for k in range(no + 1)]
+        terms.append((i, o_terms, (lam.denominator * d_lam) ** ne * (mu_den * d_mu) ** no))
 
-        Z = sum over j, k of c_jk * lambda_v^j * mu_v^k, where c_jk sums the
-        common (denominators-cleared) weights of the homomorphisms sending j
-        E-vertices and k O-vertices to v.  The walk gives v the weight X = 2^s
-        on the E side and Y = 2^(s(|E|+1)) on the O side, so c_jk is the
-        base-2^s digit of index j + k(|E|+1) of the sum; 2^s exceeds the
-        total weight of all maps with v weighing 1, hence every c_jk.
-        (Kronecker substitution: von zur Gathen and Gerhard, Modern Computer
-        Algebra, section 8.4.)  The packed weights are s(|E|+1)(|O|+1) bits
-        wide where one system's are about s, so a large source (a long cycle,
-        say) is not packed.
-        """
-        v = self.v
-        d_lam, row_e, d_mu, row_o = self.common
-        s = (sum(row_e) ** ne * sum(row_o) ** no).bit_length()
-        if _STEP_BITS + s * (ne + 1) * (no + 1) > len(self.separate) * (_STEP_BITS + s):
-            return None
-        row_e, row_o = row_e.copy(), row_o.copy()
-        row_e[v], row_o[v] = 1 << s, 1 << s * (ne + 1)
-        # Z multiplied through by (q_lam * d_lam)^|E| * (q_mu * d_mu)^|O|, where
-        # lambda_v = p_lam / q_lam and mu_v = p_mu / q_mu; the lambda_v powers
-        # are made once per distinct lambda_v
-        e_tables, e_index, systems = [], {}, []
-        for acts, _ in self.separate:
-            lam, mu = acts.lambdas[v], acts.mus[v]
-            i = e_index.get(lam)
-            if i is None:
-                i = e_index[lam] = len(e_tables)
-                lam_num, lam_den = lam.numerator * d_lam, lam.denominator
-                e_tables.append([lam_num**j * lam_den ** (ne - j) for j in range(ne + 1)])
-            mu_num, mu_den = mu.numerator * d_mu, mu.denominator
-            o_terms = [mu_num**k * mu_den ** (no - k) for k in range(no + 1)]
-            systems.append((acts, i, o_terms,
-                            (lam.denominator * d_lam) ** ne * (mu_den * d_mu) ** no))
-        return s, row_e, row_o, e_tables, systems
+    def finish(total: int) -> list[Fraction]:
+        digit = (1 << s) - 1
+        coeffs = [[total >> s * (j + k * (ne + 1)) & digit for j in range(ne + 1)]
+                  for k in range(no + 1)]
+        # for each lambda_v, [sum over j of c_jk * lam_num^j * lam_den^(|E|-j) for each k]
+        sums = [[sum(map(mul, row, e_terms)) for row in coeffs] for e_terms in e_tables]
+        return [Fraction(sum(map(mul, o_terms, sums[i])), den) for i, o_terms, den in terms]
 
-    def run(self, g: BipartiteGraph, budget: int = DEFAULT_BUDGET) -> list:
-        """Z(g, h, acts) for every system of the plan, in its order, or the
-        BudgetExceededError of the walk that carries the system: a refused
-        walk refuses only its own systems.
+    return (row_e, row_o), systems, finish
 
-        Every walk charges its own meter up to ``budget``.  The meter counts
-        candidate orbits, not weights, and a walk's twin classes depend on
-        the rows it carries (the packed rows set v apart), so a plan's walks need not charge what
-        partition_fn's do; each charges at most what it would with exact
-        images, so a system is answered wherever those walks answer without
-        twins, and otherwise gets partition_fn's value or is refused."""
-        ne, no = len(g.class_e), len(g.class_o)
-        tables = self._sizes.get((ne, no))
-        if tables is None:
-            tables = self._sizes[ne, no] = self._tables(ne, no)
-        uniform, packed, separate = tables
-        values = {}
-        if uniform:
-            try:
-                count = Fraction(count_homs(g.graph, self.h, budget))
-            except BudgetExceededError as exc:
-                values.update((acts, exc) for acts, _ in uniform)
-            else:
-                for acts, factor in uniform:
-                    values[acts] = count if factor is None else count * factor
-        if packed is not None:
-            s, row_e, row_o, e_tables, systems = packed
-            try:
-                total = _walk(g, self.h_masks, row_e, row_o, budget)
-            except BudgetExceededError as exc:
-                values.update((acts, exc) for acts, _, _, _ in systems)
-            else:
-                digit = (1 << s) - 1
-                coeffs = [[total >> s * (j + k * (ne + 1)) & digit for j in range(ne + 1)]
-                          for k in range(no + 1)]
-                # for each lambda_v, [sum over j of c_jk * lam_num^j * lam_den^(|E|-j) for each k]
-                sums = [[sum(map(mul, row, e_terms)) for row in coeffs] for e_terms in e_tables]
-                for acts, i, o_terms, den in systems:
-                    values[acts] = Fraction(sum(map(mul, o_terms, sums[i])), den)
-        for acts, (row_e, row_o, den) in separate:
-            try:
-                total = _walk(g, self.h_masks, row_e, row_o, budget)
-            except BudgetExceededError as exc:
-                values[acts] = exc
-            else:
-                values[acts] = Fraction(total, den)
-        return [values[acts] for acts in self.systems]
+
+def grid_values(g: BipartiteGraph, h: Graph, walks, budget: int = DEFAULT_BUDGET) -> dict:
+    """{acts: Z(g, h, acts)} for every system of ``walks`` (grid_walks of h
+    and g's side sizes), or the BudgetExceededError of the walk that carries
+    the system: a refused walk refuses only its own systems.
+
+    Every walk charges its own meter up to ``budget``.  The meter counts
+    candidate orbits, not weights, and a walk's twin classes depend on the
+    rows it carries (the packed rows set v apart), so a grid's walks need
+    not charge what partition_fn's do; each charges at most what it would
+    with exact images, so a system is answered wherever those walks answer
+    without twins, and otherwise gets partition_fn's value or is refused."""
+    h_masks = h.neighbor_masks()
+    values = {}
+    for rows, systems, finish in walks:
+        try:
+            total = (count_homs(g.graph, h, budget) if rows is None
+                     else _walk(g, h_masks, *rows, budget))
+        except BudgetExceededError as exc:
+            values.update(dict.fromkeys(systems, exc))
+        else:
+            values.update(zip(systems, finish(total)))
+    return values
 
 
 def count_independent_sets(g: Graph, budget: int = DEFAULT_BUDGET) -> int:

@@ -306,20 +306,17 @@ def _memo_json(value, encoded: dict) -> str:
     return (encoded.get(id(value)) or encoded.setdefault(id(value), (value, _json(value))))[1]
 
 
-def _object_json(doc, encoded: dict, shared: bool) -> str:
-    """_json(doc), written member by member for a dict with string keys: its
-    keys' sorted texts from the stream memo ``encoded``, strings and ints
-    directly, and other values from the memo when ``shared`` (the documents
-    of an instance), else tuples from the memo (details that many reports
-    share, such as eta's witness sets).  Anything else is written by
+def _object_json(doc: dict, encoded: dict, shared: bool) -> str:
+    """_json(doc), written member by member for a dict with string keys (a
+    frame's base or a judgement's details): its keys' sorted texts from the
+    stream memo ``encoded``, strings and ints directly, and other values
+    from the memo when ``shared`` (the documents of an instance), else
+    tuples from the memo (details that many reports share, such as eta's
+    witness sets).  Details with any other value are written whole by
     _json."""
-    if type(doc) is not dict:
-        return _json(doc)
     keys = tuple(doc)
     members = encoded.get(keys)
     if members is None:
-        if not all([type(key) is str for key in keys]):
-            return _json(doc)
         members = encoded[keys] = [(key, _string(key) + ":") for key in sorted(keys)]
     parts = []
     for key, prefix in members:

@@ -733,24 +733,25 @@ def test_sources_past_the_budget_are_never_matched(monkeypatch):
 
 @pytest.mark.memo_counts
 def test_campaigns_plan_each_grid_once_whatever_ran_before(monkeypatch):
-    # what depends only on the target and its systems is made once per run,
-    # not once per source or per job, and a run's work does not depend on
-    # the runs before it in the process: a cubic run after a default one
-    # makes the same plans, its kernel walks derive the same twin classes,
-    # and it writes the same stream as the cubic run before it
+    # what depends only on the target, the source's side sizes and the
+    # systems is made once per run, not once per source or per job, and a
+    # run's work does not depend on the runs before it in the process: a
+    # cubic run after a default one plans the same walk lists, its kernel
+    # walks derive the same twin classes, and it writes the same stream as
+    # the cubic run before it
     plans, twins = Counter(), Counter()
-    plan, twin_classes = homcount.GridPlan, frontier.twin_classes
+    plan, twin_classes = homcount.grid_walks, frontier.twin_classes
 
-    def counting_plan(h, systems):
+    def counting_plan(h, systems, ne, no):
         systems = list(systems)
-        plans[h, tuple(systems), id(h), tuple(map(id, systems))] += 1
-        return plan(h, systems)
+        plans[h, ne, no, tuple(systems), id(h), tuple(map(id, systems))] += 1
+        return plan(h, systems, ne, no)
 
     def counting_twin_classes(masks, columns):
         twins[tuple(masks), tuple(map(tuple, columns))] += 1
         return twin_classes(masks, columns)
 
-    monkeypatch.setattr(certify_mod, "GridPlan", counting_plan)
+    monkeypatch.setattr(certify_mod, "grid_walks", counting_plan)
     monkeypatch.setattr(frontier, "twin_classes", counting_twin_classes)
     cubic = _cubic_config((4, 5, 6, 7, 8), 20, 50_000_000,
                           ["weighted-ub", "eta-sandwich", "nonbipartite-lower-bound-failure"])
@@ -759,17 +760,22 @@ def test_campaigns_plan_each_grid_once_whatever_ran_before(monkeypatch):
         plans.clear()
         twins.clear()
         stream = report_stream(iter_campaign(config))
-        # one plan per target and system list, made once: no object is
-        # planned twice, nor are two equal targets and system lists
-        values = Counter(key[:2] for key in plans)
+        # one walk list per target, source sizes and system list, made
+        # once: no objects are planned twice, nor are two equal targets,
+        # sizes and system lists
+        values = Counter(key[:4] for key in plans)
         assert set(plans.values()) == set(values.values()) == {1}
         return stream, values, Counter(twins)
 
     first = run(cubic)
     assert first[0].count("\n") == 3601
-    # one plan per target: both propositions ask the same nine systems
-    assert len(first[1]) == 2
-    assert len(run(_fixture_path("default-campaign.json"))[1]) == 4
+    # one system list per target: both propositions ask the same nine
+    # systems, of sources of five sizes
+    assert len({(h, systems) for h, _, _, systems in first[1]}) == 2
+    assert len(first[1]) == 10
+    default = run(_fixture_path("default-campaign.json"))[1]
+    assert len({(h, systems) for h, _, _, systems in default}) == 4
+    assert len(default) == 20
     assert run(cubic) == first
 
 

@@ -791,6 +791,24 @@ def test_input_error_exit_code(capsys, tmp_path):
     assert code == 2
 
 
+def test_bireg_ub_refuses_a_source_with_an_empty_side(capsys, tmp_path):
+    # an edgeless source whose vertices are all in class E has no O-degree
+    g = tmp_path / "edgeless.json"
+    g.write_text(json.dumps({"vertices": 3, "edges": [], "class_e": [0, 1, 2]}))
+    code, out = run_cli(capsys, "certify", "--check", "bireg-ub", "-g", g,
+                        "-H", FIX / "k3.json")
+    assert code == 2
+    assert json.loads(out)["error"] == {
+        "code": "input-error", "message": "instance must be biregular with positive degrees"}
+
+
+def test_knn_surjections_refuse_a_negative_size(capsys):
+    code, out = run_cli(capsys, "knn", "--n", "-1", "--surjections", "2")
+    assert code == 2
+    assert json.loads(out)["error"] == {"code": "input-error",
+                                        "message": "sizes must be nonnegative"}
+
+
 @pytest.mark.parametrize("mode", ["graph", "spec", "config"])
 def test_deeply_nested_json_is_an_input_error(capsys, tmp_path, mode):
     deep = tmp_path / "deep.json"

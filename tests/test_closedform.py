@@ -169,7 +169,8 @@ def test_knn_partition_swap_symmetry():
         h = random_graph(rng, max_vertices=4)
         acts = random_activities(rng, h.vertex_count)
         n = rng.randint(1, 3)
-        assert kab_partition(n, n, h, acts) == kab_partition(n, n, h, acts.swapped())
+        swapped = ActivitySystem(acts.mus, acts.lambdas)
+        assert kab_partition(n, n, h, acts) == kab_partition(n, n, h, swapped)
 
 
 # --- biregular closed form -------------------------------------------------------

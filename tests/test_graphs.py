@@ -392,7 +392,7 @@ def test_isomorphism_agrees_with_every_side_preserving_bijection(seed, kind):
     a = relabelled(g, _shuffled(rng, g.vertex_count))
     b = relabelled(a, _shuffled(rng, a.vertex_count))
     if kind == "side-swapped":
-        b = b.swapped()
+        b = BipartiteGraph(b.graph, b.class_o)
     elif kind == "edge moved":
         edges = b.graph.edges()
         free = [(u, v) for u in sorted(b.class_e) for v in sorted(b.class_o)
@@ -419,7 +419,8 @@ def test_isomorphism_keeps_the_sides():
         other = gen_random_regular_bipartite(3, 4, seed)
         _assert_isomorphism(q3.isomorphism(other), q3, other)
     c6 = gen_even_cycle(6)
-    _assert_isomorphism(c6.isomorphism(c6.swapped()), c6, c6.swapped())
+    swapped = BipartiteGraph(c6.graph, c6.class_o)
+    _assert_isomorphism(c6.isomorphism(swapped), c6, swapped)
     # the same graph, but class E of 2 vertices against one of 3
     assert gen_complete_bipartite(2, 3).isomorphism(gen_complete_bipartite(3, 2)) is None
     # same sides and degrees, but C8 is connected and 2C4 is not

@@ -29,7 +29,7 @@ from homcert import (
 )
 from homcert import frontier
 from homcert.graphs import load_doc, twin_classes
-from homcert.homcount import GridPlan, as_fraction, resolve_activities
+from homcert.homcount import as_fraction, grid_values, grid_walks, resolve_activities
 from helpers import (
     activity_system,
     hom_count_by_enumeration,
@@ -179,12 +179,14 @@ def test_source_order_is_made_once_per_graph(monkeypatch):
     k3 = complete_graph(3)
     acts = ActivitySystem.from_mapping(3, {0: ("1/2", "2")})
     values = [count_homs(g.graph, k3), count_homs(g.graph, HIND), partition_fn(g, k3, acts),
-              partition_fn(g.swapped(), k3, acts), count_homs_restricted(g, double(k3))]
+              partition_fn(BipartiteGraph(g.graph, g.class_o), k3, acts),
+              count_homs_restricted(g, double(k3))]
     assert made == [0, 6]  # one greedy order per component, by lowest vertex
     # an equal graph built anew makes its own, and walks to the same values
     again = gen_union([gen_even_cycle(6), gen_complete_bipartite(2, 3)])
     assert [count_homs(again.graph, k3), count_homs(again.graph, HIND),
-            partition_fn(again, k3, acts), partition_fn(again.swapped(), k3, acts),
+            partition_fn(again, k3, acts),
+            partition_fn(BipartiteGraph(again.graph, again.class_o), k3, acts),
             count_homs_restricted(again, double(k3))] == values
     assert made == [0, 6, 0, 6]
 
@@ -192,8 +194,16 @@ def test_source_order_is_made_once_per_graph(monkeypatch):
 # --- orbit states: targets with twins ------------------------------------------
 
 
+def _grid(g, h, systems, budget=DEFAULT_BUDGET):
+    """Z(g, h, acts), or the refusal of the walk that carried it, for each of
+    ``systems`` in their order: grid_values of the grid_walks of g's side
+    sizes."""
+    values = grid_values(g, h, grid_walks(h, systems, len(g.class_e), len(g.class_o)), budget)
+    return [values[acts] for acts in systems]
+
+
 def _answered(values):
-    """A plan's values, or the first refusal among them raised."""
+    """A grid's values, or the first refusal among them raised."""
     for value in values:
         if isinstance(value, BudgetExceededError):
             raise value
@@ -334,7 +344,7 @@ _PAIR_TARGETS = {
 def test_lone_pair_walks_keep_exact_images(monkeypatch, g, target, route):
     # a walk whose only twins are one pair keeps exact images: every
     # component walk gets no twins, for the values and the least budget of
-    # twins=[].  The packed plan adds
+    # twins=[].  The packed grid adds
     # two systems that differ at vertex 0: into K3 its packed walk keeps the
     # pair {1, 2}; into a two-vertex target the uniform system's count walk
     # keeps the pair and the packed walk has no twins
@@ -343,12 +353,14 @@ def test_lone_pair_walks_keep_exact_images(monkeypatch, g, target, route):
     if route == "packed":
         systems += [ActivitySystem.from_mapping(h.vertex_count, {0: pair})
                     for pair in [("3", "1/3"), ("2/5", "4")]]
-        assert GridPlan(h, systems)._tables(len(g.class_e), len(g.class_o))[1] is not None
+        walks = grid_walks(h, systems, len(g.class_e), len(g.class_o))
+        # one weighted walk, and it carries more than one system: the packed one
+        assert [len(carried) > 1 for rows, carried, _ in walks if rows is not None] == [True]
 
     def walk(budget):
         if route == "partition_fn":
             return [partition_fn(g, h, acts, budget)]
-        return _answered(GridPlan(h, systems).run(g, budget))
+        return _answered(_grid(g, h, systems, budget))
 
     with _exact_images():
         exact = walk(DEFAULT_BUDGET), _least_budget(walk)
@@ -477,7 +489,8 @@ def test_class_swap_symmetry(seed):
     g = random_bipartite(rng, max_half=3)
     h = random_graph(rng, max_vertices=3)
     acts = random_activities(rng, h.vertex_count)
-    assert partition_fn(g.swapped(), h, acts.swapped()) == partition_fn(g, h, acts)
+    assert partition_fn(BipartiteGraph(g.graph, g.class_o), h,
+                        ActivitySystem(acts.mus, acts.lambdas)) == partition_fn(g, h, acts)
 
 
 def test_multiplicativity_over_disjoint_union():
@@ -509,7 +522,7 @@ def test_monotone_in_target():
         assert count_homs(g, grown) >= base
 
 
-# --- GridPlan ----------------------------------------------------------------
+# --- grid_walks and grid_values ---------------------------------------------
 
 
 def _grid_source(rng):
@@ -527,7 +540,7 @@ def _rational(rng):
 
 def _grid_systems(rng, m):
     """1-5 systems that agree off some vertices; the shape decides which of
-    GridPlan's routes they take."""
+    grid_walks' routes they take."""
     shape = rng.choice(["one-vertex", "two-vertex", "uniform", "mixed"])
     if shape == "uniform":
         return [ActivitySystem.uniform(m, _rational(rng), _rational(rng))
@@ -554,7 +567,7 @@ def test_partition_grid_matches_partition_fn(seed):
     if h.vertex_count == 0:
         h = LOOP
     systems = _grid_systems(rng, h.vertex_count)
-    assert GridPlan(h, systems).run(g) == [partition_fn(g, h, acts) for acts in systems]
+    assert _grid(g, h, systems) == [partition_fn(g, h, acts) for acts in systems]
 
 
 @settings(max_examples=40, deadline=None)
@@ -589,7 +602,7 @@ def test_partition_grid_answers_wherever_its_exact_walks_do(seed):
                 except BudgetExceededError:
                     refused.append(True)
             assert refused == [budget < least] * len(systems)
-            answer = GridPlan(h, systems).run(g, budget)
+            answer = _grid(g, h, systems, budget)
             if budget < least:
                 assert all(isinstance(value, BudgetExceededError) for value in answer)
             else:
@@ -598,7 +611,7 @@ def test_partition_grid_answers_wherever_its_exact_walks_do(seed):
     for budget in {0, least // 2, least - 1, least}:
         if budget < 0:
             continue
-        for value, expected in zip(GridPlan(h, systems).run(g, budget), values, strict=True):
+        for value, expected in zip(_grid(g, h, systems, budget), values, strict=True):
             if isinstance(value, BudgetExceededError):
                 assert budget < least
             else:
@@ -612,7 +625,7 @@ def test_a_refused_walk_refuses_only_its_own_systems():
     g = BipartiteGraph(Graph(4, [(0, 2), (1, 3)]), [0, 1])
     k3, acts = _K3_AT_0
     uniform = ActivitySystem.uniform(3, "1/2", "2")
-    unit, refused, scaled = GridPlan(k3, [ActivitySystem.unit(3), acts, uniform]).run(g, 4)
+    unit, refused, scaled = _grid(g, k3, [ActivitySystem.unit(3), acts, uniform], 4)
     assert unit == count_homs(g.graph, k3) == 36
     assert scaled == partition_fn(g, k3, uniform, 4) == 36
     assert isinstance(refused, BudgetExceededError)
@@ -630,11 +643,11 @@ def test_partition_grid_packs_one_vertex_grids_into_one_walk(monkeypatch):
     k3 = complete_graph(3)
     grid = [ActivitySystem.from_mapping(3, {0: (lam, mu), 2: ("3/2", "1/5")})
             for lam in ("1/3", "2") for mu in ("1/2", "7")]
-    assert GridPlan(k3, grid).run(g) == [partition_fn(g, k3, acts) for acts in grid]
+    assert _grid(g, k3, grid) == [partition_fn(g, k3, acts) for acts in grid]
     uniform = [ActivitySystem.unit(3), ActivitySystem.uniform(3, "1/2"),
                ActivitySystem.uniform(3, "3/2", "1")]
     walks.clear()
-    assert GridPlan(k3, grid + uniform).run(g) == [
+    assert _grid(g, k3, grid + uniform) == [
         partition_fn(g, k3, acts) for acts in grid + uniform]
     # one plain count walk for the uniform systems, one packed walk for the rest;
     # then one walk per partition_fn call
@@ -658,7 +671,7 @@ def test_packed_grids_sharing_one_side_match_partition_fn(monkeypatch, pairs):
     for h in (complete_graph(3), HIND):
         grid = [ActivitySystem.from_mapping(h.vertex_count, {1: pair}) for pair in pairs]
         walks.clear()
-        values = GridPlan(h, grid).run(g)
+        values = _grid(g, h, grid)
         assert len(walks) == 1  # the packed walk
         assert values == [partition_fn(g, h, acts) for acts in grid]
 
@@ -676,15 +689,16 @@ def test_partition_grid_walks_a_long_cycle_once_per_system(monkeypatch):
         g = gen_even_cycle(length)
         walks.clear()
         start = time.perf_counter()
-        values = GridPlan(k3, grid).run(g)
+        values = _grid(g, k3, grid)
         assert time.perf_counter() - start < 5
         assert len(walks) == 2 and None not in walks
         assert values == [partition_fn(g, k3, acts) for acts in grid]
 
 
 def test_one_grid_plan_serves_sources_of_every_size(monkeypatch):
-    # the plan keeps its tables per (|E|, |O|): packed for the small sources,
-    # one walk per system for the long cycle, the uniform systems counted
+    # one walk list per (|E|, |O|), made once and run for every source of
+    # those sizes: packed for the small sources, one walk per system for the
+    # long cycle, the uniform systems counted
     from homcert import homcount
 
     kernel = homcount._hom_sum
@@ -692,21 +706,26 @@ def test_one_grid_plan_serves_sources_of_every_size(monkeypatch):
     grid = [ActivitySystem.from_mapping(3, {0: (lam, mu), 2: ("3/2", "1")})
             for lam in ("1/3", "2") for mu in ("1/2", "7")]
     systems = [*grid, ActivitySystem.unit(3), ActivitySystem.uniform(3, "1/2", "3"), grid[0]]
-    plan = GridPlan(k3, systems)
-    sources = [gen_complete_bipartite(2, 3), gen_even_cycle(6), gen_even_cycle(400),
+    k23 = gen_complete_bipartite(2, 3)
+    sources = [k23, gen_even_cycle(6), gen_even_cycle(400),
                gen_union([gen_even_cycle(4), gen_complete_bipartite(3, 2)]),
-               gen_complete_bipartite(2, 3).swapped(), gen_even_cycle(6)]
-    walks, values = [], []
+               BipartiteGraph(k23.graph, k23.class_o), gen_even_cycle(6)]
+    walk_lists, walks, values = {}, [], []
     monkeypatch.setattr(homcount, "_hom_sum",
                         lambda *args: walks[-1].append(args[3]) or kernel(*args))
     for g in sources:
+        sizes = len(g.class_e), len(g.class_o)
+        if sizes not in walk_lists:
+            walk_lists[sizes] = grid_walks(k3, systems, *sizes)
         walks.append([])
-        values.append(plan.run(g))
+        answer = grid_values(g, k3, walk_lists[sizes])
+        values.append([answer[acts] for acts in systems])
     monkeypatch.undo()
     # per source: one count walk, then one packed walk or, on C400, one per system
     assert [len(w) for w in walks] == [2, 2, 1 + len(grid), 2, 2, 2]
+    assert len(walk_lists) == 5
     assert values == [[partition_fn(g, k3, acts) for acts in systems] for g in sources]
-    assert values == [GridPlan(k3, systems).run(g) for g in sources]
+    assert values == [_grid(g, k3, systems) for g in sources]
 
 
 def test_activity_systems_hash_by_value():
@@ -753,7 +772,7 @@ def test_as_fraction_refuses_exponent_notation_at_once():
 
 def test_partition_grid_rejects_a_system_of_the_wrong_size():
     with pytest.raises(GraphFormatError):
-        GridPlan(HIND, [ActivitySystem.unit(2), ActivitySystem.unit(3)]).run(gen_even_cycle(4))
+        grid_walks(HIND, [ActivitySystem.unit(2), ActivitySystem.unit(3)], 2, 2)
 
 
 # --- independent sets ----------------------------------------------------------
