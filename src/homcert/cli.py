@@ -24,7 +24,9 @@ from .errors import (
     BudgetExceededError, GraphFormatError, input_digits, input_limit, shown)
 from .eta import eta_two_sided
 from .graphs import (
+    FAMILIES,
     GENERATED_FAMILIES,
+    _STRUCTURAL,
     BipartiteGraph,
     Graph,
     build_instance,
@@ -39,6 +41,7 @@ from .graphs import (
     serialize_two_sorted,
 )
 from .homcount import (
+    ACTIVITY_BYTES,
     DEFAULT_BUDGET,
     ActivitySystem,
     count_homs,
@@ -53,39 +56,6 @@ BUDGET_ENV = "HOMCERT_BUDGET"
 # the exit code of a run whose reader closed the output early: 128 + SIGPIPE,
 # the status a shell reports for `yes | head`
 EXIT_CLOSED_PIPE = 141
-
-# Coverage contract: each library operation is reachable from exactly one
-# subcommand (parsing/validation ops ride on `generate`, which re-emits any
-# input file in canonical form).
-SUBCOMMAND_OPERATIONS = {
-    "count": ("count_homs", "count_independent_sets"),
-    "restricted": ("count_homs_restricted",),
-    "partition": ("partition_fn",),
-    "knn": ("knn_restricted_count", "surjection_count"),
-    "kab": ("kab_partition",),
-    "eta": ("eta_two_sided",),
-    "double": ("double",),
-    "blowup": ("blowup", "scale_constant"),
-    "certify": (
-        "certify_hom_ub",
-        "certify_weighted_ub",
-        "certify_sandwich",
-        "certify_bireg",
-        "certify_lift_identity",
-        "certify_double_identity",
-        "sandwich_nonbipartite_demo",
-        "run_campaign",
-        "iter_campaign",
-    ),
-    "generate": (
-        "gen_complete_bipartite",
-        "gen_even_cycle",
-        "gen_hypercube",
-        "gen_union",
-        "gen_random_regular_bipartite",
-        "parse_graph",
-    ),
-}
 
 # one override flag per parameter of a generated family, plus the seed
 _OVERRIDE_KEYS = (*dict.fromkeys(k for row in GENERATED_FAMILIES.values() for k in row.params),
@@ -156,10 +126,12 @@ def _load_source(args, budget: int, doc=None) -> BipartiteGraph:
 def _load_target(args, budget: int) -> tuple[Graph, ActivitySystem]:
     """The -H target and its -a system, the unit system without -a.  -a
     accepts an activity document or any entry a campaign grid lists, so the
-    activities of a report load as they are written."""
+    activities of a report load as they are written; its byte limit is the
+    target's, not the budget's."""
     h = parse_graph(read_doc(args.target, budget=budget), budget)
     path = getattr(args, "activities", None)
-    entry = None if path is None else read_doc(path, budget=budget)
+    entry = None if path is None else read_doc(
+        path, limit=ACTIVITY_BYTES * (h.vertex_count + 1))
     return h, resolve_activities(entry, h.vertex_count)
 
 
@@ -271,13 +243,14 @@ def _cmd_generate(args, budget) -> dict:
     elif args.spec_file is not None:
         _reject_unread(args, ["family", "path"], "--spec-file")
         doc = read_doc(args.spec_file, budget=budget)
-    elif args.family == "file":
-        if args.path is None:
-            raise GraphFormatError("--family file requires --path")
-        doc = {"family": "file", "path": args.path}
     elif args.family is not None:
-        _reject_unread(args, ["path"], f"--family {args.family}")
         doc = {"family": args.family}
+        if _STRUCTURAL.get(args.family) == "path":  # the family of a graph file
+            if args.path is None:
+                raise GraphFormatError(f"--family {args.family} requires --path")
+            doc["path"] = args.path
+        else:
+            _reject_unread(args, ["path"], f"--family {args.family}")
     else:
         raise GraphFormatError("generate requires --family, --spec, or --spec-file")
     base = Path(args.spec_file).parent if args.spec_file else Path.cwd()
@@ -385,10 +358,6 @@ def _fill_double(p):
     _add_common(p, target=True, target_required=True, budget=False)
 
 
-def _fill_blowup(p):
-    _add_common(p, target=True, target_required=True, acts=True, budget=False)
-
-
 def _fill_certify(p):
     p.add_argument("--config", help="campaign config file, or 'default'")
     p.add_argument("--check", choices=certify_mod.PROPOSITION_IDS,
@@ -405,7 +374,7 @@ def _fill_certify(p):
 
 
 def _fill_generate(p):
-    p.add_argument("--family", choices=(*GENERATED_FAMILIES, "union", "file"),
+    p.add_argument("--family", choices=FAMILIES,
                    help="instance family (its parameters as --<param> options)")
     p.add_argument("--spec", help="inline instance-spec JSON")
     p.add_argument("--spec-file", help="instance-spec file")
@@ -414,19 +383,32 @@ def _fill_generate(p):
     p.add_argument("-o", "--output", help="write to file instead of stdout")
 
 
-# subcommand -> (its help line, what adds its arguments, its handler)
+# subcommand -> (its help line, what adds its arguments, its handler, the
+# library operations it reaches): each operation is reached from exactly one
+# subcommand, and parsing rides on generate, which re-emits any input file in
+# canonical form
 _SUBCOMMANDS = {
-    "count": ("count homomorphisms (or independent sets)", _fill_count, _cmd_count),
-    "restricted": ("count class-restricted homomorphisms", _fill_restricted, _cmd_restricted),
-    "partition": ("exact weighted partition value", _fill_partition, _cmd_partition),
+    "count": ("count homomorphisms (or independent sets)", _fill_count, _cmd_count,
+              ("count_homs", "count_independent_sets")),
+    "restricted": ("count class-restricted homomorphisms", _fill_restricted, _cmd_restricted,
+                   ("count_homs_restricted",)),
+    "partition": ("exact weighted partition value", _fill_partition, _cmd_partition,
+                  ("partition_fn",)),
     "knn": ("restricted count of the n-by-n complete bipartite source, or surjections",
-            _fill_knn, _cmd_knn),
-    "kab": ("closed form on the a-by-b complete bipartite source", _fill_kab, _cmd_kab),
-    "eta": ("optimal cross-complete pair", _fill_eta, _cmd_eta),
-    "double": ("bipartite double of a target", _fill_double, _cmd_double),
-    "blowup": ("activity blow-up of a target", _fill_blowup, _cmd_blowup),
-    "certify": ("run certification checks or a campaign", _fill_certify, _cmd_certify),
-    "generate": ("emit an instance as a bipartite graph file", _fill_generate, _cmd_generate),
+            _fill_knn, _cmd_knn, ("knn_restricted_count", "surjection_count")),
+    "kab": ("closed form on the a-by-b complete bipartite source", _fill_kab, _cmd_kab,
+            ("kab_partition",)),
+    "eta": ("optimal cross-complete pair", _fill_eta, _cmd_eta, ("eta_two_sided",)),
+    "double": ("bipartite double of a target", _fill_double, _cmd_double, ("double",)),
+    "blowup": ("activity blow-up of a target", _fill_eta, _cmd_blowup,
+               ("blowup", "scale_constant")),
+    "certify": ("run certification checks or a campaign", _fill_certify, _cmd_certify,
+                ("certify_hom_ub", "certify_weighted_ub", "certify_sandwich", "certify_bireg",
+                 "certify_lift_identity", "certify_double_identity",
+                 "sandwich_nonbipartite_demo", "run_campaign", "iter_campaign")),
+    "generate": ("emit an instance as a bipartite graph file", _fill_generate, _cmd_generate,
+                 ("gen_complete_bipartite", "gen_even_cycle", "gen_hypercube", "gen_union",
+                  "gen_random_regular_bipartite", "parse_graph")),
 }
 
 
@@ -453,7 +435,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_subparser)
     fill_all = command not in _SUBCOMMANDS
-    for name, (help_line, fill, handler) in _SUBCOMMANDS.items():
+    for name, (help_line, fill, handler, _) in _SUBCOMMANDS.items():
         sub.add_parser(name, help=help_line, handler=handler,
                        fill=fill if fill_all or name == command else None)
     return parser

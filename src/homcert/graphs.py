@@ -341,15 +341,17 @@ def load_doc(data, path=None) -> dict:
     return data
 
 
-def read_doc(path, base_dir=None, budget: int = DEFAULT_BUDGET) -> dict:
+def read_doc(path, base_dir=None, budget: int = DEFAULT_BUDGET, limit: int | None = None) -> dict:
     """The JSON object in the file at ``path``, resolved against ``base_dir``
     when relative; any failure to read or decode it is a GraphFormatError,
-    and so is a file longer than _DOC_BYTES per unit of input_limit(budget),
-    refused once that much is read, so even /dev/zero ends."""
+    and so is a file longer than ``limit`` bytes (by default _DOC_BYTES per
+    unit of input_limit(budget)), refused once that much is read, so even
+    /dev/zero ends."""
     path = Path(path)
     if base_dir is not None and not path.is_absolute():
         path = Path(base_dir) / path
-    limit = _DOC_BYTES * input_limit(budget)
+    if limit is None:
+        limit = _DOC_BYTES * input_limit(budget)
     data = bytearray()
     try:
         with path.open("rb") as f:
@@ -629,6 +631,8 @@ GENERATED_FAMILIES = {
 
 # the structural families and their one parameter
 _STRUCTURAL = {"union": "parts", "file": "path"}
+# every family an instance spec may name
+FAMILIES = (*GENERATED_FAMILIES, *_STRUCTURAL)
 
 # reading, sizing and building a spec recurse once per union level; deeper
 # specs than this would end in RecursionError where the JSON decoder admits them
@@ -643,9 +647,8 @@ def parse_instance_spec(doc: dict, _depth: int = 0) -> dict:
     if not isinstance(doc, dict):
         raise GraphFormatError("instance spec must be a JSON object")
     family = doc.get("family")
-    families = (*GENERATED_FAMILIES, *_STRUCTURAL)
-    if family not in families:
-        raise GraphFormatError(f"unknown family {shown(family)}; expected one of {families}")
+    if family not in FAMILIES:
+        raise GraphFormatError(f"unknown family {shown(family)}; expected one of {FAMILIES}")
     row = GENERATED_FAMILIES.get(family)
     wanted = row.params if row else (_STRUCTURAL[family],)
     unknown = set(doc) - set(wanted) - {"family", "seed"}

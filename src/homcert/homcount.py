@@ -23,6 +23,11 @@ from .graphs import BipartiteGraph, Graph, mask_of
 
 _ONE = Fraction(1)
 
+# an activity document may hold this many bytes per target vertex, and as
+# many again for itself: a vertex's entry holds at most two rationals, each
+# integer in them of at most 4,300 digits (errors.input_digits)
+ACTIVITY_BYTES = 1 << 15
+
 
 def clear_denominators(values) -> tuple[int, list[int]]:
     """(d, [d*x for x in values]) where d is the least common denominator of

@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 from bisect import bisect
 from fractions import Fraction
-from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from math import gcd
 from operator import attrgetter, itemgetter
@@ -31,15 +30,6 @@ SKIPPED_BUDGET = "skipped-budget"
 _json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 # what _json writes for a string
 _string = encode_basestring_ascii
-
-
-@lru_cache(maxsize=64)  # certify makes eight kinds of bound
-def _bound_frame(name: str, relation: str, lhs_label: str, rhs_label: str) -> tuple[str, str]:
-    """The JSON text of a bound's fixed fields: what comes between its lhs
-    and rhs values, and what comes between its rhs value and its slack."""
-    return (f'","lhs_label":{_json(lhs_label)},"name":{_json(name)},'
-            f'"relation":{_json(relation)},"rhs":"',
-            f'","rhs_label":{_json(rhs_label)},"slack":')
 
 
 class BoundCheck(tuple):
@@ -115,16 +105,25 @@ class BoundCheck(tuple):
             "slack": None if slack is None else str(slack),
         }
 
-    def to_json(self) -> str:
+    def to_json(self, encoded: dict | None = None) -> str:
         """to_dict() as compact JSON with sorted keys, written from its
-        strings: the values and the slack are digits and '/'."""
+        strings: the values and the slack are digits and '/'.  The text of
+        its fixed fields, between its lhs and rhs values and between its rhs
+        value and its slack, is kept in the stream memo ``encoded`` (see
+        CertReport.to_json_line)."""
         name, relation, lhs_label, rhs_label, lhs, rhs, verdict, equality, low, high = self
         if low > 0:
             d = gcd(high, low)
             slack = f'"{high // d}"' if d == low else f'"{high // d}/{low // d}"'
         else:
             slack = "null"
-        mid, tail = _bound_frame(name, relation, lhs_label, rhs_label)
+        if encoded is None:
+            encoded = {}
+        key = ("bound", name, relation, lhs_label, rhs_label)
+        mid, tail = encoded.get(key) or encoded.setdefault(key, (
+            f'","lhs_label":{_json(lhs_label)},"name":{_json(name)},'
+            f'"relation":{_json(relation)},"rhs":"',
+            f'","rhs_label":{_json(rhs_label)},"slack":'))
         return "".join(('{"equality":', "true" if equality else "false", ',"lhs":"',
                         str(lhs), mid, str(rhs), tail, slack, ',"verdict":"', verdict, '"}'))
 
@@ -214,7 +213,7 @@ class Judgement:
         return head + instance + tail
 
     def _split(self, encoded: dict) -> tuple[str, str]:
-        head = ['{"bounds":[', ",".join([b.to_json() for b in self.bounds]),
+        head = ['{"bounds":[', ",".join([b.to_json(encoded) for b in self.bounds]),
                 '],"check":', _string(self.check)]
         if self.details:
             head += (',"details":', _object_json(self.details, encoded, False))
@@ -293,8 +292,9 @@ class CertReport:
         text, colon included, in sorted order; and id(value) -> (value, JSON
         text) for each document of an instance other than a string or an int
         (sources, targets, systems, specs) and each tuple in details (which
-        many reports share).  The memo holds each value, so its id is not
-        reused while the memo lives."""
+        many reports share); and under ("bound", name, relation, lhs_label,
+        rhs_label) the fixed text of each kind of bound.  The memo holds each
+        value, so its id is not reused while the memo lives."""
         if encoded is None:
             encoded = {}
         return self._judgement.json(self._frame.json(self._activities, encoded), encoded)

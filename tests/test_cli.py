@@ -20,7 +20,7 @@ from homcert import ActivitySystem, GraphFormatError, certify as certify_mod
 from homcert import cli as cli_mod, errors as errors_mod
 from homcert.certify import DEFAULT_SEED
 from homcert.cli import (
-    EXIT_CLOSED_PIPE, SUBCOMMAND_OPERATIONS, _fixture_path, build_parser, main)
+    EXIT_CLOSED_PIPE, _SUBCOMMANDS, _fixture_path, build_parser, main)
 from homcert.graphs import (
     GENERATED_FAMILIES,
     build_instance,
@@ -689,17 +689,36 @@ def test_long_integer_literals_are_input_errors_at_once(capsys, tmp_path):
 
 
 def test_endless_documents_are_input_errors(capsys, monkeypatch):
-    # -a /dev/zero once grew until memory ran out; with a default budget of
-    # 10 a document may hold 640 bytes, and an endless one is refused after
-    # that, as an input error with no traceback
+    # -a /dev/zero once grew until memory ran out.  With a default budget of
+    # 10 a target document may hold 640 bytes, and an activity document 32
+    # KiB per target vertex and 32 KiB more whatever the budget; an endless
+    # one is refused after that, as an input error with no traceback
     monkeypatch.setattr(errors_mod, "DEFAULT_BUDGET", 10)
     monkeypatch.setattr(cli_mod, "DEFAULT_BUDGET", 10)
-    code = main(["eta", "-H", str(FIX / "k3.json"), "-a", "/dev/zero"])
-    out, err = capsys.readouterr()
-    error = json.loads(out)["error"]
-    assert code == 2 and error["code"] == "input-error"
-    assert error["message"] == "/dev/zero is longer than its limit of 640 bytes"
-    assert err == ""
+    for argv, limit in ((["-H", "/dev/zero"], 640),
+                        (["-H", str(FIX / "k3.json"), "-a", "/dev/zero"], 4 << 15)):
+        code = main(["eta", *argv])
+        out, err = capsys.readouterr()
+        error = json.loads(out)["error"]
+        assert code == 2 and error["code"] == "input-error"
+        assert error["message"] == f"/dev/zero is longer than its limit of {limit} bytes"
+        assert err == ""
+
+
+@pytest.mark.parametrize("command", [["eta"], ["partition", "-g", str(FIX / "knn.json"),
+                                                "--n", "2"]])
+def test_an_endless_activity_document_is_refused_within_the_address_space(command):
+    # the activity limit is the target's, not the budget's: under a 512 MiB
+    # address space on the child, reading /dev/zero up to a default-budget
+    # limit of 1.28 GB ended in MemoryError (exit 4)
+    limit = lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))
+    proc = subprocess.run([sys.executable, "-m", "homcert", *command,
+                           "-H", str(FIX / "k3.json"), "-a", "/dev/zero"],
+                          capture_output=True, timeout=60, preexec_fn=limit)
+    assert proc.returncode == 2
+    error = json.loads(proc.stdout)["error"]
+    assert error == {"code": "input-error",
+                     "message": "/dev/zero is longer than its limit of 131072 bytes"}
 
 
 def test_negative_budget_flag_is_input_error(capsys):
@@ -1076,7 +1095,7 @@ PUBLIC_OPERATIONS = (
 
 def test_every_operation_reachable_from_exactly_one_subcommand():
     seen = {}
-    for sub, ops in SUBCOMMAND_OPERATIONS.items():
+    for sub, (*_, ops) in _SUBCOMMANDS.items():
         for op in ops:
             assert op not in seen, f"{op} mapped from both {seen[op]} and {sub}"
             seen[op] = sub
@@ -1089,11 +1108,11 @@ def test_every_operation_reachable_from_exactly_one_subcommand():
 def test_every_handler_names_only_its_own_operations():
     # the contract holds in the handlers' code, not only in the table; every
     # reader uses generate's parsers, so its row is left out
-    owner = {op: sub for sub, ops in SUBCOMMAND_OPERATIONS.items() if sub != "generate"
+    owner = {op: sub for sub, (*_, ops) in _SUBCOMMANDS.items() if sub != "generate"
              for op in ops}
-    for sub in SUBCOMMAND_OPERATIONS:
+    for sub, (_, _, handler, _) in _SUBCOMMANDS.items():
         if sub != "generate":
-            named = getattr(cli_mod, f"_cmd_{sub}").__code__.co_names
+            named = handler.__code__.co_names
             strays = [op for op in named if owner.get(op, sub) != sub]
             assert not strays, f"_cmd_{sub} names {strays}, mapped to other subcommands"
 
@@ -1131,9 +1150,9 @@ def test_one_subcommand_parser_parses_as_the_full_one(argv):
 def test_one_subcommand_parser_helps_as_the_full_one(capsys):
     # compared within one interpreter: argparse's help text differs across
     # Python versions
-    assert {argv[0] for argv in _PARSE_CASES} == set(SUBCOMMAND_OPERATIONS)
+    assert {argv[0] for argv in _PARSE_CASES} == set(_SUBCOMMANDS)
     assert build_parser("certify").format_help() == build_parser().format_help()
-    for name in SUBCOMMAND_OPERATIONS:
+    for name in _SUBCOMMANDS:
         helps = []
         for parser in (build_parser(), build_parser(name)):
             with pytest.raises(SystemExit):
@@ -1144,7 +1163,7 @@ def test_one_subcommand_parser_helps_as_the_full_one(capsys):
 
 def test_every_shown_option_has_help_text():
     parsers = build_parser()._subparsers._group_actions[0].choices
-    assert set(parsers) == set(SUBCOMMAND_OPERATIONS)
+    assert set(parsers) == set(_SUBCOMMANDS)
     for name, p in parsers.items():
         for action in p._actions:
             if action.help is not argparse.SUPPRESS:
@@ -1160,7 +1179,7 @@ def _parsed(parser, argv, capsys):
     return (result, *capsys.readouterr())
 
 
-@pytest.mark.parametrize("name", SUBCOMMAND_OPERATIONS)
+@pytest.mark.parametrize("name", _SUBCOMMANDS)
 def test_one_subcommand_parser_fails_as_the_full_one(capsys, name):
     # main builds the parser of the first token that is not an option: its
     # usage, its help and every error it prints are the full parser's
@@ -1176,10 +1195,10 @@ def test_an_unknown_subcommand_lists_every_choice(capsys):
         main(["bogus", "-g", "g.json"])
     err = capsys.readouterr().err
     assert exc.value.code == 2 and "invalid choice: 'bogus'" in err
-    assert all(f"'{name}'" in err for name in SUBCOMMAND_OPERATIONS)
+    assert all(f"'{name}'" in err for name in _SUBCOMMANDS)
 
 
 def test_subcommand_map_matches_parser():
     parser = build_parser()
     subparsers = parser._subparsers._group_actions[0]
-    assert set(subparsers.choices) == set(SUBCOMMAND_OPERATIONS)
+    assert set(subparsers.choices) == set(_SUBCOMMANDS)

@@ -1,4 +1,5 @@
 import random
+import re
 import time
 from contextlib import contextmanager
 from fractions import Fraction
@@ -83,6 +84,26 @@ def test_empty_cases():
     assert count_homs(empty, complete_graph(3)) == 1
     assert count_homs(complete_graph(2), Graph(0)) == 0
     assert count_homs(empty, Graph(0)) == 1
+
+
+@pytest.mark.parametrize("call, expected", [
+    (lambda: repr(independence_target()), "Graph(2 vertices, 1 edges, 1 loops)"),
+    (lambda: repr(gen_complete_bipartite(2, 3)), "BipartiteGraph(5 vertices, |E|=2, |O|=3)"),
+    (lambda: complete_graph(0), ValueError("k must be >= 1")),
+    (lambda: delattr(ActivitySystem.unit(1), "lambdas"),
+     AttributeError("ActivitySystem is immutable: cannot delete 'lambdas'")),
+    (lambda: ActivitySystem.unit(1).__eq__((Fraction(1),)), NotImplemented),
+    (lambda: repr(ActivitySystem.uniform(1, "1/2", 3)),
+     "ActivitySystem(lambdas=(Fraction(1, 2),), mus=(Fraction(3, 1),))"),
+], ids=["graph-repr", "bipartite-repr", "complete-graph-0", "system-delete",
+        "system-eq-other-type", "system-repr"])
+def test_reprs_and_refusals(call, expected):
+    # the value of each call, or the error it raises
+    if isinstance(expected, Exception):
+        with pytest.raises(type(expected), match=re.escape(str(expected))):
+            call()
+    else:
+        assert call() == expected
 
 
 @settings(max_examples=60, deadline=None)
